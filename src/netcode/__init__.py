@@ -15,7 +15,6 @@ from .codes import (
     AlphabetSplit,
     ExecutionTrace,
     FeasibilityReport,
-    InfoState,
     NetworkCode,
     Route,
     StateView,

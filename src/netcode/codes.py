@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -115,45 +115,17 @@ class AlphabetSplit:
         return f"AlphabetSplit({self._table!r})"
 
 
-class InfoState:
+class StateView:
     """What one node has seen up to (and including) round `time`.
 
     Encoders and decoders receive exactly this view: the node's own source
-    messages and the symbols that arrived on its incident edges.  Reads
-    beyond `time` raise, which makes causality violations loud.
-    """
+    messages (`message(i)`, KeyError for a message the node does not hold)
+    and the symbols that arrived on its incident edges (`recv`).  Reads
+    beyond `time` raise LookupError, which makes causality violations loud.
 
-    __slots__ = ("node", "time", "_own", "_lookup")
-
-    def __init__(self, node: str, time: int, own: Mapping[int, int], lookup: Callable):
-        self.node = node
-        self.time = time
-        self._own = own
-        self._lookup = lookup
-
-    def message(self, i: int) -> int:
-        if i not in self._own:
-            raise KeyError(f"node {self.node!r} holds no message {i}")
-        return self._own[i]
-
-    def own_messages(self) -> dict[int, int]:
-        return dict(self._own)
-
-    def recv(self, sender: str, t: int) -> int:
-        if not 1 <= t <= self.time:
-            raise LookupError(
-                f"symbol from {sender!r} at t={t} not visible at time {self.time}"
-            )
-        return self._lookup(sender, t)
-
-
-class StateView:
-    """InfoState adapter with custom message/recv resolution.
-
-    Code transforms wrap base encoders so they run against a reinterpreted
-    view of the host execution (a session digit, a remapped timestep, a
-    replayed neighbor).  The view enforces the same causality guard as a
-    real InfoState.
+    `execute` builds the view of the real execution; code transforms build
+    views that reinterpret the host execution (a session digit, a remapped
+    timestep, a replayed neighbor) and run the old encoders against them.
     """
 
     __slots__ = ("node", "time", "_message_fn", "_recv_fn")
@@ -216,18 +188,25 @@ class ExecutionTrace:
         return self.symbol(idx, t, FWD if x_is_a else BWD)
 
 
-def _own_messages(inst: NetworkInstance, node: str, messages: Sequence[int]) -> dict[int, int]:
-    return {i: messages[i] for i in inst.sources_at(node)}
-
-
-def _state_for(
+def _node_readers(
     inst: NetworkInstance,
     node: str,
-    time: int,
     messages: Sequence[int],
-    fwd: list[list[int]],
-    bwd: list[list[int]],
-) -> InfoState:
+    fwd: Sequence[Sequence[int]],
+    bwd: Sequence[Sequence[int]],
+) -> tuple[Callable, Callable]:
+    """The message and recv functions of a node's StateView.
+
+    They read `fwd`/`bwd` as the execution fills them in, so one pair
+    serves the node at every round.
+    """
+    own = {i: messages[i] for i in inst.sources_at(node)}
+
+    def message(i: int) -> int:
+        if i not in own:
+            raise KeyError(f"node {node!r} holds no message {i}")
+        return own[i]
+
     def lookup(sender: str, t: int) -> int:
         found = inst.edge_between(sender, node)
         if found is None:
@@ -235,7 +214,7 @@ def _state_for(
         idx, sender_is_a = found
         return fwd[idx][t - 1] if sender_is_a else bwd[idx][t - 1]
 
-    return InfoState(node, time, _own_messages(inst, node, messages), lookup)
+    return message, lookup
 
 
 def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -> ExecutionTrace:
@@ -253,6 +232,7 @@ def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -
     fwd = [[0] * code.outer_n for _ in inst.edges]
     bwd = [[0] * code.outer_n for _ in inst.edges]
     messages = tuple(messages)
+    readers: dict[str, tuple[Callable, Callable]] = {}
 
     for t in range(1, code.outer_n + 1):
         pending = []
@@ -269,8 +249,9 @@ def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -
                     pending.append((edge_idx, direction, 0))
                     continue
                 tail = slot_tail(inst, edge_idx, direction)
-                state = _state_for(inst, tail, t - 1, messages, fwd, bwd)
-                out = enc(state)
+                if tail not in readers:
+                    readers[tail] = _node_readers(inst, tail, messages, fwd, bwd)
+                out = enc(StateView(tail, t - 1, *readers[tail]))
                 if not isinstance(out, int) or not 0 <= out < size:
                     e = inst.edges[edge_idx]
                     raise SymbolOutOfRange(
@@ -294,8 +275,6 @@ def decode_outputs(
     code: NetworkCode, inst: NetworkInstance, trace: ExecutionTrace
 ) -> dict[int, tuple[int, ...]]:
     """Decoded message tuples per terminal index, in demanded-source order."""
-    fwd = [list(row) for row in trace.fwd]
-    bwd = [list(row) for row in trace.bwd]
     out: dict[int, tuple[int, ...]] = {}
     for j, node in enumerate(inst.terminals):
         demanded = inst.demanded_at(j)
@@ -305,8 +284,8 @@ def decode_outputs(
                 raise MalformedDocument(f"missing decoder for terminal {j} ({node!r})")
             out[j] = ()
             continue
-        state = _state_for(inst, node, code.outer_n, trace.messages, fwd, bwd)
-        got = tuple(dec(state))
+        readers = _node_readers(inst, node, trace.messages, trace.fwd, trace.bwd)
+        got = tuple(dec(StateView(node, code.outer_n, *readers)))
         if len(got) != len(demanded):
             raise SymbolOutOfRange(
                 f"decoder {j} returned {len(got)} values, expected {len(demanded)}"
@@ -593,7 +572,7 @@ def make_routing_code(
                 f"on edge {e.a!r}-{e.b!r} at t={t}"
             )
 
-    def carried_value(state: InfoState, ridx: int, hop: int) -> int:
+    def carried_value(state: StateView, ridx: int, hop: int) -> int:
         route = routes[ridx]
         if hop == 0:
             return state.message(route.source)
@@ -609,7 +588,7 @@ def make_routing_code(
         entries = slots[key]
         radices = slot_radices(key)
 
-        def encoder(state: InfoState) -> int:
+        def encoder(state: StateView) -> int:
             values = [carried_value(state, ridx, hop) for ridx, hop in entries]
             return combine_digits(values, radices)
 
@@ -624,7 +603,7 @@ def make_routing_code(
     def make_decoder(j: int):
         demanded = inst.demanded_at(j)
 
-        def decoder(state: InfoState) -> tuple[int, ...]:
+        def decoder(state: StateView) -> tuple[int, ...]:
             out = []
             for i in demanded:
                 ridx = route_for.get((i, j))

@@ -75,11 +75,11 @@ def floor_pow2(exponent: Fraction) -> int:
     return floor_root(2 ** exponent.numerator, exponent.denominator)
 
 
-def pow2_at_most(value: int, exponent: Fraction) -> bool:
-    """Exact test of value <= 2 ** exponent for value >= 1."""
-    if value < 1:
-        raise ValueError("value must be >= 1")
-    return value ** exponent.denominator <= 2 ** exponent.numerator
+def log2_at_least(value: int, exponent: Fraction) -> bool:
+    """Exact test of log2(value) >= exponent for value >= 1."""
+    if exponent <= 0:
+        return True
+    return value ** exponent.denominator >= 2 ** exponent.numerator
 
 
 def ceil_frac(value: Fraction) -> int:

@@ -54,7 +54,7 @@ from .graphs import (
     replace_edge_with_path,
     widest_path,
 )
-from .rational import combine_digits, split_digits
+from .rational import combine_digits, log2_at_least, split_digits
 from .transforms import interleave, pipeline_path, scale_code
 
 
@@ -638,13 +638,6 @@ class RemovalReport:
     verification: object = None
 
 
-def _rate_at_least(size: int, exponent: Fraction) -> bool:
-    """log2(size) >= exponent, exactly."""
-    if exponent <= 0:
-        return True
-    return size ** exponent.denominator >= 2 ** exponent.numerator
-
-
 def path_case_bound(
     inst: NetworkInstance, u: str, v: str, lam: Fraction
 ) -> RemovalReport:
@@ -783,7 +776,7 @@ def edge_removal_report(
                 RateClaim(
                     source=i,
                     claimed_rate=claimed,
-                    achieved=_rate_at_least(scaled.message_sizes[i], exponent),
+                    achieved=log2_at_least(scaled.message_sizes[i], exponent),
                 )
             )
     verification = PathVerification(

@@ -52,31 +52,22 @@ DEFAULT_TABLE_LIMIT = 1 << 16
 
 # -------------------------------------------------------------- table domains
 
-def _encoder_domain(inst: NetworkInstance, code: NetworkCode, edge_idx: int, t: int, direction: str):
-    """Canonical input domain of one encoder: the sender's own messages
-    (ascending source index), then every incident slot at rounds 1..t-1
-    in incoming_slots order.  Returns (node, own source ids, slot dims)."""
-    node = slot_tail(inst, edge_idx, direction)
+def _domain(inst: NetworkInstance, code: NetworkCode, node: str, horizon: int):
+    """Canonical input domain of an encoder or decoder at `node` that sees
+    rounds 1..horizon: the node's own messages (ascending source index),
+    then every incident slot at rounds 1..horizon in incoming_slots order.
+    Returns (own source ids, slot dims, radices)."""
     own = list(inst.sources_at(node))
     dims = []
-    for tp in range(1, t):
+    for tp in range(1, horizon + 1):
         for e, d, sender in incoming_slots(inst, node):
             dims.append((e, tp, d, sender, code.splits.size(e, tp, d)))
-    return node, own, dims
+    radices = [code.message_sizes[i] for i in own] + [w for *_, w in dims]
+    return own, dims, radices
 
 
-def _decoder_domain(inst: NetworkInstance, code: NetworkCode, j: int):
-    node = inst.terminals[j]
-    own = list(inst.sources_at(node))
-    dims = []
-    for tp in range(1, code.outer_n + 1):
-        for e, d, sender in incoming_slots(inst, node):
-            dims.append((e, tp, d, sender, code.splits.size(e, tp, d)))
-    return node, own, dims
-
-
-def _tabulate(fn, node, horizon, own, dims, sizes, limit):
-    radices = [sizes[i] for i in own] + [w for *_, w in dims]
+def _tabulate(fn, inst, code, node, horizon, limit):
+    own, dims, radices = _domain(inst, code, node, horizon)
     total = 1
     for r in radices:
         total *= r
@@ -107,6 +98,18 @@ def _tabulate(fn, node, horizon, own, dims, sizes, limit):
     return table
 
 
+def _table_entry(inst: NetworkInstance, code: NetworkCode, node: str, horizon: int, table):
+    """Function of a view that reads its domain and returns the table entry."""
+    own, dims, radices = _domain(inst, code, node, horizon)
+
+    def lookup(state):
+        digits = [state.message(i) for i in own]
+        digits += [state.recv(sender, tp) for (_, tp, _, sender, _) in dims]
+        return table[combine_digits(digits, radices)]
+
+    return lookup
+
+
 def code_to_doc(
     code: NetworkCode, inst: NetworkInstance, limit: int = DEFAULT_TABLE_LIMIT
 ) -> dict:
@@ -117,10 +120,8 @@ def code_to_doc(
     ]
     encoders = []
     for (e, t, d) in sorted(code.encoders):
-        node, own, dims = _encoder_domain(inst, code, e, t, d)
         table = _tabulate(
-            code.encoders[(e, t, d)], node, t - 1, own, dims,
-            code.message_sizes, limit,
+            code.encoders[(e, t, d)], inst, code, slot_tail(inst, e, d), t - 1, limit
         )
         encoders.append(
             {
@@ -132,22 +133,12 @@ def code_to_doc(
         )
     decoders = []
     for j in sorted(code.decoders):
-        node, own, dims = _decoder_domain(inst, code, j)
-        demanded = inst.demanded_at(j)
-        out_radices = [code.message_sizes[i] for i in demanded]
+        out_radices = [code.message_sizes[i] for i in inst.demanded_at(j)]
 
-        def encode_value(values, out_radices=out_radices):
-            return combine_digits(list(values), out_radices)
+        def packed(state, dec=code.decoders[j], out_radices=out_radices):
+            return combine_digits(list(dec(state)), out_radices)
 
-        table = _tabulate(
-            lambda st, dec=code.decoders[j]: encode_value(dec(st)),
-            node,
-            code.outer_n,
-            own,
-            dims,
-            code.message_sizes,
-            limit,
-        )
+        table = _tabulate(packed, inst, code, inst.terminals[j], code.outer_n, limit)
         decoders.append({"terminal": j, "table": table})
     return {
         "kind": "table",
@@ -199,31 +190,20 @@ def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
             raise MalformedDocument(f"bad direction {d!r}")
         if not is_a:
             d = BWD if d == FWD else FWD
-        table = list(item["table"])
-        node, own, dims = _encoder_domain(inst, stub, idx, t, d)
-        radices = [sizes[i] for i in own] + [w for *_, w in dims]
-
-        def encoder(state, table=table, own=own, dims=dims, radices=radices):
-            digits = [state.message(i) for i in own]
-            digits += [state.recv(sender, tp) for (_, tp, _, sender, _) in dims]
-            return table[combine_digits(digits, radices)]
-
-        encoders[(idx, t, d)] = encoder
+        encoders[(idx, t, d)] = _table_entry(
+            inst, stub, slot_tail(inst, idx, d), t - 1, list(item["table"])
+        )
 
     decoders = {}
     for item in doc.get("decoders", []):
         j = int(item["terminal"])
         if not 0 <= j < len(inst.terminals):
             raise MalformedDocument(f"unknown terminal {j}")
-        table = list(item["table"])
-        node, own, dims = _decoder_domain(inst, stub, j)
-        radices = [sizes[i] for i in own] + [w for *_, w in dims]
+        entry = _table_entry(inst, stub, inst.terminals[j], outer_n, list(item["table"]))
         out_radices = [sizes[i] for i in inst.demanded_at(j)]
 
-        def decoder(state, table=table, own=own, dims=dims, radices=radices, out_radices=out_radices):
-            digits = [state.message(i) for i in own]
-            digits += [state.recv(sender, tp) for (_, tp, _, sender, _) in dims]
-            return split_digits(table[combine_digits(digits, radices)], out_radices)
+        def decoder(state, entry=entry, out_radices=out_radices):
+            return split_digits(entry(state), out_radices)
 
         decoders[j] = decoder
 

@@ -52,6 +52,9 @@ from .graphs import NetworkInstance
 from .rational import ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
 
 
+_REVERSE = {FWD: BWD, BWD: FWD}
+
+
 def _slot_size(code: NetworkCode, inst: NetworkInstance, sender: str, node: str, t: int) -> int:
     """Alphabet size of the directional slot sender -> node at round t."""
     found = inst.edge_between(sender, node)
@@ -61,7 +64,118 @@ def _slot_size(code: NetworkCode, inst: NetworkInstance, sender: str, node: str,
     return code.splits.size(idx, t, FWD if sender_is_a else BWD)
 
 
-# ------------------------------------------------------------------ parallel
+# ------------------------------------------------------------------ sessions
+
+def _pack_sessions(
+    code: NetworkCode,
+    inst: NetworkInstance,
+    count: int,
+    staggered: bool = False,
+    message_parts=None,
+    join=None,
+):
+    """Session views and decoders for `count` runs of `code` in one host code.
+
+    Session j (0-based) of a host view sees message i as
+    message_parts(i, w)[j], w being the host's message i (by default the
+    mixed-radix digits of w).  Its round-t symbol is digit j of the host's
+    round-t symbol when the sessions sit side by side, or the host's round
+    (t-1)*count + j + 1 symbol when they are staggered; a staggered view
+    of host time T sees base rounds up to T // count, which is t-1 for an
+    encoder of base round t and N for a decoder.  Each host message and
+    symbol is split at most once per host view, however many sessions read
+    it.
+
+    Returns (sessions, decoders).  sessions(state) maps j to the view of
+    session j.  Each decoder runs the base decoder on every session and
+    joins, per demanded source i, the session outputs with join(i, outputs)
+    (by default the mixed-radix combination).
+    """
+    if message_parts is None:
+        def message_parts(i, w):
+            return split_digits(w, (code.message_sizes[i],) * count)
+
+        def join(i, parts):
+            return combine_digits(parts, (code.message_sizes[i],) * count)
+
+    def sessions(state):
+        node = state.node
+        horizon = state.time // count if staggered else state.time
+        messages, symbols = {}, {}
+
+        def view(j: int) -> StateView:
+            def message(i):
+                parts = messages.get(i)
+                if parts is None:
+                    parts = messages[i] = message_parts(i, state.message(i))
+                return parts[j]
+
+            def recv(sender, t):
+                if staggered:
+                    return state.recv(sender, (t - 1) * count + j + 1)
+                parts = symbols.get((sender, t))
+                if parts is None:
+                    radix = _slot_size(code, inst, sender, node, t)
+                    parts = symbols[(sender, t)] = split_digits(
+                        state.recv(sender, t), (radix,) * count
+                    )
+                return parts[j]
+
+            return StateView(node, horizon, message, recv)
+
+        return view
+
+    def make_decoder(j_term):
+        base = code.decoders[j_term]
+        demanded = inst.demanded_at(j_term)
+
+        def decoder(state):
+            view = sessions(state)
+            outputs = [base(view(j)) for j in range(count)]
+            return tuple(
+                join(i, [out[pos] for out in outputs])
+                for pos, i in enumerate(demanded)
+            )
+
+        return decoder
+
+    return sessions, {j: make_decoder(j) for j in code.decoders}
+
+
+def _side_by_side(
+    code: NetworkCode,
+    inst: NetworkInstance,
+    m: int,
+    message_sizes: tuple[int, ...],
+    message_parts=None,
+    join=None,
+) -> NetworkCode:
+    """m sessions packed into every directional slot (see _pack_sessions)."""
+    sessions, decoders = _pack_sessions(
+        code, inst, m, message_parts=message_parts, join=join
+    )
+
+    def make_encoder(key):
+        base = code.encoders[key]
+        radix = code.splits.size(*key)
+
+        def encoder(state):
+            view = sessions(state)
+            return combine_digits([base(view(j)) for j in range(m)], (radix,) * m)
+
+        return encoder
+
+    return NetworkCode(
+        inner_n=code.inner_n * m,
+        outer_n=code.outer_n,
+        message_sizes=message_sizes,
+        splits=AlphabetSplit(
+            {key: (f ** m, b ** m) for key, (f, b) in code.splits.items()}
+        ),
+        encoders={key: make_encoder(key) for key in code.encoders},
+        decoders=decoders,
+    )
+
 
 def parallel_repeat(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
     """Run m independent sessions of the code side by side.
@@ -72,60 +186,7 @@ def parallel_repeat(code: NetworkCode, inst: NetworkInstance, m: int) -> Network
     """
     if m < 1:
         raise MalformedDocument("session count must be >= 1")
-
-    sizes = tuple(s ** m for s in code.message_sizes)
-    split_table = {key: (f ** m, b ** m) for key, (f, b) in code.splits.items()}
-
-    def session_view(state, j: int):
-        def message(i):
-            return split_digits(state.message(i), (code.message_sizes[i],) * m)[j]
-
-        def recv(sender, t):
-            radix = _slot_size(code, inst, sender, state.node, t)
-            return split_digits(state.recv(sender, t), (radix,) * m)[j]
-
-        return StateView(state.node, state.time, message, recv)
-
-    def make_encoder(key):
-        base = code.encoders[key]
-        edge_idx, t, direction = key
-        radix = code.splits.size(edge_idx, t, direction)
-
-        def encoder(state):
-            return combine_digits(
-                [base(session_view(state, j)) for j in range(m)], (radix,) * m
-            )
-
-        return encoder
-
-    encoders = {key: make_encoder(key) for key in code.encoders}
-
-    def make_decoder(j_term):
-        base = code.decoders[j_term]
-        demanded = inst.demanded_at(j_term)
-
-        def decoder(state):
-            per_session = [base(session_view(state, j)) for j in range(m)]
-            return tuple(
-                combine_digits(
-                    [per_session[j][pos] for j in range(m)],
-                    (code.message_sizes[i],) * m,
-                )
-                for pos, i in enumerate(demanded)
-            )
-
-        return decoder
-
-    decoders = {j: make_decoder(j) for j in code.decoders}
-
-    return NetworkCode(
-        inner_n=code.inner_n * m,
-        outer_n=code.outer_n,
-        message_sizes=sizes,
-        splits=AlphabetSplit(split_table),
-        encoders=encoders,
-        decoders=decoders,
-    )
+    return _side_by_side(code, inst, m, tuple(s ** m for s in code.message_sizes))
 
 
 # ---------------------------------------------------------------- outer codes
@@ -302,61 +363,20 @@ def amplify(
         for row in perms
     )
 
-    parallel = parallel_repeat(code, inst, m)
-    sizes = tuple(
-        max(spec.alphabet, 1) ** spec.k for spec in specs
-    )
-
-    def session_inputs(i: int, w: int) -> int:
-        """Composite of the m permuted codeword symbols for source i."""
+    def message_parts(i: int, w: int) -> tuple[int, ...]:
+        """The m permuted codeword symbols for message w of source i."""
         spec = specs[i]
-        q = max(spec.alphabet, 1)
-        digits = split_digits(w, (q,) * spec.k)
-        cw = outer_encode(spec, digits)
-        packed = [perms[i][j][cw[j]] for j in range(m)]
-        return combine_digits(packed, (code.message_sizes[i],) * m)
+        cw = outer_encode(spec, split_digits(w, (max(spec.alphabet, 1),) * spec.k))
+        return tuple(perms[i][j][cw[j]] for j in range(m))
 
-    def outer_view(state):
-        return StateView(
-            state.node,
-            state.time,
-            lambda i: session_inputs(i, state.message(i)),
-            state.recv,
-        )
+    def join(i: int, parts) -> int:
+        spec = specs[i]
+        word = tuple(inverses[i][j][parts[j]] for j in range(m))
+        digits = nearest_codeword_decode(word, spec)
+        return combine_digits(digits, (max(spec.alphabet, 1),) * spec.k)
 
-    encoders = {
-        key: (lambda enc: (lambda state: enc(outer_view(state))))(enc)
-        for key, enc in parallel.encoders.items()
-    }
-
-    def make_decoder(j_term):
-        base = parallel.decoders[j_term]
-        demanded = inst.demanded_at(j_term)
-
-        def decoder(state):
-            combined = base(outer_view(state))
-            out = []
-            for pos, i in enumerate(demanded):
-                spec = specs[i]
-                q = max(spec.alphabet, 1)
-                sess = split_digits(combined[pos], (code.message_sizes[i],) * m)
-                word = tuple(inverses[i][j][sess[j]] for j in range(m))
-                digits = nearest_codeword_decode(word, spec)
-                out.append(combine_digits(digits, (q,) * spec.k))
-            return tuple(out)
-
-        return decoder
-
-    decoders = {j: make_decoder(j) for j in parallel.decoders}
-
-    return NetworkCode(
-        inner_n=parallel.inner_n,
-        outer_n=parallel.outer_n,
-        message_sizes=sizes,
-        splits=parallel.splits,
-        encoders=encoders,
-        decoders=decoders,
-    )
+    sizes = tuple(max(spec.alphabet, 1) ** spec.k for spec in specs)
+    return _side_by_side(code, inst, m, sizes, message_parts, join)
 
 
 def find_amplify_seed(
@@ -431,46 +451,16 @@ def interleave(code: NetworkCode, inst: NetworkInstance) -> NetworkCode:
         for j in range(1, n_base + 1):
             split_table[(edge_idx, (t_base - 1) * n_base + j)] = shape
 
-    def session_view(state, j: int, horizon: int):
-        def message(i):
-            return split_digits(state.message(i), (code.message_sizes[i],) * n_base)[
-                j - 1
-            ]
-
-        def recv(sender, t_base):
-            return state.recv(sender, (t_base - 1) * n_base + j)
-
-        return StateView(state.node, horizon, message, recv)
+    sessions, decoders = _pack_sessions(code, inst, n_base, staggered=True)
 
     encoders = {}
     for (edge_idx, t_base, direction), base_enc in code.encoders.items():
-        for j in range(1, n_base + 1):
-            t_out = (t_base - 1) * n_base + j
+        for j in range(n_base):
 
-            def encoder(state, base_enc=base_enc, j=j, t_base=t_base):
-                return base_enc(session_view(state, j, t_base - 1))
+            def encoder(state, base_enc=base_enc, j=j):
+                return base_enc(sessions(state)(j))
 
-            encoders[(edge_idx, t_out, direction)] = encoder
-
-    def make_decoder(j_term):
-        base = code.decoders[j_term]
-        demanded = inst.demanded_at(j_term)
-
-        def decoder(state):
-            per_session = [
-                base(session_view(state, j, n_base)) for j in range(1, n_base + 1)
-            ]
-            return tuple(
-                combine_digits(
-                    [per_session[j][pos] for j in range(n_base)],
-                    (code.message_sizes[i],) * n_base,
-                )
-                for pos, i in enumerate(demanded)
-            )
-
-        return decoder
-
-    decoders = {j: make_decoder(j) for j in code.decoders}
+            encoders[(edge_idx, (t_base - 1) * n_base + j + 1, direction)] = encoder
 
     return NetworkCode(
         inner_n=code.inner_n,
@@ -613,18 +603,34 @@ def pipeline_path(
     def pipe_time(i: int, j: int) -> int:
         return (i - 1) * width + j
 
+    # direction of the removed edge -> its path nodes in travel order
+    travel = {FWD: path, BWD: path[::-1]}
+    # (receiving end, original sender) -> the last path hop's sender
+    last_hop = {(nodes[-1], nodes[0]): nodes[-2] for nodes in travel.values()}
+
     def tilde_view(state, horizon: int):
         """Present the pipelined history as the tilde execution's history."""
 
         def recv(sender, tt):
-            i, j = (tt - 1) // nb + 1, (tt - 1) % nb + 1
-            if state.node == u and sender == v:
-                return state.recv(path[1], pipe_time(i, j) + ell - 2)
-            if state.node == v and sender == u:
-                return state.recv(path[-2], pipe_time(i, j) + ell - 2)
-            return state.recv(sender, pipe_time(i, j))
+            t_out = pipe_time((tt - 1) // nb + 1, (tt - 1) % nb + 1)
+            relay_from = last_hop.get((state.node, sender))
+            if relay_from is not None:
+                return state.recv(relay_from, t_out + ell - 2)
+            return state.recv(sender, t_out)
 
         return StateView(state.node, horizon, state.message, recv)
+
+    def replay(base, horizon: int):
+        """Run a tilde encoder or decoder on the pipelined history, seen
+        as the tilde history up to round `horizon`."""
+        return lambda state: base(tilde_view(state, horizon))
+
+    def relay(sender: str):
+        """Pass on the symbol `sender` committed one round earlier."""
+        return lambda state: state.recv(sender, state.time)
+
+    def idle(state):
+        return 0
 
     split_table: dict[tuple[int, int], tuple[int, int]] = {}
     encoders = {}
@@ -635,91 +641,46 @@ def pipeline_path(
         t_idx, flipped = base_of[p_idx]
         for i in range(1, nb + 1):
             for j in range(1, nb + 1):
-                shape = tilde.splits.shape(t_idx, tilde_time(i, j))
+                tt = tilde_time(i, j)
+                shape = tilde.splits.shape(t_idx, tt)
                 if flipped:
                     shape = (shape[1], shape[0])
                 if shape != (1, 1):
                     split_table[(p_idx, pipe_time(i, j))] = shape
                 for direction in (FWD, BWD):
-                    base_dir = direction if not flipped else (
-                        BWD if direction == FWD else FWD
-                    )
-                    base_enc = tilde.encoders.get((t_idx, tilde_time(i, j), base_dir))
-                    if base_enc is None:
-                        continue
-                    tt = tilde_time(i, j)
+                    base_dir = _REVERSE[direction] if flipped else direction
+                    base_enc = tilde.encoders.get((t_idx, tt, base_dir))
+                    if base_enc is not None:
+                        encoders[(p_idx, pipe_time(i, j), direction)] = replay(base_enc, tt - 1)
 
-                    def encoder(state, base_enc=base_enc, tt=tt):
-                        return base_enc(tilde_view(state, tt - 1))
-
-                    encoders[(p_idx, pipe_time(i, j), direction)] = encoder
-
+    # Path hop r joins path[r-1] and path[r].  The removed edge's symbols
+    # in direction d cross it as hop h of their trip, and the j-th symbol
+    # of sub-block i crosses hop h at offset j+h-1: the first hop runs the
+    # tilde encoder, later hops relay what arrived one round earlier.
     for p_idx, (r, along) in path_pos.items():
         for i in range(1, nb + 1):
-            f_size, b_size = e_shapes[i - 1]
-            shape = (f_size, b_size) if along else (b_size, f_size)
+            shape = e_shapes[i - 1]
             if shape != (1, 1):
                 for o in range(1, width + 1):
-                    split_table[(p_idx, (i - 1) * width + o)] = shape
-
-            for o in range(1, width + 1):
-                t_out = (i - 1) * width + o
-                # forward along the path (carries the removed edge's fwd)
-                fwd_dir = FWD if along else BWD
-                if f_size > 1:
-                    j = o - r + 1
-                    if 1 <= j <= nb:
-                        if r == 1:
-                            base_enc = tilde.encoders.get(
-                                (e_idx, tilde_time(i, j), FWD)
-                            )
-                            tt = tilde_time(i, j)
-                            if base_enc is not None:
-                                def encoder(state, base_enc=base_enc, tt=tt):
-                                    return base_enc(tilde_view(state, tt - 1))
-                                encoders[(p_idx, t_out, fwd_dir)] = encoder
-                        else:
-                            sender = path[r - 2]
-
-                            def encoder(state, sender=sender):
-                                return state.recv(sender, state.time)
-
-                            encoders[(p_idx, t_out, fwd_dir)] = encoder
+                    split_table[(p_idx, pipe_time(i, o))] = shape if along else shape[::-1]
+            for base_dir, size in zip((FWD, BWD), shape):
+                if size == 1:
+                    continue
+                nodes = travel[base_dir]
+                hop = r if base_dir == FWD else ell - r
+                direction = base_dir if along else _REVERSE[base_dir]
+                for o in range(1, width + 1):
+                    j = o - hop + 1
+                    if not 1 <= j <= nb:
+                        enc = idle
+                    elif hop > 1:
+                        enc = relay(nodes[hop - 2])
                     else:
-                        encoders[(p_idx, t_out, fwd_dir)] = lambda state: 0
-                # backward along the path (carries the removed edge's bwd)
-                bwd_dir = BWD if along else FWD
-                if b_size > 1:
-                    j = o - ell + r + 1
-                    if 1 <= j <= nb:
-                        if r == ell - 1:
-                            base_enc = tilde.encoders.get(
-                                (e_idx, tilde_time(i, j), BWD)
-                            )
-                            tt = tilde_time(i, j)
-                            if base_enc is not None:
-                                def encoder(state, base_enc=base_enc, tt=tt):
-                                    return base_enc(tilde_view(state, tt - 1))
-                                encoders[(p_idx, t_out, bwd_dir)] = encoder
-                        else:
-                            sender = path[r + 1]
-
-                            def encoder(state, sender=sender):
-                                return state.recv(sender, state.time)
-
-                            encoders[(p_idx, t_out, bwd_dir)] = encoder
-                    else:
-                        encoders[(p_idx, t_out, bwd_dir)] = lambda state: 0
-
-    def make_decoder(j_term):
-        base = tilde.decoders[j_term]
-
-        def decoder(state):
-            return base(tilde_view(state, nb * nb))
-
-        return decoder
-
-    decoders = {j: make_decoder(j) for j in tilde.decoders}
+                        base_enc = tilde.encoders.get((e_idx, tilde_time(i, j), base_dir))
+                        if base_enc is None:
+                            continue
+                        enc = replay(base_enc, tilde_time(i, j) - 1)
+                    encoders[(p_idx, pipe_time(i, o), direction)] = enc
 
     return NetworkCode(
         inner_n=tilde.inner_n,
@@ -727,7 +688,7 @@ def pipeline_path(
         message_sizes=tilde.message_sizes,
         splits=AlphabetSplit(split_table),
         encoders=encoders,
-        decoders=decoders,
+        decoders={j: replay(dec, nb * nb) for j, dec in tilde.decoders.items()},
     )
 
 

@@ -9,8 +9,10 @@ or feasibility failure, 5 resource limit exceeded.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import netcode as nc
 from netcode.cli import main
@@ -396,9 +398,12 @@ def test_repeated_invocations_are_byte_identical(tmp_path):
         [sys.executable, "-m", "netcode.cli", "check", ipath, cpath,
          "--epsilon", "1/2", "--mode", "sampled:200:7"],
     ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for cmd in commands:
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")

@@ -13,8 +13,8 @@ from netcode.rational import (
     floor_pow2,
     floor_root,
     format_rational,
+    log2_at_least,
     parse_rational,
-    pow2_at_most,
     split_digits,
 )
 
@@ -143,8 +143,8 @@ def test_floor_pow2_is_the_largest_admissible_size(p, q):
     exponent = Fraction(p, q)
     v = floor_pow2(exponent)
     assert v >= 1
-    assert pow2_at_most(v, exponent)
-    assert not pow2_at_most(v + 1, exponent)
+    assert log2_at_least(v + 1, exponent)
+    assert not log2_at_least(v, exponent) or v**q == 2**p
     # v <= 2^(p/q) iff v^q <= 2^p, exactly
     assert v**q <= 2**p < (v + 1) ** q
 

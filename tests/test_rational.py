@@ -12,8 +12,8 @@ from netcode.rational import (
     floor_pow2,
     floor_root,
     format_rational,
+    log2_at_least,
     parse_rational,
-    pow2_at_most,
     split_digits,
 )
 
@@ -71,11 +71,11 @@ def test_alphabet_size_matches_definition():
     assert alphabet_size(Fraction(5, 3), 3) == 32
 
 
-def test_floor_pow2_and_pow2_at_most():
+def test_floor_pow2_and_log2_at_least():
     assert floor_pow2(Fraction(7, 2)) == 11  # floor(2^3.5) = floor(11.31..)
-    assert pow2_at_most(11, Fraction(7, 2))
-    assert not pow2_at_most(12, Fraction(7, 2))
-    assert pow2_at_most(8, Fraction(3))
+    assert not log2_at_least(11, Fraction(7, 2))
+    assert log2_at_least(12, Fraction(7, 2))
+    assert log2_at_least(8, Fraction(3))
 
 
 def test_ceil_helpers():

@@ -12,7 +12,7 @@ from netcode.errors import (
     NotABridge,
     UnknownVertex,
 )
-from netcode.removal import _rate_at_least
+from netcode.rational import log2_at_least
 
 from conftest import cycle4, inst_doc, make, two_triangles
 
@@ -64,12 +64,12 @@ def test_classify_edge():
 
 
 def test_rate_at_least_exact():
-    assert _rate_at_least(2, Fraction(1))
-    assert not _rate_at_least(2, Fraction(3, 2))
-    assert _rate_at_least(3, Fraction(3, 2))  # 9 >= 8
-    assert _rate_at_least(1, Fraction(0))
-    assert _rate_at_least(1, Fraction(-1))
-    assert not _rate_at_least(1, Fraction(1, 100))
+    assert log2_at_least(2, Fraction(1))
+    assert not log2_at_least(2, Fraction(3, 2))
+    assert log2_at_least(3, Fraction(3, 2))  # 9 >= 8
+    assert log2_at_least(1, Fraction(0))
+    assert log2_at_least(1, Fraction(-1))
+    assert not log2_at_least(1, Fraction(1, 100))
 
 
 # ----------------------------------------------------------------- path bound

@@ -252,6 +252,45 @@ def test_amplify_rs_round_trip():
                    rate_target=Fraction(1, 2))
 
 
+def shifted_code(inst, size, n):
+    """Zero-error single-edge code that sends w+1 mod size."""
+    return nc.NetworkCode(
+        inner_n=n, outer_n=1, message_sizes=(size,),
+        splits=nc.AlphabetSplit({(0, 1): (size, 1)}),
+        encoders={(0, 1, nc.FWD): lambda s: (s.message(0) + 1) % size},
+        decoders={0: lambda s: ((s.recv("a", 1) - 1) % size,)},
+    )
+
+
+@pytest.mark.parametrize("family, size, n, rate_target, perms", [
+    ("repetition", 4, 2, None,
+     ((1, 2, 3, 0), (2, 0, 3, 1), (3, 2, 0, 1))),
+    ("reed_solomon", 5, 3, Fraction(2, 3),
+     ((1, 2, 3, 4, 0), (3, 0, 4, 1, 2), (2, 4, 1, 0, 3))),
+])
+def test_amplify_wire_format(family, size, n, rate_target, perms):
+    # Session j's digit of the packed slot is the base encoder run on the
+    # permuted codeword symbol perms[0][j][codeword[j]]; none of these
+    # permutations is its own inverse, so swapping perms and inverses shows.
+    inst = single_edge()
+    base = shifted_code(inst, size, n)
+    m = len(perms)
+    amp = nc.amplify(base, inst, m, family, Fraction(0),
+                     rate_target=rate_target, perms=(perms,), strict=False)
+    spec = nc.make_outer_spec(family, m, size, rate_target)
+    base_enc = base.encoders[(0, 1, nc.FWD)]
+    assert amp.message_sizes == (size ** spec.k,)
+    for w in range(amp.message_sizes[0]):
+        codeword = nc.outer_encode(spec, split_digits(w, (size,) * spec.k))
+        expected = tuple(
+            base_enc(nc.StateView("a", 0, lambda i, x=perms[j][codeword[j]]: x, None))
+            for j in range(m)
+        )
+        trace = nc.execute(amp, inst, (w,))
+        assert split_digits(trace.symbol(0, 1, nc.FWD), (size,) * m) == expected
+        assert nc.decode_outputs(amp, inst, trace) == {0: (w,)}
+
+
 def test_find_amplify_seed_can_fail():
     inst = single_edge_cap2()
     base = clamp_code(inst, "a", "b", 1, 1, 1)
