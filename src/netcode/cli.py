@@ -71,11 +71,13 @@ def _parse_mode(text: str) -> tuple[str, int, int]:
     parts = text.split(":")
     if len(parts) == 3 and parts[0] == "sampled":
         try:
-            return "sampled", int(parts[1]), int(parts[2])
+            trials, seed = int(parts[1]), int(parts[2])
         except ValueError:
-            pass
+            trials = 0
+        if trials >= 1:
+            return "sampled", trials, seed
     raise MalformedDocument(
-        f"--mode wants 'exhaustive' or 'sampled:TRIALS:SEED', got {text!r}"
+        f"--mode wants 'exhaustive' or 'sampled:TRIALS:SEED' with TRIALS >= 1, got {text!r}"
     )
 
 
@@ -187,7 +189,7 @@ def cmd_check(args) -> int:
         rates=rates,
         epsilon=epsilon,
         mode=mode,
-        trials=trials or 1000,
+        trials=trials,
         seed=seed,
     )
     _emit(feasibility_report_doc(rep))
@@ -196,6 +198,8 @@ def cmd_check(args) -> int:
 
 def cmd_region(args) -> int:
     inst = _load_instance(args.instance)
+    if args.n < 1 or args.outer_n < 1:
+        raise MalformedDocument("--n and --N must be >= 1")
     limits = _parse_limits(args.limits) if args.limits else None
     points = rate_region_micro(inst, args.n, args.outer_n, limits)
     doc = {

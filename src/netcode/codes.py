@@ -10,11 +10,18 @@ symbols committed at rounds <= t-1 (plus the sender's own messages), then
 all round-t symbols are committed at once.  Both directions of an edge
 share its capacity: at every round the two directional alphabet sizes
 multiply to at most floor(2**(cap*n)).
+
+An Engine runs a code on many message tuples and caches every encoder and
+decoder by the values it read.  The contract this relies on: an encoder or
+decoder is a deterministic function of what it reads through its
+StateView (its messages and received symbols, plus the view's node and
+time).  A map with hidden state or randomness falls outside the contract.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,115 +195,195 @@ class ExecutionTrace:
         return self.symbol(idx, t, FWD if x_is_a else BWD)
 
 
-def _node_readers(
-    inst: NetworkInstance,
-    node: str,
-    messages: Sequence[int],
-    fwd: Sequence[Sequence[int]],
-    bwd: Sequence[Sequence[int]],
-) -> tuple[Callable, Callable]:
-    """The message and recv functions of a node's StateView.
+# Total trie nodes one Engine stores (about 100 bytes each on CPython 3.11);
+# past it, a miss runs uncached.
+TRIE_NODE_CAP = 1 << 17
 
-    They read `fwd`/`bwd` as the execution fills them in, so one pair
-    serves the node at every round.
+
+def _symbol_check(e, t: int, direction: str, size: int) -> Callable:
+    """Check of an encoder's fresh output: a symbol of its slot's alphabet."""
+    def check(out):
+        if not isinstance(out, int) or not 0 <= out < size:
+            raise SymbolOutOfRange(
+                f"encoder on {e.a!r}-{e.b!r} t={t} {direction} "
+                f"produced {out!r}, alphabet size {size}"
+            )
+        return out
+
+    return check
+
+
+def _output_check(j: int, demanded: Sequence[int], sizes: Sequence[int]) -> Callable:
+    """Check of a decoder's fresh output: one message per demanded source."""
+    def check(out):
+        got = tuple(out)
+        if len(got) != len(demanded):
+            raise SymbolOutOfRange(
+                f"decoder {j} returned {len(got)} values, expected {len(demanded)}"
+            )
+        for i, value in zip(demanded, got):
+            if not 0 <= value < sizes[i]:
+                raise SymbolOutOfRange(
+                    f"decoder {j} output {value!r} outside message space {i}"
+                )
+        return got
+
+    return check
+
+
+class Engine:
+    """Runs one code on one instance for any number of message tuples.
+
+    Construction validates the splits and lists, in round order, the slots
+    that have an encoder; a live slot without one raises there.  A run is
+    one flat state list: the messages, then for each edge its forward and
+    its backward symbols by round.  Round-t symbols are written as they are
+    produced, which equals the two-phase commit because the causality guard
+    keeps every round-t encoder from reading them.
+
+    Every encoder and decoder is memoized in a trie keyed on the ordered
+    values it read (see the module docstring for the contract this needs).
+    A call replays the recorded reads against the state; on a miss it runs
+    the real map on a recording StateView, so the guard checks every read
+    a map makes, and a replayed read is one the guard passed at the same
+    horizon.  A read that raises is not recorded: it raises in every state.
+    The tries hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the
+    cap a miss runs uncached and nothing more is stored.
     """
-    own = {i: messages[i] for i in inst.sources_at(node)}
 
-    def message(i: int) -> int:
-        if i not in own:
-            raise KeyError(f"node {node!r} holds no message {i}")
-        return own[i]
+    def __init__(self, code: NetworkCode, inst: NetworkInstance):
+        k, n_out = len(inst.sources), code.outer_n
+        if len(code.message_sizes) != k:
+            raise MalformedDocument("code message_sizes do not match instance sources")
+        code.splits.validate(inst, code.inner_n, n_out)
+        self.code, self.inst, self.nodes = code, inst, 0
+        self._blank = [0] * (k + 2 * len(inst.edges) * n_out)
+        self._own = {x: set(inst.sources_at(x)) for x in inst.vertices}
+        # node -> sender -> state position of the sender's round-1 symbol
+        self._inbound: dict[str, dict[str, int]] = {x: {} for x in inst.vertices}
+        for idx, e in enumerate(inst.edges):
+            self._inbound[e.b][e.a] = k + 2 * idx * n_out
+            self._inbound[e.a][e.b] = k + (2 * idx + 1) * n_out
+        # (state position, memo); a memo is (map, node, horizon, check of
+        # fresh outputs, {None: trie root})
+        self._slots: list[tuple[int, tuple]] = []
+        for t in range(1, n_out + 1):
+            for idx, e in enumerate(inst.edges):
+                for d, direction in enumerate(DIRECTIONS):
+                    size = code.splits.size(idx, t, direction)
+                    enc = code.encoders.get((idx, t, direction))
+                    if enc is None:
+                        if size != 1:
+                            raise MalformedDocument(
+                                f"missing encoder for edge {e.a!r}-{e.b!r} t={t} {direction}"
+                            )
+                        continue
+                    tail = slot_tail(inst, idx, direction)
+                    check = _symbol_check(e, t, direction, size)
+                    pos = k + (2 * idx + d) * n_out + t - 1
+                    self._slots.append((pos, (enc, tail, t - 1, check, {})))
+        self._decoders = []
+        for j, node in enumerate(inst.terminals):
+            dec = code.decoders.get(j)
+            if dec is not None:
+                check = _output_check(j, inst.demanded_at(j), code.message_sizes)
+                dec = (dec, node, n_out, check, {})
+            self._decoders.append((j, node, dec))
 
-    def lookup(sender: str, t: int) -> int:
-        found = inst.edge_between(sender, node)
-        if found is None:
-            raise LookupError(f"no edge {sender!r}-{node!r}")
-        idx, sender_is_a = found
-        return fwd[idx][t - 1] if sender_is_a else bwd[idx][t - 1]
+    def run(self, messages: Sequence[int]) -> list[int]:
+        """The flat state of one execution on the message tuple."""
+        k = len(self.inst.sources)
+        if len(messages) != k:
+            raise SymbolOutOfRange(f"expected {k} messages, got {len(messages)}")
+        for i, (m, size) in enumerate(zip(messages, self.code.message_sizes)):
+            if not 0 <= m < size:
+                raise SymbolOutOfRange(f"message {i} value {m} outside [0, {size})")
+        state = self._blank[:]
+        state[:k] = messages
+        for pos, memo in self._slots:
+            state[pos] = self._call(memo, state)
+        return state
 
-    return message, lookup
+    def decode(self, state: list[int]) -> dict[int, tuple[int, ...]]:
+        """Decoded message tuples per terminal index, in demanded-source order."""
+        out: dict[int, tuple[int, ...]] = {}
+        for j, node, memo in self._decoders:
+            if memo is not None:
+                out[j] = self._call(memo, state)
+            elif self.inst.demanded_at(j):
+                raise MalformedDocument(f"missing decoder for terminal {j} ({node!r})")
+            else:
+                out[j] = ()
+        return out
+
+    def trace(self, state: list[int]) -> ExecutionTrace:
+        """The ExecutionTrace of a state that `run` returned."""
+        k, n_out = len(self.inst.sources), self.code.outer_n
+        rows = [tuple(state[p:p + n_out]) for p in range(k, len(state), n_out)]
+        return ExecutionTrace(
+            self.inst, tuple(state[:k]), tuple(rows[0::2]), tuple(rows[1::2])
+        )
+
+    def _call(self, memo: tuple, state: list[int]):
+        """The map's output on `state`, from its trie when the reads match.
+
+        A trie node is a leaf (the output) or a branch, a list [position
+        the map reads next, {value read: subtree}]; outputs are ints or
+        tuples, never lists or None."""
+        fn, node, time, check, top = memo
+        found = top.get(None)
+        while type(found) is list:
+            found = found[1].get(state[found[0]])
+        if found is not None:
+            return found
+        reads: list[tuple[int, int]] = []
+        out = check(fn(self._view(node, time, state, reads)))
+        if self.nodes + len(reads) < TRIE_NODE_CAP:
+            nxt, key = top, None
+            for pos, value in reads:
+                branch = nxt.get(key)
+                if type(branch) is not list:
+                    branch = nxt[key] = [pos, {}]
+                    self.nodes += 1
+                nxt, key = branch[1], value
+            nxt[key] = out
+            self.nodes += 1
+        return out
+
+    def _view(self, node: str, time: int, state: list[int], reads: list) -> StateView:
+        """A guarded view of `state` that records each read it answers."""
+        own, inbound = self._own[node], self._inbound[node]
+
+        def message(i: int) -> int:
+            if i not in own:
+                raise KeyError(f"node {node!r} holds no message {i}")
+            reads.append((i, state[i]))
+            return state[i]
+
+        def recv(sender: str, t: int) -> int:
+            if sender not in inbound:
+                raise LookupError(f"no edge {sender!r}-{node!r}")
+            pos = inbound[sender] + t - 1
+            reads.append((pos, state[pos]))
+            return state[pos]
+
+        return StateView(node, time, message, recv)
 
 
 def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -> ExecutionTrace:
     """Run the code on one message tuple and return the full trace."""
-    k = len(inst.sources)
-    if len(messages) != k:
-        raise SymbolOutOfRange(f"expected {k} messages, got {len(messages)}")
-    if len(code.message_sizes) != k:
-        raise MalformedDocument("code message_sizes do not match instance sources")
-    for i, (m, size) in enumerate(zip(messages, code.message_sizes)):
-        if not 0 <= m < size:
-            raise SymbolOutOfRange(f"message {i} value {m} outside [0, {size})")
-    code.splits.validate(inst, code.inner_n, code.outer_n)
-
-    fwd = [[0] * code.outer_n for _ in inst.edges]
-    bwd = [[0] * code.outer_n for _ in inst.edges]
-    messages = tuple(messages)
-    readers: dict[str, tuple[Callable, Callable]] = {}
-
-    for t in range(1, code.outer_n + 1):
-        pending = []
-        for edge_idx in range(len(inst.edges)):
-            for direction in DIRECTIONS:
-                size = code.splits.size(edge_idx, t, direction)
-                enc = code.encoders.get((edge_idx, t, direction))
-                if enc is None:
-                    if size != 1:
-                        e = inst.edges[edge_idx]
-                        raise MalformedDocument(
-                            f"missing encoder for edge {e.a!r}-{e.b!r} t={t} {direction}"
-                        )
-                    pending.append((edge_idx, direction, 0))
-                    continue
-                tail = slot_tail(inst, edge_idx, direction)
-                if tail not in readers:
-                    readers[tail] = _node_readers(inst, tail, messages, fwd, bwd)
-                out = enc(StateView(tail, t - 1, *readers[tail]))
-                if not isinstance(out, int) or not 0 <= out < size:
-                    e = inst.edges[edge_idx]
-                    raise SymbolOutOfRange(
-                        f"encoder on {e.a!r}-{e.b!r} t={t} {direction} "
-                        f"produced {out!r}, alphabet size {size}"
-                    )
-                pending.append((edge_idx, direction, out))
-        # commit phase: round t becomes visible only after every encoder ran
-        for edge_idx, direction, out in pending:
-            (fwd if direction == FWD else bwd)[edge_idx][t - 1] = out
-
-    return ExecutionTrace(
-        inst=inst,
-        messages=messages,
-        fwd=tuple(tuple(row) for row in fwd),
-        bwd=tuple(tuple(row) for row in bwd),
-    )
+    engine = Engine(code, inst)
+    return engine.trace(engine.run(messages))
 
 
 def decode_outputs(
     code: NetworkCode, inst: NetworkInstance, trace: ExecutionTrace
 ) -> dict[int, tuple[int, ...]]:
     """Decoded message tuples per terminal index, in demanded-source order."""
-    out: dict[int, tuple[int, ...]] = {}
-    for j, node in enumerate(inst.terminals):
-        demanded = inst.demanded_at(j)
-        dec = code.decoders.get(j)
-        if dec is None:
-            if demanded:
-                raise MalformedDocument(f"missing decoder for terminal {j} ({node!r})")
-            out[j] = ()
-            continue
-        readers = _node_readers(inst, node, trace.messages, trace.fwd, trace.bwd)
-        got = tuple(dec(StateView(node, code.outer_n, *readers)))
-        if len(got) != len(demanded):
-            raise SymbolOutOfRange(
-                f"decoder {j} returned {len(got)} values, expected {len(demanded)}"
-            )
-        for i, value in zip(demanded, got):
-            if not 0 <= value < code.message_sizes[i]:
-                raise SymbolOutOfRange(
-                    f"decoder {j} output {value!r} outside message space {i}"
-                )
-        out[j] = got
-    return out
+    state = list(trace.messages)
+    for fwd, bwd in zip(trace.fwd, trace.bwd):
+        state += fwd + bwd
+    return Engine(code, inst).decode(state)
 
 
 def demands_met(inst: NetworkInstance, messages: Sequence[int], decoded) -> bool:
@@ -430,52 +517,30 @@ def check_feasibility(
     else:
         spaces = code.message_sizes
 
-    def run_one(tup):
-        trace = execute(code, inst, tup)
-        return demands_met(inst, tup, decode_outputs(code, inst, trace))
-
-    failing: list[tuple[int, ...]] = []
     if mode == "exhaustive":
-        total = 1
-        for s in spaces:
-            total *= s
+        total = math.prod(spaces)
         if total > limit:
             raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
-        failures = 0
-        for tup in itertools.product(*(range(s) for s in spaces)):
-            if not run_one(tup):
-                failures += 1
-                if len(failing) < keep_failures:
-                    failing.append(tup)
-        measured = Fraction(failures, total)
-        return FeasibilityReport(
-            epsilon=epsilon,
-            rates=rates,
-            inner_n=code.inner_n,
-            outer_n=code.outer_n,
-            message_sizes=tuple(code.message_sizes),
-            mode=mode,
-            trials=total,
-            failures=failures,
-            measured_error=measured,
-            passed=measured <= epsilon,
-            certified=True,
-            failing=tuple(failing),
-        )
-
-    if mode != "sampled":
+        tuples = itertools.product(*(range(s) for s in spaces))
+    elif mode == "sampled":
+        if trials < 1:
+            raise ValueError("sampled mode needs trials >= 1")
+        rng = random.Random(seed)
+        total = trials
+        tuples = (tuple(rng.randrange(s) for s in spaces) for _ in range(trials))
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ValueError("sampled mode needs trials >= 1")
-    rng = random.Random(seed)
+
+    engine = Engine(code, inst)
+    failing: list[tuple[int, ...]] = []
     failures = 0
-    for _ in range(trials):
-        tup = tuple(rng.randrange(s) for s in spaces)
-        if not run_one(tup):
+    for tup in tuples:
+        if not demands_met(inst, tup, engine.decode(engine.run(tup))):
             failures += 1
             if len(failing) < keep_failures:
                 failing.append(tup)
-    estimate = Fraction(failures, trials)
+    measured = Fraction(failures, total)
+    sampled = mode == "sampled"
     return FeasibilityReport(
         epsilon=epsilon,
         rates=rates,
@@ -483,13 +548,13 @@ def check_feasibility(
         outer_n=code.outer_n,
         message_sizes=tuple(code.message_sizes),
         mode=mode,
-        trials=trials,
+        trials=total,
         failures=failures,
-        measured_error=estimate,
-        passed=estimate <= epsilon,
-        certified=False,
+        measured_error=measured,
+        passed=measured <= epsilon,
+        certified=not sampled,
         failing=tuple(failing),
-        interval=clopper_pearson(failures, trials),
+        interval=clopper_pearson(failures, total) if sampled else None,
     )
 
 

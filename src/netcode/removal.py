@@ -21,6 +21,7 @@ Two regimes:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,12 +30,11 @@ from .codes import (
     BWD,
     FWD,
     AlphabetSplit,
+    Engine,
     FeasibilityReport,
     NetworkCode,
     StateView,
     check_feasibility,
-    decode_outputs,
-    execute,
 )
 from .errors import (
     BadPath,
@@ -130,13 +130,12 @@ def _induced_instance(
 
 
 def _decompose_side(
-    inst: NetworkInstance,
-    code: NetworkCode,
+    engine: Engine,
     side: set[str],
     anchor: str,
     other_anchor: str,
-    limit: int,
 ) -> SideDecomposition:
+    inst, code = engine.inst, engine.code
     k = len(inst.sources)
     s_idx = tuple(
         i
@@ -158,27 +157,23 @@ def _decompose_side(
         if inst.demand[i][j]
     ]
 
-    total = 1
-    for s in code.message_sizes:
-        total *= s
-    if total > limit:
-        raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
-
     free_sizes = [code.message_sizes[i] for i in s_idx]
-    free_total = 1
-    for s in free_sizes:
-        free_total *= s
+    free_total = math.prod(free_sizes)
 
-    def run(fix: dict[int, int]) -> Fraction:
-        fails = 0
+    def tuples(fix: dict[int, int]):
+        """(free messages, full message list) for each free tuple under `fix`."""
         for free in itertools.product(*(range(s) for s in free_sizes)):
             msgs = [0] * k
             for i, w in fix.items():
                 msgs[i] = w
             for i, w in zip(s_idx, free):
                 msgs[i] = w
-            trace = execute(code, inst, msgs)
-            decoded = decode_outputs(code, inst, trace)
+            yield free, msgs
+
+    def run(fix: dict[int, int]) -> Fraction:
+        fails = 0
+        for _, msgs in tuples(fix):
+            decoded = engine.decode(engine.run(msgs))
             for i, j in demands:
                 pos = inst.demanded_at(j).index(i)
                 if decoded[j][pos] != msgs[i]:
@@ -210,9 +205,16 @@ def _decompose_side(
     side_code = _simulated_side_code(
         inst, code, side, anchor, other_anchor, s_idx, d_idx, side_inst, best_fix
     )
-    match = _traces_match(
-        inst, code, side_inst, side_code, side, s_idx, best_fix, free_sizes
-    )
+    # Simulated side traces must equal the original ones edge for edge.
+    side_engine = Engine(side_code, side_inst)
+    pairs = [(inst.edge_between(se.a, se.b)[0], p) for p, se in enumerate(side_inst.edges)]
+    match = True
+    for free, msgs in tuples(best_fix):
+        full = engine.trace(engine.run(msgs))
+        part = side_engine.trace(side_engine.run(free))
+        if any(full.fwd[oi] != part.fwd[p] or full.bwd[oi] != part.bwd[p] for oi, p in pairs):
+            match = False
+            break
     return SideDecomposition(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
@@ -374,38 +376,6 @@ def _simulated_side_code(
     )
 
 
-def _traces_match(
-    inst: NetworkInstance,
-    code: NetworkCode,
-    side_inst: NetworkInstance,
-    side_code: NetworkCode,
-    side: set[str],
-    s_idx: tuple[int, ...],
-    fixing: dict[int, int],
-    free_sizes: list[int],
-) -> bool:
-    """Simulated side traces must equal the original ones edge for edge."""
-    k = len(inst.sources)
-    pairs = [(se.a, se.b) for se in side_inst.edges]
-    for free in itertools.product(*(range(s) for s in free_sizes)):
-        msgs = [0] * k
-        for i, w in fixing.items():
-            msgs[i] = w
-        for i, w in zip(s_idx, free):
-            msgs[i] = w
-        full = execute(code, inst, msgs)
-        part = execute(side_code, side_inst, list(free))
-        for pair_pos, (a, b) in enumerate(pairs):
-            oi = inst.edge_between(a, b)[0]
-            for t in range(1, code.outer_n + 1):
-                if (
-                    full.fwd[oi][t - 1] != part.fwd[pair_pos][t - 1]
-                    or full.bwd[oi][t - 1] != part.bwd[pair_pos][t - 1]
-                ):
-                    return False
-    return True
-
-
 def bridge_decompose(
     inst_with_e: NetworkInstance,
     u: str,
@@ -430,9 +400,13 @@ def bridge_decompose(
     u_set = set(comp_u)
     v_set = set(inst_with_e.vertices) - u_set
 
+    total = math.prod(code.message_sizes)
+    if total > limit:
+        raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
+    engine = Engine(code, inst_with_e)
     return BridgeDecomposition(
-        u_side=_decompose_side(inst_with_e, code, u_set, u, v, limit),
-        v_side=_decompose_side(inst_with_e, code, v_set, v, u, limit),
+        u_side=_decompose_side(engine, u_set, u, v),
+        v_side=_decompose_side(engine, v_set, v, u),
     )
 
 

@@ -15,6 +15,7 @@ anywhere in documents or reports.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -68,9 +69,7 @@ def _domain(inst: NetworkInstance, code: NetworkCode, node: str, horizon: int):
 
 def _tabulate(fn, inst, code, node, horizon, limit):
     own, dims, radices = _domain(inst, code, node, horizon)
-    total = 1
-    for r in radices:
-        total *= r
+    total = math.prod(radices)
     if total > limit:
         raise TableTooLarge(f"table of {total} entries exceeds limit {limit}")
     by_sender = {(sender, tp): (e, d) for (e, tp, d, sender, _) in dims}
@@ -98,9 +97,22 @@ def _tabulate(fn, inst, code, node, horizon, limit):
     return table
 
 
-def _table_entry(inst: NetworkInstance, code: NetworkCode, node: str, horizon: int, table):
-    """Function of a view that reads its domain and returns the table entry."""
+def _positive(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise MalformedDocument(f"{what} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _table_entry(inst: NetworkInstance, code: NetworkCode, node: str, horizon: int, table, bound: int):
+    """Function of a view that reads its domain and returns the table entry.
+    The table must cover the domain with entries in range(bound)."""
     own, dims, radices = _domain(inst, code, node, horizon)
+    total = math.prod(radices)
+    if not isinstance(table, list) or len(table) != total:
+        raise MalformedDocument(f"table at {node!r} needs {total} entries")
+    for x in table:
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < bound:
+            raise MalformedDocument(f"table entry {x!r} at {node!r} outside [0, {bound})")
 
     def lookup(state):
         digits = [state.message(i) for i in own]
@@ -161,9 +173,11 @@ def _edge_index(inst: NetworkInstance, pair) -> tuple[int, bool]:
 
 
 def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
-    inner_n = doc["inner_n"]
-    outer_n = doc["outer_n"]
-    sizes = tuple(int(s) for s in doc["message_sizes"])
+    inner_n = _positive(doc["inner_n"], "inner_n")
+    outer_n = _positive(doc["outer_n"], "outer_n")
+    if not isinstance(doc["message_sizes"], list):
+        raise MalformedDocument("message_sizes must be a list")
+    sizes = tuple(_positive(s, "message size") for s in doc["message_sizes"])
     if len(sizes) != len(inst.sources):
         raise MalformedDocument("message_sizes length must match sources")
 
@@ -191,7 +205,7 @@ def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
         if not is_a:
             d = BWD if d == FWD else FWD
         encoders[(idx, t, d)] = _table_entry(
-            inst, stub, slot_tail(inst, idx, d), t - 1, list(item["table"])
+            inst, stub, slot_tail(inst, idx, d), t - 1, item["table"], splits.size(idx, t, d)
         )
 
     decoders = {}
@@ -199,8 +213,10 @@ def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
         j = int(item["terminal"])
         if not 0 <= j < len(inst.terminals):
             raise MalformedDocument(f"unknown terminal {j}")
-        entry = _table_entry(inst, stub, inst.terminals[j], outer_n, list(item["table"]))
         out_radices = [sizes[i] for i in inst.demanded_at(j)]
+        entry = _table_entry(
+            inst, stub, inst.terminals[j], outer_n, item["table"], math.prod(out_radices)
+        )
 
         def decoder(state, entry=entry, out_radices=out_radices):
             return split_digits(entry(state), out_radices)

@@ -1,0 +1,245 @@
+"""The per-tuple executor that the memoizing Engine replaced, kept as the
+reference the engine is checked against (tests/test_engine.py).
+
+`execute`, `decode_outputs` and `check_feasibility` below are the earlier
+bodies of their namesakes in netcode.codes, unchanged except for imports.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
+
+from netcode.codes import (
+    DIRECTIONS,
+    FWD,
+    ExecutionTrace,
+    FeasibilityReport,
+    NetworkCode,
+    StateView,
+    clopper_pearson,
+    demands_met,
+    message_size_for_rate,
+    slot_tail,
+)
+from netcode.errors import (
+    BadRate,
+    EnumerationTooLarge,
+    MalformedDocument,
+    SymbolOutOfRange,
+)
+from netcode.graphs import NetworkInstance
+
+
+def _node_readers(
+    inst: NetworkInstance,
+    node: str,
+    messages: Sequence[int],
+    fwd: Sequence[Sequence[int]],
+    bwd: Sequence[Sequence[int]],
+) -> tuple[Callable, Callable]:
+    """The message and recv functions of a node's StateView.
+
+    They read `fwd`/`bwd` as the execution fills them in, so one pair
+    serves the node at every round.
+    """
+    own = {i: messages[i] for i in inst.sources_at(node)}
+
+    def message(i: int) -> int:
+        if i not in own:
+            raise KeyError(f"node {node!r} holds no message {i}")
+        return own[i]
+
+    def lookup(sender: str, t: int) -> int:
+        found = inst.edge_between(sender, node)
+        if found is None:
+            raise LookupError(f"no edge {sender!r}-{node!r}")
+        idx, sender_is_a = found
+        return fwd[idx][t - 1] if sender_is_a else bwd[idx][t - 1]
+
+    return message, lookup
+
+
+def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -> ExecutionTrace:
+    """Run the code on one message tuple and return the full trace."""
+    k = len(inst.sources)
+    if len(messages) != k:
+        raise SymbolOutOfRange(f"expected {k} messages, got {len(messages)}")
+    if len(code.message_sizes) != k:
+        raise MalformedDocument("code message_sizes do not match instance sources")
+    for i, (m, size) in enumerate(zip(messages, code.message_sizes)):
+        if not 0 <= m < size:
+            raise SymbolOutOfRange(f"message {i} value {m} outside [0, {size})")
+    code.splits.validate(inst, code.inner_n, code.outer_n)
+
+    fwd = [[0] * code.outer_n for _ in inst.edges]
+    bwd = [[0] * code.outer_n for _ in inst.edges]
+    messages = tuple(messages)
+    readers: dict[str, tuple[Callable, Callable]] = {}
+
+    for t in range(1, code.outer_n + 1):
+        pending = []
+        for edge_idx in range(len(inst.edges)):
+            for direction in DIRECTIONS:
+                size = code.splits.size(edge_idx, t, direction)
+                enc = code.encoders.get((edge_idx, t, direction))
+                if enc is None:
+                    if size != 1:
+                        e = inst.edges[edge_idx]
+                        raise MalformedDocument(
+                            f"missing encoder for edge {e.a!r}-{e.b!r} t={t} {direction}"
+                        )
+                    pending.append((edge_idx, direction, 0))
+                    continue
+                tail = slot_tail(inst, edge_idx, direction)
+                if tail not in readers:
+                    readers[tail] = _node_readers(inst, tail, messages, fwd, bwd)
+                out = enc(StateView(tail, t - 1, *readers[tail]))
+                if not isinstance(out, int) or not 0 <= out < size:
+                    e = inst.edges[edge_idx]
+                    raise SymbolOutOfRange(
+                        f"encoder on {e.a!r}-{e.b!r} t={t} {direction} "
+                        f"produced {out!r}, alphabet size {size}"
+                    )
+                pending.append((edge_idx, direction, out))
+        # commit phase: round t becomes visible only after every encoder ran
+        for edge_idx, direction, out in pending:
+            (fwd if direction == FWD else bwd)[edge_idx][t - 1] = out
+
+    return ExecutionTrace(
+        inst=inst,
+        messages=messages,
+        fwd=tuple(tuple(row) for row in fwd),
+        bwd=tuple(tuple(row) for row in bwd),
+    )
+
+
+def decode_outputs(
+    code: NetworkCode, inst: NetworkInstance, trace: ExecutionTrace
+) -> dict[int, tuple[int, ...]]:
+    """Decoded message tuples per terminal index, in demanded-source order."""
+    out: dict[int, tuple[int, ...]] = {}
+    for j, node in enumerate(inst.terminals):
+        demanded = inst.demanded_at(j)
+        dec = code.decoders.get(j)
+        if dec is None:
+            if demanded:
+                raise MalformedDocument(f"missing decoder for terminal {j} ({node!r})")
+            out[j] = ()
+            continue
+        readers = _node_readers(inst, node, trace.messages, trace.fwd, trace.bwd)
+        got = tuple(dec(StateView(node, code.outer_n, *readers)))
+        if len(got) != len(demanded):
+            raise SymbolOutOfRange(
+                f"decoder {j} returned {len(got)} values, expected {len(demanded)}"
+            )
+        for i, value in zip(demanded, got):
+            if not 0 <= value < code.message_sizes[i]:
+                raise SymbolOutOfRange(
+                    f"decoder {j} output {value!r} outside message space {i}"
+                )
+        out[j] = got
+    return out
+
+
+def check_feasibility(
+    code: NetworkCode,
+    inst: NetworkInstance,
+    rates: Optional[Sequence[Fraction]] = None,
+    epsilon: Fraction = Fraction(0),
+    mode: str = "exhaustive",
+    trials: int = 1000,
+    seed: int = 0,
+    limit: int = 2 ** 20,
+    keep_failures: int = 32,
+) -> FeasibilityReport:
+    """Measure the code's error probability under uniform messages.
+
+    Exhaustive mode enumerates the whole product message space (error is
+    exact; this is the only mode that certifies zero error).  Sampled mode
+    draws seeded uniform tuples and reports a Clopper-Pearson interval
+    alongside the point estimate.
+
+    When `rates` is given, source i is checked over the first
+    floor(2**(R_i*N*n)) messages; the code must have at least that many.
+    """
+    epsilon = Fraction(epsilon)
+    if rates is not None:
+        rates = tuple(Fraction(r) for r in rates)
+        if len(rates) != len(inst.sources):
+            raise BadRate(f"expected {len(inst.sources)} rates")
+        spaces = tuple(
+            message_size_for_rate(r, code.inner_n, code.outer_n) for r in rates
+        )
+        for i, (need, have) in enumerate(zip(spaces, code.message_sizes)):
+            if need > have:
+                raise BadRate(
+                    f"rate {rates[i]} needs {need} messages at source {i}, "
+                    f"code carries {have}"
+                )
+    else:
+        spaces = code.message_sizes
+
+    def run_one(tup):
+        trace = execute(code, inst, tup)
+        return demands_met(inst, tup, decode_outputs(code, inst, trace))
+
+    failing: list[tuple[int, ...]] = []
+    if mode == "exhaustive":
+        total = 1
+        for s in spaces:
+            total *= s
+        if total > limit:
+            raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
+        failures = 0
+        for tup in itertools.product(*(range(s) for s in spaces)):
+            if not run_one(tup):
+                failures += 1
+                if len(failing) < keep_failures:
+                    failing.append(tup)
+        measured = Fraction(failures, total)
+        return FeasibilityReport(
+            epsilon=epsilon,
+            rates=rates,
+            inner_n=code.inner_n,
+            outer_n=code.outer_n,
+            message_sizes=tuple(code.message_sizes),
+            mode=mode,
+            trials=total,
+            failures=failures,
+            measured_error=measured,
+            passed=measured <= epsilon,
+            certified=True,
+            failing=tuple(failing),
+        )
+
+    if mode != "sampled":
+        raise ValueError(f"unknown mode {mode!r}")
+    if trials < 1:
+        raise ValueError("sampled mode needs trials >= 1")
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(trials):
+        tup = tuple(rng.randrange(s) for s in spaces)
+        if not run_one(tup):
+            failures += 1
+            if len(failing) < keep_failures:
+                failing.append(tup)
+    estimate = Fraction(failures, trials)
+    return FeasibilityReport(
+        epsilon=epsilon,
+        rates=rates,
+        inner_n=code.inner_n,
+        outer_n=code.outer_n,
+        message_sizes=tuple(code.message_sizes),
+        mode=mode,
+        trials=trials,
+        failures=failures,
+        measured_error=estimate,
+        passed=estimate <= epsilon,
+        certified=False,
+        failing=tuple(failing),
+        interval=clopper_pearson(failures, trials),
+    )

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import netcode as nc
 from netcode.cli import main
 
@@ -169,6 +171,65 @@ def test_check_rejects_bad_mode_and_rate(tmp_path, capsys):
     rc, doc = run_cli(capsys, ["check", ipath, cpath, "--rate", "2"])
     assert rc == 2
     assert doc["error"] == "BadRate"
+
+
+def clamp_table_doc():
+    inst = single_edge()
+    return inst, nc.code_to_doc(clamp_code(inst, "a", "b", 2, 1, 1), inst)
+
+
+def _short_table(doc):
+    doc["encoders"][0]["table"].pop()
+
+
+def _entry_outside_alphabet(doc):
+    doc["encoders"][0]["table"][0] = 4
+
+
+def _decoder_entry_outside_outputs(doc):
+    doc["decoders"][0]["table"][0] = 4
+
+
+def _string_inner_n(doc):
+    doc["inner_n"] = "1"
+
+
+def _bool_message_size(doc):
+    doc["message_sizes"] = [True]
+
+
+@pytest.mark.parametrize("mutate", [
+    _short_table, _entry_outside_alphabet, _decoder_entry_outside_outputs,
+    _string_inner_n, _bool_message_size,
+])
+def test_check_rejects_malformed_table_codes(tmp_path, capsys, mutate):
+    inst, doc = clamp_table_doc()
+    mutate(doc)
+    ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+    cpath = jfile(tmp_path, "code.json", doc)
+    rc, out = run_cli(capsys, ["check", ipath, cpath])
+    assert rc == 2
+    assert out["error"] == "MalformedDocument"
+
+
+@pytest.mark.parametrize("mode", ["sampled:0:1", "sampled:-5:1"])
+def test_check_rejects_non_positive_trials(tmp_path, capsys, mode):
+    inst, doc = clamp_table_doc()
+    ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+    cpath = jfile(tmp_path, "code.json", doc)
+    rc, out = run_cli(capsys, ["check", ipath, cpath, "--mode", mode])
+    assert rc == 2
+    assert out["error"] == "MalformedDocument"
+
+
+@pytest.mark.parametrize("flag", ["--n", "--N"])
+def test_region_rejects_non_positive_lengths(tmp_path, capsys, flag):
+    path = jfile(tmp_path, "inst.json", line3().to_doc())
+    argv = ["region", path, "--n", "1", "--N", "2"]
+    argv[argv.index(flag) + 1] = "0"
+    rc, out = run_cli(capsys, argv)
+    assert rc == 2
+    assert out["error"] == "MalformedDocument"
 
 
 # -------------------------------------------------------------------- analyze
