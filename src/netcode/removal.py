@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .codes import (
     BWD,
+    DIRECTIONS,
     FWD,
     AlphabetSplit,
     Engine,
@@ -35,6 +36,7 @@ from .codes import (
     NetworkCode,
     StateView,
     check_feasibility,
+    slot_tail,
 )
 from .errors import (
     BadPath,
@@ -190,31 +192,24 @@ def _decompose_side(
             best_fix, best_err = fix, err
 
     side_inst = _induced_instance(inst, side, s_idx, d_idx)
-    if side_inst is None:
-        return SideDecomposition(
-            vertices=tuple(sorted(side)),
-            source_indices=s_idx,
-            terminal_indices=d_idx,
-            fixing=best_fix,
-            conditional_error=best_err,
-            instance=None,
-            code=None,
-            trace_match=True,
+    side_code, match = None, True
+    if side_inst is not None:
+        # side edge p is edge orig_of_side[p] of the original instance
+        orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
+        side_code = _simulated_side_code(
+            inst, code, side, anchor, other_anchor, s_idx, d_idx, side_inst, orig_of_side, best_fix
         )
-
-    side_code = _simulated_side_code(
-        inst, code, side, anchor, other_anchor, s_idx, d_idx, side_inst, best_fix
-    )
-    # Simulated side traces must equal the original ones edge for edge.
-    side_engine = Engine(side_code, side_inst)
-    pairs = [(inst.edge_between(se.a, se.b)[0], p) for p, se in enumerate(side_inst.edges)]
-    match = True
-    for free, msgs in tuples(best_fix):
-        full = engine.trace(engine.run(msgs))
-        part = side_engine.trace(side_engine.run(free))
-        if any(full.fwd[oi] != part.fwd[p] or full.bwd[oi] != part.bwd[p] for oi, p in pairs):
-            match = False
-            break
+        # Simulated side traces must equal the original ones edge for edge.
+        side_engine = Engine(side_code, side_inst)
+        for free, msgs in tuples(best_fix):
+            full = engine.trace(engine.run(msgs))
+            part = side_engine.trace(side_engine.run(free))
+            if any(
+                full.fwd[oi] != part.fwd[p] or full.bwd[oi] != part.bwd[p]
+                for p, oi in enumerate(orig_of_side)
+            ):
+                match = False
+                break
     return SideDecomposition(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
@@ -236,143 +231,86 @@ def _simulated_side_code(
     s_idx: tuple[int, ...],
     d_idx: tuple[int, ...],
     side_inst: NetworkInstance,
+    orig_of_side: Sequence[int],
     fixing: dict[int, int],
 ) -> NetworkCode:
     """Restrict the code to one side, replaying the lost edge internally.
 
-    Node `anchor` reconstructs every symbol the removed edge would have
-    delivered by simulating the entire far side round by round: all far
-    messages are fixed, and the anchor can recompute its own past
-    transmissions from its own inputs.
+    The side code runs every original encoder and decoder of the side on
+    one kind of view.  A view reads each slot either from the side
+    execution or from a replay.  The replayed slots are those whose
+    sender is on the far side, plus both directions of the removed edge:
+    with every far message fixed, the anchor can recompute them from its
+    own inputs.  A view simulates the replayed slots once, round by
+    round, up to the latest round it is asked for.
     """
     e_idx = inst.edge_between(anchor, other_anchor)[0]
-    anchor_dir = FWD if inst.edges[e_idx].a == anchor else BWD
-    other_dir = BWD if anchor_dir == FWD else FWD
     side_pos = {i: pos for pos, i in enumerate(s_idx)}
-    orig_of_side = [
-        next(
-            oi
-            for oi, oe in enumerate(inst.edges)
-            if (oe.a, oe.b) == (se.a, se.b)
-        )
-        for se in side_inst.edges
-    ]
-    side_of_orig = {oi: si for si, oi in enumerate(orig_of_side)}
-    far_edges = [
-        oi
-        for oi, oe in enumerate(inst.edges)
-        if oe.a not in side and oi != e_idx
-    ]
+    own = {x: set(inst.sources_at(x)) for x in inst.vertices}
+    # round -> replayed slots with an encoder: ((edge, direction), map, sender)
+    replayed: dict[int, list] = {}
+    for (oi, t, direction), enc in code.encoders.items():
+        tail = slot_tail(inst, oi, direction)
+        if oi == e_idx or tail not in side:
+            replayed.setdefault(t, []).append(((oi, direction), enc, tail))
 
-    # The side instance renumbers sources, so views translate indices.
-    def make_full_view(state, node: str, horizon: int, cross):
+    def view(state, node: str, horizon: int, sim: list) -> StateView:
+        """The original code's view at `node` over the side execution seen
+        by `state`, a side view of `node` or, in a replay, of the anchor.
+        sim[r-1] holds the replayed symbols of round r."""
+
         def message(i):
-            if i in side_pos:
-                return state.message(side_pos[i])
-            return fixing[i]
+            if i not in own[node]:
+                raise KeyError(f"node {node!r} holds no message {i}")
+            return state.message(side_pos[i]) if i in side_pos else fixing[i]
 
         def recv(sender, t):
-            if sender == other_anchor and node == anchor:
-                return cross(t)
-            return state.recv(sender, t)
+            found = inst.edge_between(sender, node)
+            if found is None:
+                raise LookupError(f"no edge {sender!r}-{node!r}")
+            oi, sender_is_a = found
+            if oi != e_idx and sender in side:
+                return state.recv(sender, t)
+            while len(sim) < t:
+                r = len(sim) + 1
+                sim.append({})
+                for key, enc, tail in replayed.get(r, ()):
+                    sim[r - 1][key] = enc(view(state, tail, r - 1, sim))
+            return sim[t - 1].get((oi, FWD if sender_is_a else BWD), 0)
 
         return StateView(node, horizon, message, recv)
 
-    def replay_far(state, t_query: int) -> int:
-        """Symbol the far anchor sends across the removed edge at t_query."""
-        anchor_out: dict[int, int] = {}
-        far: dict[tuple[int, int, str], int] = {}
+    def lift(base, node: str, horizon: int):
+        return lambda state: base(view(state, node, horizon, []))
 
-        def far_lookup(node):
-            def recv(sender, t):
-                if sender == anchor and node == other_anchor:
-                    return anchor_out[t]
-                oi, sender_is_a = inst.edge_between(sender, node)
-                return far.get((oi, t, FWD if sender_is_a else BWD), 0)
-
-            return recv
-
-        def cross(t):
-            return far.get((e_idx, t, other_dir), 0)
-
-        for t in range(1, t_query + 1):
-            enc = code.encoders.get((e_idx, t, anchor_dir))
-            if enc is not None:
-                view = make_full_view(state, anchor, t - 1, cross)
-                anchor_out[t] = enc(view)
-            else:
-                anchor_out[t] = 0
-            for oi in far_edges + [e_idx]:
-                for direction in (FWD, BWD):
-                    if oi == e_idx and direction != other_dir:
-                        continue
-                    enc = code.encoders.get((oi, t, direction))
-                    if enc is None:
-                        continue
-                    tail = (
-                        inst.edges[oi].a if direction == FWD else inst.edges[oi].b
-                    )
-                    def message(i, tail=tail):
-                        if i in side_pos:
-                            raise KeyError(f"free message {i} on the far side")
-                        return fixing[i]
-
-                    view = StateView(tail, t - 1, message, far_lookup(tail))
-                    far[(oi, t, direction)] = enc(view)
-        return far.get((e_idx, t_query, other_dir), 0)
-
-    def wrap_encoder(orig_key):
-        base = code.encoders[orig_key]
-        oi, t, direction = orig_key
-        tail = inst.edges[oi].a if direction == FWD else inst.edges[oi].b
-
-        def encoder(state):
-            view = make_full_view(
-                state, tail, t - 1, lambda tq: replay_far(state, tq)
-            )
-            return base(view)
-
-        return encoder
-
-    encoders = {}
-    for (oi, t, direction), _ in code.encoders.items():
-        si = side_of_orig.get(oi)
-        if si is not None:
-            encoders[(si, t, direction)] = wrap_encoder((oi, t, direction))
-
-    split_table = {}
-    for (oi, t), shape in code.splits.items():
-        si = side_of_orig.get(oi)
-        if si is not None:
-            split_table[(si, t)] = shape
-
-    def wrap_decoder(j: int):
-        base = code.decoders[j]
-        node = inst.terminals[j]
-        orig_demanded = inst.demanded_at(j)
-        keep = [pos for pos, i in enumerate(orig_demanded) if i in side_pos]
+    def restrict(j: int):
+        keep = [pos for pos, i in enumerate(inst.demanded_at(j)) if i in side_pos]
+        full = lift(code.decoders[j], inst.terminals[j], code.outer_n)
 
         def decoder(state):
-            view = make_full_view(
-                state, node, code.outer_n, lambda tq: replay_far(state, tq)
-            )
-            full = base(view)
-            return tuple(full[pos] for pos in keep)
+            out = full(state)
+            return tuple(out[pos] for pos in keep)
 
         return decoder
 
-    decoders = {}
-    for sj, j in enumerate(d_idx):
-        if any(side_inst.demand[si][sj] for si in range(len(s_idx))):
-            decoders[sj] = wrap_decoder(j)
-
+    side_of = {oi: si for si, oi in enumerate(orig_of_side)}
     return NetworkCode(
         inner_n=code.inner_n,
         outer_n=code.outer_n,
         message_sizes=tuple(code.message_sizes[i] for i in s_idx),
-        splits=AlphabetSplit(split_table),
-        encoders=encoders,
-        decoders=decoders,
+        splits=AlphabetSplit(
+            {(side_of[oi], t): shape for (oi, t), shape in code.splits.items() if oi in side_of}
+        ),
+        encoders={
+            (side_of[oi], t, direction): lift(enc, slot_tail(inst, oi, direction), t - 1)
+            for (oi, t, direction), enc in code.encoders.items()
+            if oi in side_of
+        },
+        decoders={
+            sj: restrict(j)
+            for sj, j in enumerate(d_idx)
+            if any(side_inst.demand[si][sj] for si in range(len(s_idx)))
+        },
     )
 
 
@@ -423,135 +361,86 @@ def host_path_code(
 
     star_inst contains both the original edges and a fresh path
     star_path; host_inst is the same graph with the fresh path folded
-    onto host_path (capacities added).  Each host path edge then carries
-    the pair (original symbol, relay symbol) as one mixed-radix value,
-    with the original component most significant.
+    onto host_path (capacities added).  Each host edge carries the star
+    edges folded onto it, the original edge before its relay edge, as one
+    mixed-radix value, the first star edge most significant.
     """
     if len(star_path) != len(host_path) or star_path[0] != host_path[0] or star_path[-1] != host_path[-1]:
         raise BadPath("path length/endpoint mismatch")
-    to_host = {x: h for x, h in zip(star_path, host_path)}
-    chain_pairs = {
-        frozenset((star_path[r], star_path[r + 1])) for r in range(len(star_path) - 1)
-    }
+    to_host = dict(zip(star_path, host_path))
+    originals = set(host_inst.vertices)
 
-    # host edge -> component records
-    plain: dict[int, int] = {}  # host idx -> star idx (same pair)
-    combo: dict[int, tuple[int, int, bool]] = {}  # host idx -> (orig star idx, relay star idx, host edge runs along the chain)
-    host_pairs = {
-        frozenset((host_path[r], host_path[r + 1])): r for r in range(len(host_path) - 1)
-    }
-    for h_idx, he in enumerate(host_inst.edges):
-        r = host_pairs.get(frozenset((he.a, he.b)))
-        if r is None:
-            plain[h_idx] = star_inst.edge_between(he.a, he.b)[0]
-        else:
-            orig_idx = star_inst.edge_between(he.a, he.b)[0]
-            relay_idx = star_inst.edge_between(star_path[r], star_path[r + 1])[0]
-            combo[h_idx] = (orig_idx, relay_idx, he.a == host_path[r])
+    # (host edge, host direction) -> its parts (star sender, star edge,
+    # star direction); (star sender, star node) -> (its host slot's parts,
+    # position among them); star edge -> host edge
+    parts: dict[tuple[int, str], list[tuple[str, int, str]]] = {}
+    part_of: dict[tuple[str, str], tuple[list, int]] = {}
+    host_edge: dict[int, int] = {}
+    fresh_last = sorted(
+        enumerate(star_inst.edges), key=lambda item: not {item[1].a, item[1].b} <= originals
+    )
+    for s_idx, se in fresh_last:
+        for sender, node, s_dir in ((se.a, se.b, FWD), (se.b, se.a, BWD)):
+            h_idx, sender_is_a = host_inst.edge_between(
+                to_host.get(sender, sender), to_host.get(node, node)
+            )
+            host_edge[s_idx] = h_idx
+            layout = parts.setdefault((h_idx, FWD if sender_is_a else BWD), [])
+            part_of[(sender, node)] = (layout, len(layout))
+            layout.append((sender, s_idx, s_dir))
 
-    def star_dir(star_idx: int, sender: str) -> str:
-        return FWD if star_inst.edges[star_idx].a == sender else BWD
-
-    def pair_radices(h_idx: int, t: int, host_sender: str) -> tuple[int, int, int, str, int, str]:
-        """(osize, rsize, orig_idx, orig_dir, relay_idx, relay_dir)."""
-        orig_idx, relay_idx, _ = combo[h_idx]
-        he = host_inst.edges[h_idx]
-        r = host_pairs[frozenset((he.a, he.b))]
-        chain_forward = host_sender == host_path[r]
-        o_dir = star_dir(orig_idx, host_sender)
-        rel_senders = (star_path[r], star_path[r + 1])
-        rel_sender = rel_senders[0] if chain_forward else rel_senders[1]
-        r_dir = star_dir(relay_idx, rel_sender)
-        osize = piped.splits.size(orig_idx, t, o_dir)
-        rsize = piped.splits.size(relay_idx, t, r_dir)
-        return osize, rsize, orig_idx, o_dir, relay_idx, r_dir
+    def radices(layout, t: int) -> tuple[int, ...]:
+        return tuple([piped.splits.size(s_idx, t, s_dir) for _, s_idx, s_dir in layout])
 
     def star_view(state, star_node: str, horizon: int):
         """Present the host execution as the star instance's execution."""
 
         def recv(star_sender, t):
-            host_sender = to_host.get(star_sender, star_sender)
-            host_node = to_host.get(star_node, star_node)
-            h_idx = host_inst.edge_between(host_sender, host_node)[0]
-            symbol = state.recv(host_sender, t)
-            if h_idx in plain:
+            layout, pos = part_of[(star_sender, star_node)]
+            symbol = state.recv(to_host.get(star_sender, star_sender), t)
+            if len(layout) == 1:
                 return symbol
-            osize, rsize, *_ = pair_radices(h_idx, t, host_sender)
-            orig, relay = split_digits(symbol, (osize, rsize))
-            if frozenset((star_sender, star_node)) in chain_pairs:
-                return relay
-            return orig
+            return split_digits(symbol, radices(layout, t))[pos]
 
         return StateView(to_host.get(star_node, star_node), horizon, state.message, recv)
 
-    n_out = piped.outer_n
+    def fold(layout, t: int):
+        """Host encoder of round t: every part's star encoder, combined."""
+        calls = [(piped.encoders.get((s_idx, t, s_dir)), sender) for sender, s_idx, s_dir in layout]
+        if not any(enc for enc, _ in calls):
+            return None
+        if len(calls) == 1:
+            base, sender = calls[0]
+            return lambda state: base(star_view(state, sender, t - 1))
+        sizes = radices(layout, t)
+
+        def encoder(state):
+            outs = [enc(star_view(state, sender, t - 1)) if enc else 0 for enc, sender in calls]
+            return combine_digits(outs, sizes)
+
+        return encoder
+
+    # Only host rounds that some folded star slot uses carry anything.
+    live = {(host_edge[s_idx], t) for s_idx, t, _ in piped.encoders}
+    live.update((host_edge[s_idx], t) for (s_idx, t), _ in piped.splits.items())
     encoders = {}
     split_table: dict[tuple[int, int], tuple[int, int]] = {}
-
-    for h_idx, star_idx in plain.items():
-        he = host_inst.edges[h_idx]
-        for t in range(1, n_out + 1):
-            shape = piped.splits.shape(star_idx, t)
-            flip = star_inst.edges[star_idx].a != he.a
-            if flip:
-                shape = (shape[1], shape[0])
-            if shape != (1, 1):
-                split_table[(h_idx, t)] = shape
-            for direction in (FWD, BWD):
-                sender = he.a if direction == FWD else he.b
-                s_dir = star_dir(star_idx, sender)
-                base = piped.encoders.get((star_idx, t, s_dir))
-                if base is None:
-                    continue
-
-                def encoder(state, base=base, sender=sender, t=t):
-                    return base(star_view(state, sender, t - 1))
-
+    for h_idx, t in sorted(live):
+        layouts = [parts[(h_idx, direction)] for direction in DIRECTIONS]
+        shape = (math.prod(radices(layouts[0], t)), math.prod(radices(layouts[1], t)))
+        if shape != (1, 1):
+            split_table[(h_idx, t)] = shape
+        for direction, layout in zip(DIRECTIONS, layouts):
+            encoder = fold(layout, t)
+            if encoder is not None:
                 encoders[(h_idx, t, direction)] = encoder
 
-    for h_idx in combo:
-        he = host_inst.edges[h_idx]
-        for t in range(1, n_out + 1):
-            f_sizes = pair_radices(h_idx, t, he.a)
-            b_sizes = pair_radices(h_idx, t, he.b)
-            shape = (f_sizes[0] * f_sizes[1], b_sizes[0] * b_sizes[1])
-            if shape != (1, 1):
-                split_table[(h_idx, t)] = shape
-            for direction, sizes in ((FWD, f_sizes), (BWD, b_sizes)):
-                osize, rsize, orig_idx, o_dir, relay_idx, r_dir = sizes
-                if osize * rsize == 1:
-                    continue
-                host_sender = he.a if direction == FWD else he.b
-                o_enc = piped.encoders.get((orig_idx, t, o_dir))
-                r_enc = piped.encoders.get((relay_idx, t, r_dir))
-                rel_sender = star_inst.edges[relay_idx].a if r_dir == FWD else star_inst.edges[relay_idx].b
-
-                def encoder(
-                    state,
-                    o_enc=o_enc,
-                    r_enc=r_enc,
-                    host_sender=host_sender,
-                    rel_sender=rel_sender,
-                    osize=osize,
-                    rsize=rsize,
-                    t=t,
-                ):
-                    orig = o_enc(star_view(state, host_sender, t - 1)) if o_enc else 0
-                    relay = r_enc(star_view(state, rel_sender, t - 1)) if r_enc else 0
-                    return combine_digits([orig, relay], (osize, rsize))
-
-                encoders[(h_idx, t, direction)] = encoder
+    n_out = piped.outer_n
 
     def make_decoder(j):
         base = piped.decoders[j]
         node = host_inst.terminals[j]
-
-        def decoder(state):
-            return base(star_view(state, node, n_out))
-
-        return decoder
-
-    decoders = {j: make_decoder(j) for j in piped.decoders}
+        return lambda state: base(star_view(state, node, n_out))
 
     return NetworkCode(
         inner_n=piped.inner_n,
@@ -559,7 +448,7 @@ def host_path_code(
         message_sizes=piped.message_sizes,
         splits=AlphabetSplit(split_table),
         encoders=encoders,
-        decoders=decoders,
+        decoders={j: make_decoder(j) for j in piped.decoders},
     )
 
 
@@ -612,33 +501,51 @@ class RemovalReport:
     verification: object = None
 
 
-def path_case_bound(
-    inst: NetworkInstance, u: str, v: str, lam: Fraction
-) -> RemovalReport:
-    """Rate-loss bound when u and v stay connected without the probe."""
+def _classify(inst: NetworkInstance, u: str, v: str, lam: Fraction):
+    """(lam as a Fraction, classify_edge's case) for a positive lam."""
     lam = Fraction(lam)
     if lam <= 0:
         raise NonPositiveCapacity(f"lambda {lam}")
-    case = classify_edge(inst, u, v)
-    if not isinstance(case, PathCase):
-        raise NotABridge(f"{u!r}-{v!r} separates the graph; use the bridge regime")
+    return lam, classify_edge(inst, u, v)
+
+
+def _bound(inst: NetworkInstance, u: str, v: str, lam: Fraction, case) -> RemovalReport:
+    """The rate-loss bound of a classified probe, without verification."""
     total, smallest, c = removal_constant(inst)
+    common = dict(edge=(u, v), lam=lam, total_capacity=total, min_capacity=smallest, removal_c=c)
+    if isinstance(case, BridgeCase):
+        u_set = set(case.u_side)
+        cross = tuple(
+            (i, j)
+            for i in range(len(inst.sources))
+            for j in range(len(inst.terminals))
+            if inst.demand[i][j]
+            and (inst.sources[i] in u_set) != (inst.terminals[j] in u_set)
+        )
+        return RemovalReport(
+            **common, case="bridge", f_lambda=lam, degenerate=False, bridge=case, cross_demands=cross
+        )
     delta = lam / case.gamma
-    alpha = 1 / (1 + delta)
     degenerate = lam > total
     return RemovalReport(
-        edge=(u, v),
-        lam=lam,
+        **common,
         case="path",
-        total_capacity=total,
-        min_capacity=smallest,
-        removal_c=c,
         f_lambda=2 * lam if degenerate else c * lam,
         degenerate=degenerate,
         path=case,
         delta=delta,
-        alpha=alpha,
+        alpha=1 / (1 + delta),
     )
+
+
+def path_case_bound(
+    inst: NetworkInstance, u: str, v: str, lam: Fraction
+) -> RemovalReport:
+    """Rate-loss bound when u and v stay connected without the probe."""
+    lam, case = _classify(inst, u, v, lam)
+    if not isinstance(case, PathCase):
+        raise NotABridge(f"{u!r}-{v!r} separates the graph; use the bridge regime")
+    return _bound(inst, u, v, lam, case)
 
 
 def edge_removal_report(
@@ -653,37 +560,14 @@ def edge_removal_report(
 ) -> RemovalReport:
     """Classify the probe edge, bound the removal cost, and (with a code)
     run the constructive verification chain end to end."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise NonPositiveCapacity(f"lambda {lam}")
-    case = classify_edge(inst, u, v)
-    total, smallest, c = removal_constant(inst)
+    lam, case = _classify(inst, u, v, lam)
+    report = _bound(inst, u, v, lam, case)
 
-    if isinstance(case, BridgeCase):
-        u_set = set(case.u_side)
-        cross = tuple(
-            (i, j)
-            for i in range(len(inst.sources))
-            for j in range(len(inst.terminals))
-            if inst.demand[i][j]
-            and (inst.sources[i] in u_set) != (inst.terminals[j] in u_set)
-        )
+    if report.case == "bridge":
         cross_ok = None
         if rates is not None:
-            cross_ok = all(Fraction(rates[i]) <= lam for i, _ in cross)
-        report = RemovalReport(
-            edge=(u, v),
-            lam=lam,
-            case="bridge",
-            total_capacity=total,
-            min_capacity=smallest,
-            removal_c=c,
-            f_lambda=lam,
-            degenerate=False,
-            bridge=case,
-            cross_demands=cross,
-            cross_rate_ok=cross_ok,
-        )
+            cross_ok = all(Fraction(rates[i]) <= lam for i, _ in report.cross_demands)
+        report = replace(report, cross_rate_ok=cross_ok)
         if code is None:
             return report
         augmented = add_edge(inst, u, v, lam)
@@ -702,16 +586,14 @@ def edge_removal_report(
             cross_rate_ok=cross_ok,
             passed=base_rep.passed and sides_ok and (cross_ok is not False),
         )
-        return RemovalReport(
-            **{**report.__dict__, "verification": verification}
-        )
+        return replace(report, verification=verification)
 
-    report = path_case_bound(inst, u, v, lam)
-    f_rate = None
     if rates is not None:
-        f_rate = (report.delta / (1 + report.delta)) * max(Fraction(r) for r in rates)
+        report = replace(
+            report, f_rate_form=(report.delta / (1 + report.delta)) * max(Fraction(r) for r in rates)
+        )
     if code is None:
-        return RemovalReport(**{**report.__dict__, "f_rate_form": f_rate})
+        return report
 
     augmented = add_edge(inst, u, v, lam)
     base_rep = check_feasibility(
@@ -765,6 +647,4 @@ def edge_removal_report(
         and final_rep.passed
         and all(cl.achieved for cl in claims),
     )
-    return RemovalReport(
-        **{**report.__dict__, "f_rate_form": f_rate, "verification": verification}
-    )
+    return replace(report, verification=verification)

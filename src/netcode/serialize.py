@@ -97,10 +97,46 @@ def _tabulate(fn, inst, code, node, horizon, limit):
     return table
 
 
-def _positive(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise MalformedDocument(f"{what} must be an integer >= 1, got {value!r}")
+# Typed readers for code-document fields: each returns the field or raises
+# MalformedDocument.
+
+def _integer(value, what: str, low: int, high: Optional[int] = None) -> int:
+    """An int (not a bool) within low..high; no upper bound without high."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise MalformedDocument(f"{what} must be an integer {span}, got {value!r}")
     return value
+
+
+def _positive(value, what: str) -> int:
+    return _integer(value, what, 1)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _objects(doc: dict, key: str) -> list:
+    """doc[key], by default empty, as a list of objects."""
+    items = _list(doc.get(key, []), key)
+    for item in items:
+        if not isinstance(item, dict):
+            raise MalformedDocument(f"{key} entries must be objects, got {item!r}")
+    return items
+
+
+def _names(value, what: str) -> tuple[str, ...]:
+    """A non-empty list of vertex names."""
+    if not _list(value, what) or not all(isinstance(x, str) for x in value):
+        raise MalformedDocument(f"{what} must be a non-empty list of names, got {value!r}")
+    return tuple(value)
 
 
 def _table_entry(inst: NetworkInstance, code: NetworkCode, node: str, horizon: int, table, bound: int):
@@ -164,7 +200,7 @@ def code_to_doc(
 
 
 def _edge_index(inst: NetworkInstance, pair) -> tuple[int, bool]:
-    if not isinstance(pair, list) or len(pair) != 2:
+    if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
         raise MalformedDocument(f"bad edge reference {pair!r}")
     found = inst.edge_between(pair[0], pair[1])
     if found is None:
@@ -175,19 +211,17 @@ def _edge_index(inst: NetworkInstance, pair) -> tuple[int, bool]:
 def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
     inner_n = _positive(doc["inner_n"], "inner_n")
     outer_n = _positive(doc["outer_n"], "outer_n")
-    if not isinstance(doc["message_sizes"], list):
-        raise MalformedDocument("message_sizes must be a list")
-    sizes = tuple(_positive(s, "message size") for s in doc["message_sizes"])
+    sizes = tuple(_positive(s, "message size") for s in _list(doc["message_sizes"], "message_sizes"))
     if len(sizes) != len(inst.sources):
         raise MalformedDocument("message_sizes length must match sources")
 
     split_table = {}
-    for item in doc.get("splits", []):
+    for item in _objects(doc, "splits"):
         idx, is_a = _edge_index(inst, item["edge"])
-        f, b = int(item["fwd"]), int(item["bwd"])
+        f, b = _positive(item["fwd"], "split fwd"), _positive(item["bwd"], "split bwd")
         if not is_a:
             f, b = b, f
-        split_table[(idx, int(item["t"]))] = (f, b)
+        split_table[(idx, _integer(item["t"], "split round", 1, outer_n))] = (f, b)
     splits = AlphabetSplit(split_table)
 
     stub = NetworkCode(
@@ -196,9 +230,9 @@ def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
     )
 
     encoders = {}
-    for item in doc.get("encoders", []):
+    for item in _objects(doc, "encoders"):
         idx, is_a = _edge_index(inst, item["edge"])
-        t = int(item["t"])
+        t = _integer(item["t"], "encoder round", 1, outer_n)
         d = item["dir"]
         if d not in (FWD, BWD):
             raise MalformedDocument(f"bad direction {d!r}")
@@ -209,10 +243,8 @@ def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
         )
 
     decoders = {}
-    for item in doc.get("decoders", []):
-        j = int(item["terminal"])
-        if not 0 <= j < len(inst.terminals):
-            raise MalformedDocument(f"unknown terminal {j}")
+    for item in _objects(doc, "decoders"):
+        j = _integer(item["terminal"], "terminal", 0, len(inst.terminals) - 1)
         out_radices = [sizes[i] for i in inst.demanded_at(j)]
         entry = _table_entry(
             inst, stub, inst.terminals[j], outer_n, item["table"], math.prod(out_radices)
@@ -230,22 +262,21 @@ def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
 
 
 def _routing_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
-    routes = []
-    for item in doc.get("routes", []):
-        routes.append(
-            Route(
-                source=int(item["source"]),
-                terminal=int(item["terminal"]),
-                nodes=tuple(item["nodes"]),
-                rounds=tuple(int(t) for t in item["rounds"]),
-            )
+    routes = [
+        Route(
+            source=_integer(item["source"], "route source", 0),
+            terminal=_integer(item["terminal"], "route terminal", 0),
+            nodes=_names(item["nodes"], "route nodes"),
+            rounds=tuple(_integer(t, "route round", 1) for t in _list(item["rounds"], "route rounds")),
         )
+        for item in _objects(doc, "routes")
+    ]
     return make_routing_code(
         inst,
         routes,
-        int(doc["inner_n"]),
-        int(doc["outer_n"]),
-        [int(s) for s in doc["message_sizes"]],
+        _positive(doc["inner_n"], "inner_n"),
+        _positive(doc["outer_n"], "outer_n"),
+        [_positive(s, "message size") for s in _list(doc["message_sizes"], "message_sizes")],
     )
 
 

@@ -142,6 +142,35 @@ def clamp_code(inst, sender, receiver, n, outer_n, send_round, size=4):
     )
 
 
+def path_chain(n_rounds, inst=None):
+    """interleave -> pipeline_path -> host_path_code -> scale_code on
+    cycle4 (or `inst`, whose widest a-c path is a-b-c) with probe a-c,
+    built the way edge_removal_report builds it."""
+    inst = cycle4() if inst is None else inst
+    aug = nc.add_edge(inst, "a", "c", Fraction(1))
+    base = nc.make_routing_code(
+        aug,
+        [nc.Route(0, 0, ("a", "c"), (1,)), nc.Route(1, 1, ("c", "a"), (2,))],
+        1, n_rounds, [2 ** (n_rounds // 2), 2 ** (n_rounds // 2)],
+    )
+    bound = nc.path_case_bound(inst, "a", "c", Fraction(1))
+    path = list(bound.path.nodes)
+    star_path = ["a"] + [f"relay{r}" for r in range(2, len(path))] + ["c"]
+    star = nc.replace_edge_with_path(aug, "a", "c", star_path, fresh=True)
+    host = nc.replace_edge_with_path(aug, "a", "c", path, fresh=False)
+    tilde = nc.interleave(base, aug)
+    piped = nc.pipeline_path(tilde, aug, "a", "c", star, len(path))
+    hosted = nc.host_path_code(piped, star, host, star_path, path)
+    scaled = nc.scale_code(hosted, 1 / bound.alpha)
+    return [
+        ("chain-base", aug, base),
+        ("chain-interleave", aug, tilde),
+        ("chain-pipeline", star, piped),
+        ("chain-host", host, hosted),
+        ("chain-scale", inst, scaled),
+    ]
+
+
 # ------------------------------------------------------------------- oracles
 
 def brute_force_cut(inst, group_a, group_b):

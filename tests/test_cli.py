@@ -8,6 +8,7 @@ Exit-code contract: 0 pass, 2 invalid input, 3 I/O error, 4 verification
 or feasibility failure, 5 resource limit exceeded.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -198,9 +199,18 @@ def _bool_message_size(doc):
     doc["message_sizes"] = [True]
 
 
+def _encoder_round_zero(doc):
+    # an all-zero table over a's four messages would load and never run
+    doc["encoders"].append({"edge": ["a", "b"], "t": 0, "dir": "fwd", "table": [0] * 4})
+
+
+def _string_split_round(doc):
+    doc["splits"][0]["t"] = "x"
+
+
 @pytest.mark.parametrize("mutate", [
     _short_table, _entry_outside_alphabet, _decoder_entry_outside_outputs,
-    _string_inner_n, _bool_message_size,
+    _string_inner_n, _bool_message_size, _encoder_round_zero, _string_split_round,
 ])
 def test_check_rejects_malformed_table_codes(tmp_path, capsys, mutate):
     inst, doc = clamp_table_doc()
@@ -210,6 +220,75 @@ def test_check_rejects_malformed_table_codes(tmp_path, capsys, mutate):
     rc, out = run_cli(capsys, ["check", ipath, cpath])
     assert rc == 2
     assert out["error"] == "MalformedDocument"
+
+
+def unit_routing_doc(**route):
+    return {
+        "kind": "routing", "inner_n": 1, "outer_n": 1, "message_sizes": [2],
+        "routes": [{"source": 0, "terminal": 0, "nodes": ["a", "b"], "rounds": [1], **route}],
+    }
+
+
+@pytest.mark.parametrize("doc", [
+    unit_routing_doc(nodes="ab"),
+    unit_routing_doc(rounds=[True]),
+    unit_routing_doc(source="0"),
+    {**unit_routing_doc(), "inner_n": 0},
+    {**unit_routing_doc(), "routes": {}},
+], ids=["string_nodes", "bool_round", "string_source", "zero_inner_n", "routes_object"])
+def test_check_rejects_malformed_routing_codes(tmp_path, capsys, doc):
+    ipath = jfile(tmp_path, "inst.json", single_edge().to_doc())
+    rc, out = run_cli(capsys, ["check", ipath, jfile(tmp_path, "code.json", doc)])
+    assert rc == 2
+    assert out["error"] == "MalformedDocument"
+
+
+def _field_paths(doc, prefix=()):
+    """Every field path of a document; of a list, only its first item."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc[:1])
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def test_check_survives_every_malformed_field(tmp_path, capsys):
+    # Every field of a table and a routing document, set to each of these
+    # values, must end in an exit code and one JSON document, never a
+    # traceback.
+    relay = {
+        "kind": "routing", "inner_n": 1, "outer_n": 2, "message_sizes": [2],
+        "routes": [{"source": 0, "terminal": 0, "nodes": ["a", "b", "c"], "rounds": [1, 2]}],
+    }
+    problems = []
+    for inst, doc in (clamp_table_doc(), (line3(), relay)):
+        ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+        for path in list(_field_paths(doc)):
+            for value in ["x", [1], -1, 0, True, None, 1.5, {}]:
+                case = copy.deepcopy(doc)
+                target = case
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+                argv = ["check", ipath, jfile(tmp_path, "code.json", case)]
+                try:
+                    rc = main(argv)
+                except Exception as exc:  # a traceback breaks the CLI contract
+                    problems.append((path, value, repr(exc)))
+                    capsys.readouterr()
+                    continue
+                out = capsys.readouterr().out
+                try:
+                    json.loads(out)
+                except ValueError:
+                    problems.append((path, value, f"stdout is not one JSON document: {out!r}"))
+                if rc not in (0, 2, 4, 5):
+                    problems.append((path, value, f"exit {rc}"))
+    assert problems == []
 
 
 @pytest.mark.parametrize("mode", ["sampled:0:1", "sampled:-5:1"])

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,9 @@ from netcode.errors import (
     NotABridge,
     UnknownVertex,
 )
-from netcode.rational import log2_at_least
+from netcode.rational import combine_digits, log2_at_least
 
-from conftest import cycle4, inst_doc, make, two_triangles
+from conftest import cycle4, inst_doc, make, path_chain, two_triangles
 
 
 def bridged_pair():
@@ -246,6 +248,116 @@ def test_bridge_report_with_code_verifies():
     tight = nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code,
                                    epsilon=Fraction(0))
     assert not tight.verification.passed
+
+
+def test_bridge_side_views_keep_message_ownership():
+    # a reads message 1 only where it holds it; the side view must raise
+    # KeyError for it as the real execution does, not hand out the fixing
+    inst = bridged_pair()
+    aug = nc.add_edge(inst, "b", "c", Fraction(1))
+    e_ab = aug.edge_between("a", "b")[0]
+
+    def guarded(state):
+        try:
+            return state.message(1)
+        except KeyError:
+            return state.message(0)
+
+    base = clamped_pair_code(aug)
+    code = dataclasses.replace(base, encoders={**base.encoders, (e_ab, 1, nc.FWD): guarded})
+    assert nc.check_feasibility(code, aug).measured_error == 0
+    near = nc.bridge_decompose(aug, "b", "c", code).u_side
+    assert near.fixing == {1: 0}
+    assert near.trace_match
+    assert nc.check_feasibility(near.code, near.instance).measured_error == 0
+    assert nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code).verification.passed
+
+
+def test_bridge_replay_runs_each_far_round_once():
+    # b's decoder reads c's symbol of every round; one execution of the
+    # side code must replay each far round once, not once per read
+    n_rounds = 6
+    inst = bridged_pair()
+    aug = nc.add_edge(inst, "b", "c", Fraction(1))
+    e_ab = aug.edge_between("a", "b")[0]
+    e_cd = aug.edge_between("c", "d")[0]
+    e_bc, c_is_a = aug.edge_between("c", "b")
+    calls = []
+
+    def far(state):
+        calls.append(state.time + 1)
+        return state.message(1) % 2
+
+    def decode_b(state):
+        for t in range(1, n_rounds + 1):
+            state.recv("c", t)
+        return (state.recv("a", 1),)
+
+    splits = {(e_ab, 1): (4, 1), (e_cd, 1): (4, 1)}
+    encoders = {(e_ab, 1, nc.FWD): lambda s: s.message(0),
+                (e_cd, 1, nc.FWD): lambda s: s.message(1)}
+    for t in range(1, n_rounds + 1):
+        splits[(e_bc, t)] = (2, 1) if c_is_a else (1, 2)
+        encoders[(e_bc, t, nc.FWD if c_is_a else nc.BWD)] = far
+    code = nc.NetworkCode(
+        inner_n=1, outer_n=n_rounds, message_sizes=(4, 4),
+        splits=nc.AlphabetSplit(splits), encoders=encoders,
+        decoders={0: decode_b, 1: lambda s: (s.recv("c", 1),)},
+    )
+    near = nc.bridge_decompose(aug, "b", "c", code).u_side
+    assert near.trace_match and near.conditional_error == 0
+    calls.clear()
+    trace = nc.execute(near.code, near.instance, [3])
+    assert nc.decode_outputs(near.code, near.instance, trace) == {0: (3,)}
+    assert calls == list(range(1, n_rounds + 1))
+
+
+def cycle4_against_path():
+    # cycle4 with b-c stored as c-b, against the widest a-c path a-b-c
+    return make(inst_doc(
+        "abcd",
+        [("a", "b", "1"), ("c", "b", "1"), ("c", "d", "1"), ("d", "a", "1")],
+        ["a", "c"], ["c", "a"], [[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("n_rounds", [2, 3])
+@pytest.mark.parametrize("make_inst", [cycle4, cycle4_against_path])
+def test_host_path_code_folds_star_symbols(n_rounds, make_inst):
+    # Each host symbol is the mixed-radix combination of the star symbols
+    # folded onto its edge, the original edge first: the relay path
+    # a-relay2-c folds onto a-b-c.
+    stages = {name: (inst, code) for name, inst, code in path_chain(n_rounds, make_inst())}
+    star, piped = stages["chain-pipeline"]
+    host, hosted = stages["chain-host"]
+
+    def host_of(x):
+        return "b" if x == "relay2" else x
+
+    folds = []  # (host sender, host receiver, [(star sender, star receiver)])
+    for he in host.edges:
+        onto = sorted(
+            (se for se in star.edges if {host_of(se.a), host_of(se.b)} == {he.a, he.b}),
+            key=lambda se: "relay2" in (se.a, se.b),
+        )
+        for x, y in ((he.a, he.b), (he.b, he.a)):
+            folds.append((x, y, [(se.a, se.b) if host_of(se.a) == x else (se.b, se.a) for se in onto]))
+    assert sorted(len(parts) for *_, parts in folds) == [1, 1, 1, 1, 2, 2, 2, 2]
+
+    def star_size(sender, receiver, t):
+        idx, sender_is_a = star.edge_between(sender, receiver)
+        return piped.splits.size(idx, t, nc.FWD if sender_is_a else nc.BWD)
+
+    relay_digits = set()
+    for tup in itertools.product(*(range(s) for s in piped.message_sizes)):
+        star_tr = nc.execute(piped, star, tup)
+        host_tr = nc.execute(hosted, host, tup)
+        for t in range(1, piped.outer_n + 1):
+            for x, y, parts in folds:
+                digits = [star_tr.sent(a, b, t) for a, b in parts]
+                radices = [star_size(a, b, t) for a, b in parts]
+                assert host_tr.sent(x, y, t) == combine_digits(digits, radices)
+                relay_digits.update(digits[1:])
+    assert relay_digits == {0, 1}
 
 
 # ----------------------------------------------------- path-case verification
