@@ -13,22 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .codes import check_feasibility
 from .errors import InputError, MalformedDocument, ResourceLimit, TableTooLarge
-from .graphs import add_edge, validate_instance
 from .rational import format_rational, parse_rational
-from .region import RegionLimits, rate_region_micro
-from .removal import edge_removal_report
-from .serialize import (
-    apply_chain,
-    code_to_doc,
-    derived_doc,
-    feasibility_report_doc,
-    load_code,
-    removal_report_doc,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .region import RegionLimits
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,6 +44,8 @@ def _read_json(path: str):
 
 
 def _load_instance(path: str):
+    from .graphs import validate_instance
+
     return validate_instance(_read_json(path))
 
 
@@ -82,6 +77,8 @@ def _parse_mode(text: str) -> tuple[str, int, int]:
 
 
 def _parse_limits(text: str) -> RegionLimits:
+    from .region import RegionLimits
+
     fields = {}
     for part in text.split(","):
         if not part.strip():
@@ -100,6 +97,8 @@ def _parse_limits(text: str) -> RegionLimits:
 
 
 def cmd_validate(args) -> int:
+    from .graphs import validate_instance
+
     doc = _read_json(args.instance)
     try:
         inst = validate_instance(doc)
@@ -119,6 +118,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .graphs import add_edge
+    from .removal import edge_removal_report
+    from .serialize import load_code, removal_report_doc
+
     inst = _load_instance(args.instance)
     u, v = _parse_edge(args.edge)
     lam = parse_rational(args.lam)
@@ -139,6 +142,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .serialize import apply_chain, code_to_doc, derived_doc, load_code
+
     inst = _load_instance(args.instance)
     base_doc = _read_json(args.code)
     chain = _read_json(args.chain)
@@ -178,6 +183,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .codes import check_feasibility
+    from .serialize import feasibility_report_doc, load_code
+
     inst = _load_instance(args.instance)
     code, _ = load_code(_read_json(args.code), inst)
     rates = _parse_rates(args.rate) if args.rate else None
@@ -197,6 +205,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from .region import rate_region_micro
+
     inst = _load_instance(args.instance)
     if args.n < 1 or args.outer_n < 1:
         raise MalformedDocument("--n and --N must be >= 1")

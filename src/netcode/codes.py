@@ -36,11 +36,9 @@ from .errors import (
     SplitCapacityViolation,
     SymbolOutOfRange,
 )
-from .graphs import NetworkInstance
+from .graphs import BWD, FWD, NetworkInstance, incoming_slots, slot_tail
 from .rational import alphabet_size, combine_digits, floor_pow2, split_digits
 
-FWD = "fwd"
-BWD = "bwd"
 DIRECTIONS = (FWD, BWD)
 
 SlotKey = tuple[int, int, str]  # (edge index, round, direction)
@@ -49,26 +47,6 @@ SlotKey = tuple[int, int, str]  # (edge index, round, direction)
 def edge_alphabets(inst: NetworkInstance, n: int) -> tuple[int, ...]:
     """floor(2**(cap*n)) for every edge, in edge order."""
     return tuple(alphabet_size(e.cap, n) for e in inst.edges)
-
-
-def slot_tail(inst: NetworkInstance, edge_idx: int, direction: str) -> str:
-    e = inst.edges[edge_idx]
-    return e.a if direction == FWD else e.b
-
-
-def incoming_slots(inst: NetworkInstance, node: str) -> tuple[tuple[int, str, str], ...]:
-    """Slots readable by a node: (edge index, direction, sending neighbor).
-
-    Ordered by edge index with forward before backward; this order is the
-    canonical one used when encoder tables are serialized.
-    """
-    out = []
-    for idx, e in enumerate(inst.edges):
-        if e.b == node:
-            out.append((idx, FWD, e.a))
-        if e.a == node:
-            out.append((idx, BWD, e.b))
-    return tuple(out)
 
 
 class AlphabetSplit:

@@ -32,6 +32,10 @@ from .errors import (
 )
 from .rational import format_rational, parse_rational
 
+# The two travel directions of an edge stored as a -> b.
+FWD = "fwd"
+BWD = "bwd"
+
 
 class Edge(NamedTuple):
     """Undirected edge, stored with a fixed orientation a -> b.
@@ -104,6 +108,27 @@ class NetworkInstance:
         }
 
 
+def slot_tail(inst: NetworkInstance, edge_idx: int, direction: str) -> str:
+    """The node that sends on edge `edge_idx` in `direction`."""
+    e = inst.edges[edge_idx]
+    return e.a if direction == FWD else e.b
+
+
+def incoming_slots(inst: NetworkInstance, node: str) -> tuple[tuple[int, str, str], ...]:
+    """Slots readable by a node: (edge index, direction, sending neighbor).
+
+    Ordered by edge index with forward before backward; this order is the
+    canonical one used when encoder tables are serialized.
+    """
+    out = []
+    for idx, e in enumerate(inst.edges):
+        if e.b == node:
+            out.append((idx, FWD, e.a))
+        if e.a == node:
+            out.append((idx, BWD, e.b))
+    return tuple(out)
+
+
 def validate_instance(doc) -> NetworkInstance:
     """Check a parsed JSON document and build the instance.
 
@@ -141,7 +166,7 @@ def validate_instance(doc) -> NetworkInstance:
             raise MalformedDocument(f"bad edge entry: {item!r}")
         a, b = item["a"], item["b"]
         for v in (a, b):
-            if v not in vset:
+            if not isinstance(v, str) or v not in vset:
                 raise UnknownVertex(f"edge endpoint {v!r} not a vertex")
         if a == b:
             raise MalformedDocument(f"self-loop at {a!r}")
@@ -159,7 +184,7 @@ def validate_instance(doc) -> NetworkInstance:
         if not isinstance(nodes, list) or not nodes:
             raise kind(f"{key} must be a non-empty list")
         for v in nodes:
-            if v not in vset:
+            if not isinstance(v, str) or v not in vset:
                 raise UnknownVertex(f"{key} entry {v!r} not a vertex")
     sources = tuple(doc["sources"])
     terminals = tuple(doc["terminals"])

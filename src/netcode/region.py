@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .codes import BWD, FWD, incoming_slots
 from .errors import EnumerationTooLarge
-from .graphs import NetworkInstance
+from .graphs import BWD, FWD, NetworkInstance, incoming_slots, slot_tail
 from .rational import alphabet_size
 
 
@@ -119,8 +118,7 @@ def _search_codes(
         if size == 1:
             yield None
             return
-        e = inst.edges[edge_idx]
-        tail = e.a if direction == FWD else e.b
+        tail = slot_tail(inst, edge_idx, direction)
         seen: dict = {}
         ranks = []
         for key in views(tail, t - 1):

@@ -17,36 +17,30 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .codes import (
-    BWD,
-    FWD,
     AlphabetSplit,
     FeasibilityReport,
     NetworkCode,
     Route,
     StateView,
-    incoming_slots,
     make_routing_code,
-    slot_tail,
 )
 from .errors import MalformedDocument, TableTooLarge
-from .graphs import NetworkInstance, replace_edge_with_path, validate_instance
+from .graphs import (
+    BWD,
+    FWD,
+    NetworkInstance,
+    incoming_slots,
+    replace_edge_with_path,
+    slot_tail,
+    validate_instance,
+)
 from .rational import combine_digits, format_rational, parse_rational, split_digits
-from .removal import (
-    BridgeVerification,
-    PathVerification,
-    RemovalReport,
-)
-from .transforms import (
-    amplify,
-    interleave,
-    parallel_repeat,
-    pipeline_path,
-    reblock,
-    scale_code,
-)
+
+if TYPE_CHECKING:
+    from .removal import RemovalReport
 
 DEFAULT_TABLE_LIMIT = 1 << 16
 
@@ -130,6 +124,12 @@ def _objects(doc: dict, key: str) -> list:
         if not isinstance(item, dict):
             raise MalformedDocument(f"{key} entries must be objects, got {item!r}")
     return items
+
+
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedDocument(f"{what} must be a name, got {value!r}")
+    return value
 
 
 def _names(value, what: str) -> tuple[str, ...]:
@@ -288,41 +288,57 @@ def apply_chain(
     """Replay a transform-chain descriptor.  Returns the transformed code
     and the instance it now targets (pipeline steps move to a fresh-path
     instance; every other step keeps the instance)."""
+    from .transforms import (
+        amplify,
+        interleave,
+        parallel_repeat,
+        pipeline_path,
+        reblock,
+        scale_code,
+    )
+
     for step in steps:
         if not isinstance(step, dict) or "op" not in step:
             raise MalformedDocument(f"bad chain step: {step!r}")
         op = step["op"]
-        if op == "parallel_repeat":
-            code = parallel_repeat(code, inst, int(step["m"]))
-        elif op == "interleave":
-            code = interleave(code, inst)
-        elif op == "amplify":
-            code = amplify(
-                code,
-                inst,
-                int(step["m"]),
-                step["family"],
-                parse_rational(step["base_error"]),
-                rate_target=(
-                    parse_rational(step["rate_target"])
-                    if "rate_target" in step
-                    else None
-                ),
-                seed=int(step.get("seed", 0)),
-                strict=bool(step.get("strict", True)),
-            )
-        elif op == "pipeline_path":
-            u, v = step["u"], step["v"]
-            path = list(step["path"])
-            star = replace_edge_with_path(inst, u, v, path, fresh=True)
-            code = pipeline_path(code, inst, u, v, star, len(path))
-            inst = star
-        elif op == "scale_code":
-            code = scale_code(code, parse_rational(step["alpha"]))
-        elif op == "reblock":
-            code = reblock(code, inst, int(step["m"]))
-        else:
-            raise MalformedDocument(f"unknown chain op {op!r}")
+        try:
+            if op == "parallel_repeat":
+                code = parallel_repeat(code, inst, _positive(step["m"], "parallel_repeat m"))
+            elif op == "interleave":
+                code = interleave(code, inst)
+            elif op == "amplify":
+                strict = step.get("strict", True)
+                if not isinstance(strict, bool):
+                    raise MalformedDocument(f"amplify strict must be true or false, got {strict!r}")
+                code = amplify(
+                    code,
+                    inst,
+                    _positive(step["m"], "amplify m"),
+                    _name(step["family"], "amplify family"),
+                    parse_rational(step["base_error"]),
+                    rate_target=(
+                        parse_rational(step["rate_target"])
+                        if "rate_target" in step
+                        else None
+                    ),
+                    seed=_integer(step.get("seed", 0), "amplify seed", 0),
+                    strict=strict,
+                )
+            elif op == "pipeline_path":
+                u = _name(step["u"], "pipeline_path u")
+                v = _name(step["v"], "pipeline_path v")
+                path = list(_names(step["path"], "pipeline_path path"))
+                star = replace_edge_with_path(inst, u, v, path, fresh=True)
+                code = pipeline_path(code, inst, u, v, star, len(path))
+                inst = star
+            elif op == "scale_code":
+                code = scale_code(code, parse_rational(step["alpha"]))
+            elif op == "reblock":
+                code = reblock(code, inst, _positive(step["m"], "reblock m"))
+            else:
+                raise MalformedDocument(f"unknown chain op {op!r}")
+        except KeyError as exc:
+            raise MalformedDocument(f"chain step {op!r} missing key {exc}") from exc
     return code, inst
 
 
@@ -353,7 +369,11 @@ def load_code(doc: dict, inst: NetworkInstance) -> tuple[NetworkCode, NetworkIns
         if kind == "derived":
             base_inst = validate_instance(doc["base_instance"])
             base, _ = load_code(doc["base"], base_inst)
-            code, final_inst = apply_chain(base, base_inst, doc["chain"]["steps"])
+            chain = doc["chain"]
+            if not isinstance(chain, dict):
+                raise MalformedDocument(f"chain must be an object, got {chain!r}")
+            steps = _list(chain["steps"], "chain steps")
+            code, final_inst = apply_chain(base, base_inst, steps)
             if final_inst.to_doc() != inst.to_doc():
                 raise MalformedDocument("derived code targets a different instance")
             return code, final_inst
@@ -389,6 +409,8 @@ def feasibility_report_doc(rep: FeasibilityReport) -> dict:
 
 
 def removal_report_doc(rep: RemovalReport) -> dict:
+    from .removal import BridgeVerification, PathVerification
+
     doc = {
         "edge": list(rep.edge),
         "lambda": format_rational(rep.lam),

@@ -757,15 +757,16 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
         for s in range(1, m + 1):
             split_table[(edge_idx, (t - 1) * m + s)] = (bf, bb)
 
-    def digit_radix(sender: str, node: str, t: int) -> int:
-        idx, sender_is_a = inst.edge_between(sender, node)
-        return radix.get((idx, t, FWD if sender_is_a else BWD), 1)
-
     def old_view(state, horizon: int):
         def recv(sender, t):
-            b = digit_radix(sender, state.node, t)
+            idx, sender_is_a = inst.edge_between(sender, state.node)
+            key = (idx, t, FWD if sender_is_a else BWD)
+            b = radix.get(key, 1)
             digits = [state.recv(sender, (t - 1) * m + s) for s in range(1, m + 1)]
-            return combine_digits(digits, (b,) * m)
+            # When b**m exceeds the old size, some digit tuples are never
+            # sent, but tabulation enumerates them: clamp them into the
+            # old alphabet so the old code sees a symbol it accepts.
+            return min(combine_digits(digits, (b,) * m), code.splits.size(*key) - 1)
 
         return StateView(state.node, horizon, state.message, recv)
 

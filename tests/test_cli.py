@@ -91,6 +91,19 @@ def test_validate_reports_schema_errors(tmp_path, capsys):
     assert err["message"]
 
 
+@pytest.mark.parametrize("field", [("edges", 0, "a"), ("sources", 0), ("terminals", 0)])
+def test_validate_rejects_non_name_vertices(tmp_path, capsys, field):
+    bad = cycle4().to_doc()
+    target = bad
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = ["a"]
+    rc, doc = run_cli(capsys, ["validate", jfile(tmp_path, "inst.json", bad)])
+    assert rc == 2
+    [err] = doc["errors"]
+    assert err["error"] == "UnknownVertex"
+
+
 def test_validate_rejects_unparsable_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -243,51 +256,89 @@ def test_check_rejects_malformed_routing_codes(tmp_path, capsys, doc):
     assert out["error"] == "MalformedDocument"
 
 
-def _field_paths(doc, prefix=()):
-    """Every field path of a document; of a list, only its first item."""
+def _field_paths(doc, prefix=(), every_item=False):
+    """Every field path of a document; of a list, only its first item
+    unless `every_item`."""
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
-        items = enumerate(doc[:1])
+        items = enumerate(doc if every_item else doc[:1])
     else:
         return
     for key, value in items:
         yield prefix + (key,)
-        yield from _field_paths(value, prefix + (key,))
+        yield from _field_paths(value, prefix + (key,), every_item)
+
+
+BAD_VALUES = ["x", [1], -1, 0, True, None, 1.5, {}]
+
+RELAY_ROUTING = {
+    "kind": "routing", "inner_n": 1, "outer_n": 2, "message_sizes": [2],
+    "routes": [{"source": 0, "terminal": 0, "nodes": ["a", "b", "c"], "rounds": [1, 2]}],
+}
+
+# One step of every chain op, in an order each op accepts.
+EVERY_OP_CHAIN = {"steps": [
+    {"op": "interleave"},
+    {"op": "pipeline_path", "u": "a", "v": "b", "path": ["a", "p1", "b"]},
+    {"op": "scale_code", "alpha": "2"},
+    {"op": "reblock", "m": 2},
+    {"op": "parallel_repeat", "m": 2},
+    {"op": "amplify", "m": 3, "family": "repetition", "base_error": "0",
+     "rate_target": "1/3", "seed": 1, "strict": False},
+]}
+
+
+def _malformed_variants(doc, every_item=False):
+    """(path, value, copy of doc with the field at path set to value)."""
+    for path in list(_field_paths(doc, every_item=every_item)):
+        for value in BAD_VALUES:
+            case = copy.deepcopy(doc)
+            target = case
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            yield path, value, case
+
+
+def _malformed_runs(tmp_path):
+    """(path, value, argv) for every malformed variant; each argv is valid
+    only until the next one is drawn, since they share file names."""
+    derived = nc.serialize.derived_doc(
+        RELAY_ROUTING, line3(), [{"op": "interleave"}, {"op": "scale_code", "alpha": "2"}])
+    for inst, doc, every_item in (
+        (*clamp_table_doc(), False), (line3(), RELAY_ROUTING, False), (line3(), derived, True),
+    ):
+        ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+        for path, value, case in _malformed_variants(doc, every_item):
+            yield path, value, ["check", ipath, jfile(tmp_path, "code.json", case)]
+    ipath = jfile(tmp_path, "inst.json", line3().to_doc())
+    cpath = jfile(tmp_path, "code.json", RELAY_ROUTING)
+    out = str(tmp_path / "result.json")
+    for path, value, case in _malformed_variants(EVERY_OP_CHAIN, every_item=True):
+        hpath = jfile(tmp_path, "chain.json", case)
+        yield path, value, ["transform", ipath, cpath, hpath, "--out", out]
 
 
 def test_check_survives_every_malformed_field(tmp_path, capsys):
-    # Every field of a table and a routing document, set to each of these
-    # values, must end in an exit code and one JSON document, never a
-    # traceback.
-    relay = {
-        "kind": "routing", "inner_n": 1, "outer_n": 2, "message_sizes": [2],
-        "routes": [{"source": 0, "terminal": 0, "nodes": ["a", "b", "c"], "rounds": [1, 2]}],
-    }
+    # Every field of a table, a routing and a derived code document, and
+    # of a transform chain, set to each of BAD_VALUES, must end in an exit
+    # code and one JSON document, never a traceback.
     problems = []
-    for inst, doc in (clamp_table_doc(), (line3(), relay)):
-        ipath = jfile(tmp_path, "inst.json", inst.to_doc())
-        for path in list(_field_paths(doc)):
-            for value in ["x", [1], -1, 0, True, None, 1.5, {}]:
-                case = copy.deepcopy(doc)
-                target = case
-                for key in path[:-1]:
-                    target = target[key]
-                target[path[-1]] = value
-                argv = ["check", ipath, jfile(tmp_path, "code.json", case)]
-                try:
-                    rc = main(argv)
-                except Exception as exc:  # a traceback breaks the CLI contract
-                    problems.append((path, value, repr(exc)))
-                    capsys.readouterr()
-                    continue
-                out = capsys.readouterr().out
-                try:
-                    json.loads(out)
-                except ValueError:
-                    problems.append((path, value, f"stdout is not one JSON document: {out!r}"))
-                if rc not in (0, 2, 4, 5):
-                    problems.append((path, value, f"exit {rc}"))
+    for path, value, argv in _malformed_runs(tmp_path):
+        try:
+            rc = main(argv)
+        except Exception as exc:  # a traceback breaks the CLI contract
+            problems.append((argv[0], path, value, repr(exc)))
+            capsys.readouterr()
+            continue
+        stdout = capsys.readouterr().out
+        try:
+            json.loads(stdout)
+        except ValueError:
+            problems.append((argv[0], path, value, f"stdout is not one JSON document: {stdout!r}"))
+        if rc not in (0, 2, 4, 5):
+            problems.append((argv[0], path, value, f"exit {rc}"))
     assert problems == []
 
 
@@ -447,6 +498,62 @@ def test_transform_reports_failing_step(tmp_path, capsys):
     assert doc["error"] == "MalformedDocument"
     assert doc["step"] == 0
     assert doc["op"] == "warp"
+
+
+AMPLIFY_STEP = {"op": "amplify", "m": 3, "family": "repetition", "base_error": "0", "strict": False}
+
+
+@pytest.mark.parametrize("steps", [
+    [{"op": "parallel_repeat", "m": "x"}],
+    [{"op": "parallel_repeat"}],
+    [{"op": "reblock", "m": 1.5}],
+    [{"op": "interleave"}, {"op": "pipeline_path", "u": "a", "v": "b", "path": 5}],
+    [{"op": "interleave"}, {"op": "pipeline_path", "u": ["a"], "v": "b", "path": ["a", "p", "b"]}],
+    [{**AMPLIFY_STEP, "strict": "no"}],
+    [{**AMPLIFY_STEP, "seed": "1"}],
+    [{**AMPLIFY_STEP, "family": ["repetition"]}],
+], ids=["string_m", "missing_m", "float_m", "int_path", "list_endpoint", "string_strict",
+        "string_seed", "list_family"])
+def test_transform_rejects_malformed_chain_steps(tmp_path, capsys, steps):
+    ipath = jfile(tmp_path, "inst.json", line3().to_doc())
+    cpath = jfile(tmp_path, "code.json", RELAY_ROUTING)
+    hpath = jfile(tmp_path, "chain.json", {"steps": steps})
+    rc, doc = run_cli(
+        capsys, ["transform", ipath, cpath, hpath, "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert doc["error"] == "MalformedDocument"
+    assert doc["step"] == len(steps) - 1
+
+
+@pytest.mark.parametrize("chain", [
+    "x", [{"op": "interleave"}], {}, {"steps": "x"}, {"steps": {"op": "interleave"}},
+    {"steps": [{"op": "parallel_repeat", "m": "2"}]},
+], ids=["string", "list", "no_steps", "string_steps", "object_steps", "string_m"])
+def test_check_rejects_malformed_derived_chain(tmp_path, capsys, chain):
+    inst = line3()
+    doc = {**nc.serialize.derived_doc(RELAY_ROUTING, inst, []), "chain": chain}
+    ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+    rc, out = run_cli(capsys, ["check", ipath, jfile(tmp_path, "code.json", doc)])
+    assert rc == 2
+    assert out["error"] == "MalformedDocument"
+
+
+def test_transform_tabulates_reblocked_code(tmp_path, capsys):
+    # reblock sends each old symbol of size 2 as two binary digits, so
+    # tabulation meets digit pairs no execution sends.
+    ipath = jfile(tmp_path, "inst.json", line3().to_doc())
+    cpath = jfile(tmp_path, "code.json", RELAY_ROUTING)
+    steps = [{"op": "scale_code", "alpha": "2"}, {"op": "reblock", "m": 2}]
+    hpath = jfile(tmp_path, "chain.json", {"steps": steps})
+    out = str(tmp_path / "result.json")
+    rc, doc = run_cli(capsys, ["transform", ipath, cpath, hpath, "--out", out])
+    assert rc == 0
+    assert (doc["kind"], doc["inner_n"], doc["outer_n"]) == ("table", 2, 4)
+
+    code = json.loads(open(out, encoding="utf-8").read())["code"]
+    rc, rep = run_cli(capsys, ["check", ipath, jfile(tmp_path, "table.json", code)])
+    assert rc == 0
+    assert rep["measured_error"] == "0"
 
 
 def test_transform_falls_back_to_derived_form(tmp_path, capsys):

@@ -1,0 +1,148 @@
+"""The package surface and what each entry point imports.
+
+`netcode/__init__.py` resolves its public names lazily from the
+submodules, so `import netcode` and each CLI command load only the
+modules they run.  These tests pin the public names, their identity with
+the submodule attributes, and the module set each entry point loads.
+"""
+
+import importlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import netcode
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).parent / "golden"
+
+PUBLIC_NAMES = [
+    "AlphabetSplit", "BWD", "BridgeCase", "Edge", "ExecutionTrace", "FWD",
+    "FeasibilityReport", "InputError", "NetcodeError", "NetworkCode",
+    "NetworkInstance", "OuterCodeSpec", "PathCase", "RegionLimits",
+    "RemovalReport", "ResourceLimit", "Route", "StateView", "WidestPath",
+    "add_edge", "amplify", "apply_chain", "bridge_decompose",
+    "check_feasibility", "classify_edge", "clopper_pearson", "code_to_doc",
+    "codes", "connected_components", "cut_bound", "decode_outputs",
+    "demands_met", "drop_edge", "edge_alphabets", "edge_removal_report",
+    "errors", "execute", "feasibility_report_doc", "find_amplify_seed",
+    "generate_permutations", "graphs", "host_path_code", "incoming_slots",
+    "interleave", "load_code", "make_outer_spec", "make_routing_code",
+    "message_size_for_rate", "nearest_codeword_decode", "outer_encode",
+    "parallel_repeat", "path_case_bound", "pipeline_path",
+    "rate_region_micro", "rational", "reblock", "region", "removal",
+    "removal_constant", "removal_report_doc", "replace_edge_with_path",
+    "scale_code", "scale_instance", "serialize", "transforms",
+    "validate_instance", "widest_path",
+]
+
+SUBMODULES = [
+    "codes", "errors", "graphs", "rational", "region", "removal",
+    "serialize", "transforms",
+]
+
+
+# ------------------------------------------------------------ package surface
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 67
+    assert netcode.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(netcode))
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name in PUBLIC_NAMES:
+        value = getattr(netcode, name)
+        if name in SUBMODULES:
+            assert value is importlib.import_module(f"netcode.{name}")
+            continue
+        homes = [
+            sub for sub in SUBMODULES
+            if getattr(importlib.import_module(f"netcode.{sub}"), name, None) is value
+        ]
+        assert homes, name
+
+
+def test_slot_orientation_lives_in_graphs():
+    from netcode import codes, graphs
+
+    for name in ("FWD", "BWD", "slot_tail", "incoming_slots"):
+        assert getattr(codes, name) is getattr(graphs, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from netcode import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(netcode, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        netcode.no_such_name
+    assert not hasattr(netcode, "no_such_name")
+
+
+def test_package_reads_through_to_rebound_submodule_attributes(monkeypatch):
+    # An outside tracer rebinds submodule attributes; the package must not
+    # keep a copy that would outlive the rebinding.
+    sentinel = object()
+    original = netcode.edge_removal_report
+    monkeypatch.setattr(netcode.removal, "edge_removal_report", sentinel)
+    assert netcode.edge_removal_report is sentinel
+    monkeypatch.undo()
+    assert netcode.edge_removal_report is original
+
+
+# ------------------------------------------------------------- import sets
+
+LOADED = (
+    "import json, sys; print(json.dumps(sorted(m for m in sys.modules"
+    " if m == 'netcode' or m.startswith('netcode.'))), file=sys.stderr)"
+)
+RUN_CLI = (
+    "import sys; from netcode.cli import main; rc = main(sys.argv[1:]); "
+    + LOADED + "; sys.exit(rc)"
+)
+
+CLI_BASE = {"netcode", "netcode.cli", "netcode.errors", "netcode.graphs", "netcode.rational"}
+CHECK = CLI_BASE | {"netcode.codes", "netcode.serialize"}
+TRANSFORM = CHECK | {"netcode.transforms"}
+
+# golden case -> the netcode modules its command may load
+COMMANDS = {
+    "validate_cycle4": CLI_BASE,
+    "region_two_way": CLI_BASE | {"netcode.region"},
+    "check_two_route_table": CHECK,
+    "interleave_two_route": TRANSFORM,
+    "analyze_path_n2": TRANSFORM | {"netcode.removal"},
+}
+
+
+def _loaded_modules(code, args=(), cwd=None):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.strip().splitlines()[-1]))
+
+
+def test_bare_import_loads_only_the_package():
+    assert _loaded_modules("import netcode; " + LOADED) == {"netcode"}
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_cli_command_loads_only_what_it_runs(case, tmp_path):
+    src = GOLDEN / case
+    for path in src.iterdir():
+        if not path.name.startswith("expected_"):
+            shutil.copy(path, tmp_path / path.name)
+    argv = json.loads((src / "argv.json").read_text(encoding="utf-8"))
+    assert _loaded_modules(RUN_CLI, argv, cwd=tmp_path) == COMMANDS[case]
