@@ -12,10 +12,12 @@ share its capacity: at every round the two directional alphabet sizes
 multiply to at most floor(2**(cap*n)).
 
 An Engine runs a code on many message tuples and caches every encoder and
-decoder by the values it read.  The contract this relies on: an encoder or
-decoder is a deterministic function of what it reads through its
-StateView (its messages and received symbols, plus the view's node and
-time).  A map with hidden state or randomness falls outside the contract.
+decoder by the values it read; it also fills serialize's tables, so every
+consumer of a code reads execution state through its one guarded view.
+The contract this relies on: an encoder or decoder is a deterministic
+function of what it reads through its StateView (its messages and
+received symbols, plus the view's node and time).  A map with hidden
+state or randomness falls outside the contract.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     SplitCapacityViolation,
     SymbolOutOfRange,
 )
-from .graphs import BWD, FWD, NetworkInstance, incoming_slots, slot_tail
+from .graphs import BWD, FWD, NetworkInstance, slot_tail
 from .rational import alphabet_size, combine_digits, floor_pow2, split_digits
 
 DIRECTIONS = (FWD, BWD)
@@ -226,7 +228,8 @@ class Engine:
     a map makes, and a replayed read is one the guard passed at the same
     horizon.  A read that raises is not recorded: it raises in every state.
     The tries hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the
-    cap a miss runs uncached and nothing more is stored.
+    cap a miss runs uncached and nothing more is stored.  `_table` runs
+    one map the same way over every value of a tabulation domain.
     """
 
     def __init__(self, code: NetworkCode, inst: NetworkInstance):
@@ -243,8 +246,10 @@ class Engine:
             self._inbound[e.b][e.a] = k + 2 * idx * n_out
             self._inbound[e.a][e.b] = k + (2 * idx + 1) * n_out
         # (state position, memo); a memo is (map, node, horizon, check of
-        # fresh outputs, {None: trie root})
+        # fresh outputs, {None: trie root}), also kept by slot key and by
+        # terminal index
         self._slots: list[tuple[int, tuple]] = []
+        self._memos: dict[SlotKey | int, tuple] = {}
         for t in range(1, n_out + 1):
             for idx, e in enumerate(inst.edges):
                 for d, direction in enumerate(DIRECTIONS):
@@ -259,13 +264,14 @@ class Engine:
                     tail = slot_tail(inst, idx, direction)
                     check = _symbol_check(e, t, direction, size)
                     pos = k + (2 * idx + d) * n_out + t - 1
-                    self._slots.append((pos, (enc, tail, t - 1, check, {})))
+                    memo = self._memos[(idx, t, direction)] = (enc, tail, t - 1, check, {})
+                    self._slots.append((pos, memo))
         self._decoders = []
         for j, node in enumerate(inst.terminals):
             dec = code.decoders.get(j)
             if dec is not None:
                 check = _output_check(j, inst.demanded_at(j), code.message_sizes)
-                dec = (dec, node, n_out, check, {})
+                dec = self._memos[j] = (dec, node, n_out, check, {})
             self._decoders.append((j, node, dec))
 
     def run(self, messages: Sequence[int]) -> list[int]:
@@ -301,6 +307,22 @@ class Engine:
         return ExecutionTrace(
             self.inst, tuple(state[:k]), tuple(rows[0::2]), tuple(rows[1::2])
         )
+
+    def _table(self, key: SlotKey | int, messages: Sequence[int],
+               received: Sequence[tuple[str, int]], radices: Sequence[int]) -> list:
+        """Outputs of the encoder of slot `key`, or the decoder of terminal
+        `key`, on every assignment of values in range(radix) to its node's
+        messages and received (sender, round) symbols, the first varying
+        slowest.  Each output is checked as in a run."""
+        memo, state = self._memos[key], self._blank[:]
+        inbound = self._inbound[memo[1]]
+        positions = [*messages, *(inbound[sender] + t - 1 for sender, t in received)]
+        table = []
+        for values in itertools.product(*map(range, radices)):
+            for pos, value in zip(positions, values):
+                state[pos] = value
+            table.append(self._call(memo, state))
+        return table
 
     def _call(self, memo: tuple, state: list[int]):
         """The map's output on `state`, from its trie when the reads match.
@@ -477,8 +499,11 @@ def check_feasibility(
 
     When `rates` is given, source i is checked over the first
     floor(2**(R_i*N*n)) messages; the code must have at least that many.
+    An `epsilon` outside [0, 1] raises MalformedDocument.
     """
     epsilon = Fraction(epsilon)
+    if not 0 <= epsilon <= 1:
+        raise MalformedDocument(f"error tolerance {epsilon} outside [0, 1]")
     if rates is not None:
         rates = tuple(Fraction(r) for r in rates)
         if len(rates) != len(inst.sources):
@@ -596,16 +621,10 @@ def make_routing_code(
         return tuple(sizes[routes[ridx].source] for ridx, _ in slots[key])
 
     split_table: dict[tuple[int, int], tuple[int, int]] = {}
-    for (edge_idx, t, direction), _ in slots.items():
+    for (edge_idx, t, direction) in slots:
         f, b = split_table.get((edge_idx, t), (1, 1))
-        load = 1
-        for radix in slot_radices((edge_idx, t, direction)):
-            load *= radix
-        if direction == FWD:
-            f = load
-        else:
-            b = load
-        split_table[(edge_idx, t)] = (f, b)
+        load = math.prod(slot_radices((edge_idx, t, direction)))
+        split_table[(edge_idx, t)] = (load, b) if direction == FWD else (f, load)
     alphabets = edge_alphabets(inst, n)
     for (edge_idx, t), (f, b) in split_table.items():
         if f * b > alphabets[edge_idx]:

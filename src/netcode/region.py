@@ -14,11 +14,12 @@ forever.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import EnumerationTooLarge
+from .errors import EnumerationTooLarge, MalformedDocument
 from .graphs import BWD, FWD, NetworkInstance, incoming_slots, slot_tail
 from .rational import alphabet_size
 
@@ -30,6 +31,14 @@ class RegionLimits:
     max_outer: int = 2
     max_message_size: int = 4
     max_ops: int = 2_000_000
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise MalformedDocument(
+                    f"region limit {name} must be an integer >= 1, got {value!r}"
+                )
 
 
 def _rgs_exact(count: int, blocks: int):
@@ -241,11 +250,7 @@ def rate_region_micro(
     if len(inst.vertices) > 16:
         raise EnumerationTooLarge("more than 16 vertices")
 
-    size_options = []
-    s = 1
-    while s <= limits.max_message_size:
-        size_options.append(s)
-        s *= 2
+    size_options = [1 << b for b in range(limits.max_message_size.bit_length())]
 
     budget = _Budget(limits.max_ops)
     cuts = _cut_prune(inst, alphabets, outer_n)
@@ -254,14 +259,8 @@ def rate_region_micro(
     feasible: list[tuple[int, ...]] = []
     infeasible: list[tuple[int, ...]] = []
 
-    def product(sizes):
-        p = 1
-        for x in sizes:
-            p *= x
-        return p
-
     candidates = sorted(
-        itertools.product(size_options, repeat=k), key=lambda s: (product(s), s)
+        itertools.product(size_options, repeat=k), key=lambda s: (math.prod(s), s)
     )
     for sizes in candidates:
         if any(all(s <= f for s, f in zip(sizes, known)) for known in feasible):

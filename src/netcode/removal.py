@@ -27,33 +27,34 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .codes import (
-    BWD,
     DIRECTIONS,
-    FWD,
     AlphabetSplit,
     Engine,
     FeasibilityReport,
     NetworkCode,
     StateView,
     check_feasibility,
-    slot_tail,
 )
 from .errors import (
     BadPath,
     EdgeMissing,
     EdgePresent,
     EnumerationTooLarge,
+    MalformedDocument,
     NonPositiveCapacity,
     NotABridge,
     UnknownVertex,
 )
 from .graphs import (
+    BWD,
+    FWD,
     NetworkInstance,
     add_edge,
     connected_components,
     drop_edge,
     removal_constant,
     replace_edge_with_path,
+    slot_tail,
     widest_path,
 )
 from .rational import combine_digits, log2_at_least, split_digits
@@ -559,7 +560,10 @@ def edge_removal_report(
     limit: int = 2 ** 20,
 ) -> RemovalReport:
     """Classify the probe edge, bound the removal cost, and (with a code)
-    run the constructive verification chain end to end."""
+    run the constructive verification chain end to end.  An `epsilon`
+    outside [0, 1] raises MalformedDocument."""
+    if not 0 <= epsilon <= 1:
+        raise MalformedDocument(f"error tolerance {epsilon} outside [0, 1]")
     lam, case = _classify(inst, u, v, lam)
     report = _bound(inst, u, v, lam, case)
 

@@ -8,23 +8,27 @@ Code files come in three kinds:
 - "derived": a base code plus a transform-chain descriptor, replayed on
   load; used when tabulated tables would be too large.
 
+Tables are filled on one codes.Engine over `_domain`'s canonical order: a
+map runs once per distinct set of values it reads, and the code and every
+entry are checked as in a run, so `code_to_doc` raises rather than write
+a table that the loader rejects.
+
 All rationals are canonical lowest-terms strings; no floats appear
 anywhere in documents or reports.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .codes import (
     AlphabetSplit,
+    Engine,
     FeasibilityReport,
     NetworkCode,
     Route,
-    StateView,
     make_routing_code,
 )
 from .errors import MalformedDocument, TableTooLarge
@@ -61,34 +65,14 @@ def _domain(inst: NetworkInstance, code: NetworkCode, node: str, horizon: int):
     return own, dims, radices
 
 
-def _tabulate(fn, inst, code, node, horizon, limit):
-    own, dims, radices = _domain(inst, code, node, horizon)
+def _tabulate(engine: Engine, key, node: str, horizon: int, limit: int) -> list:
+    """The table of the engine's encoder (slot key) or decoder (terminal
+    index) at `node` over its canonical domain."""
+    own, dims, radices = _domain(engine.inst, engine.code, node, horizon)
     total = math.prod(radices)
     if total > limit:
         raise TableTooLarge(f"table of {total} entries exceeds limit {limit}")
-    by_sender = {(sender, tp): (e, d) for (e, tp, d, sender, _) in dims}
-    table = []
-    for combo in itertools.product(*(range(r) for r in radices)):
-        msgs = dict(zip(own, combo[: len(own)]))
-        slot_vals = {
-            (e, tp, d): val
-            for (e, tp, d, _, _), val in zip(dims, combo[len(own):])
-        }
-
-        def message(i, msgs=msgs):
-            if i not in msgs:
-                raise KeyError(f"node {node!r} holds no message {i}")
-            return msgs[i]
-
-        def recv(sender, tq, slot_vals=slot_vals):
-            found = by_sender.get((sender, tq))
-            if found is None:
-                raise LookupError(f"no slot from {sender!r} at t={tq}")
-            e, d = found
-            return slot_vals[(e, tq, d)]
-
-        table.append(fn(StateView(node, horizon, message, recv)))
-    return table
+    return engine._table(key, own, [(sender, tp) for _, tp, _, sender, _ in dims], radices)
 
 
 # Typed readers for code-document fields: each returns the field or raises
@@ -166,28 +150,23 @@ def code_to_doc(
         {"edge": [inst.edges[e].a, inst.edges[e].b], "t": t, "fwd": f, "bwd": b}
         for (e, t), (f, b) in code.splits.items()
     ]
-    encoders = []
-    for (e, t, d) in sorted(code.encoders):
-        table = _tabulate(
-            code.encoders[(e, t, d)], inst, code, slot_tail(inst, e, d), t - 1, limit
-        )
-        encoders.append(
-            {
-                "edge": [inst.edges[e].a, inst.edges[e].b],
-                "t": t,
-                "dir": d,
-                "table": table,
-            }
-        )
+    engine = Engine(code, inst)
+    encoders = [
+        {
+            "edge": [inst.edges[e].a, inst.edges[e].b],
+            "t": t,
+            "dir": d,
+            "table": _tabulate(engine, (e, t, d), slot_tail(inst, e, d), t - 1, limit),
+        }
+        for (e, t, d) in sorted(code.encoders)
+    ]
     decoders = []
     for j in sorted(code.decoders):
         out_radices = [code.message_sizes[i] for i in inst.demanded_at(j)]
-
-        def packed(state, dec=code.decoders[j], out_radices=out_radices):
-            return combine_digits(list(dec(state)), out_radices)
-
-        table = _tabulate(packed, inst, code, inst.terminals[j], code.outer_n, limit)
-        decoders.append({"terminal": j, "table": table})
+        table = _tabulate(engine, j, inst.terminals[j], code.outer_n, limit)
+        decoders.append(
+            {"terminal": j, "table": [combine_digits(out, out_radices) for out in table]}
+        )
     return {
         "kind": "table",
         "inner_n": code.inner_n,

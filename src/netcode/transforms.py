@@ -28,8 +28,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .codes import (
-    BWD,
-    FWD,
     AlphabetSplit,
     NetworkCode,
     StateView,
@@ -48,7 +46,7 @@ from .errors import (
     NotInterleaved,
     SeedSearchFailed,
 )
-from .graphs import NetworkInstance
+from .graphs import BWD, FWD, NetworkInstance
 from .rational import ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
 
 

@@ -2,19 +2,21 @@
 reference the engine is checked against (tests/test_engine.py).
 
 `execute`, `decode_outputs` and `check_feasibility` below are the earlier
-bodies of their namesakes in netcode.codes, unchanged except for imports.
+bodies of their namesakes in netcode.codes, and `_tabulate` and
+`code_to_doc` the earlier per-entry tabulation of netcode.serialize, all
+unchanged except for imports.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from netcode.codes import (
     DIRECTIONS,
-    FWD,
     ExecutionTrace,
     FeasibilityReport,
     NetworkCode,
@@ -22,15 +24,17 @@ from netcode.codes import (
     clopper_pearson,
     demands_met,
     message_size_for_rate,
-    slot_tail,
 )
 from netcode.errors import (
     BadRate,
     EnumerationTooLarge,
     MalformedDocument,
     SymbolOutOfRange,
+    TableTooLarge,
 )
-from netcode.graphs import NetworkInstance
+from netcode.graphs import FWD, NetworkInstance, slot_tail
+from netcode.rational import combine_digits
+from netcode.serialize import DEFAULT_TABLE_LIMIT, _domain
 
 
 def _node_readers(
@@ -243,3 +247,74 @@ def check_feasibility(
         failing=tuple(failing),
         interval=clopper_pearson(failures, trials),
     )
+
+
+def _tabulate(fn, inst, code, node, horizon, limit):
+    own, dims, radices = _domain(inst, code, node, horizon)
+    total = math.prod(radices)
+    if total > limit:
+        raise TableTooLarge(f"table of {total} entries exceeds limit {limit}")
+    by_sender = {(sender, tp): (e, d) for (e, tp, d, sender, _) in dims}
+    table = []
+    for combo in itertools.product(*(range(r) for r in radices)):
+        msgs = dict(zip(own, combo[: len(own)]))
+        slot_vals = {
+            (e, tp, d): val
+            for (e, tp, d, _, _), val in zip(dims, combo[len(own):])
+        }
+
+        def message(i, msgs=msgs):
+            if i not in msgs:
+                raise KeyError(f"node {node!r} holds no message {i}")
+            return msgs[i]
+
+        def recv(sender, tq, slot_vals=slot_vals):
+            found = by_sender.get((sender, tq))
+            if found is None:
+                raise LookupError(f"no slot from {sender!r} at t={tq}")
+            e, d = found
+            return slot_vals[(e, tq, d)]
+
+        table.append(fn(StateView(node, horizon, message, recv)))
+    return table
+
+
+def code_to_doc(
+    code: NetworkCode, inst: NetworkInstance, limit: int = DEFAULT_TABLE_LIMIT
+) -> dict:
+    """Tabulate a code into a self-contained JSON document."""
+    splits = [
+        {"edge": [inst.edges[e].a, inst.edges[e].b], "t": t, "fwd": f, "bwd": b}
+        for (e, t), (f, b) in code.splits.items()
+    ]
+    encoders = []
+    for (e, t, d) in sorted(code.encoders):
+        table = _tabulate(
+            code.encoders[(e, t, d)], inst, code, slot_tail(inst, e, d), t - 1, limit
+        )
+        encoders.append(
+            {
+                "edge": [inst.edges[e].a, inst.edges[e].b],
+                "t": t,
+                "dir": d,
+                "table": table,
+            }
+        )
+    decoders = []
+    for j in sorted(code.decoders):
+        out_radices = [code.message_sizes[i] for i in inst.demanded_at(j)]
+
+        def packed(state, dec=code.decoders[j], out_radices=out_radices):
+            return combine_digits(list(dec(state)), out_radices)
+
+        table = _tabulate(packed, inst, code, inst.terminals[j], code.outer_n, limit)
+        decoders.append({"terminal": j, "table": table})
+    return {
+        "kind": "table",
+        "inner_n": code.inner_n,
+        "outer_n": code.outer_n,
+        "message_sizes": list(code.message_sizes),
+        "splits": splits,
+        "encoders": encoders,
+        "decoders": decoders,
+    }

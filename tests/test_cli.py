@@ -28,6 +28,7 @@ from conftest import (
     make,
     pair_at_one_node,
     single_edge,
+    two_way,
     unit_code,
 )
 
@@ -149,6 +150,16 @@ def test_check_fail_then_pass_with_tolerance(tmp_path, capsys):
     rc, doc = run_cli(capsys, ["check", ipath, cpath, "--epsilon", "1/4"])
     assert rc == 0
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("epsilon", ["3", "-1"])
+def test_check_rejects_tolerance_outside_unit_interval(tmp_path, capsys, epsilon):
+    inst, code = clamp_table_doc()
+    ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+    cpath = jfile(tmp_path, "code.json", code)
+    rc, doc = run_cli(capsys, ["check", ipath, cpath, "--epsilon", epsilon])
+    assert rc == 2
+    assert doc["error"] == "MalformedDocument"
 
 
 def test_check_sampled_mode_is_seeded(tmp_path, capsys):
@@ -383,18 +394,21 @@ def test_analyze_bound_only(tmp_path, capsys):
     assert doc["f_rate_form"] == "1/4"
 
 
+# two routes on cycle4 plus the probe a-c: a->c at round 1, c->a at round 2
+TWO_ROUTE = {
+    "kind": "routing", "inner_n": 1, "outer_n": 2,
+    "message_sizes": [2, 2],
+    "routes": [
+        {"source": 0, "terminal": 0, "nodes": ["a", "c"], "rounds": [1]},
+        {"source": 1, "terminal": 1, "nodes": ["c", "a"], "rounds": [2]},
+    ],
+}
+
+
 def test_analyze_path_case_with_code(tmp_path, capsys):
     inst = cycle4()
-    code_doc = {
-        "kind": "routing", "inner_n": 1, "outer_n": 2,
-        "message_sizes": [2, 2],
-        "routes": [
-            {"source": 0, "terminal": 0, "nodes": ["a", "c"], "rounds": [1]},
-            {"source": 1, "terminal": 1, "nodes": ["c", "a"], "rounds": [2]},
-        ],
-    }
     ipath = jfile(tmp_path, "inst.json", inst.to_doc())
-    cpath = jfile(tmp_path, "code.json", code_doc)
+    cpath = jfile(tmp_path, "code.json", TWO_ROUTE)
     rc, doc = run_cli(
         capsys, ["analyze", ipath, "--edge", "a,c", "--lambda", "1",
                  "--code", cpath, "--rate", "1/2,1/2"])
@@ -431,6 +445,16 @@ def test_analyze_bridge_verification_sets_exit_code(tmp_path, capsys):
                  "--code", cpath, "--epsilon", "1/4"])
     assert rc == 0
     assert doc["verification"]["passed"] is True
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "3"])
+def test_analyze_rejects_tolerance_outside_unit_interval(tmp_path, capsys, epsilon):
+    ipath = jfile(tmp_path, "inst.json", cycle4().to_doc())
+    argv = ["analyze", ipath, "--edge", "a,c", "--lambda", "1", "--epsilon", epsilon]
+    for extra in ([], ["--code", jfile(tmp_path, "code.json", TWO_ROUTE), "--rate", "1/2,1/2"]):
+        rc, doc = run_cli(capsys, argv + extra)
+        assert rc == 2
+        assert doc["error"] == "MalformedDocument"
 
 
 def test_analyze_rejects_bad_edge_flag(tmp_path, capsys):
@@ -583,6 +607,20 @@ def test_transform_falls_back_to_derived_form(tmp_path, capsys):
     assert nc.decode_outputs(loaded, inst, trace) == {0: (54321,)}
 
 
+def test_transform_rejects_result_beyond_capacity(tmp_path, capsys):
+    # halving n=2 leaves n=1, whose alphabet of 2 cannot hold the clamp
+    # code's split of 4; the result must not be written
+    inst, code = clamp_table_doc()
+    ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+    cpath = jfile(tmp_path, "code.json", code)
+    hpath = jfile(tmp_path, "chain.json", {"steps": [{"op": "scale_code", "alpha": "1/2"}]})
+    out = tmp_path / "result.json"
+    rc, doc = run_cli(capsys, ["transform", ipath, cpath, hpath, "--out", str(out)])
+    assert rc == 2
+    assert doc["error"] == "SplitCapacityViolation"
+    assert not out.exists()
+
+
 def test_transform_requires_steps_list(tmp_path, capsys):
     inst = single_edge()
     code = unit_code(inst, "ab", (1,))
@@ -627,6 +665,16 @@ def test_region_limit_overrides_and_exit_codes(tmp_path, capsys):
     rc, doc = run_cli(
         capsys, ["region", path, "--n", "1", "--N", "1",
                  "--limits", "max_edges=x"])
+    assert rc == 2
+    assert doc["error"] == "MalformedDocument"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("field", list(nc.RegionLimits.__dataclass_fields__))
+def test_region_rejects_limits_below_one(tmp_path, capsys, field, value):
+    path = jfile(tmp_path, "inst.json", two_way().to_doc())
+    rc, doc = run_cli(
+        capsys, ["region", path, "--n", "1", "--N", "2", "--limits", f"{field}={value}"])
     assert rc == 2
     assert doc["error"] == "MalformedDocument"
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import netcode as nc
-from netcode.codes import slot_tail
+from netcode.graphs import slot_tail
 from netcode.errors import (
     BadRate,
     BadRoute,

@@ -14,9 +14,18 @@ from hypothesis import given, settings, strategies as st
 import netcode as nc
 from netcode import codes
 from netcode.codes import Engine
+from netcode.errors import SymbolOutOfRange
 
 import reference_exec as ref
-from conftest import clamp_code, identity_suite, inst_doc, make, path_chain, single_edge
+from conftest import (
+    clamp_code,
+    identity_suite,
+    inst_doc,
+    make,
+    pair_at_one_node,
+    path_chain,
+    single_edge,
+)
 
 
 def synthetic_map(seed, modulus):
@@ -197,3 +206,51 @@ def test_trie_cap_bounds_memory(monkeypatch):
     report = nc.check_feasibility(code, inst)
     assert report == ref.check_feasibility(code, inst)
     assert report.failures == 1
+
+
+# ----------------------------------------------------------------- tabulation
+
+TABULATED = CASES + [("chain-scale-n3", *path_chain(3)[-1][1:])]
+
+
+@pytest.mark.parametrize("case", TABULATED, ids=[name for name, _, _ in TABULATED])
+def test_tabulation_matches_reference(case):
+    _, inst, code = case
+    assert nc.code_to_doc(code, inst) == ref.code_to_doc(code, inst)
+
+
+def test_tabulation_runs_each_read_path_once():
+    calls = []
+
+    def encoder(view):
+        calls.append(view.time)
+        return view.message(0)
+
+    # a holds message 0 (size 2) and message 1 (size 8): 16 table entries
+    inst = pair_at_one_node()
+    code = nc.NetworkCode(
+        inner_n=2, outer_n=1, message_sizes=(2, 8),
+        splits=nc.AlphabetSplit({(0, 1): (2, 1)}),
+        encoders={(0, 1, nc.FWD): encoder}, decoders={},
+    )
+    doc = nc.code_to_doc(code, inst)
+    assert doc["encoders"][0]["table"] == [entry // 8 for entry in range(16)]
+    assert len(calls) == 2
+
+
+def test_tabulation_checks_symbols_no_execution_sends():
+    # a always sends 0 at round 1, so b's round-2 encoder never sees 1,
+    # the one input on which it leaves its binary alphabet
+    inst = single_edge()
+    code = nc.NetworkCode(
+        inner_n=2, outer_n=2, message_sizes=(2,),
+        splits=nc.AlphabetSplit({(0, 1): (2, 1), (0, 2): (1, 2)}),
+        encoders={
+            (0, 1, nc.FWD): lambda view: 0,
+            (0, 2, nc.BWD): lambda view: 2 * view.recv("a", 1),
+        },
+        decoders={0: lambda view: (0,)},
+    )
+    assert nc.check_feasibility(code, inst).failures == 1
+    with pytest.raises(SymbolOutOfRange):
+        nc.code_to_doc(code, inst)

@@ -6,6 +6,7 @@ modules they run.  These tests pin the public names, their identity with
 the submodule attributes, and the module set each entry point loads.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -71,8 +72,10 @@ def test_every_public_name_is_its_submodules_object():
 def test_slot_orientation_lives_in_graphs():
     from netcode import codes, graphs
 
-    for name in ("FWD", "BWD", "slot_tail", "incoming_slots"):
+    for name in ("FWD", "BWD", "slot_tail"):
         assert getattr(codes, name) is getattr(graphs, name)
+    assert graphs.slot_tail.__module__ == graphs.incoming_slots.__module__ == "netcode.graphs"
+    assert not hasattr(codes, "incoming_slots")
 
 
 def test_star_import_binds_every_public_name():
@@ -146,3 +149,55 @@ def test_cli_command_loads_only_what_it_runs(case, tmp_path):
             shutil.copy(path, tmp_path / path.name)
     argv = json.loads((src / "argv.json").read_text(encoding="utf-8"))
     assert _loaded_modules(RUN_CLI, argv, cwd=tmp_path) == COMMANDS[case]
+
+
+# Top-level functions that may still compute in floats, until the
+# Clopper-Pearson interval is computed exactly (ROADMAP item 3).
+FLOAT_ALLOWED = {("codes", "_binom_tail_ge"), ("codes", "clopper_pearson")}
+# math functions that take and return integers only
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def float_sites(tree) -> list[tuple[int, str]]:
+    """(line, source) of every float literal, use of the name `float`, and
+    math name outside INTEGER_MATH in the tree."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            sites.append(node)
+        elif isinstance(node, ast.Name) and node.id == "float":
+            sites.append(node)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr not in INTEGER_MATH
+        ):
+            sites.append(node)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(alias.name not in INTEGER_MATH for alias in node.names):
+                sites.append(node)
+    return [(node.lineno, ast.unparse(node)) for node in sites]
+
+
+def test_no_float_code_outside_the_allowlist():
+    found, allowed_seen = [], set()
+    for path in sorted((SRC / "netcode").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) in FLOAT_ALLOWED:
+                assert float_sites(node), f"{path.stem}.{node.name} no longer uses floats"
+                allowed_seen.add((path.stem, node.name))
+                continue
+            found += [(path.name, *site) for site in float_sites(node)]
+    assert allowed_seen == FLOAT_ALLOWED
+    assert found == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("x = 0.5", True), ("y = float(3)", True), ("z = math.log2(8)", True),
+    ("from math import sqrt", True), ("w = 1j", True),
+    ("n = math.prod(s) // 3", False), ("from math import comb", False),
+])
+def test_float_guard_flags(source, flagged):
+    assert bool(float_sites(ast.parse(source))) == flagged

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import netcode as nc
-from netcode.errors import EnumerationTooLarge
+from netcode.errors import EnumerationTooLarge, MalformedDocument
 from netcode.region import _rgs_exact
 
 from conftest import (
@@ -91,6 +91,12 @@ def test_region_points_respect_cut_bounds():
                 if not group_b:
                     continue
                 assert rate <= nc.cut_bound(inst, [inst.sources[i]], group_b)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "4", 0])
+def test_region_limits_are_positive_integers(value):
+    with pytest.raises(MalformedDocument):
+        nc.RegionLimits(max_ops=value)
 
 
 def test_bigger_alphabet_with_raised_limits():
