@@ -168,11 +168,8 @@ class ExecutionTrace:
 
     def sent(self, x: str, y: str, t: int) -> int:
         """Symbol traveling from x to y at round t."""
-        found = self.inst.edge_between(x, y)
-        if found is None:
-            raise LookupError(f"no edge {x!r}-{y!r}")
-        idx, x_is_a = found
-        return self.symbol(idx, t, FWD if x_is_a else BWD)
+        idx, direction = self.inst.slot(x, y)
+        return self.symbol(idx, t, direction)
 
 
 # Total trie nodes one Engine stores (about 100 bytes each on CPython 3.11);
@@ -613,9 +610,8 @@ def make_routing_code(
     slots: dict[SlotKey, list[tuple[int, int]]] = {}
     for ridx, route in enumerate(routes):
         for hop, (x, y) in enumerate(zip(route.nodes, route.nodes[1:])):
-            idx, x_is_a = inst.edge_between(x, y)
-            key = (idx, route.rounds[hop], FWD if x_is_a else BWD)
-            slots.setdefault(key, []).append((ridx, hop))
+            idx, direction = inst.slot(x, y)
+            slots.setdefault((idx, route.rounds[hop], direction), []).append((ridx, hop))
 
     def slot_radices(key: SlotKey) -> tuple[int, ...]:
         return tuple(sizes[routes[ridx].source] for ridx, _ in slots[key])
@@ -640,8 +636,8 @@ def make_routing_code(
             return state.message(route.source)
         x, y = route.nodes[hop - 1], route.nodes[hop]
         prev_t = route.rounds[hop - 1]
-        idx, x_is_a = inst.edge_between(x, y)
-        prev_key = (idx, prev_t, FWD if x_is_a else BWD)
+        idx, direction = inst.slot(x, y)
+        prev_key = (idx, prev_t, direction)
         symbol = state.recv(x, prev_t)
         digits = split_digits(symbol, slot_radices(prev_key))
         return digits[slots[prev_key].index((ridx, hop - 1))]

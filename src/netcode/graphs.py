@@ -75,6 +75,14 @@ class NetworkInstance:
         """(edge index, x is the 'a' endpoint) for the edge {x, y}, if any."""
         return self._pair_index.get((x, y))
 
+    def slot(self, sender: str, receiver: str) -> tuple[int, str]:
+        """(edge index, direction) of the slot sender -> receiver; LookupError if none."""
+        found = self._pair_index.get((sender, receiver))
+        if found is None:
+            raise LookupError(f"no edge {sender!r}-{receiver!r}")
+        idx, sender_is_a = found
+        return idx, FWD if sender_is_a else BWD
+
     def has_edge(self, x: str, y: str) -> bool:
         return (x, y) in self._pair_index
 

@@ -14,7 +14,6 @@ forever.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -232,7 +231,8 @@ def rate_region_micro(
     Feasibility of a size tuple is decided by exhaustive code search with
     two sound reductions: output symbols of each slot are canonicalized
     up to relabeling, and size tuples violating a cut-capacity count are
-    rejected without search.
+    rejected without search.  limits.max_ops counts every size tuple tried
+    and every slot function enumerated.
     """
     limits = limits or RegionLimits()
     if len(inst.edges) > limits.max_edges:
@@ -259,13 +259,10 @@ def rate_region_micro(
     feasible: list[tuple[int, ...]] = []
     infeasible: list[tuple[int, ...]] = []
 
-    candidates = sorted(
-        itertools.product(size_options, repeat=k), key=lambda s: (math.prod(s), s)
-    )
-    for sizes in candidates:
-        if any(all(s <= f for s, f in zip(sizes, known)) for known in feasible):
-            feasible.append(sizes)
-            continue
+    # Ascending lexicographic order extends the componentwise order, so
+    # every tuple below `sizes` has been decided before it.
+    for sizes in itertools.product(size_options, repeat=k):
+        budget.spend()
         if any(all(s >= g for s, g in zip(sizes, known)) for known in infeasible):
             infeasible.append(sizes)
             continue

@@ -266,10 +266,7 @@ def _simulated_side_code(
             return state.message(side_pos[i]) if i in side_pos else fixing[i]
 
         def recv(sender, t):
-            found = inst.edge_between(sender, node)
-            if found is None:
-                raise LookupError(f"no edge {sender!r}-{node!r}")
-            oi, sender_is_a = found
+            oi, direction = inst.slot(sender, node)
             if oi != e_idx and sender in side:
                 return state.recv(sender, t)
             while len(sim) < t:
@@ -277,7 +274,7 @@ def _simulated_side_code(
                 sim.append({})
                 for key, enc, tail in replayed.get(r, ()):
                     sim[r - 1][key] = enc(view(state, tail, r - 1, sim))
-            return sim[t - 1].get((oi, FWD if sender_is_a else BWD), 0)
+            return sim[t - 1].get((oi, direction), 0)
 
         return StateView(node, horizon, message, recv)
 
@@ -382,11 +379,9 @@ def host_path_code(
     )
     for s_idx, se in fresh_last:
         for sender, node, s_dir in ((se.a, se.b, FWD), (se.b, se.a, BWD)):
-            h_idx, sender_is_a = host_inst.edge_between(
-                to_host.get(sender, sender), to_host.get(node, node)
-            )
+            h_idx, h_dir = host_inst.slot(to_host.get(sender, sender), to_host.get(node, node))
             host_edge[s_idx] = h_idx
-            layout = parts.setdefault((h_idx, FWD if sender_is_a else BWD), [])
+            layout = parts.setdefault((h_idx, h_dir), [])
             part_of[(sender, node)] = (layout, len(layout))
             layout.append((sender, s_idx, s_dir))
 

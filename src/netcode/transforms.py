@@ -37,29 +37,22 @@ from .codes import (
 from .errors import (
     AlphabetInclusionFails,
     AlphabetTooSmallForRS,
+    BadPath,
     BadPathInstance,
     DistanceTooSmall,
     EdgeMissing,
     EnumerationTooLarge,
+    InteriorNodeCollision,
     MalformedDocument,
     NonPositiveScale,
     NotInterleaved,
     SeedSearchFailed,
 )
-from .graphs import BWD, FWD, NetworkInstance
+from .graphs import BWD, FWD, NetworkInstance, replace_edge_with_path
 from .rational import ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
 
 
 _REVERSE = {FWD: BWD, BWD: FWD}
-
-
-def _slot_size(code: NetworkCode, inst: NetworkInstance, sender: str, node: str, t: int) -> int:
-    """Alphabet size of the directional slot sender -> node at round t."""
-    found = inst.edge_between(sender, node)
-    if found is None:
-        raise LookupError(f"no edge {sender!r}-{node!r}")
-    idx, sender_is_a = found
-    return code.splits.size(idx, t, FWD if sender_is_a else BWD)
 
 
 # ------------------------------------------------------------------ sessions
@@ -113,7 +106,8 @@ def _pack_sessions(
                     return state.recv(sender, (t - 1) * count + j + 1)
                 parts = symbols.get((sender, t))
                 if parts is None:
-                    radix = _slot_size(code, inst, sender, node, t)
+                    idx, direction = inst.slot(sender, node)
+                    radix = code.splits.size(idx, t, direction)
                     parts = symbols[(sender, t)] = split_digits(
                         state.recv(sender, t), (radix,) * count
                     )
@@ -473,61 +467,6 @@ def interleave(code: NetworkCode, inst: NetworkInstance) -> NetworkCode:
 
 # -------------------------------------------------------------- pipeline_path
 
-def _match_path_instance(
-    inst: NetworkInstance, u: str, v: str, path_inst: NetworkInstance, lam: Fraction
-) -> tuple[str, ...]:
-    """Validate path_inst = inst with edge {u,v} replaced by a fresh path.
-
-    Returns the path node sequence from u to v.
-    """
-    if (
-        path_inst.sources != inst.sources
-        or path_inst.terminals != inst.terminals
-        or path_inst.demand != inst.demand
-    ):
-        raise BadPathInstance("sources/terminals/demand differ")
-    fresh = [w for w in path_inst.vertices if w not in set(inst.vertices)]
-    if set(path_inst.vertices) != set(inst.vertices) | set(fresh):
-        raise BadPathInstance("original vertices missing")
-
-    old_pairs = {
-        frozenset((e.a, e.b)): e.cap for e in inst.edges if {e.a, e.b} != {u, v}
-    }
-    extra = []
-    for e in path_inst.edges:
-        key = frozenset((e.a, e.b))
-        if key in old_pairs:
-            if old_pairs.pop(key) != e.cap:
-                raise BadPathInstance(f"capacity changed on edge {e.a!r}-{e.b!r}")
-        else:
-            extra.append(e)
-    if old_pairs:
-        raise BadPathInstance(f"edges missing from path instance: {sorted(old_pairs)}")
-
-    adjacency: dict[str, list[str]] = {}
-    for e in extra:
-        if e.cap != lam:
-            raise BadPathInstance(
-                f"path edge {e.a!r}-{e.b!r} has cap {e.cap}, expected {lam}"
-            )
-        adjacency.setdefault(e.a, []).append(e.b)
-        adjacency.setdefault(e.b, []).append(e.a)
-
-    path = [u]
-    prev = None
-    while path[-1] != v:
-        nxt = [w for w in adjacency.get(path[-1], ()) if w != prev]
-        if len(nxt) != 1:
-            raise BadPathInstance("replacement edges do not form a simple u-v path")
-        prev = path[-1]
-        path.append(nxt[0])
-        if len(path) > len(path_inst.vertices):
-            raise BadPathInstance("replacement edges do not form a simple u-v path")
-    if set(path[1:-1]) != set(fresh) or len(extra) != len(path) - 1:
-        raise BadPathInstance("replacement edges do not form a simple u-v path")
-    return tuple(path)
-
-
 def pipeline_path(
     tilde: NetworkCode,
     inst: NetworkInstance,
@@ -538,9 +477,13 @@ def pipeline_path(
 ) -> NetworkCode:
     """Re-route edge {u, v} of an interleaved code over an ell-node path.
 
+    path_inst must be replace_edge_with_path(inst, u, v, path, fresh=True)
+    for path = (u, *fresh, v), fresh being the vertices path_inst lists
+    after inst's; anything else raises BadPathInstance.
+
     Sub-blocks widen from N to N+ell steps.  Within sub-block i, the j-th
-    forward symbol of the removed edge leaves u at offset j and reaches v
-    after ell-1 hops at offset j+ell-2; backward symbols mirror this.  A
+    symbol the removed edge carries from u leaves u at offset j and reaches
+    v after ell-1 hops at offset j+ell-2; symbols from v mirror this.  A
     symbol produced in sub-block i is therefore delivered inside sub-block
     i, and the interleave property guarantees nobody needs it before
     sub-block i+1.  Non-path edges replay their sub-block schedule in the
@@ -557,16 +500,20 @@ def pipeline_path(
     if found is None:
         raise EdgeMissing(f"no edge {u!r}-{v!r}")
     e_idx, u_is_a = found
-    if not u_is_a:
-        u, v = v, u  # normalize to the stored orientation; fwd runs u -> v
-        e_idx, u_is_a = inst.edge_between(u, v)
-    lam = inst.edges[e_idx].cap
 
     if ell < 2:
         raise BadPathInstance("path needs at least two nodes")
-    path = _match_path_instance(inst, u, v, path_inst, lam)
+    path = (u, *path_inst.vertices[len(inst.vertices):], v)
     if len(path) != ell:
         raise BadPathInstance(f"path has {len(path)} nodes, expected ell={ell}")
+    try:
+        laid_out = replace_edge_with_path(inst, u, v, path, fresh=True)
+    except (BadPath, InteriorNodeCollision) as exc:
+        raise BadPathInstance(str(exc)) from exc
+    if laid_out != path_inst:
+        raise BadPathInstance(
+            f"path instance is not edge {u!r}-{v!r} replaced by the fresh path {list(path)}"
+        )
 
     # constant split per sub-block on the removed edge (the property the
     # schedule below relies on)
@@ -580,28 +527,14 @@ def pipeline_path(
     width = nb + ell
     out_n = nb * width
 
-    # map every path_inst edge back to the tilde code's edge table
-    base_of: dict[int, tuple[int, bool]] = {}  # path edge idx -> (tilde idx, flipped)
-    path_pos: dict[int, tuple[int, bool]] = {}  # path edge idx -> (r, along_path)
-    for p_idx, e in enumerate(path_inst.edges):
-        hit = None
-        for r in range(len(path) - 1):
-            if {e.a, e.b} == {path[r], path[r + 1]}:
-                hit = (r + 1, e.a == path[r])
-                break
-        if hit is not None:
-            path_pos[p_idx] = hit
-        else:
-            idx, same_a = inst.edge_between(e.a, e.b)
-            base_of[p_idx] = (idx, not same_a)
-
     def tilde_time(i: int, j: int) -> int:
         return (i - 1) * nb + j
 
     def pipe_time(i: int, j: int) -> int:
         return (i - 1) * width + j
 
-    # direction of the removed edge -> its path nodes in travel order
+    # Path hop k (0-based) is path_inst edge m-1+k, stored path[k] ->
+    # path[k+1]: a hop direction -> the path nodes in that travel order.
     travel = {FWD: path, BWD: path[::-1]}
     # (receiving end, original sender) -> the last path hop's sender
     last_hop = {(nodes[-1], nodes[0]): nodes[-2] for nodes in travel.values()}
@@ -633,40 +566,40 @@ def pipeline_path(
     split_table: dict[tuple[int, int], tuple[int, int]] = {}
     encoders = {}
 
-    for p_idx in range(len(path_inst.edges)):
-        if p_idx in path_pos:
-            continue
-        t_idx, flipped = base_of[p_idx]
+    # path_inst edge p < m-1 is tilde edge p, or p+1 past the removed edge,
+    # stored the same way round
+    m = len(inst.edges)
+    for p_idx in range(m - 1):
+        t_idx = p_idx + (p_idx >= e_idx)
         for i in range(1, nb + 1):
             for j in range(1, nb + 1):
                 tt = tilde_time(i, j)
                 shape = tilde.splits.shape(t_idx, tt)
-                if flipped:
-                    shape = (shape[1], shape[0])
                 if shape != (1, 1):
                     split_table[(p_idx, pipe_time(i, j))] = shape
                 for direction in (FWD, BWD):
-                    base_dir = _REVERSE[direction] if flipped else direction
-                    base_enc = tilde.encoders.get((t_idx, tt, base_dir))
+                    base_enc = tilde.encoders.get((t_idx, tt, direction))
                     if base_enc is not None:
                         encoders[(p_idx, pipe_time(i, j), direction)] = replay(base_enc, tt - 1)
 
-    # Path hop r joins path[r-1] and path[r].  The removed edge's symbols
-    # in direction d cross it as hop h of their trip, and the j-th symbol
-    # of sub-block i crosses hop h at offset j+h-1: the first hop runs the
-    # tilde encoder, later hops relay what arrived one round earlier.
-    for p_idx, (r, along) in path_pos.items():
+    # The removed edge's symbols in direction d cross path hop k as hop h
+    # of their trip, and the j-th symbol of sub-block i crosses it at
+    # offset j+h-1: the first hop runs the tilde encoder, later hops relay
+    # what arrived one round earlier.  d is the hop's own direction when u
+    # is the removed edge's stored a end, the reverse one otherwise.
+    for k in range(ell - 1):
+        p_idx = m - 1 + k
         for i in range(1, nb + 1):
             shape = e_shapes[i - 1]
             if shape != (1, 1):
                 for o in range(1, width + 1):
-                    split_table[(p_idx, pipe_time(i, o))] = shape if along else shape[::-1]
+                    split_table[(p_idx, pipe_time(i, o))] = shape if u_is_a else shape[::-1]
             for base_dir, size in zip((FWD, BWD), shape):
                 if size == 1:
                     continue
-                nodes = travel[base_dir]
-                hop = r if base_dir == FWD else ell - r
-                direction = base_dir if along else _REVERSE[base_dir]
+                direction = base_dir if u_is_a else _REVERSE[base_dir]
+                nodes = travel[direction]
+                hop = k + 1 if direction == FWD else ell - 1 - k
                 for o in range(1, width + 1):
                     j = o - hop + 1
                     if not 1 <= j <= nb:
@@ -757,8 +690,8 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
 
     def old_view(state, horizon: int):
         def recv(sender, t):
-            idx, sender_is_a = inst.edge_between(sender, state.node)
-            key = (idx, t, FWD if sender_is_a else BWD)
+            idx, direction = inst.slot(sender, state.node)
+            key = (idx, t, direction)
             b = radix.get(key, 1)
             digits = [state.recv(sender, (t - 1) * m + s) for s in range(1, m + 1)]
             # When b**m exceeds the old size, some digit tuples are never

@@ -83,6 +83,10 @@ def test_edge_lookups():
     assert inst.edge_between("a", "b") == (0, True)
     assert inst.edge_between("b", "a") == (0, False)
     assert inst.edge_between("a", "c") is None
+    assert inst.slot("a", "b") == (0, nc.FWD)
+    assert inst.slot("b", "a") == (0, nc.BWD)
+    with pytest.raises(LookupError):
+        inst.slot("a", "c")
     assert sorted(inst.neighbors("b")) == ["a", "c"]
     assert inst.sources_at("a") == (0,)
     assert inst.demanded_at(0) == (0,)

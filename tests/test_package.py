@@ -201,3 +201,40 @@ def test_no_float_code_outside_the_allowlist():
 ])
 def test_float_guard_flags(source, flagged):
     assert bool(float_sites(ast.parse(source))) == flagged
+
+
+def _bare_name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def orientation_sites(tree) -> list[tuple[int, str]]:
+    """(line, source) of every `FWD if <flag> else BWD` in the tree: a
+    direction derived by hand instead of by NetworkInstance.slot."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.IfExp)
+        and _bare_name(node.body) == "FWD"
+        and _bare_name(node.orelse) == "BWD"
+    ]
+
+
+def test_slot_direction_is_derived_in_graphs_only():
+    found = []
+    for path in sorted((SRC / "netcode").glob("*.py")):
+        if path.name != "graphs.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, *site) for site in orientation_sites(tree)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("d = FWD if is_a else BWD", True), ("d = nc.FWD if is_a else nc.BWD", True),
+    ("d = BWD if d == FWD else FWD", False),
+])
+def test_orientation_guard_flags(source, flagged):
+    assert bool(orientation_sites(ast.parse(source))) == flagged

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from netcode.region import _rgs_exact
 
 from conftest import (
     cycle4,
+    inst_doc,
     line3,
+    make,
     pair_at_one_node,
     single_edge,
     single_edge_cap2,
@@ -114,3 +117,17 @@ def test_region_limit_guards():
         nc.rate_region_micro(single_edge_cap2(), 1, 1)
     with pytest.raises(EnumerationTooLarge):
         nc.rate_region_micro(line3(), 1, 2, nc.RegionLimits(max_ops=10))
+
+
+def test_region_budget_bounds_the_size_sweep():
+    # five sources on one edge: 11**5 size tuples up to 1024, one op allowed
+    inst = make(inst_doc("ab", [("a", "b", "1")], ["a"] * 5, ["b"], [[1]] * 5))
+    limits = nc.RegionLimits(max_message_size=1024, max_ops=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLarge):
+            nc.rate_region_micro(inst, 1, 1, limits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

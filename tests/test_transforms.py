@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -394,6 +395,18 @@ def test_pipeline_path_validates_path_instance():
     })
     with pytest.raises(BadPathInstance):
         nc.pipeline_path(tilde, inst, "a", "c", wrong, 3)
+    # the same graph laid out otherwise than replace_edge_with_path does:
+    # edges reordered, the first hop stored p1 -> a, vertices reordered
+    hop = nc.Edge("a", "p1", Fraction(1))
+    assert path_inst.edges[-2] == hop
+    for variant in (
+        replace(path_inst, edges=path_inst.edges[::-1]),
+        replace(path_inst, edges=path_inst.edges[:-2] + (hop._replace(a="p1", b="a"),)
+                + path_inst.edges[-1:]),
+        replace(path_inst, vertices=path_inst.vertices[::-1]),
+    ):
+        with pytest.raises(BadPathInstance):
+            nc.pipeline_path(tilde, inst, "a", "c", variant, 3)
 
 
 # ----------------------------------------------------------------- scale_code
