@@ -13,11 +13,13 @@ multiply to at most floor(2**(cap*n)).
 
 An Engine runs a code on many message tuples and caches every encoder and
 decoder by the values it read; it also fills serialize's tables, so every
-consumer of a code reads execution state through its one guarded view.
-The contract this relies on: an encoder or decoder is a deterministic
-function of what it reads through its StateView (its messages and
-received symbols, plus the view's node and time).  A map with hidden
-state or randomness falls outside the contract.
+consumer of a code reads execution state through its one guarded view.  The
+contract this relies on: an encoder or decoder is a deterministic function
+of what it reads through its StateView (its messages and received symbols,
+plus the view's node and time).  A map with hidden state or randomness
+falls outside the contract.  An exhaustive check first runs each slot and
+decoder on only the messages it reads: if none raises or misdecodes, no
+tuple fails; otherwise, or past one leaf per tuple, every tuple runs.
 """
 
 from __future__ import annotations
@@ -172,6 +174,10 @@ class ExecutionTrace:
         return self.symbol(idx, t, direction)
 
 
+class _Unset(Exception):
+    """Read of a state position (args[0]) that a sliced walk has not set."""
+
+
 # Total trie nodes one Engine stores (about 100 bytes each on CPython 3.11);
 # past it, a miss runs uncached.
 TRIE_NODE_CAP = 1 << 17
@@ -208,6 +214,16 @@ def _output_check(j: int, demanded: Sequence[int], sizes: Sequence[int]) -> Call
     return check
 
 
+def _missing_decoder(j: int, node: str, demanded: Sequence[int]) -> Callable:
+    """The map that stands in for terminal j's absent decoder."""
+    def decoder(view):
+        if demanded:
+            raise MalformedDocument(f"missing decoder for terminal {j} ({node!r})")
+        return ()
+
+    return decoder
+
+
 class Engine:
     """Runs one code on one instance for any number of message tuples.
 
@@ -223,10 +239,11 @@ class Engine:
     A call replays the recorded reads against the state; on a miss it runs
     the real map on a recording StateView, so the guard checks every read
     a map makes, and a replayed read is one the guard passed at the same
-    horizon.  A read that raises is not recorded: it raises in every state.
-    The tries hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the
-    cap a miss runs uncached and nothing more is stored.  `_table` runs
-    one map the same way over every value of a tabulation domain.
+    horizon.  A read that raises is not recorded: it raises in every
+    state.  The tries hold at most TRIE_NODE_CAP nodes in all (`nodes`);
+    past the cap a miss runs uncached and nothing more is stored.
+    `_table` runs one map the same way over a tabulation domain, and
+    `_sliced_pass` over partial states (-1 marks unset).
     """
 
     def __init__(self, code: NetworkCode, inst: NetworkInstance):
@@ -242,10 +259,10 @@ class Engine:
         for idx, e in enumerate(inst.edges):
             self._inbound[e.b][e.a] = k + 2 * idx * n_out
             self._inbound[e.a][e.b] = k + (2 * idx + 1) * n_out
-        # (state position, memo); a memo is (map, node, horizon, check of
-        # fresh outputs, {None: trie root}), also kept by slot key and by
-        # terminal index
-        self._slots: list[tuple[int, tuple]] = []
+        # state position -> memo; a memo is (map, node, horizon, check of
+        # fresh outputs, {None: trie root}), also kept by slot key and, for
+        # decoders, by terminal index
+        self._slots: dict[int, tuple] = {}
         self._memos: dict[SlotKey | int, tuple] = {}
         for t in range(1, n_out + 1):
             for idx, e in enumerate(inst.edges):
@@ -262,14 +279,12 @@ class Engine:
                     check = _symbol_check(e, t, direction, size)
                     pos = k + (2 * idx + d) * n_out + t - 1
                     memo = self._memos[(idx, t, direction)] = (enc, tail, t - 1, check, {})
-                    self._slots.append((pos, memo))
-        self._decoders = []
+                    self._slots[pos] = memo
+        self._decoders: dict[int, tuple] = {}
         for j, node in enumerate(inst.terminals):
-            dec = code.decoders.get(j)
-            if dec is not None:
-                check = _output_check(j, inst.demanded_at(j), code.message_sizes)
-                dec = self._memos[j] = (dec, node, n_out, check, {})
-            self._decoders.append((j, node, dec))
+            dec = code.decoders.get(j) or _missing_decoder(j, node, inst.demanded_at(j))
+            check = _output_check(j, inst.demanded_at(j), code.message_sizes)
+            self._decoders[j] = self._memos[j] = (dec, node, n_out, check, {})
 
     def run(self, messages: Sequence[int]) -> list[int]:
         """The flat state of one execution on the message tuple."""
@@ -281,21 +296,13 @@ class Engine:
                 raise SymbolOutOfRange(f"message {i} value {m} outside [0, {size})")
         state = self._blank[:]
         state[:k] = messages
-        for pos, memo in self._slots:
+        for pos, memo in self._slots.items():
             state[pos] = self._call(memo, state)
         return state
 
     def decode(self, state: list[int]) -> dict[int, tuple[int, ...]]:
         """Decoded message tuples per terminal index, in demanded-source order."""
-        out: dict[int, tuple[int, ...]] = {}
-        for j, node, memo in self._decoders:
-            if memo is not None:
-                out[j] = self._call(memo, state)
-            elif self.inst.demanded_at(j):
-                raise MalformedDocument(f"missing decoder for terminal {j} ({node!r})")
-            else:
-                out[j] = ()
-        return out
+        return {j: self._call(memo, state) for j, memo in self._decoders.items()}
 
     def trace(self, state: list[int]) -> ExecutionTrace:
         """The ExecutionTrace of a state that `run` returned."""
@@ -321,6 +328,46 @@ class Engine:
             table.append(self._call(memo, state))
         return table
 
+    def _sliced_pass(self, spaces: Sequence[int], budget: int) -> bool:
+        """Whether every tuple below `spaces` runs clean and meets every
+        demand, decided per slot and decoder; False past `budget` leaves."""
+        state = [-1 if p < len(spaces) or p in self._slots else 0 for p in range(len(self._blank))]
+        sinks = [(pos, memo, ()) for pos, memo in self._slots.items()]
+        sinks += [(None, memo, self.inst.demanded_at(j)) for j, memo in self._decoders.items()]
+        left = [budget]  # each root walk sets message 0 to -1: all stay unset
+        return all(self._walk(sink, state, [sink[:2]], 0, -1, spaces, left) for sink in sinks)
+
+    def _walk(self, sink: tuple, state: list, stack: list, msg: int, value: int,
+              spaces: Sequence, left: list) -> bool:
+        """Whether `sink` runs clean on a copy of `state` with message `msg`
+        set to `value`, for every value of each unset message it then reads."""
+        state, stack = state[:], stack[:]
+        state[msg] = value
+        try:
+            while stack:
+                try:
+                    out = self._call(stack[-1][1], state)
+                except _Unset as need:
+                    if need.args[0] < len(spaces):
+                        raise
+                    stack.append((need.args[0], self._slots[need.args[0]]))
+                    continue
+                pos = stack.pop()[0]
+                if stack:
+                    state[pos] = out
+            for at, i in enumerate(sink[2]):
+                if state[i] < 0:
+                    raise _Unset(i)
+                if out[at] != state[i]:
+                    return False
+        except _Unset as need:  # no pending frame read this message
+            i, stack = need.args[0], stack or [sink[:2]]
+            return all(self._walk(sink, state, stack, i, v, spaces, left) for v in range(spaces[i]))
+        except Exception:
+            return False
+        left[0] -= 1
+        return left[0] >= 0
+
     def _call(self, memo: tuple, state: list[int]):
         """The map's output on `state`, from its trie when the reads match.
 
@@ -333,8 +380,20 @@ class Engine:
             found = found[1].get(state[found[0]])
         if found is not None:
             return found
+        found = top.get(None)
+        while type(found) is list:
+            if state[found[0]] < 0:
+                raise _Unset(found[0])
+            found = found[1].get(state[found[0]])
         reads: list[tuple[int, int]] = []
-        out = check(fn(self._view(node, time, state, reads)))
+        try:
+            out = check(fn(self._view(node, time, state, reads)))
+        except Exception:
+            if all(value >= 0 for _, value in reads):
+                raise
+        for pos, value in reads:  # a map that swallowed _Unset ran on an unset value
+            if value < 0:
+                raise _Unset(pos)
         if self.nodes + len(reads) < TRIE_NODE_CAP:
             nxt, key = top, None
             for pos, value in reads:
@@ -351,18 +410,22 @@ class Engine:
         """A guarded view of `state` that records each read it answers."""
         own, inbound = self._own[node], self._inbound[node]
 
+        def read(pos: int) -> int:
+            value = state[pos]
+            reads.append((pos, value))
+            if value < 0:
+                raise _Unset(pos)
+            return value
+
         def message(i: int) -> int:
             if i not in own:
                 raise KeyError(f"node {node!r} holds no message {i}")
-            reads.append((i, state[i]))
-            return state[i]
+            return read(i)
 
         def recv(sender: str, t: int) -> int:
             if sender not in inbound:
                 raise LookupError(f"no edge {sender!r}-{node!r}")
-            pos = inbound[sender] + t - 1
-            reads.append((pos, state[pos]))
-            return state[pos]
+            return read(inbound[sender] + t - 1)
 
         return StateView(node, time, message, recv)
 
@@ -489,10 +552,11 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Measure the code's error probability under uniform messages.
 
-    Exhaustive mode enumerates the whole product message space (error is
-    exact; this is the only mode that certifies zero error).  Sampled mode
-    draws seeded uniform tuples and reports a Clopper-Pearson interval
-    alongside the point estimate.
+    Exhaustive mode covers the whole product message space (error is exact;
+    this is the only mode that certifies zero error); a sliced pass (module
+    docstring) settles a correct code without running its tuples, but
+    `limit` still counts them.  Sampled mode draws seeded uniform tuples and
+    reports a Clopper-Pearson interval with its estimate.
 
     When `rates` is given, source i is checked over the first
     floor(2**(R_i*N*n)) messages; the code must have at least that many.
@@ -532,6 +596,8 @@ def check_feasibility(
         raise ValueError(f"unknown mode {mode!r}")
 
     engine = Engine(code, inst)
+    if mode == "exhaustive" and engine._sliced_pass(spaces, total):
+        tuples = ()
     failing: list[tuple[int, ...]] = []
     failures = 0
     for tup in tuples:

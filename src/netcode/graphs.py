@@ -61,6 +61,7 @@ class NetworkInstance:
 
     # derived lookup tables, filled in __post_init__
     _pair_index: dict = field(init=False, repr=False, compare=False)
+    _demanded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = {}
@@ -68,6 +69,9 @@ class NetworkInstance:
             pairs[(e.a, e.b)] = (idx, True)
             pairs[(e.b, e.a)] = (idx, False)
         object.__setattr__(self, "_pair_index", pairs)
+        object.__setattr__(self, "_demanded", tuple(
+            tuple(i for i in range(len(self.sources)) if self.demand[i][j])
+            for j in range(len(self.terminals))))
 
     # ------------------------------------------------------------- lookups
 
@@ -100,7 +104,7 @@ class NetworkInstance:
 
     def demanded_at(self, j: int) -> tuple[int, ...]:
         """Source indices demanded by terminal j, ascending."""
-        return tuple(i for i in range(len(self.sources)) if self.demand[i][j])
+        return self._demanded[j]
 
     def to_doc(self) -> dict:
         """Plain-JSON document form (capacities as canonical strings)."""

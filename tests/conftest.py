@@ -145,13 +145,14 @@ def clamp_code(inst, sender, receiver, n, outer_n, send_round, size=4):
 def path_chain(n_rounds, inst=None):
     """interleave -> pipeline_path -> host_path_code -> scale_code on
     cycle4 (or `inst`, whose widest a-c path is a-b-c) with probe a-c,
-    built the way edge_removal_report builds it."""
+    built the way edge_removal_report builds it.  Each base route sends
+    one bit (n=1, one round), so both base messages have two values."""
     inst = cycle4() if inst is None else inst
     aug = nc.add_edge(inst, "a", "c", Fraction(1))
     base = nc.make_routing_code(
         aug,
         [nc.Route(0, 0, ("a", "c"), (1,)), nc.Route(1, 1, ("c", "a"), (2,))],
-        1, n_rounds, [2 ** (n_rounds // 2), 2 ** (n_rounds // 2)],
+        1, n_rounds, [2, 2],
     )
     bound = nc.path_case_bound(inst, "a", "c", Fraction(1))
     path = list(bound.path.nodes)

@@ -6,25 +6,34 @@ requires every trace, decoded output and feasibility report to equal the
 reference's (tests/reference_exec.py).
 """
 
+import gc
+import itertools
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import netcode as nc
 from netcode import codes
 from netcode.codes import Engine
-from netcode.errors import SymbolOutOfRange
+from netcode.errors import CapacityOverflow, SymbolOutOfRange
 
 import reference_exec as ref
 from conftest import (
+    all_simple_paths,
     clamp_code,
+    cycle4,
     identity_suite,
     inst_doc,
+    line3,
     make,
     pair_at_one_node,
     path_chain,
     single_edge,
+    star3,
+    two_way,
 )
 
 
@@ -254,3 +263,287 @@ def test_tabulation_checks_symbols_no_execution_sends():
     assert nc.check_feasibility(code, inst).failures == 1
     with pytest.raises(SymbolOutOfRange):
         nc.code_to_doc(code, inst)
+
+
+# ------------------------------------------------------------ sliced pass
+#
+# An exhaustive check first walks each slot and decoder over only the
+# messages it reads (`Engine._sliced_pass`); the joint loop runs only when
+# that walk does not prove every tuple correct.  Every report, failing
+# tuples and raised errors included, must equal the reference's.
+
+def outcome(fn):
+    """The call's result, or the type and text of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the comparison covers every error
+        return type(exc), str(exc)
+
+
+def count_runs(monkeypatch):
+    """Count Engine.run calls: the joint loop runs one per tuple."""
+    calls = []
+    run = Engine.run
+
+    def counted(self, messages):
+        calls.append(tuple(messages))
+        return run(self, messages)
+
+    monkeypatch.setattr(Engine, "run", counted)
+    return calls
+
+
+def rates_for(code, bits):
+    """Rates that check source i over its first 2**bits[i] messages."""
+    scale = code.outer_n * code.inner_n
+    return [Fraction(b, scale) for b in bits]
+
+
+def shrunk_bits(data, code):
+    """None, or per source a bit count at most the code's (for `rates`)."""
+    if not data.draw(st.booleans(), label="with rates"):
+        return None
+    return [data.draw(st.integers(0, s.bit_length() - 1), label="bits")
+            for s in code.message_sizes]
+
+
+def faulty(data, code, inst):
+    """The code, or the code with one decoder wrong on one decoded value
+    or one encoder out of range on one output value."""
+    kind = data.draw(st.sampled_from(["none", "decoder", "encoder"]), label="fault")
+    if kind == "decoder" and code.decoders:
+        j = data.draw(st.sampled_from(sorted(code.decoders)), label="terminal")
+        sizes = [code.message_sizes[i] for i in inst.demanded_at(j)]
+        bad = data.draw(st.integers(0, max(sizes) - 1), label="bad value")
+        dec = code.decoders[j]
+
+        def wrong(view):
+            out = dec(view)
+            return tuple((x + 1) % s if x == bad else x for x, s in zip(out, sizes))
+
+        return replace(code, decoders={**code.decoders, j: wrong})
+    if kind == "encoder" and code.encoders:
+        key = data.draw(st.sampled_from(sorted(code.encoders)), label="slot")
+        size = code.splits.size(*key)
+        bad = data.draw(st.integers(0, size - 1), label="bad symbol")
+        enc = code.encoders[key]
+
+        def off(view):
+            out = enc(view)
+            return size if out == bad else out
+
+        return replace(code, encoders={**code.encoders, key: off})
+    return code
+
+
+ROUTED = [two_way(), pair_at_one_node(), star3(), line3(), cycle4()]
+
+
+def routing_code(data):
+    """A store-and-forward code on a micro instance.  Some demands get no
+    route, so their decoder answers 0 without reading the message."""
+    inst = data.draw(st.sampled_from(ROUTED), label="instance")
+    outer_n = data.draw(st.integers(2, 4), label="N")
+    sizes = [data.draw(st.sampled_from([1, 2, 4, 8]), label="size") for _ in inst.sources]
+    routes = []
+    for i, j in itertools.product(range(len(inst.sources)), range(len(inst.terminals))):
+        if not inst.demand[i][j] or not data.draw(st.booleans(), label="routed"):
+            continue
+        paths = all_simple_paths(inst, inst.sources[i], inst.terminals[j])
+        nodes = data.draw(st.sampled_from(paths), label="path")
+        rounds = sorted(data.draw(st.sets(
+            st.integers(1, outer_n), min_size=len(nodes) - 1, max_size=len(nodes) - 1),
+            label="rounds"))
+        routes.append(nc.Route(i, j, nodes, tuple(rounds)))
+    try:
+        return inst, nc.make_routing_code(inst, routes, 3, outer_n, sizes)
+    except CapacityOverflow:
+        assume(False)
+
+
+CHAINS = {n: path_chain(n) for n in (2, 3, 4)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_sliced_reports_match_reference(data):
+    source = data.draw(st.sampled_from(["routing", "table", "chain"]), label="source")
+    if source == "chain":
+        stages = CHAINS[data.draw(st.sampled_from(sorted(CHAINS)), label="N")]
+        _, inst, code = data.draw(st.sampled_from(stages), label="stage")
+    else:
+        inst, code = routing_code(data)
+        if source == "table":
+            code, _ = nc.load_code(nc.code_to_doc(code, inst), inst)
+    code = faulty(data, code, inst)
+    bits = shrunk_bits(data, code)
+    rates = None if bits is None else rates_for(code, bits)
+    want = outcome(lambda: ref.check_feasibility(code, inst, rates=rates))
+    assert outcome(lambda: nc.check_feasibility(code, inst, rates=rates)) == want
+    # with no leaf budget the walk alone says whether every tuple is correct
+    clean = isinstance(want, codes.FeasibilityReport) and want.failures == 0
+    spaces = code.message_sizes if bits is None else [2 ** b for b in bits]
+    assert Engine(code, inst)._sliced_pass(spaces, 10 ** 9) == clean
+
+
+def test_sliced_pass_settles_the_path_chain(monkeypatch):
+    # each terminal of the final N=5 chain code reads one message, so its
+    # sinks need 716 leaves in all, within the 1,024-tuple budget: no
+    # tuple runs
+    _, inst, code = path_chain(5)[-1]
+    runs = count_runs(monkeypatch)
+    report = nc.check_feasibility(code, inst)
+    assert (report.trials, report.failures, report.failing) == (32 * 32, 0, ())
+    assert report.passed and report.certified and runs == []
+
+
+def full_cone_code(wrong_at=None):
+    """a sends both its messages at round 1 as one symbol, and b decodes
+    each from it: every slot and decoder reads every message.  With
+    `wrong_at`, terminal 1 decodes that symbol wrong."""
+    inst = pair_at_one_node()
+
+    def decoder(j):
+        def dec(view):
+            symbol = view.recv("a", 1)
+            if j == 1 and symbol == wrong_at:
+                return (1 - symbol % 2,)
+            return (symbol // 2 if j == 0 else symbol % 2,)
+        return dec
+
+    return inst, nc.NetworkCode(
+        inner_n=2, outer_n=1, message_sizes=(2, 2),
+        splits=nc.AlphabetSplit({(0, 1): (4, 1)}),
+        encoders={(0, 1, nc.FWD): lambda view: 2 * view.message(0) + view.message(1)},
+        decoders={0: decoder(0), 1: decoder(1)},
+    )
+
+
+def test_full_cone_code_falls_back_within_its_budget(monkeypatch):
+    # three sinks of four leaves each pass the four-tuple budget
+    for wrong_at in (None, 3):
+        inst, code = full_cone_code(wrong_at)
+        want = ref.check_feasibility(code, inst)
+        runs = count_runs(monkeypatch)
+        assert nc.check_feasibility(code, inst) == want
+        assert len(runs) == 4
+        assert want.failures == (wrong_at is not None)
+
+
+def test_one_failing_terminal_report_matches_reference():
+    inst = two_way()
+    base = nc.make_routing_code(
+        inst, [nc.Route(0, 0, ("a", "b"), (1,)), nc.Route(1, 1, ("b", "a"), (2,))],
+        2, 2, [4, 4])
+    dec = base.decoders[1]
+    code = replace(base, decoders={
+        **base.decoders, 1: lambda view: ((dec(view)[0] + 1) % 4 if dec(view)[0] == 2 else
+                                          dec(view)[0],)})
+    report = nc.check_feasibility(code, inst)
+    assert report == ref.check_feasibility(code, inst)
+    assert report.failures == 4
+    assert report.failing == ((0, 2), (1, 2), (2, 2), (3, 2))
+
+
+def test_decoder_that_reads_nothing_fails_where_its_guess_is_wrong():
+    # two sinks of one leaf each: the walk alone must find the failures
+    inst = single_edge()
+    code = nc.NetworkCode(
+        inner_n=2, outer_n=1, message_sizes=(4,),
+        splits=nc.AlphabetSplit({(0, 1): (4, 1)}),
+        encoders={(0, 1, nc.FWD): lambda view: 0}, decoders={0: lambda view: (1,)},
+    )
+    report = nc.check_feasibility(code, inst)
+    assert report == ref.check_feasibility(code, inst)
+    assert report.failing == ((0,), (2,), (3,))
+
+
+def test_unread_slot_out_of_range_still_raises():
+    # no decoder reads b's round-2 symbol, which leaves its alphabet at w=1
+    inst = single_edge()
+    code = nc.NetworkCode(
+        inner_n=2, outer_n=2, message_sizes=(2,),
+        splits=nc.AlphabetSplit({(0, 1): (2, 1), (0, 2): (1, 2)}),
+        encoders={
+            (0, 1, nc.FWD): lambda view: view.message(0),
+            (0, 2, nc.BWD): lambda view: 2 * view.recv("a", 1),
+        },
+        decoders={0: lambda view: (view.recv("a", 1),)},
+    )
+    got = outcome(lambda: nc.check_feasibility(code, inst))
+    assert got == outcome(lambda: ref.check_feasibility(code, inst))
+    assert got[0] is SymbolOutOfRange
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_read_chain_longer_than_the_recursion_limit(monkeypatch):
+    # message 0 ping-pongs between a and b for more rounds than the
+    # recursion limit allows frames; message 1 (512 values) is demanded by
+    # no one, so the walk's 2 leaves per sink fit the 1,024-tuple budget
+    limit = stack_depth() + 100
+    hops = limit + 21 - limit % 2  # odd: the route ends at b
+    inst = make(inst_doc("ab", [("a", "b", "1")], ["a", "a"], ["b"], [[1], [0]]))
+    nodes = tuple("ab"[h % 2] for h in range(hops + 1))
+    assert nodes[-1] == "b"
+    code = nc.make_routing_code(
+        inst, [nc.Route(0, 0, nodes, tuple(range(1, hops + 1)))], 1, hops, [2, 512])
+    runs = count_runs(monkeypatch)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        assert hops > sys.getrecursionlimit()
+        report = nc.check_feasibility(code, inst)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (report.trials, report.failures, report.failing) == (1024, 0, ())
+    assert report.passed and report.certified and runs == []
+
+
+def test_map_that_swallows_every_error():
+    # a's round-1 encoder reads message 0 inside a bare except, and leaves
+    # its alphabet at w=3; no decoder reads it, so only the slot's own
+    # leaves find that, and only if the swallowed read is not taken as
+    # the map's answer
+    inst = make(inst_doc("ab", [("a", "b", "1")], ["a", "a"], ["b"], [[0], [1]]))
+
+    def swallowing(view):
+        try:
+            w = view.message(0)
+        except:  # noqa: E722 - the case under test
+            w = 0
+        return 5 if w == 3 else w % 2
+
+    code = nc.NetworkCode(
+        inner_n=1, outer_n=2, message_sizes=(4, 2),
+        splits=nc.AlphabetSplit({(0, 1): (2, 1), (0, 2): (2, 1)}),
+        encoders={(0, 1, nc.FWD): swallowing, (0, 2, nc.FWD): lambda view: view.message(1)},
+        decoders={0: lambda view: (view.recv("a", 2),)},
+    )
+    got = outcome(lambda: nc.check_feasibility(code, inst))
+    assert got == outcome(lambda: ref.check_feasibility(code, inst))
+    assert got[0] is SymbolOutOfRange
+    engine = Engine(code, inst)
+    assert not engine._sliced_pass(code.message_sizes, 8)
+    for tup in itertools.product(range(4), range(2)):
+        want = outcome(lambda: ref.execute(code, inst, tup))
+        assert outcome(lambda: engine.trace(engine.run(tup))) == want
+
+
+def test_exhaustive_check_leaves_no_cyclic_garbage():
+    cases = [CHAINS[3][-1][1:], full_cone_code(3), full_cone_code()]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for inst, code in cases:
+            nc.check_feasibility(code, inst)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
