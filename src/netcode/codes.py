@@ -13,13 +13,12 @@ multiply to at most floor(2**(cap*n)).
 
 An Engine runs a code on many message tuples and caches every encoder and
 decoder by the values it read; it also fills serialize's tables, so every
-consumer of a code reads execution state through its one guarded view.  The
-contract this relies on: an encoder or decoder is a deterministic function
-of what it reads through its StateView (its messages and received symbols,
-plus the view's node and time).  A map with hidden state or randomness
-falls outside the contract.  An exhaustive check first runs each slot and
-decoder on only the messages it reads: if none raises or misdecodes, no
-tuple fails; otherwise, or past one leaf per tuple, every tuple runs.
+consumer of a code reads execution state through its one guarded view.
+The contract this relies on: an encoder or decoder is a deterministic
+function of what it reads through its StateView (its messages and
+received symbols, plus the view's node and time).  A map with hidden
+state or randomness falls outside the contract.  An exhaustive check first
+runs each map on only the messages it reads (see check_feasibility).
 """
 
 from __future__ import annotations
@@ -214,12 +213,10 @@ def _output_check(j: int, demanded: Sequence[int], sizes: Sequence[int]) -> Call
     return check
 
 
-def _missing_decoder(j: int, node: str, demanded: Sequence[int]) -> Callable:
-    """The map that stands in for terminal j's absent decoder."""
+def _missing_decoder(j: int, node: str) -> Callable:
+    """The map that stands in for the absent decoder of terminal j."""
     def decoder(view):
-        if demanded:
-            raise MalformedDocument(f"missing decoder for terminal {j} ({node!r})")
-        return ()
+        raise MalformedDocument(f"missing decoder for terminal {j} ({node!r})")
 
     return decoder
 
@@ -239,11 +236,10 @@ class Engine:
     A call replays the recorded reads against the state; on a miss it runs
     the real map on a recording StateView, so the guard checks every read
     a map makes, and a replayed read is one the guard passed at the same
-    horizon.  A read that raises is not recorded: it raises in every
-    state.  The tries hold at most TRIE_NODE_CAP nodes in all (`nodes`);
-    past the cap a miss runs uncached and nothing more is stored.
-    `_table` runs one map the same way over a tabulation domain, and
-    `_sliced_pass` over partial states (-1 marks unset).
+    horizon.  A read that raises is not recorded: it raises in every state.
+    The tries hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the
+    cap a miss runs uncached and nothing more is stored.  `_table` runs
+    one map over a tabulation domain, and `_walk` over partial states.
     """
 
     def __init__(self, code: NetworkCode, inst: NetworkInstance):
@@ -259,9 +255,8 @@ class Engine:
         for idx, e in enumerate(inst.edges):
             self._inbound[e.b][e.a] = k + 2 * idx * n_out
             self._inbound[e.a][e.b] = k + (2 * idx + 1) * n_out
-        # state position -> memo; a memo is (map, node, horizon, check of
-        # fresh outputs, {None: trie root}), also kept by slot key and, for
-        # decoders, by terminal index
+        # state position -> memo; a memo is (map, node, horizon, check of fresh
+        # outputs, {None: trie root}), also kept by slot key or terminal index
         self._slots: dict[int, tuple] = {}
         self._memos: dict[SlotKey | int, tuple] = {}
         for t in range(1, n_out + 1):
@@ -282,8 +277,10 @@ class Engine:
                     self._slots[pos] = memo
         self._decoders: dict[int, tuple] = {}
         for j, node in enumerate(inst.terminals):
-            dec = code.decoders.get(j) or _missing_decoder(j, node, inst.demanded_at(j))
-            check = _output_check(j, inst.demanded_at(j), code.message_sizes)
+            demanded, dec = inst.demanded_at(j), code.decoders.get(j)
+            if dec is None:
+                dec = _missing_decoder(j, node) if demanded else lambda view: ()
+            check = _output_check(j, demanded, code.message_sizes)
             self._decoders[j] = self._memos[j] = (dec, node, n_out, check, {})
 
     def run(self, messages: Sequence[int]) -> list[int]:
@@ -328,45 +325,50 @@ class Engine:
             table.append(self._call(memo, state))
         return table
 
-    def _sliced_pass(self, spaces: Sequence[int], budget: int) -> bool:
+    def _sliced_pass(self, spaces: Sequence[int], total: int) -> bool:
         """Whether every tuple below `spaces` runs clean and meets every
-        demand, decided per slot and decoder; False past `budget` leaves."""
-        state = [-1 if p < len(spaces) or p in self._slots else 0 for p in range(len(self._blank))]
-        sinks = [(pos, memo, ()) for pos, memo in self._slots.items()]
-        sinks += [(None, memo, self.inst.demanded_at(j)) for j, memo in self._decoders.items()]
-        left = [budget]  # each root walk sets message 0 to -1: all stay unset
-        return all(self._walk(sink, state, [sink[:2]], 0, -1, spaces, left) for sink in sinks)
+        demand, decided per decoder, then per slot; False once the walk has
+        made as many map calls as `total` joint tuples make."""
+        unset = [-1 if p < len(spaces) or p in self._slots else 0 for p in range(len(self._blank))]
+        sinks = [(memo, self.inst.demanded_at(j)) for j, memo in self._decoders.items()]
+        sinks += [(memo, ()) for memo in self._slots.values()]
+        budget = total * len(sinks)
+        for sink in sinks:
+            budget = self._walk(sink, unset[:], [], spaces, budget)
+            if budget < 0:
+                return False
+        return True
 
-    def _walk(self, sink: tuple, state: list, stack: list, msg: int, value: int,
-              spaces: Sequence, left: list) -> bool:
-        """Whether `sink` runs clean on a copy of `state` with message `msg`
-        set to `value`, for every value of each unset message it then reads."""
-        state, stack = state[:], stack[:]
-        state[msg] = value
-        try:
-            while stack:
-                try:
-                    out = self._call(stack[-1][1], state)
-                except _Unset as need:
-                    if need.args[0] < len(spaces):
-                        raise
-                    stack.append((need.args[0], self._slots[need.args[0]]))
+    def _walk(self, sink: tuple, state: list, pulls: list, spaces: Sequence, budget: int) -> int:
+        """The map calls left of `budget` once `sink` (memo, demanded messages)
+        runs clean, after the slots it waits on (`pulls`, innermost last), on
+        every completion of `state` in the messages it reads; -1 on a fault or
+        past the budget."""
+        while (budget := budget - 1) >= 0:
+            try:
+                out = self._call(self._slots[pulls[-1]] if pulls else sink[0], state)
+                if pulls:
+                    state[pulls.pop()] = out
                     continue
-                pos = stack.pop()[0]
-                if stack:
-                    state[pos] = out
-            for at, i in enumerate(sink[2]):
-                if state[i] < 0:
-                    raise _Unset(i)
-                if out[at] != state[i]:
-                    return False
-        except _Unset as need:  # no pending frame read this message
-            i, stack = need.args[0], stack or [sink[:2]]
-            return all(self._walk(sink, state, stack, i, v, spaces, left) for v in range(spaces[i]))
-        except Exception:
-            return False
-        left[0] -= 1
-        return left[0] >= 0
+                for at, i in enumerate(sink[1]):
+                    if state[i] < 0:
+                        raise _Unset(i)
+                    if out[at] != state[i]:
+                        return -1
+                return budget
+            except _Unset as need:
+                if need.args[0] >= len(spaces):
+                    pulls.append(need.args[0])
+                    continue
+                for value in range(spaces[need.args[0]]):
+                    state[need.args[0]] = value
+                    budget = self._walk(sink, state[:], pulls[:], spaces, budget)
+                    if budget < 0:
+                        break
+                return budget
+            except Exception:  # a map raised: the joint loop reports it
+                return -1
+        return budget
 
     def _call(self, memo: tuple, state: list[int]):
         """The map's output on `state`, from its trie when the reads match.
@@ -493,28 +495,18 @@ def clopper_pearson(failures: int, trials: int, tail: Fraction = Fraction(1, 40)
         raise ValueError("need 0 <= failures <= trials, trials >= 1")
     level = float(tail)
 
-    if failures == 0:
-        low = 0.0
-    else:
+    def bisect(below: Callable) -> tuple[float, float]:
+        """[lo, hi] after 60 halvings of [0, 1] toward where `below` turns False."""
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = (lo + hi) / 2
-            if _binom_tail_ge(failures, trials, mid) < level:
-                lo = mid
-            else:
-                hi = mid
-        low = lo
-    if failures == trials:
-        high = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if 1.0 - _binom_tail_ge(failures + 1, trials, mid) < level:
-                hi = mid
-            else:
-                lo = mid
-        high = hi
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return lo, hi
+
+    low = 0.0 if failures == 0 else bisect(
+        lambda p: _binom_tail_ge(failures, trials, p) < level)[0]
+    high = 1.0 if failures == trials else bisect(
+        lambda p: 1.0 - _binom_tail_ge(failures + 1, trials, p) >= level)[1]
 
     denom = 10 ** 6
     lower = Fraction(max(0, int(low * denom) - 1), denom)
@@ -553,10 +545,12 @@ def check_feasibility(
     """Measure the code's error probability under uniform messages.
 
     Exhaustive mode covers the whole product message space (error is exact;
-    this is the only mode that certifies zero error); a sliced pass (module
-    docstring) settles a correct code without running its tuples, but
-    `limit` still counts them.  Sampled mode draws seeded uniform tuples and
-    reports a Clopper-Pearson interval with its estimate.
+    this is the only mode that certifies zero error).  It first walks each
+    decoder, then each slot, over only the messages it reads; if none raises
+    or misdecodes, no tuple fails and none runs.  Otherwise, or once the walk
+    makes as many map calls as the tuples would, every tuple runs.  `limit`
+    still counts tuples.  Sampled mode draws seeded uniform tuples and
+    reports a Clopper-Pearson interval alongside the point estimate.
 
     When `rates` is given, source i is checked over the first
     floor(2**(R_i*N*n)) messages; the code must have at least that many.

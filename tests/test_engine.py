@@ -380,21 +380,45 @@ def test_sliced_reports_match_reference(data):
     rates = None if bits is None else rates_for(code, bits)
     want = outcome(lambda: ref.check_feasibility(code, inst, rates=rates))
     assert outcome(lambda: nc.check_feasibility(code, inst, rates=rates)) == want
-    # with no leaf budget the walk alone says whether every tuple is correct
+    # with an unbounded budget the walk alone says whether every tuple is
+    # correct
     clean = isinstance(want, codes.FeasibilityReport) and want.failures == 0
     spaces = code.message_sizes if bits is None else [2 ** b for b in bits]
     assert Engine(code, inst)._sliced_pass(spaces, 10 ** 9) == clean
 
 
-def test_sliced_pass_settles_the_path_chain(monkeypatch):
-    # each terminal of the final N=5 chain code reads one message, so its
-    # sinks need 716 leaves in all, within the 1,024-tuple budget: no
-    # tuple runs
-    _, inst, code = path_chain(5)[-1]
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sliced_pass_settles_the_path_chain(monkeypatch, n):
+    # each terminal of the final chain code reads one message, so the walk
+    # makes fewer map calls than the joint loop would (at N=2, 134 against
+    # 16 tuples of 22 maps each): no tuple runs
+    _, inst, code = (CHAINS[n] if n in CHAINS else path_chain(n))[-1]
     runs = count_runs(monkeypatch)
     report = nc.check_feasibility(code, inst)
-    assert (report.trials, report.failures, report.failing) == (32 * 32, 0, ())
+    assert (report.trials, report.failures, report.failing) == (4 ** n, 0, ())
     assert report.passed and report.certified and runs == []
+
+
+def test_a_wrong_decoder_ends_the_walk_before_any_slot_sink(monkeypatch):
+    # decoders are walked first, so a code that misdecodes at its first
+    # leaf falls back without walking a single slot
+    _, inst, code = CHAINS[3][-1]
+    dec, size = code.decoders[0], code.message_sizes[inst.demanded_at(0)[0]]
+
+    def wrong(view):
+        return tuple((x + 1) % size for x in dec(view))
+
+    code = replace(code, decoders={**code.decoders, 0: wrong})
+    sinks = []
+    walk = Engine._walk
+
+    def recorded(self, sink, *args):
+        sinks.append(sink[0][0])
+        return walk(self, sink, *args)
+
+    monkeypatch.setattr(Engine, "_walk", recorded)
+    assert nc.check_feasibility(code, inst) == ref.check_feasibility(code, inst)
+    assert sinks and set(sinks) == {wrong}
 
 
 def full_cone_code(wrong_at=None):
@@ -420,7 +444,8 @@ def full_cone_code(wrong_at=None):
 
 
 def test_full_cone_code_falls_back_within_its_budget(monkeypatch):
-    # three sinks of four leaves each pass the four-tuple budget
+    # decoder 0's walk spends the 12 map calls the four tuples make (three
+    # maps each), so the joint loop runs
     for wrong_at in (None, 3):
         inst, code = full_cone_code(wrong_at)
         want = ref.check_feasibility(code, inst)
@@ -446,7 +471,8 @@ def test_one_failing_terminal_report_matches_reference():
 
 
 def test_decoder_that_reads_nothing_fails_where_its_guess_is_wrong():
-    # two sinks of one leaf each: the walk alone must find the failures
+    # the decoder reads nothing, so only its comparison with the demanded
+    # message branches the walk; the joint loop then finds the failures
     inst = single_edge()
     code = nc.NetworkCode(
         inner_n=2, outer_n=1, message_sizes=(4,),
@@ -485,7 +511,8 @@ def stack_depth():
 def test_read_chain_longer_than_the_recursion_limit(monkeypatch):
     # message 0 ping-pongs between a and b for more rounds than the
     # recursion limit allows frames; message 1 (512 values) is demanded by
-    # no one, so the walk's 2 leaves per sink fit the 1,024-tuple budget
+    # no one, so no sink branches over it and the walk's map calls stay
+    # within the 1,024 tuples' budget
     limit = stack_depth() + 100
     hops = limit + 21 - limit % 2  # odd: the route ends at b
     inst = make(inst_doc("ab", [("a", "b", "1")], ["a", "a"], ["b"], [[1], [0]]))
