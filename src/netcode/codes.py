@@ -377,16 +377,13 @@ class Engine:
         the map reads next, {value read: subtree}]; outputs are ints or
         tuples, never lists or None."""
         fn, node, time, check, top = memo
-        found = top.get(None)
+        branch, found = None, top.get(None)
         while type(found) is list:
-            found = found[1].get(state[found[0]])
+            branch, found = found, found[1].get(state[found[0]])
         if found is not None:
             return found
-        found = top.get(None)
-        while type(found) is list:
-            if state[found[0]] < 0:
-                raise _Unset(found[0])
-            found = found[1].get(state[found[0]])
+        if branch is not None and state[branch[0]] < 0:  # -1 is never a key
+            raise _Unset(branch[0])
         reads: list[tuple[int, int]] = []
         try:
             out = check(fn(self._view(node, time, state, reads)))

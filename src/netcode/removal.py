@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -101,9 +102,8 @@ class SideDecomposition:
 
     vertices: tuple[str, ...]
     source_indices: tuple[int, ...]
-    terminal_indices: tuple[int, ...]
     fixing: dict[int, int]
-    conditional_error: Optional[Fraction]
+    conditional_error: Fraction
     instance: Optional[NetworkInstance]
     code: Optional[NetworkCode]
     trace_match: bool
@@ -132,77 +132,57 @@ def _induced_instance(
     )
 
 
+def _side_messages(inst: NetworkInstance, side: set[str]):
+    """(owned, foreign, demands) of one side: the sources whose every demand
+    lies in the side, the other sources, and each owned source's demands as
+    (source, terminal, position in the terminal's decoded tuple)."""
+    k, r = len(inst.sources), len(inst.terminals)
+    owned = tuple(
+        i
+        for i in range(k)
+        if inst.sources[i] in side
+        and all(inst.terminals[j] in side for j in range(r) if inst.demand[i][j])
+    )
+    foreign = tuple(i for i in range(k) if i not in owned)
+    demands = tuple(
+        (i, j, inst.demanded_at(j).index(i)) for i in owned for j in range(r) if inst.demand[i][j]
+    )
+    return owned, foreign, demands
+
+
 def _decompose_side(
     engine: Engine,
     side: set[str],
     anchor: str,
     other_anchor: str,
+    s_idx: tuple[int, ...],
+    foreign: tuple[int, ...],
+    fails: Counter,
 ) -> SideDecomposition:
+    """The side's fixing, the first foreign combination in ascending order
+    with the fewest failing tuples (`fails`), and its simulated code."""
     inst, code = engine.inst, engine.code
-    k = len(inst.sources)
-    s_idx = tuple(
-        i
-        for i in range(k)
-        if inst.sources[i] in side
-        and all(
-            inst.terminals[j] in side
-            for j in range(len(inst.terminals))
-            if inst.demand[i][j]
-        )
-    )
-    d_idx = tuple(j for j, d in enumerate(inst.terminals) if d in side)
-    foreign = tuple(i for i in range(k) if i not in s_idx)
-
-    demands = [
-        (i, j)
-        for i in s_idx
-        for j in range(len(inst.terminals))
-        if inst.demand[i][j]
-    ]
-
     free_sizes = [code.message_sizes[i] for i in s_idx]
-    free_total = math.prod(free_sizes)
+    best = min(
+        itertools.product(*(range(code.message_sizes[i]) for i in foreign)),
+        key=lambda combo: fails[combo],
+    )
+    fixing = dict(zip(foreign, best))
 
-    def tuples(fix: dict[int, int]):
-        """(free messages, full message list) for each free tuple under `fix`."""
-        for free in itertools.product(*(range(s) for s in free_sizes)):
-            msgs = [0] * k
-            for i, w in fix.items():
-                msgs[i] = w
-            for i, w in zip(s_idx, free):
-                msgs[i] = w
-            yield free, msgs
-
-    def run(fix: dict[int, int]) -> Fraction:
-        fails = 0
-        for _, msgs in tuples(fix):
-            decoded = engine.decode(engine.run(msgs))
-            for i, j in demands:
-                pos = inst.demanded_at(j).index(i)
-                if decoded[j][pos] != msgs[i]:
-                    fails += 1
-                    break
-        return Fraction(fails, free_total)
-
-    best_fix: dict[int, int] = {}
-    best_err: Optional[Fraction] = None
-    for combo in itertools.product(*(range(code.message_sizes[i]) for i in foreign)):
-        fix = dict(zip(foreign, combo))
-        err = run(fix)
-        if best_err is None or err < best_err:
-            best_fix, best_err = fix, err
-
+    d_idx = tuple(j for j, d in enumerate(inst.terminals) if d in side)
     side_inst = _induced_instance(inst, side, s_idx, d_idx)
     side_code, match = None, True
     if side_inst is not None:
         # side edge p is edge orig_of_side[p] of the original instance
         orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
         side_code = _simulated_side_code(
-            inst, code, side, anchor, other_anchor, s_idx, d_idx, side_inst, orig_of_side, best_fix
+            inst, code, side, anchor, other_anchor, s_idx, d_idx, side_inst, orig_of_side, fixing
         )
         # Simulated side traces must equal the original ones edge for edge.
         side_engine = Engine(side_code, side_inst)
-        for free, msgs in tuples(best_fix):
+        for free in itertools.product(*(range(s) for s in free_sizes)):
+            given = {**fixing, **dict(zip(s_idx, free))}
+            msgs = [given[i] for i in range(len(inst.sources))]
             full = engine.trace(engine.run(msgs))
             part = side_engine.trace(side_engine.run(free))
             if any(
@@ -214,13 +194,38 @@ def _decompose_side(
     return SideDecomposition(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
-        terminal_indices=d_idx,
-        fixing=best_fix,
-        conditional_error=best_err,
+        fixing=fixing,
+        conditional_error=Fraction(fails[best], math.prod(free_sizes)),
         instance=side_inst,
         code=side_code,
         trace_match=match,
     )
+
+
+def _replaying_view(replay: tuple, state, node: str, horizon: int, sim: list) -> StateView:
+    """The original code's view at `node` over the side execution seen by
+    `state`, a side view of `node` or, in a replay, of the anchor.  `replay`
+    is what `_simulated_side_code` fixed for the side; sim[r-1] holds the
+    replayed symbols of round r."""
+    inst, e_idx, side, own, side_pos, fixing, replayed = replay
+
+    def message(i):
+        if i not in own[node]:
+            raise KeyError(f"node {node!r} holds no message {i}")
+        return state.message(side_pos[i]) if i in side_pos else fixing[i]
+
+    def recv(sender, t):
+        oi, direction = inst.slot(sender, node)
+        if oi != e_idx and sender in side:
+            return state.recv(sender, t)
+        while len(sim) < t:
+            r = len(sim) + 1
+            sim.append({})
+            for key, enc, tail in replayed.get(r, ()):
+                sim[r - 1][key] = enc(_replaying_view(replay, state, tail, r - 1, sim))
+        return sim[t - 1].get((oi, direction), 0)
+
+    return StateView(node, horizon, message, recv)
 
 
 def _simulated_side_code(
@@ -238,12 +243,12 @@ def _simulated_side_code(
     """Restrict the code to one side, replaying the lost edge internally.
 
     The side code runs every original encoder and decoder of the side on
-    one kind of view.  A view reads each slot either from the side
-    execution or from a replay.  The replayed slots are those whose
-    sender is on the far side, plus both directions of the removed edge:
-    with every far message fixed, the anchor can recompute them from its
-    own inputs.  A view simulates the replayed slots once, round by
-    round, up to the latest round it is asked for.
+    one kind of view (`_replaying_view`).  A view reads each slot either
+    from the side execution or from a replay.  The replayed slots are
+    those whose sender is on the far side, plus both directions of the
+    removed edge: with every far message fixed, the anchor can recompute
+    them from its own inputs.  A view simulates the replayed slots once,
+    round by round, up to the latest round it is asked for.
     """
     e_idx = inst.edge_between(anchor, other_anchor)[0]
     side_pos = {i: pos for pos, i in enumerate(s_idx)}
@@ -254,32 +259,10 @@ def _simulated_side_code(
         tail = slot_tail(inst, oi, direction)
         if oi == e_idx or tail not in side:
             replayed.setdefault(t, []).append(((oi, direction), enc, tail))
-
-    def view(state, node: str, horizon: int, sim: list) -> StateView:
-        """The original code's view at `node` over the side execution seen
-        by `state`, a side view of `node` or, in a replay, of the anchor.
-        sim[r-1] holds the replayed symbols of round r."""
-
-        def message(i):
-            if i not in own[node]:
-                raise KeyError(f"node {node!r} holds no message {i}")
-            return state.message(side_pos[i]) if i in side_pos else fixing[i]
-
-        def recv(sender, t):
-            oi, direction = inst.slot(sender, node)
-            if oi != e_idx and sender in side:
-                return state.recv(sender, t)
-            while len(sim) < t:
-                r = len(sim) + 1
-                sim.append({})
-                for key, enc, tail in replayed.get(r, ()):
-                    sim[r - 1][key] = enc(view(state, tail, r - 1, sim))
-            return sim[t - 1].get((oi, direction), 0)
-
-        return StateView(node, horizon, message, recv)
+    replay = (inst, e_idx, side, own, side_pos, fixing, replayed)
 
     def lift(base, node: str, horizon: int):
-        return lambda state: base(view(state, node, horizon, []))
+        return lambda state: base(_replaying_view(replay, state, node, horizon, []))
 
     def restrict(j: int):
         keep = [pos for pos, i in enumerate(inst.demanded_at(j)) if i in side_pos]
@@ -321,10 +304,14 @@ def bridge_decompose(
 ) -> BridgeDecomposition:
     """Split a bridged instance into two independently feasible halves.
 
-    For each side, enumerates every fixing of the foreign messages (those
-    not fully demanded inside the side), picks the one minimizing the
-    side's conditional error, and builds the simulated code in which the
-    side's anchor node replays the far side's transmissions internally.
+    Each side fixes its foreign messages (those not fully demanded inside
+    the side) to the values that minimize the side's conditional error,
+    and gets the simulated code in which its anchor node replays the far
+    side's transmissions internally.  One pass over the joint message
+    tuples counts, for both sides at once, the tuples that miss one of
+    the side's demands, keyed by the side's foreign values.  The pass is
+    skipped when the engine's sliced walk (see check_feasibility) proves
+    that no tuple misses a demand.
     """
     found = inst_with_e.edge_between(u, v)
     if found is None:
@@ -340,10 +327,19 @@ def bridge_decompose(
     if total > limit:
         raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
     engine = Engine(code, inst_with_e)
-    return BridgeDecomposition(
-        u_side=_decompose_side(engine, u_set, u, v),
-        v_side=_decompose_side(engine, v_set, v, u),
-    )
+    sides = ((u_set, u, v), (v_set, v, u))
+    parts = [_side_messages(inst_with_e, side) for side, _, _ in sides]
+    fails = [Counter() for _ in sides]
+    if not engine._sliced_pass(code.message_sizes, total):
+        for msgs in itertools.product(*(range(s) for s in code.message_sizes)):
+            decoded = engine.decode(engine.run(msgs))
+            for (_, foreign, demands), count in zip(parts, fails):
+                if any(decoded[j][pos] != msgs[i] for i, j, pos in demands):
+                    count[tuple(msgs[i] for i in foreign)] += 1
+    return BridgeDecomposition(*(
+        _decompose_side(engine, *ends, owned, foreign, count)
+        for ends, (owned, foreign, _), count in zip(sides, parts, fails)
+    ))
 
 
 # -------------------------------------------------------------- path regime
@@ -575,8 +571,7 @@ def edge_removal_report(
         )
         decomp = bridge_decompose(augmented, u, v, code, limit=limit)
         sides_ok = all(
-            side.conditional_error is None
-            or side.conditional_error <= base_rep.measured_error
+            side.conditional_error <= base_rep.measured_error
             for side in (decomp.u_side, decomp.v_side)
         ) and decomp.u_side.trace_match and decomp.v_side.trace_match
         verification = BridgeVerification(

@@ -4,7 +4,10 @@ reference the engine is checked against (tests/test_engine.py).
 `execute`, `decode_outputs` and `check_feasibility` below are the earlier
 bodies of their namesakes in netcode.codes, and `_tabulate` and
 `code_to_doc` the earlier per-entry tabulation of netcode.serialize, all
-unchanged except for imports.
+unchanged except for imports.  `bridge_decompose` is the earlier bridge
+regime of netcode.removal, which ran every free tuple of a side once per
+fixing of its foreign messages (tests/test_removal.py); it is unchanged
+except for imports and the dropped `terminal_indices` field.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from netcode.codes import (
     DIRECTIONS,
+    Engine,
     ExecutionTrace,
     FeasibilityReport,
     NetworkCode,
@@ -27,13 +31,21 @@ from netcode.codes import (
 )
 from netcode.errors import (
     BadRate,
+    EdgeMissing,
     EnumerationTooLarge,
     MalformedDocument,
+    NotABridge,
     SymbolOutOfRange,
     TableTooLarge,
 )
-from netcode.graphs import FWD, NetworkInstance, slot_tail
+from netcode.graphs import FWD, NetworkInstance, connected_components, drop_edge, slot_tail
 from netcode.rational import combine_digits
+from netcode.removal import (
+    BridgeDecomposition,
+    SideDecomposition,
+    _induced_instance,
+    _simulated_side_code,
+)
 from netcode.serialize import DEFAULT_TABLE_LIMIT, _domain
 
 
@@ -318,3 +330,127 @@ def code_to_doc(
         "encoders": encoders,
         "decoders": decoders,
     }
+
+
+def _decompose_side(
+    engine: Engine,
+    side: set[str],
+    anchor: str,
+    other_anchor: str,
+) -> SideDecomposition:
+    inst, code = engine.inst, engine.code
+    k = len(inst.sources)
+    s_idx = tuple(
+        i
+        for i in range(k)
+        if inst.sources[i] in side
+        and all(
+            inst.terminals[j] in side
+            for j in range(len(inst.terminals))
+            if inst.demand[i][j]
+        )
+    )
+    d_idx = tuple(j for j, d in enumerate(inst.terminals) if d in side)
+    foreign = tuple(i for i in range(k) if i not in s_idx)
+
+    demands = [
+        (i, j)
+        for i in s_idx
+        for j in range(len(inst.terminals))
+        if inst.demand[i][j]
+    ]
+
+    free_sizes = [code.message_sizes[i] for i in s_idx]
+    free_total = math.prod(free_sizes)
+
+    def tuples(fix: dict[int, int]):
+        """(free messages, full message list) for each free tuple under `fix`."""
+        for free in itertools.product(*(range(s) for s in free_sizes)):
+            msgs = [0] * k
+            for i, w in fix.items():
+                msgs[i] = w
+            for i, w in zip(s_idx, free):
+                msgs[i] = w
+            yield free, msgs
+
+    def run(fix: dict[int, int]) -> Fraction:
+        fails = 0
+        for _, msgs in tuples(fix):
+            decoded = engine.decode(engine.run(msgs))
+            for i, j in demands:
+                pos = inst.demanded_at(j).index(i)
+                if decoded[j][pos] != msgs[i]:
+                    fails += 1
+                    break
+        return Fraction(fails, free_total)
+
+    best_fix: dict[int, int] = {}
+    best_err: Optional[Fraction] = None
+    for combo in itertools.product(*(range(code.message_sizes[i]) for i in foreign)):
+        fix = dict(zip(foreign, combo))
+        err = run(fix)
+        if best_err is None or err < best_err:
+            best_fix, best_err = fix, err
+
+    side_inst = _induced_instance(inst, side, s_idx, d_idx)
+    side_code, match = None, True
+    if side_inst is not None:
+        # side edge p is edge orig_of_side[p] of the original instance
+        orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
+        side_code = _simulated_side_code(
+            inst, code, side, anchor, other_anchor, s_idx, d_idx, side_inst, orig_of_side, best_fix
+        )
+        # Simulated side traces must equal the original ones edge for edge.
+        side_engine = Engine(side_code, side_inst)
+        for free, msgs in tuples(best_fix):
+            full = engine.trace(engine.run(msgs))
+            part = side_engine.trace(side_engine.run(free))
+            if any(
+                full.fwd[oi] != part.fwd[p] or full.bwd[oi] != part.bwd[p]
+                for p, oi in enumerate(orig_of_side)
+            ):
+                match = False
+                break
+    return SideDecomposition(
+        vertices=tuple(sorted(side)),
+        source_indices=s_idx,
+        fixing=best_fix,
+        conditional_error=best_err,
+        instance=side_inst,
+        code=side_code,
+        trace_match=match,
+    )
+
+
+def bridge_decompose(
+    inst_with_e: NetworkInstance,
+    u: str,
+    v: str,
+    code: NetworkCode,
+    limit: int = 2 ** 20,
+) -> BridgeDecomposition:
+    """Split a bridged instance into two independently feasible halves.
+
+    For each side, enumerates every fixing of the foreign messages (those
+    not fully demanded inside the side), picks the one minimizing the
+    side's conditional error, and builds the simulated code in which the
+    side's anchor node replays the far side's transmissions internally.
+    """
+    found = inst_with_e.edge_between(u, v)
+    if found is None:
+        raise EdgeMissing(f"no edge {u!r}-{v!r}")
+    minus = drop_edge(inst_with_e, u, v)
+    comp_u = next(b for b in connected_components(minus) if u in b)
+    if v in comp_u:
+        raise NotABridge(f"{u!r}-{v!r} is not a bridge")
+    u_set = set(comp_u)
+    v_set = set(inst_with_e.vertices) - u_set
+
+    total = math.prod(code.message_sizes)
+    if total > limit:
+        raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
+    engine = Engine(code, inst_with_e)
+    return BridgeDecomposition(
+        u_side=_decompose_side(engine, u_set, u, v),
+        v_side=_decompose_side(engine, v_set, v, u),
+    )

@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 import netcode as nc
+from netcode.codes import Engine
 from netcode.errors import (
     BadPath,
     EdgeMissing,
@@ -16,6 +19,7 @@ from netcode.errors import (
 )
 from netcode.rational import combine_digits, log2_at_least
 
+import reference_exec as ref
 from conftest import cycle4, inst_doc, make, path_chain, two_triangles
 
 
@@ -186,9 +190,9 @@ def test_bridge_decompose_conditional_error_matches_clamp():
     assert side_rep.measured_error == Fraction(1, 4)
 
 
-def test_bridge_decompose_replays_cross_traffic():
-    # d's message reaches a over the bridge; after decomposition the near
-    # side must regenerate that traffic from the fixed far messages
+def cross_traffic(n=1):
+    """(augmented instance, code): d's message reaches a over the bridge
+    b-c; n=1 and 2 messages a source, or n=2 and 4."""
     inst = make(inst_doc(
         "abcd", [("a", "b", "1"), ("c", "d", "1")],
         ["a", "d"], ["b", "a"], [[1, 0], [0, 1]]))
@@ -197,7 +201,18 @@ def test_bridge_decompose_replays_cross_traffic():
         aug,
         [nc.Route(0, 0, ("a", "b"), (1,)),
          nc.Route(1, 1, ("d", "c", "b", "a"), (1, 2, 3))],
-        1, 3, [2, 2])
+        n, 3, [2 ** n] * 2)
+    return aug, code
+
+
+def cross_traffic_n2():
+    return cross_traffic(2)
+
+
+def test_bridge_decompose_replays_cross_traffic():
+    # after decomposition the near side must regenerate d's traffic from
+    # the fixed far messages
+    aug, code = cross_traffic()
     assert nc.check_feasibility(code, aug).passed
 
     decomp = nc.bridge_decompose(aug, "b", "c", code)
@@ -310,6 +325,168 @@ def test_bridge_replay_runs_each_far_round_once():
     trace = nc.execute(near.code, near.instance, [3])
     assert nc.decode_outputs(near.code, near.instance, trace) == {0: (3,)}
     assert calls == list(range(1, n_rounds + 1))
+
+
+def foreign_demand_code():
+    """(augmented instance, code) on a-b, a-e | c-d with the bridge b-c.
+
+    b's message 1 is demanded at d across the bridge, so it is foreign to
+    b's own side.  a sends message 0 to b and e, clamping the top value on
+    a-e; b's decoder clamps it too, and is wrong everywhere when message 1
+    is 0.  d decodes message 1 over the bridge and message 2 from c, but
+    outputs 0 for message 2 when message 1 is 0.  So the u side's best
+    fixing has message 1 at 1 and two failing demands on one tuple, and
+    the v side's is the first with message 1 at 1.
+    """
+    inst = make(inst_doc(
+        "abcde", [("a", "b", "2"), ("a", "e", "2"), ("c", "d", "2")],
+        ["a", "b", "c"], ["b", "e", "d"], [[1, 1, 0], [0, 0, 1], [0, 0, 1]]))
+    aug = nc.add_edge(inst, "b", "c", Fraction(1))
+    e_ab, e_ae, e_cd = (aug.edge_between(x, y)[0] for x, y in ("ab", "ae", "cd"))
+    e_bc, bc_dir = aug.slot("b", "c")
+
+    def decode_b(s):
+        w = s.recv("a", 1)
+        return (w if w < 3 else 0,) if s.message(1) else ((w + 1) % 4,)
+
+    def decode_d(s):
+        m1 = s.recv("c", 2)
+        return (m1, s.recv("c", 1) if m1 else 0)
+
+    code = nc.NetworkCode(
+        inner_n=1, outer_n=2, message_sizes=(4, 2, 2),
+        splits=nc.AlphabetSplit({
+            (e_ab, 1): (4, 1), (e_ae, 1): (4, 1), (e_cd, 1): (2, 1), (e_cd, 2): (2, 1),
+            (e_bc, 1): (2, 1) if bc_dir == nc.FWD else (1, 2)}),
+        encoders={
+            (e_ab, 1, nc.FWD): lambda s: s.message(0),
+            (e_ae, 1, nc.FWD): lambda s: s.message(0) if s.message(0) < 3 else 0,
+            (e_bc, 1, bc_dir): lambda s: s.message(1),
+            (e_cd, 1, nc.FWD): lambda s: s.message(2),
+            (e_cd, 2, nc.FWD): lambda s: s.recv("b", 1)},
+        decoders={0: decode_b, 1: lambda s: (s.recv("a", 1),), 2: decode_d},
+    )
+    return aug, code
+
+
+def clamp_pair():
+    aug = nc.add_edge(bridged_pair(), "b", "c", Fraction(1))
+    return aug, clamped_pair_code(aug)
+
+
+def routed_pair():
+    aug = nc.add_edge(bridged_pair(), "b", "c", Fraction(1))
+    return aug, nc.make_routing_code(
+        aug, [nc.Route(0, 0, ("a", "b"), (1,)), nc.Route(1, 1, ("c", "d"), (1,))],
+        1, 1, [4, 4])
+
+
+def bridge_fields(decomp):
+    return [
+        (side.source_indices, side.fixing, side.conditional_error, side.trace_match)
+        for side in (decomp.u_side, decomp.v_side)
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", [clamp_pair, routed_pair, cross_traffic, cross_traffic_n2, foreign_demand_code])
+def test_bridge_decompose_matches_per_fixing_reference(case):
+    # one joint pass must pick the fixings and errors that running every
+    # fixing of each side separately picks
+    aug, code = case()
+    got = bridge_fields(nc.bridge_decompose(aug, "b", "c", code))
+    assert got == bridge_fields(ref.bridge_decompose(aug, "b", "c", code))
+    if case is foreign_demand_code:
+        assert got == [((0,), {1: 1, 2: 0}, Fraction(1, 4), True),
+                       ((2,), {0: 0, 1: 1}, Fraction(0), True)]
+
+
+def raising_decoder_pair():
+    aug, code = clamp_pair()
+
+    def decode_d(s):
+        if s.recv("c", 1) == 3:
+            raise ValueError("no decoding for 3")
+        return (s.recv("c", 1),)
+
+    return aug, dataclasses.replace(code, decoders={**code.decoders, 1: decode_d})
+
+
+def out_of_range_encoder_pair():
+    aug, code = clamp_pair()
+    e_ab = aug.edge_between("a", "b")[0]
+    return aug, dataclasses.replace(
+        code, encoders={**code.encoders, (e_ab, 1, nc.FWD): lambda s: s.message(0) + 1})
+
+
+@pytest.mark.parametrize("case", [raising_decoder_pair, out_of_range_encoder_pair])
+def test_bridge_decompose_raises_as_the_reference(case):
+    aug, code = case()
+    with pytest.raises(Exception) as want:
+        ref.bridge_decompose(aug, "b", "c", code)
+    with pytest.raises(want.type):
+        nc.bridge_decompose(aug, "b", "c", code)
+
+
+def engine_runs(monkeypatch, code):
+    """Record Engine.run calls as (on `code`'s own engine, messages)."""
+    calls = []
+    run = Engine.run
+
+    def counted(self, messages):
+        calls.append((self.code is code, list(messages)))
+        return run(self, messages)
+
+    monkeypatch.setattr(Engine, "run", counted)
+    return calls
+
+
+def trace_match_runs(decomp, k):
+    """The joint tuples of k messages the trace match runs: each side's
+    free tuples under its fixing."""
+    runs = []
+    for side in (decomp.u_side, decomp.v_side):
+        if side.instance is None:
+            continue
+        for free in itertools.product(*(range(s) for s in side.code.message_sizes)):
+            msgs = {**side.fixing, **dict(zip(side.source_indices, free))}
+            runs.append([msgs[i] for i in range(k)])
+    return runs
+
+
+@pytest.mark.parametrize("case", [routed_pair, cross_traffic_n2])
+def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case):
+    # the sliced walk proves these codes correct, so only the trace match runs
+    aug, code = case()
+    assert Engine(code, aug)._sliced_pass(code.message_sizes, math.prod(code.message_sizes))
+    calls = engine_runs(monkeypatch, code)
+    decomp = nc.bridge_decompose(aug, "b", "c", code)
+    joint = [msgs for on_code, msgs in calls if on_code]
+    assert joint == trace_match_runs(decomp, len(aug.sources))
+    assert len(calls) == 2 * len(joint)
+
+
+def test_unsettled_bridge_code_runs_joint_tuples_once(monkeypatch):
+    aug, code = foreign_demand_code()
+    calls = engine_runs(monkeypatch, code)
+    decomp = nc.bridge_decompose(aug, "b", "c", code)
+    joint = [msgs for on_code, msgs in calls if on_code]
+    everything = [list(t) for t in itertools.product(*(range(s) for s in code.message_sizes))]
+    assert joint == everything + trace_match_runs(decomp, len(aug.sources))
+
+
+def test_bridge_report_leaves_no_cyclic_garbage():
+    inst = bridged_pair()
+    _, code = clamp_pair()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code, epsilon=Fraction(1, 4))
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def cycle4_against_path():
