@@ -180,6 +180,8 @@ class _Unset(Exception):
 # Total trie nodes one Engine stores (about 100 bytes each on CPython 3.11);
 # past it, a miss runs uncached.
 TRIE_NODE_CAP = 1 << 17
+# Failing tuples a FeasibilityReport lists: the first ones that ran.
+KEEP_FAILURES = 32
 
 
 def _symbol_check(e, t: int, direction: str, size: int) -> Callable:
@@ -463,6 +465,17 @@ def message_size_for_rate(rate: Fraction, n: int, outer_n: int) -> int:
     return floor_pow2(rate * n * outer_n)
 
 
+def checked_rates(rates: Sequence[Fraction], count: int) -> tuple[Fraction, ...]:
+    """`rates` as Fractions; BadRate unless there are `count`, none negative."""
+    rates = tuple(Fraction(r) for r in rates)
+    if len(rates) != count:
+        raise BadRate(f"expected {count} rates")
+    for rate in rates:
+        if rate < 0:
+            raise BadRate(f"negative rate {rate}")
+    return rates
+
+
 def _binom_tail_ge(k: int, n: int, p: float) -> float:
     """P(X >= k) for X ~ Binomial(n, p).  Float helper for the interval."""
     if k <= 0:
@@ -537,7 +550,6 @@ def check_feasibility(
     trials: int = 1000,
     seed: int = 0,
     limit: int = 2 ** 20,
-    keep_failures: int = 32,
 ) -> FeasibilityReport:
     """Measure the code's error probability under uniform messages.
 
@@ -557,9 +569,7 @@ def check_feasibility(
     if not 0 <= epsilon <= 1:
         raise MalformedDocument(f"error tolerance {epsilon} outside [0, 1]")
     if rates is not None:
-        rates = tuple(Fraction(r) for r in rates)
-        if len(rates) != len(inst.sources):
-            raise BadRate(f"expected {len(inst.sources)} rates")
+        rates = checked_rates(rates, len(inst.sources))
         spaces = tuple(
             message_size_for_rate(r, code.inner_n, code.outer_n) for r in rates
         )
@@ -594,7 +604,7 @@ def check_feasibility(
     for tup in tuples:
         if not demands_met(inst, tup, engine.decode(engine.run(tup))):
             failures += 1
-            if len(failing) < keep_failures:
+            if len(failing) < KEEP_FAILURES:
                 failing.append(tup)
     measured = Fraction(failures, total)
     sampled = mode == "sampled"
@@ -725,11 +735,7 @@ def make_routing_code(
                 if ridx is None:
                     out.append(state.message(i) if inst.sources[i] == state.node else 0)
                     continue
-                route = routes[ridx]
-                if len(route.nodes) == 1:
-                    out.append(state.message(i))
-                    continue
-                out.append(carried_value(state, ridx, len(route.nodes) - 1))
+                out.append(carried_value(state, ridx, len(routes[ridx].nodes) - 1))
             return tuple(out)
 
         return decoder

@@ -11,9 +11,9 @@ Capacities are `fractions.Fraction` throughout.  No floats.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadDemandMatrix,
@@ -91,13 +91,7 @@ class NetworkInstance:
         return (x, y) in self._pair_index
 
     def neighbors(self, v: str) -> list[str]:
-        out = []
-        for e in self.edges:
-            if e.a == v:
-                out.append(e.b)
-            elif e.b == v:
-                out.append(e.a)
-        return out
+        return list(_wide_neighbors(self, 0, v))
 
     def sources_at(self, v: str) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.sources) if s == v)
@@ -191,10 +185,10 @@ def validate_instance(doc) -> NetworkInstance:
             raise NonPositiveCapacity(f"edge {a!r}-{b!r} has cap {item['cap']!r}")
         edges.append(Edge(a, b, cap))
 
-    for key, kind in (("sources", BadSets), ("terminals", BadSets)):
+    for key in ("sources", "terminals"):
         nodes = doc[key]
         if not isinstance(nodes, list) or not nodes:
-            raise kind(f"{key} must be a non-empty list")
+            raise BadSets(f"{key} must be a non-empty list")
         for v in nodes:
             if not isinstance(v, str) or v not in vset:
                 raise UnknownVertex(f"{key} entry {v!r} not a vertex")
@@ -241,13 +235,7 @@ def add_edge(inst: NetworkInstance, u: str, v: str, cap: Fraction) -> NetworkIns
     cap = Fraction(cap)
     if cap <= 0:
         raise NonPositiveCapacity(f"cap {cap} for edge {u!r}-{v!r}")
-    return NetworkInstance(
-        vertices=inst.vertices,
-        edges=inst.edges + (Edge(u, v, cap),),
-        sources=inst.sources,
-        terminals=inst.terminals,
-        demand=inst.demand,
-    )
+    return replace(inst, edges=inst.edges + (Edge(u, v, cap),))
 
 
 def drop_edge(inst: NetworkInstance, u: str, v: str) -> NetworkInstance:
@@ -256,13 +244,7 @@ def drop_edge(inst: NetworkInstance, u: str, v: str) -> NetworkInstance:
     if found is None:
         raise EdgeMissing(f"no edge {u!r}-{v!r}")
     idx = found[0]
-    return NetworkInstance(
-        vertices=inst.vertices,
-        edges=inst.edges[:idx] + inst.edges[idx + 1 :],
-        sources=inst.sources,
-        terminals=inst.terminals,
-        demand=inst.demand,
-    )
+    return replace(inst, edges=inst.edges[:idx] + inst.edges[idx + 1 :])
 
 
 def scale_instance(inst: NetworkInstance, alpha: Fraction) -> NetworkInstance:
@@ -270,13 +252,7 @@ def scale_instance(inst: NetworkInstance, alpha: Fraction) -> NetworkInstance:
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise NonPositiveScale(f"scale factor {alpha}")
-    return NetworkInstance(
-        vertices=inst.vertices,
-        edges=tuple(Edge(e.a, e.b, e.cap * alpha) for e in inst.edges),
-        sources=inst.sources,
-        terminals=inst.terminals,
-        demand=inst.demand,
-    )
+    return replace(inst, edges=tuple(Edge(e.a, e.b, e.cap * alpha) for e in inst.edges))
 
 
 def replace_edge_with_path(
@@ -313,16 +289,8 @@ def replace_edge_with_path(
         clash = [w for w in interior if w in inst.vertices]
         if clash:
             raise InteriorNodeCollision(f"interior nodes already exist: {clash}")
-        edges = list(base.edges)
-        for x, y in zip(path, path[1:]):
-            edges.append(Edge(x, y, lam))
-        return NetworkInstance(
-            vertices=base.vertices + interior,
-            edges=tuple(edges),
-            sources=base.sources,
-            terminals=base.terminals,
-            demand=base.demand,
-        )
+        fresh_edges = tuple(Edge(x, y, lam) for x, y in zip(path, path[1:]))
+        return replace(base, vertices=base.vertices + interior, edges=base.edges + fresh_edges)
 
     for w in interior:
         if w not in inst.vertices:
@@ -335,13 +303,7 @@ def replace_edge_with_path(
         idx = hop[0]
         e = edges[idx]
         edges[idx] = Edge(e.a, e.b, e.cap + lam)
-    return NetworkInstance(
-        vertices=base.vertices,
-        edges=tuple(edges),
-        sources=base.sources,
-        terminals=base.terminals,
-        demand=base.demand,
-    )
+    return replace(base, edges=tuple(edges))
 
 
 # ------------------------------------------------------------------ analysis
@@ -373,21 +335,20 @@ class WidestPath(NamedTuple):
     gamma: Fraction
 
 
+def _wide_neighbors(inst: NetworkInstance, threshold: Fraction, x: str) -> Iterator[str]:
+    """Neighbours of x over edges with cap >= threshold, in edge order."""
+    for e in inst.edges:
+        if e.cap >= threshold and x in (e.a, e.b):
+            yield e.b if e.a == x else e.a
+
+
 def _reachable(inst: NetworkInstance, threshold: Fraction, start: str) -> dict[str, int]:
     """BFS hop distances from start using only edges with cap >= threshold."""
     dist = {start: 0}
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for e in inst.edges:
-            if e.cap < threshold:
-                continue
-            if e.a == x:
-                y = e.b
-            elif e.b == x:
-                y = e.a
-            else:
-                continue
+        for y in _wide_neighbors(inst, threshold, x):
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
@@ -419,20 +380,8 @@ def widest_path(inst: NetworkInstance, u: str, v: str) -> WidestPath:
     path = [u]
     cur = u
     while cur != v:
-        step = None
-        for e in inst.edges:
-            if e.cap < gamma:
-                continue
-            if e.a == cur:
-                y = e.b
-            elif e.b == cur:
-                y = e.a
-            else:
-                continue
-            if dist.get(y, -1) == dist[cur] - 1 and (step is None or y < step):
-                step = y
-        path.append(step)
-        cur = step
+        cur = min(y for y in _wide_neighbors(inst, gamma, cur) if dist.get(y, -1) == dist[cur] - 1)
+        path.append(cur)
     return WidestPath(tuple(path), gamma)
 
 

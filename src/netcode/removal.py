@@ -35,10 +35,10 @@ from .codes import (
     NetworkCode,
     StateView,
     check_feasibility,
+    checked_rates,
 )
 from .errors import (
     BadPath,
-    EdgeMissing,
     EdgePresent,
     EnumerationTooLarge,
     MalformedDocument,
@@ -84,14 +84,11 @@ def classify_edge(inst: NetworkInstance, u: str, v: str):
         raise BadPath("probe endpoints must differ")
     if inst.has_edge(u, v):
         raise EdgePresent(f"{u!r}-{v!r} is an existing edge")
-    for block in connected_components(inst):
-        if u in block:
-            if v in block:
-                wp = widest_path(inst, u, v)
-                return PathCase(nodes=wp.nodes, gamma=wp.gamma)
-            rest = tuple(sorted(set(inst.vertices) - set(block)))
-            return BridgeCase(u_side=block, v_side=rest)
-    raise UnknownVertex(f"unknown vertex {u!r}")  # unreachable
+    block = next(b for b in connected_components(inst) if u in b)
+    if v in block:
+        wp = widest_path(inst, u, v)
+        return PathCase(nodes=wp.nodes, gamma=wp.gamma)
+    return BridgeCase(u_side=block, v_side=tuple(sorted(set(inst.vertices) - set(block))))
 
 
 # ----------------------------------------------------------- bridge regime
@@ -153,8 +150,7 @@ def _side_messages(inst: NetworkInstance, side: set[str]):
 def _decompose_side(
     engine: Engine,
     side: set[str],
-    anchor: str,
-    other_anchor: str,
+    e_idx: int,
     s_idx: tuple[int, ...],
     foreign: tuple[int, ...],
     fails: Counter,
@@ -176,7 +172,7 @@ def _decompose_side(
         # side edge p is edge orig_of_side[p] of the original instance
         orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
         side_code = _simulated_side_code(
-            inst, code, side, anchor, other_anchor, s_idx, d_idx, side_inst, orig_of_side, fixing
+            inst, code, side, e_idx, s_idx, d_idx, side_inst, orig_of_side, fixing
         )
         # Simulated side traces must equal the original ones edge for edge.
         side_engine = Engine(side_code, side_inst)
@@ -232,15 +228,14 @@ def _simulated_side_code(
     inst: NetworkInstance,
     code: NetworkCode,
     side: set[str],
-    anchor: str,
-    other_anchor: str,
+    e_idx: int,
     s_idx: tuple[int, ...],
     d_idx: tuple[int, ...],
     side_inst: NetworkInstance,
     orig_of_side: Sequence[int],
     fixing: dict[int, int],
 ) -> NetworkCode:
-    """Restrict the code to one side, replaying the lost edge internally.
+    """Restrict the code to one side, replaying the removed edge `e_idx`.
 
     The side code runs every original encoder and decoder of the side on
     one kind of view (`_replaying_view`).  A view reads each slot either
@@ -250,7 +245,6 @@ def _simulated_side_code(
     them from its own inputs.  A view simulates the replayed slots once,
     round by round, up to the latest round it is asked for.
     """
-    e_idx = inst.edge_between(anchor, other_anchor)[0]
     side_pos = {i: pos for pos, i in enumerate(s_idx)}
     own = {x: set(inst.sources_at(x)) for x in inst.vertices}
     # round -> replayed slots with an encoder: ((edge, direction), map, sender)
@@ -313,9 +307,6 @@ def bridge_decompose(
     skipped when the engine's sliced walk (see check_feasibility) proves
     that no tuple misses a demand.
     """
-    found = inst_with_e.edge_between(u, v)
-    if found is None:
-        raise EdgeMissing(f"no edge {u!r}-{v!r}")
     minus = drop_edge(inst_with_e, u, v)
     comp_u = next(b for b in connected_components(minus) if u in b)
     if v in comp_u:
@@ -327,8 +318,9 @@ def bridge_decompose(
     if total > limit:
         raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
     engine = Engine(code, inst_with_e)
-    sides = ((u_set, u, v), (v_set, v, u))
-    parts = [_side_messages(inst_with_e, side) for side, _, _ in sides]
+    e_idx = inst_with_e.edge_between(u, v)[0]
+    sides = (u_set, v_set)
+    parts = [_side_messages(inst_with_e, side) for side in sides]
     fails = [Counter() for _ in sides]
     if not engine._sliced_pass(code.message_sizes, total):
         for msgs in itertools.product(*(range(s) for s in code.message_sizes)):
@@ -337,8 +329,8 @@ def bridge_decompose(
                 if any(decoded[j][pos] != msgs[i] for i, j, pos in demands):
                     count[tuple(msgs[i] for i in foreign)] += 1
     return BridgeDecomposition(*(
-        _decompose_side(engine, *ends, owned, foreign, count)
-        for ends, (owned, foreign, _), count in zip(sides, parts, fails)
+        _decompose_side(engine, side, e_idx, owned, foreign, count)
+        for side, (owned, foreign, _), count in zip(sides, parts, fails)
     ))
 
 
@@ -390,8 +382,6 @@ def host_path_code(
         def recv(star_sender, t):
             layout, pos = part_of[(star_sender, star_node)]
             symbol = state.recv(to_host.get(star_sender, star_sender), t)
-            if len(layout) == 1:
-                return symbol
             return split_digits(symbol, radices(layout, t))[pos]
 
         return StateView(to_host.get(star_node, star_node), horizon, state.message, recv)
@@ -401,9 +391,6 @@ def host_path_code(
         calls = [(piped.encoders.get((s_idx, t, s_dir)), sender) for sender, s_idx, s_dir in layout]
         if not any(enc for enc, _ in calls):
             return None
-        if len(calls) == 1:
-            base, sender = calls[0]
-            return lambda state: base(star_view(state, sender, t - 1))
         sizes = radices(layout, t)
 
         def encoder(state):
@@ -552,47 +539,37 @@ def edge_removal_report(
 ) -> RemovalReport:
     """Classify the probe edge, bound the removal cost, and (with a code)
     run the constructive verification chain end to end.  An `epsilon`
-    outside [0, 1] raises MalformedDocument."""
+    outside [0, 1] raises MalformedDocument; `rates` of the wrong length
+    or with a negative entry raise BadRate, with or without a code."""
     if not 0 <= epsilon <= 1:
         raise MalformedDocument(f"error tolerance {epsilon} outside [0, 1]")
     lam, case = _classify(inst, u, v, lam)
     report = _bound(inst, u, v, lam, case)
+    if rates is not None:
+        rates = checked_rates(rates, len(inst.sources))
+        if report.case == "bridge":
+            report = replace(report, cross_rate_ok=all(rates[i] <= lam for i, _ in report.cross_demands))
+        else:
+            report = replace(report, f_rate_form=report.delta / (1 + report.delta) * max(rates))
+    if code is None:
+        return report
+    augmented = add_edge(inst, u, v, lam)
+    base_rep = check_feasibility(code, augmented, rates=rates, epsilon=epsilon, limit=limit)
 
     if report.case == "bridge":
-        cross_ok = None
-        if rates is not None:
-            cross_ok = all(Fraction(rates[i]) <= lam for i, _ in report.cross_demands)
-        report = replace(report, cross_rate_ok=cross_ok)
-        if code is None:
-            return report
-        augmented = add_edge(inst, u, v, lam)
-        base_rep = check_feasibility(
-            code, augmented, rates=rates, epsilon=epsilon, limit=limit
-        )
         decomp = bridge_decompose(augmented, u, v, code, limit=limit)
         sides_ok = all(
-            side.conditional_error <= base_rep.measured_error
+            side.trace_match and side.conditional_error <= base_rep.measured_error
             for side in (decomp.u_side, decomp.v_side)
-        ) and decomp.u_side.trace_match and decomp.v_side.trace_match
+        )
         verification = BridgeVerification(
             base_report=base_rep,
             decomposition=decomp,
-            cross_rate_ok=cross_ok,
-            passed=base_rep.passed and sides_ok and (cross_ok is not False),
+            cross_rate_ok=report.cross_rate_ok,
+            passed=base_rep.passed and sides_ok and report.cross_rate_ok is not False,
         )
         return replace(report, verification=verification)
 
-    if rates is not None:
-        report = replace(
-            report, f_rate_form=(report.delta / (1 + report.delta)) * max(Fraction(r) for r in rates)
-        )
-    if code is None:
-        return report
-
-    augmented = add_edge(inst, u, v, lam)
-    base_rep = check_feasibility(
-        code, augmented, rates=rates, epsilon=epsilon, limit=limit
-    )
     tilde = interleave(code, augmented)
     nb = code.outer_n
     path_nodes = report.path.nodes

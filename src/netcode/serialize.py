@@ -178,13 +178,14 @@ def code_to_doc(
     }
 
 
-def _edge_index(inst: NetworkInstance, pair) -> tuple[int, bool]:
+def _edge_pair(inst: NetworkInstance, pair) -> tuple[str, str]:
+    """A document's reference to an edge of `inst`, as (sender, receiver)
+    of the slot that the document's `fwd` names."""
     if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
         raise MalformedDocument(f"bad edge reference {pair!r}")
-    found = inst.edge_between(pair[0], pair[1])
-    if found is None:
+    if not inst.has_edge(*pair):
         raise MalformedDocument(f"no edge {pair[0]!r}-{pair[1]!r}")
-    return found
+    return pair[0], pair[1]
 
 
 def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
@@ -196,11 +197,10 @@ def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
 
     split_table = {}
     for item in _objects(doc, "splits"):
-        idx, is_a = _edge_index(inst, item["edge"])
+        idx, d = inst.slot(*_edge_pair(inst, item["edge"]))
         f, b = _positive(item["fwd"], "split fwd"), _positive(item["bwd"], "split bwd")
-        if not is_a:
-            f, b = b, f
-        split_table[(idx, _integer(item["t"], "split round", 1, outer_n))] = (f, b)
+        t = _integer(item["t"], "split round", 1, outer_n)
+        split_table[(idx, t)] = (f, b) if d == FWD else (b, f)
     splits = AlphabetSplit(split_table)
 
     stub = NetworkCode(
@@ -210,13 +210,12 @@ def _table_code_from_doc(doc: dict, inst: NetworkInstance) -> NetworkCode:
 
     encoders = {}
     for item in _objects(doc, "encoders"):
-        idx, is_a = _edge_index(inst, item["edge"])
+        pair = _edge_pair(inst, item["edge"])
         t = _integer(item["t"], "encoder round", 1, outer_n)
         d = item["dir"]
         if d not in (FWD, BWD):
             raise MalformedDocument(f"bad direction {d!r}")
-        if not is_a:
-            d = BWD if d == FWD else FWD
+        idx, d = inst.slot(*(pair if d == FWD else pair[::-1]))
         encoders[(idx, t, d)] = _table_entry(
             inst, stub, slot_tail(inst, idx, d), t - 1, item["table"], splits.size(idx, t, d)
         )

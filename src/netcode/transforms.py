@@ -52,9 +52,6 @@ from .graphs import BWD, FWD, NetworkInstance, replace_edge_with_path
 from .rational import ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
 
 
-_REVERSE = {FWD: BWD, BWD: FWD}
-
-
 # ------------------------------------------------------------------ sessions
 
 def _pack_sessions(
@@ -499,7 +496,7 @@ def pipeline_path(
     found = inst.edge_between(u, v)
     if found is None:
         raise EdgeMissing(f"no edge {u!r}-{v!r}")
-    e_idx, u_is_a = found
+    e_idx = found[0]
 
     if ell < 2:
         raise BadPathInstance("path needs at least two nodes")
@@ -517,12 +514,10 @@ def pipeline_path(
 
     # constant split per sub-block on the removed edge (the property the
     # schedule below relies on)
-    e_shapes = []
     for i in range(1, nb + 1):
         shapes = {tilde.splits.shape(e_idx, (i - 1) * nb + j) for j in range(1, nb + 1)}
         if len(shapes) != 1:
             raise NotInterleaved(f"splits vary inside sub-block {i} on {u!r}-{v!r}")
-        e_shapes.append(shapes.pop())
 
     width = nb + ell
     out_n = nb * width
@@ -534,8 +529,11 @@ def pipeline_path(
         return (i - 1) * width + j
 
     # Path hop k (0-based) is path_inst edge m-1+k, stored path[k] ->
-    # path[k+1]: a hop direction -> the path nodes in that travel order.
+    # path[k+1].  travel: a hop direction -> the path nodes in that travel
+    # order; trip_dir: a hop direction -> the removed edge's direction that
+    # makes the same trip.
     travel = {FWD: path, BWD: path[::-1]}
+    trip_dir = {d: inst.slot(nodes[0], nodes[-1])[1] for d, nodes in travel.items()}
     # (receiving end, original sender) -> the last path hop's sender
     last_hop = {(nodes[-1], nodes[0]): nodes[-2] for nodes in travel.values()}
 
@@ -582,23 +580,21 @@ def pipeline_path(
                     if base_enc is not None:
                         encoders[(p_idx, pipe_time(i, j), direction)] = replay(base_enc, tt - 1)
 
-    # The removed edge's symbols in direction d cross path hop k as hop h
-    # of their trip, and the j-th symbol of sub-block i crosses it at
-    # offset j+h-1: the first hop runs the tilde encoder, later hops relay
-    # what arrived one round earlier.  d is the hop's own direction when u
-    # is the removed edge's stored a end, the reverse one otherwise.
+    # The removed edge's symbols in direction trip_dir[d] cross path hop k
+    # in direction d as hop h of their trip, and the j-th symbol of
+    # sub-block i crosses it at offset j+h-1: the first hop runs the tilde
+    # encoder, later hops relay what arrived one round earlier.
     for k in range(ell - 1):
         p_idx = m - 1 + k
         for i in range(1, nb + 1):
-            shape = e_shapes[i - 1]
+            size = {d: tilde.splits.size(e_idx, tilde_time(i, 1), trip_dir[d]) for d in travel}
+            shape = (size[FWD], size[BWD])
             if shape != (1, 1):
                 for o in range(1, width + 1):
-                    split_table[(p_idx, pipe_time(i, o))] = shape if u_is_a else shape[::-1]
-            for base_dir, size in zip((FWD, BWD), shape):
-                if size == 1:
+                    split_table[(p_idx, pipe_time(i, o))] = shape
+            for direction, nodes in travel.items():
+                if size[direction] == 1:
                     continue
-                direction = base_dir if u_is_a else _REVERSE[base_dir]
-                nodes = travel[direction]
                 hop = k + 1 if direction == FWD else ell - 1 - k
                 for o in range(1, width + 1):
                     j = o - hop + 1
@@ -607,7 +603,7 @@ def pipeline_path(
                     elif hop > 1:
                         enc = relay(nodes[hop - 2])
                     else:
-                        base_enc = tilde.encoders.get((e_idx, tilde_time(i, j), base_dir))
+                        base_enc = tilde.encoders.get((e_idx, tilde_time(i, j), trip_dir[direction]))
                         if base_enc is None:
                             continue
                         enc = replay(base_enc, tilde_time(i, j) - 1)

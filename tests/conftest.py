@@ -142,18 +142,18 @@ def clamp_code(inst, sender, receiver, n, outer_n, send_round, size=4):
     )
 
 
-def path_chain(n_rounds, inst=None):
+def path_chain(n_rounds, inst=None, off_path=False):
     """interleave -> pipeline_path -> host_path_code -> scale_code on
     cycle4 (or `inst`, whose widest a-c path is a-b-c) with probe a-c,
     built the way edge_removal_report builds it.  Each base route sends
-    one bit (n=1, one round), so both base messages have two values."""
+    one bit (n=1), so both base messages have two values.  a->c takes the
+    probe at round 1; c->a takes it at round 2 or, with `off_path`, goes
+    c-d-a at rounds 1 and 2, off the host path (stages named "offpath-")."""
     inst = cycle4() if inst is None else inst
     aug = nc.add_edge(inst, "a", "c", Fraction(1))
+    back = nc.Route(1, 1, ("c", "d", "a"), (1, 2)) if off_path else nc.Route(1, 1, ("c", "a"), (2,))
     base = nc.make_routing_code(
-        aug,
-        [nc.Route(0, 0, ("a", "c"), (1,)), nc.Route(1, 1, ("c", "a"), (2,))],
-        1, n_rounds, [2, 2],
-    )
+        aug, [nc.Route(0, 0, ("a", "c"), (1,)), back], 1, n_rounds, [2, 2])
     bound = nc.path_case_bound(inst, "a", "c", Fraction(1))
     path = list(bound.path.nodes)
     star_path = ["a"] + [f"relay{r}" for r in range(2, len(path))] + ["c"]
@@ -163,12 +163,13 @@ def path_chain(n_rounds, inst=None):
     piped = nc.pipeline_path(tilde, aug, "a", "c", star, len(path))
     hosted = nc.host_path_code(piped, star, host, star_path, path)
     scaled = nc.scale_code(hosted, 1 / bound.alpha)
+    prefix = "offpath" if off_path else "chain"
     return [
-        ("chain-base", aug, base),
-        ("chain-interleave", aug, tilde),
-        ("chain-pipeline", star, piped),
-        ("chain-host", host, hosted),
-        ("chain-scale", inst, scaled),
+        (f"{prefix}-base", aug, base),
+        (f"{prefix}-interleave", aug, tilde),
+        (f"{prefix}-pipeline", star, piped),
+        (f"{prefix}-host", host, hosted),
+        (f"{prefix}-scale", inst, scaled),
     ]
 
 

@@ -398,7 +398,8 @@ def _decompose_side(
         # side edge p is edge orig_of_side[p] of the original instance
         orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
         side_code = _simulated_side_code(
-            inst, code, side, anchor, other_anchor, s_idx, d_idx, side_inst, orig_of_side, best_fix
+            inst, code, side, inst.edge_between(anchor, other_anchor)[0],
+            s_idx, d_idx, side_inst, orig_of_side, best_fix,
         )
         # Simulated side traces must equal the original ones edge for edge.
         side_engine = Engine(side_code, side_inst)

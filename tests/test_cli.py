@@ -457,6 +457,32 @@ def test_analyze_rejects_tolerance_outside_unit_interval(tmp_path, capsys, epsil
         assert doc["error"] == "MalformedDocument"
 
 
+def two_triangles_diag():
+    # two triangles that only the probe c-d would join; four unicast demands
+    return make(inst_doc(
+        "abcdfg",
+        [("a", "b", "1"), ("b", "c", "1"), ("a", "c", "1"),
+         ("d", "f", "1"), ("f", "g", "1"), ("d", "g", "1")],
+        ["a", "d", "c", "g"], ["b", "g", "f", "a"],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+
+
+@pytest.mark.parametrize("make_inst, edge, rate, message", [
+    (two_triangles_diag, "c,d", "1/2", "expected 4 rates"),
+    (two_triangles_diag, "c,d", "1/2,1/2,-5,1/2", "negative rate -5"),
+    (cycle4, "a,c", "1/2", "expected 2 rates"),
+    (cycle4, "a,c", "1/2,-1", "negative rate -1"),
+])
+def test_analyze_rejects_bad_rates_without_a_code(tmp_path, capsys, make_inst, edge, rate, message):
+    # the bound alone reads the rates (cross_rate_ok, f_rate_form), so they
+    # are checked as check_feasibility checks them, before any code is seen
+    path = jfile(tmp_path, "inst.json", make_inst().to_doc())
+    rc, doc = run_cli(
+        capsys, ["analyze", path, "--edge", edge, "--lambda", "1", "--rate", rate])
+    assert rc == 2
+    assert doc == {"error": "BadRate", "message": message}
+
+
 def test_analyze_rejects_bad_edge_flag(tmp_path, capsys):
     path = jfile(tmp_path, "inst.json", cycle4().to_doc())
     rc, doc = run_cli(
@@ -667,6 +693,20 @@ def test_region_limit_overrides_and_exit_codes(tmp_path, capsys):
                  "--limits", "max_edges=x"])
     assert rc == 2
     assert doc["error"] == "MalformedDocument"
+
+    rc, doc = run_cli(
+        capsys, ["region", path, "--n", "1", "--N", "1",
+                 "--limits", "max_ops"])
+    assert rc == 2
+    assert doc["error"] == "MalformedDocument"
+
+    # an empty part, as after a trailing comma, is skipped
+    path = jfile(tmp_path, "two_way.json", two_way().to_doc())
+    argv = ["region", path, "--n", "1", "--N", "2"]
+    assert run_cli(capsys, argv)[0] == 0
+    rc, doc = run_cli(capsys, argv + ["--limits", "max_ops=3,"])
+    assert rc == 5
+    assert (rc, doc) == run_cli(capsys, argv + ["--limits", "max_ops=3"])
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -95,6 +95,7 @@ def cases():
     out.append(("amplify", inst, nc.amplify(
         clamp, inst, 3, "repetition", Fraction(1, 4), strict=False)))
     out += [case for case in path_chain(2) if case[0] != "chain-base"]
+    out += path_chain(2, off_path=True)
     out += [synthetic_case(s) for s in range(3)]
     return out
 

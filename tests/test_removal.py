@@ -265,6 +265,31 @@ def test_bridge_report_with_code_verifies():
     assert not tight.verification.passed
 
 
+def test_diverging_side_trace_fails_the_bridge_report(monkeypatch):
+    # side codes whose encoders send one more than the original's: every
+    # side trace differs from the original one, so the report must fail
+    # on trace_match alone
+    real = nc.removal._simulated_side_code
+
+    def skewed(*args):
+        side_code = real(*args)
+        bumped = {key: (lambda s, enc=enc: (enc(s) + 1) % 4)
+                  for key, enc in side_code.encoders.items()}
+        return dataclasses.replace(side_code, encoders=bumped)
+
+    monkeypatch.setattr(nc.removal, "_simulated_side_code", skewed)
+    _, code = routed_pair()
+    rep = nc.edge_removal_report(bridged_pair(), "b", "c", Fraction(1), code=code)
+    ver = rep.verification
+    sides = (ver.decomposition.u_side, ver.decomposition.v_side)
+    assert ver.base_report.passed
+    assert [side.conditional_error for side in sides] == [0, 0]
+    assert [side.trace_match for side in sides] == [False, False]
+    assert not ver.passed
+    doc = nc.removal_report_doc(rep)
+    assert [side["trace_match"] for side in doc["verification"]["sides"]] == [False, False]
+
+
 def test_bridge_side_views_keep_message_ownership():
     # a reads message 1 only where it holds it; the side view must raise
     # KeyError for it as the real execution does, not hand out the fixing
@@ -498,14 +523,19 @@ def cycle4_against_path():
 
 
 @pytest.mark.parametrize("n_rounds", [2, 3])
-@pytest.mark.parametrize("make_inst", [cycle4, cycle4_against_path])
-def test_host_path_code_folds_star_symbols(n_rounds, make_inst):
+@pytest.mark.parametrize(
+    "make_inst, off_path",
+    [(cycle4, False), (cycle4_against_path, False), (cycle4, True), (cycle4_against_path, True)],
+    ids=["cycle4", "cycle4_against_path", "cycle4_off_path", "cycle4_against_path_off_path"])
+def test_host_path_code_folds_star_symbols(n_rounds, make_inst, off_path):
     # Each host symbol is the mixed-radix combination of the star symbols
     # folded onto its edge, the original edge first: the relay path
-    # a-relay2-c folds onto a-b-c.
-    stages = {name: (inst, code) for name, inst, code in path_chain(n_rounds, make_inst())}
-    star, piped = stages["chain-pipeline"]
-    host, hosted = stages["chain-host"]
+    # a-relay2-c folds onto a-b-c.  Off the path, c-d and d-a carry one
+    # star edge each, a one-digit combination.
+    stages = {name[name.index("-") + 1:]: (inst, code)
+              for name, inst, code in path_chain(n_rounds, make_inst(), off_path)}
+    star, piped = stages["pipeline"]
+    host, hosted = stages["host"]
 
     def host_of(x):
         return "b" if x == "relay2" else x
@@ -580,6 +610,27 @@ def test_path_report_full_chain_half_lambda():
     assert ver.final_report.measured_error == 0
     assert [cl.claimed_rate for cl in ver.rate_claims] == [Fraction(1, 15)] * 2
     assert ver.passed
+
+
+def test_path_report_renames_a_relay_that_names_a_vertex(monkeypatch):
+    # cycle4 with b named relay2: the widest a-c path is a-d-c, and the
+    # fresh relay node takes the next free name
+    inst = make(inst_doc(
+        ["a", "relay2", "c", "d"],
+        [("a", "relay2", "1"), ("relay2", "c", "1"), ("c", "d", "1"), ("d", "a", "1")],
+        ["a", "c"], ["c", "a"], [[1, 0], [0, 1]]))
+    aug = nc.add_edge(inst, "a", "c", Fraction(1))
+    paths = []
+    real = nc.removal.host_path_code
+
+    def spy(piped, star_inst, host_inst, star_path, host_path):
+        paths.append((list(star_path), list(host_path)))
+        return real(piped, star_inst, host_inst, star_path, host_path)
+
+    monkeypatch.setattr(nc.removal, "host_path_code", spy)
+    rep = nc.edge_removal_report(inst, "a", "c", Fraction(1), code=chord_routes_code(aug, 1))
+    assert paths == [(["a", "relay2_", "c"], ["a", "d", "c"])]
+    assert rep.verification.passed
 
 
 def test_path_report_without_code():

@@ -371,6 +371,14 @@ def test_pipeline_path_requires_interleaved_input():
     )
     with pytest.raises(NotInterleaved):
         nc.pipeline_path(doctored, inst, "a", "c", path_inst, 3)
+    # the chord's split changes inside sub-block 1
+    tilde = nc.interleave(code, inst)
+    chord = inst.edge_between("a", "c")[0]
+    assert tilde.splits.shape(chord, 1) == tilde.splits.shape(chord, 2) != (1, 1)
+    splits = {**dict(tilde.splits.items()), (chord, 2): (1, 1)}
+    varied = replace(tilde, splits=nc.AlphabetSplit(splits))
+    with pytest.raises(NotInterleaved, match="vary inside sub-block 1"):
+        nc.pipeline_path(varied, inst, "a", "c", path_inst, 3)
 
 
 def test_pipeline_path_validates_path_instance():
