@@ -18,11 +18,13 @@ The contract this relies on: an encoder or decoder is a deterministic
 function of what it reads through its StateView (its messages and
 received symbols, plus the view's node and time).  A map with hidden
 state or randomness falls outside the contract.  An exhaustive check first
-runs each map on only the messages it reads (see check_feasibility).
+runs each map on only the messages it reads (see check_feasibility), and
+a message packed from sessions (Joined) on only the digits it reads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -107,25 +109,33 @@ class StateView:
     """What one node has seen up to (and including) round `time`.
 
     Encoders and decoders receive exactly this view: the node's own source
-    messages (`message(i)`, KeyError for a message the node does not hold)
-    and the symbols that arrived on its incident edges (`recv`).  Reads
-    beyond `time` raise LookupError, which makes causality violations loud.
+    messages (`message(i)`, KeyError for a message the node does not hold;
+    `digit(i, j, radices)` for one mixed-radix digit of one) and the
+    symbols that arrived on its incident edges (`recv`).  Reads beyond
+    `time` raise LookupError, which makes causality violations loud.
 
     `execute` builds the view of the real execution; code transforms build
     views that reinterpret the host execution (a session digit, a remapped
     timestep, a replayed neighbor) and run the old encoders against them.
     """
 
-    __slots__ = ("node", "time", "_message_fn", "_recv_fn")
+    __slots__ = ("node", "time", "_message_fn", "_recv_fn", "_digit_fn")
 
     def __init__(self, node: str, time: int, message_fn: Callable, recv_fn: Callable):
         self.node = node
         self.time = time
         self._message_fn = message_fn
         self._recv_fn = recv_fn
+        self._digit_fn = None
 
     def message(self, i: int) -> int:
         return self._message_fn(i)
+
+    def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
+        """split_digits(message(i), radices)[j], as one read where possible."""
+        if self._digit_fn is None:
+            return split_digits(self._message_fn(i), radices)[j]
+        return self._digit_fn(i, j, radices)
 
     def recv(self, sender: str, t: int) -> int:
         if not 1 <= t <= self.time:
@@ -133,6 +143,51 @@ class StateView:
                 f"symbol from {sender!r} at t={t} not visible at time {self.time}"
             )
         return self._recv_fn(sender, t)
+
+    def replace(self, time: int, recv_fn: Callable, node: Optional[str] = None) -> "StateView":
+        """This view's messages, whole and by digit, with another horizon,
+        recv and (optionally) node."""
+        view = StateView(self.node if node is None else node, time, self._message_fn, recv_fn)
+        view._digit_fn = self._digit_fn
+        return view
+
+
+def pack(values: Sequence[int], radices: Sequence[int], name: Callable[[int], str]) -> int:
+    """combine_digits; SymbolOutOfRange naming name(k) for a bad value k."""
+    for k, (value, radix) in enumerate(zip(values, radices)):
+        if not 0 <= value < radix:
+            raise SymbolOutOfRange(f"{name(k)} produced {value!r}, alphabet size {radix}")
+    return combine_digits(values, radices)
+
+
+class Joined:
+    """A decoder that runs `base` on the `count` session views of its state
+    (`sessions(state)` maps j to session j's view) and packs the outputs
+    for demanded source pos as digits of `radices[pos]`, session 0 first.
+    An exhaustive check walks each session on its own."""
+
+    __slots__ = ("base", "sessions", "count", "radices")
+
+    def __init__(self, base: Callable, sessions: Callable, count: int, radices: tuple):
+        self.base, self.sessions, self.count, self.radices = base, sessions, count, radices
+
+    def __call__(self, state):
+        view = self.sessions(state)
+        outputs = [self.base(view(j)) for j in range(self.count)]
+        return tuple(pack([out[pos] for out in outputs], radices, "session {} decoder".format)
+                     for pos, radices in enumerate(self.radices))
+
+    def part(self, j: int) -> Callable:
+        """The base decoder on session j alone."""
+        return lambda state: self.base(self.sessions(state)(j))
+
+
+def remapped(fn: Callable, view_fn: Callable, *args) -> Callable:
+    """`fn` run on view_fn(*args, state), Joined if `fn` is."""
+    view = functools.partial(view_fn, *args)
+    if isinstance(fn, Joined):
+        return Joined(fn.base, lambda state: fn.sessions(view(state)), fn.count, fn.radices)
+    return lambda state: fn(view(state))
 
 
 @dataclass(frozen=True)
@@ -229,7 +284,9 @@ class Engine:
     Construction validates the splits and lists, in round order, the slots
     that have an encoder; a live slot without one raises there.  A run is
     one flat state list: the messages, then for each edge its forward and
-    its backward symbols by round.  Round-t symbols are written as they are
+    its backward symbols by round, then one position per digit of each
+    message a Joined decoder splits (read whole as all its digits, and by
+    `StateView.digit` as one).  Round-t symbols are written as they are
     produced, which equals the two-phase commit because the causality guard
     keeps every round-t encoder from reading them.
 
@@ -277,6 +334,8 @@ class Engine:
                     pos = k + (2 * idx + d) * n_out + t - 1
                     memo = self._memos[(idx, t, direction)] = (enc, tail, t - 1, check, {})
                     self._slots[pos] = memo
+        # message -> (state position of its first digit, digit radices)
+        self._digits: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._decoders: dict[int, tuple] = {}
         for j, node in enumerate(inst.terminals):
             demanded, dec = inst.demanded_at(j), code.decoders.get(j)
@@ -284,6 +343,32 @@ class Engine:
                 dec = _missing_decoder(j, node) if demanded else lambda view: ()
             check = _output_check(j, demanded, code.message_sizes)
             self._decoders[j] = self._memos[j] = (dec, node, n_out, check, {})
+            if isinstance(dec, Joined) and len(dec.radices) == len(demanded):
+                for i, radices in zip(demanded, dec.radices):
+                    if i not in self._digits and math.prod(radices) == code.message_sizes[i]:
+                        self._digits[i] = (len(self._blank), radices)
+                        self._blank += [0] * len(radices)
+        # the walk's sinks, decoders first: (memo, per output the (position,
+        # radix) digits it must spell), one per session of a laid-out Joined
+        self._spelled = [((i, size),) for i, size in enumerate(code.message_sizes)]
+        for i, (at, radices) in self._digits.items():
+            self._spelled[i] = tuple((at + s, r) for s, r in enumerate(radices))
+        self._sinks = []
+        for j, memo in self._decoders.items():
+            dec, targets = memo[0], [self._spelled[i] for i in inst.demanded_at(j)]
+            laid_out = [tuple(radix for _, radix in t) for t in targets]
+            if isinstance(dec, Joined) and laid_out == list(dec.radices):
+                self._sinks += [((dec.part(s), memo[1], n_out, tuple, {}), [(t[s],) for t in targets])
+                                for s in range(dec.count)]
+            else:
+                self._sinks.append((memo, targets))
+        self._sinks += [(memo, ()) for memo in self._slots.values()]
+
+    def _lay_out(self, state: list[int]) -> list[int]:
+        """`state` with each laid-out message also written by digit."""
+        for i, (at, radices) in self._digits.items():
+            state[at:at + len(radices)] = split_digits(state[i], radices)
+        return state
 
     def run(self, messages: Sequence[int]) -> list[int]:
         """The flat state of one execution on the message tuple."""
@@ -295,6 +380,8 @@ class Engine:
                 raise SymbolOutOfRange(f"message {i} value {m} outside [0, {size})")
         state = self._blank[:]
         state[:k] = messages
+        if self._digits:
+            self._lay_out(state)
         for pos, memo in self._slots.items():
             state[pos] = self._call(memo, state)
         return state
@@ -306,7 +393,8 @@ class Engine:
     def trace(self, state: list[int]) -> ExecutionTrace:
         """The ExecutionTrace of a state that `run` returned."""
         k, n_out = len(self.inst.sources), self.code.outer_n
-        rows = [tuple(state[p:p + n_out]) for p in range(k, len(state), n_out)]
+        end = k + 2 * len(self.inst.edges) * n_out
+        rows = [tuple(state[p:p + n_out]) for p in range(k, end, n_out)]
         return ExecutionTrace(
             self.inst, tuple(state[:k]), tuple(rows[0::2]), tuple(rows[1::2])
         )
@@ -324,47 +412,56 @@ class Engine:
         for values in itertools.product(*map(range, radices)):
             for pos, value in zip(positions, values):
                 state[pos] = value
-            table.append(self._call(memo, state))
+            table.append(self._call(memo, self._lay_out(state)))
         return table
 
-    def _sliced_pass(self, spaces: Sequence[int], total: int) -> bool:
+    def _sliced_pass(self, spaces: Sequence[int], total: int, budget: Optional[int] = None) -> bool:
         """Whether every tuple below `spaces` runs clean and meets every
-        demand, decided per decoder, then per slot; False once the walk has
-        made as many map calls as `total` joint tuples make."""
-        unset = [-1 if p < len(spaces) or p in self._slots else 0 for p in range(len(self._blank))]
-        sinks = [(memo, self.inst.demanded_at(j)) for j, memo in self._decoders.items()]
-        sinks += [(memo, ()) for memo in self._slots.values()]
-        budget = total * len(sinks)
-        for sink in sinks:
-            budget = self._walk(sink, unset[:], [], spaces, budget)
+        demand, decided per sink; False once the walk has made `budget` map
+        calls, by default as many as `total` tuples make (one per map).  A
+        laid-out message is walked by digit, over digit ranges that cover
+        its space; a tuple past the space can only make the walk fail."""
+        budget = total * len(self._memos) if budget is None else budget
+        reach = [0] * len(self._blank)  # values tried per position; 0: a slot or unused
+        for digits, space in zip(self._spelled, spaces):
+            top, free = split_digits(space - 1, [radix for _, radix in digits]), False
+            for (pos, radix), d in zip(digits, top):
+                reach[pos], free = (radix if free else d + 1), free or d > 0
+        unset = [-1 if reach[p] or p in self._slots else 0 for p in range(len(reach))]
+        for sink in self._sinks:
+            budget = self._walk(sink, unset[:], [], reach, budget)
             if budget < 0:
                 return False
         return True
 
-    def _walk(self, sink: tuple, state: list, pulls: list, spaces: Sequence, budget: int) -> int:
-        """The map calls left of `budget` once `sink` (memo, demanded messages)
-        runs clean, after the slots it waits on (`pulls`, innermost last), on
-        every completion of `state` in the messages it reads; -1 on a fault or
-        past the budget."""
+    def _walk(self, sink: tuple, state: list, pulls: list, reach: Sequence, budget: int) -> int:
+        """The map calls left of `budget` once `sink` (memo, digits each
+        output must equal) runs clean, after the slots it waits on (`pulls`,
+        innermost last), on every completion of `state` in the message
+        positions it reads; -1 on a fault or past the budget."""
         while (budget := budget - 1) >= 0:
             try:
                 out = self._call(self._slots[pulls[-1]] if pulls else sink[0], state)
                 if pulls:
                     state[pulls.pop()] = out
                     continue
-                for at, i in enumerate(sink[1]):
-                    if state[i] < 0:
-                        raise _Unset(i)
-                    if out[at] != state[i]:
+                for at, digits in enumerate(sink[1]):
+                    value = 0
+                    for pos, radix in digits:
+                        if state[pos] < 0:
+                            raise _Unset(pos)
+                        value = value * radix + state[pos]
+                    if out[at] != value:
                         return -1
                 return budget
             except _Unset as need:
-                if need.args[0] >= len(spaces):
-                    pulls.append(need.args[0])
+                pos = need.args[0]
+                if not reach[pos]:
+                    pulls.append(pos)
                     continue
-                for value in range(spaces[need.args[0]]):
-                    state[need.args[0]] = value
-                    budget = self._walk(sink, state[:], pulls[:], spaces, budget)
+                for value in range(reach[pos]):
+                    state[pos] = value
+                    budget = self._walk(sink, state[:], pulls[:], reach, budget)
                     if budget < 0:
                         break
                 return budget
@@ -428,7 +525,23 @@ class Engine:
                 raise LookupError(f"no edge {sender!r}-{node!r}")
             return read(inbound[sender] + t - 1)
 
-        return StateView(node, time, message, recv)
+        view = StateView(node, time, message, recv)
+        if self._digits:  # laid-out messages are read by digit
+            digits = self._digits
+
+            def whole(i: int) -> int:
+                if i not in digits or i not in own:
+                    return message(i)
+                at, radices = digits[i]
+                return combine_digits([read(at + s) for s in range(len(radices))], radices)
+
+            def digit(i: int, j: int, radices: tuple[int, ...]) -> int:
+                if i not in own or digits.get(i, (0, ()))[1] != radices:
+                    return split_digits(whole(i), radices)[j]
+                return read(digits[i][0] + j)
+
+            view._message_fn, view._digit_fn = whole, digit
+        return view
 
 
 def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -> ExecutionTrace:
@@ -441,10 +554,9 @@ def decode_outputs(
     code: NetworkCode, inst: NetworkInstance, trace: ExecutionTrace
 ) -> dict[int, tuple[int, ...]]:
     """Decoded message tuples per terminal index, in demanded-source order."""
-    state = list(trace.messages)
-    for fwd, bwd in zip(trace.fwd, trace.bwd):
-        state += fwd + bwd
-    return Engine(code, inst).decode(state)
+    engine = Engine(code, inst)
+    head = [*trace.messages, *(s for fwd, bwd in zip(trace.fwd, trace.bwd) for s in fwd + bwd)]
+    return engine.decode(engine._lay_out(head + engine._blank[len(head):]))
 
 
 def demands_met(inst: NetworkInstance, messages: Sequence[int], decoded) -> bool:
@@ -555,11 +667,14 @@ def check_feasibility(
 
     Exhaustive mode covers the whole product message space (error is exact;
     this is the only mode that certifies zero error).  It first walks each
-    decoder, then each slot, over only the messages it reads; if none raises
-    or misdecodes, no tuple fails and none runs.  Otherwise, or once the walk
-    makes as many map calls as the tuples would, every tuple runs.  `limit`
-    still counts tuples.  Sampled mode draws seeded uniform tuples and
-    reports a Clopper-Pearson interval alongside the point estimate.
+    decoder (each session of a Joined one), then each slot, over only the
+    messages, or session digits, it reads; if none raises or misdecodes, no
+    tuple fails and none runs.  Otherwise, or once the walk makes as many
+    map calls as the tuples would, every tuple runs.  Past `limit` tuples
+    the walk may make `limit` map calls, and EnumerationTooLarge is raised
+    only if it does not settle the code.  Sampled mode draws seeded uniform
+    tuples and reports a Clopper-Pearson interval alongside the point
+    estimate.
 
     When `rates` is given, source i is checked over the first
     floor(2**(R_i*N*n)) messages; the code must have at least that many.
@@ -582,11 +697,13 @@ def check_feasibility(
     else:
         spaces = code.message_sizes
 
+    engine = Engine(code, inst)
     if mode == "exhaustive":
         total = math.prod(spaces)
-        if total > limit:
+        settled = engine._sliced_pass(spaces, total, None if total <= limit else limit)
+        if not settled and total > limit:
             raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
-        tuples = itertools.product(*(range(s) for s in spaces))
+        tuples = () if settled else itertools.product(*(range(s) for s in spaces))
     elif mode == "sampled":
         if trials < 1:
             raise ValueError("sampled mode needs trials >= 1")
@@ -596,9 +713,6 @@ def check_feasibility(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    engine = Engine(code, inst)
-    if mode == "exhaustive" and engine._sliced_pass(spaces, total):
-        tuples = ()
     failing: list[tuple[int, ...]] = []
     failures = 0
     for tup in tuples:

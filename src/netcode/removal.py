@@ -36,6 +36,8 @@ from .codes import (
     StateView,
     check_feasibility,
     checked_rates,
+    pack,
+    remapped,
 )
 from .errors import (
     BadPath,
@@ -58,7 +60,7 @@ from .graphs import (
     slot_tail,
     widest_path,
 )
-from .rational import combine_digits, log2_at_least, split_digits
+from .rational import log2_at_least, split_digits
 from .transforms import interleave, pipeline_path, scale_code
 
 
@@ -198,12 +200,13 @@ def _decompose_side(
     )
 
 
-def _replaying_view(replay: tuple, state, node: str, horizon: int, sim: list) -> StateView:
+def _replaying_view(replay: tuple, node: str, horizon: int, state, sim=None) -> StateView:
     """The original code's view at `node` over the side execution seen by
     `state`, a side view of `node` or, in a replay, of the anchor.  `replay`
     is what `_simulated_side_code` fixed for the side; sim[r-1] holds the
-    replayed symbols of round r."""
+    replayed symbols of round r (a fresh list outside a replay)."""
     inst, e_idx, side, own, side_pos, fixing, replayed = replay
+    sim = [] if sim is None else sim
 
     def message(i):
         if i not in own[node]:
@@ -218,7 +221,7 @@ def _replaying_view(replay: tuple, state, node: str, horizon: int, sim: list) ->
             r = len(sim) + 1
             sim.append({})
             for key, enc, tail in replayed.get(r, ()):
-                sim[r - 1][key] = enc(_replaying_view(replay, state, tail, r - 1, sim))
+                sim[r - 1][key] = enc(_replaying_view(replay, tail, r - 1, state, sim))
         return sim[t - 1].get((oi, direction), 0)
 
     return StateView(node, horizon, message, recv)
@@ -255,12 +258,9 @@ def _simulated_side_code(
             replayed.setdefault(t, []).append(((oi, direction), enc, tail))
     replay = (inst, e_idx, side, own, side_pos, fixing, replayed)
 
-    def lift(base, node: str, horizon: int):
-        return lambda state: base(_replaying_view(replay, state, node, horizon, []))
-
     def restrict(j: int):
         keep = [pos for pos, i in enumerate(inst.demanded_at(j)) if i in side_pos]
-        full = lift(code.decoders[j], inst.terminals[j], code.outer_n)
+        full = remapped(code.decoders[j], _replaying_view, replay, inst.terminals[j], code.outer_n)
 
         def decoder(state):
             out = full(state)
@@ -277,7 +277,9 @@ def _simulated_side_code(
             {(side_of[oi], t): shape for (oi, t), shape in code.splits.items() if oi in side_of}
         ),
         encoders={
-            (side_of[oi], t, direction): lift(enc, slot_tail(inst, oi, direction), t - 1)
+            (side_of[oi], t, direction): remapped(
+                enc, _replaying_view, replay, slot_tail(inst, oi, direction), t - 1
+            )
             for (oi, t, direction), enc in code.encoders.items()
             if oi in side_of
         },
@@ -376,7 +378,7 @@ def host_path_code(
     def radices(layout, t: int) -> tuple[int, ...]:
         return tuple([piped.splits.size(s_idx, t, s_dir) for _, s_idx, s_dir in layout])
 
-    def star_view(state, star_node: str, horizon: int):
+    def star_view(star_node: str, horizon: int, state):
         """Present the host execution as the star instance's execution."""
 
         def recv(star_sender, t):
@@ -384,18 +386,22 @@ def host_path_code(
             symbol = state.recv(to_host.get(star_sender, star_sender), t)
             return split_digits(symbol, radices(layout, t))[pos]
 
-        return StateView(to_host.get(star_node, star_node), horizon, state.message, recv)
+        return state.replace(horizon, recv, node=to_host.get(star_node, star_node))
 
     def fold(layout, t: int):
-        """Host encoder of round t: every part's star encoder, combined."""
-        calls = [(piped.encoders.get((s_idx, t, s_dir)), sender) for sender, s_idx, s_dir in layout]
-        if not any(enc for enc, _ in calls):
+        """Host encoder of round t: every part's star encoder, combined; a
+        part outside its star slot's alphabet raises SymbolOutOfRange."""
+        encs = [piped.encoders.get((s_idx, t, s_dir)) for _, s_idx, s_dir in layout]
+        if not any(encs):
             return None
         sizes = radices(layout, t)
+        calls = [enc and remapped(enc, star_view, sender, t - 1)
+                 for enc, (sender, _, _) in zip(encs, layout)]
+        edges = [(star_inst.edges[s_idx], s_dir) for _, s_idx, s_dir in layout]
+        names = [f"encoder on {e.a!r}-{e.b!r} t={t} {s_dir}" for e, s_dir in edges]
 
         def encoder(state):
-            outs = [enc(star_view(state, sender, t - 1)) if enc else 0 for enc, sender in calls]
-            return combine_digits(outs, sizes)
+            return pack([call(state) if call else 0 for call in calls], sizes, names.__getitem__)
 
         return encoder
 
@@ -414,20 +420,14 @@ def host_path_code(
             if encoder is not None:
                 encoders[(h_idx, t, direction)] = encoder
 
-    n_out = piped.outer_n
-
-    def make_decoder(j):
-        base = piped.decoders[j]
-        node = host_inst.terminals[j]
-        return lambda state: base(star_view(state, node, n_out))
-
     return NetworkCode(
         inner_n=piped.inner_n,
-        outer_n=n_out,
+        outer_n=piped.outer_n,
         message_sizes=piped.message_sizes,
         splits=AlphabetSplit(split_table),
         encoders=encoders,
-        decoders={j: make_decoder(j) for j in piped.decoders},
+        decoders={j: remapped(dec, star_view, host_inst.terminals[j], piped.outer_n)
+                  for j, dec in piped.decoders.items()},
     )
 
 
@@ -597,7 +597,9 @@ def edge_removal_report(
     claims = []
     if rates is not None:
         for i, rate in enumerate(rates):
-            claimed = report.alpha * Fraction(nb, nb + ell) * Fraction(rate)
+            # the rate the final code carries: n/ceil(n/alpha) is alpha once
+            # alpha divides n, and tends to it as n grows
+            claimed = Fraction(code.inner_n, scaled.inner_n) * Fraction(nb, nb + ell) * Fraction(rate)
             exponent = claimed * scaled.outer_n * scaled.inner_n
             claims.append(
                 RateClaim(

@@ -29,10 +29,13 @@ from typing import Optional, Sequence
 
 from .codes import (
     AlphabetSplit,
+    Joined,
     NetworkCode,
     StateView,
     check_feasibility,
     edge_alphabets,
+    pack,
+    remapped,
 )
 from .errors import (
     AlphabetInclusionFails,
@@ -65,26 +68,21 @@ def _pack_sessions(
     """Session views and decoders for `count` runs of `code` in one host code.
 
     Session j (0-based) of a host view sees message i as
-    message_parts(i, w)[j], w being the host's message i (by default the
-    mixed-radix digits of w).  Its round-t symbol is digit j of the host's
-    round-t symbol when the sessions sit side by side, or the host's round
+    message_parts(i, w)[j], w being the host's message i, or by default as
+    digit j of w in count digits of i's base size, one StateView.digit
+    read.  Its round-t symbol is digit j of the host's round-t symbol
+    when the sessions sit side by side, or the host's round
     (t-1)*count + j + 1 symbol when they are staggered; a staggered view
     of host time T sees base rounds up to T // count, which is t-1 for an
-    encoder of base round t and N for a decoder.  Each host message and
-    symbol is split at most once per host view, however many sessions read
-    it.
+    encoder of base round t and N for a decoder.  Each host symbol, and
+    each message that message_parts splits, is split at most once per host
+    view, however many sessions read it.
 
     Returns (sessions, decoders).  sessions(state) maps j to the view of
-    session j.  Each decoder runs the base decoder on every session and
-    joins, per demanded source i, the session outputs with join(i, outputs)
-    (by default the mixed-radix combination).
+    session j.  Each decoder runs the base decoder on every session and is
+    Joined, or with `join` joins the outputs of source i by join(i, outputs).
     """
-    if message_parts is None:
-        def message_parts(i, w):
-            return split_digits(w, (code.message_sizes[i],) * count)
-
-        def join(i, parts):
-            return combine_digits(parts, (code.message_sizes[i],) * count)
+    radices = [(size,) * count for size in code.message_sizes]
 
     def sessions(state):
         node = state.node
@@ -93,6 +91,8 @@ def _pack_sessions(
 
         def view(j: int) -> StateView:
             def message(i):
+                if message_parts is None:
+                    return state.digit(i, j, radices[i])
                 parts = messages.get(i)
                 if parts is None:
                     parts = messages[i] = message_parts(i, state.message(i))
@@ -113,6 +113,10 @@ def _pack_sessions(
             return StateView(node, horizon, message, recv)
 
         return view
+
+    if join is None:
+        return sessions, {j: Joined(dec, sessions, count, tuple(radices[i] for i in inst.demanded_at(j)))
+                          for j, dec in code.decoders.items()}
 
     def make_decoder(j_term):
         base = code.decoders[j_term]
@@ -139,18 +143,21 @@ def _side_by_side(
     message_parts=None,
     join=None,
 ) -> NetworkCode:
-    """m sessions packed into every directional slot (see _pack_sessions)."""
+    """m sessions packed into every directional slot (see _pack_sessions);
+    a session symbol outside its slot's alphabet raises SymbolOutOfRange."""
     sessions, decoders = _pack_sessions(
         code, inst, m, message_parts=message_parts, join=join
     )
 
     def make_encoder(key):
         base = code.encoders[key]
-        radix = code.splits.size(*key)
+        radices = (code.splits.size(*key),) * m
+        e = inst.edges[key[0]]
+        where = f"encoder on {e.a!r}-{e.b!r} t={key[1]} {key[2]}"
 
         def encoder(state):
             view = sessions(state)
-            return combine_digits([base(view(j)) for j in range(m)], (radix,) * m)
+            return pack([base(view(j)) for j in range(m)], radices, lambda j: f"session {j} {where}")
 
         return encoder
 
@@ -442,14 +449,14 @@ def interleave(code: NetworkCode, inst: NetworkInstance) -> NetworkCode:
 
     sessions, decoders = _pack_sessions(code, inst, n_base, staggered=True)
 
-    encoders = {}
-    for (edge_idx, t_base, direction), base_enc in code.encoders.items():
-        for j in range(n_base):
+    def session(j, state):
+        return sessions(state)(j)
 
-            def encoder(state, base_enc=base_enc, j=j):
-                return base_enc(sessions(state)(j))
-
-            encoders[(edge_idx, (t_base - 1) * n_base + j + 1, direction)] = encoder
+    encoders = {
+        (edge_idx, (t_base - 1) * n_base + j + 1, direction): remapped(base_enc, session, j)
+        for (edge_idx, t_base, direction), base_enc in code.encoders.items()
+        for j in range(n_base)
+    }
 
     return NetworkCode(
         inner_n=code.inner_n,
@@ -537,7 +544,7 @@ def pipeline_path(
     # (receiving end, original sender) -> the last path hop's sender
     last_hop = {(nodes[-1], nodes[0]): nodes[-2] for nodes in travel.values()}
 
-    def tilde_view(state, horizon: int):
+    def tilde_view(horizon: int, state):
         """Present the pipelined history as the tilde execution's history."""
 
         def recv(sender, tt):
@@ -547,12 +554,7 @@ def pipeline_path(
                 return state.recv(relay_from, t_out + ell - 2)
             return state.recv(sender, t_out)
 
-        return StateView(state.node, horizon, state.message, recv)
-
-    def replay(base, horizon: int):
-        """Run a tilde encoder or decoder on the pipelined history, seen
-        as the tilde history up to round `horizon`."""
-        return lambda state: base(tilde_view(state, horizon))
+        return state.replace(horizon, recv)
 
     def relay(sender: str):
         """Pass on the symbol `sender` committed one round earlier."""
@@ -578,7 +580,7 @@ def pipeline_path(
                 for direction in (FWD, BWD):
                     base_enc = tilde.encoders.get((t_idx, tt, direction))
                     if base_enc is not None:
-                        encoders[(p_idx, pipe_time(i, j), direction)] = replay(base_enc, tt - 1)
+                        encoders[(p_idx, pipe_time(i, j), direction)] = remapped(base_enc, tilde_view, tt - 1)
 
     # The removed edge's symbols in direction trip_dir[d] cross path hop k
     # in direction d as hop h of their trip, and the j-th symbol of
@@ -606,7 +608,7 @@ def pipeline_path(
                         base_enc = tilde.encoders.get((e_idx, tilde_time(i, j), trip_dir[direction]))
                         if base_enc is None:
                             continue
-                        enc = replay(base_enc, tilde_time(i, j) - 1)
+                        enc = remapped(base_enc, tilde_view, tilde_time(i, j) - 1)
                     encoders[(p_idx, pipe_time(i, o), direction)] = enc
 
     return NetworkCode(
@@ -615,7 +617,7 @@ def pipeline_path(
         message_sizes=tilde.message_sizes,
         splits=AlphabetSplit(split_table),
         encoders=encoders,
-        decoders={j: replay(dec, nb * nb) for j, dec in tilde.decoders.items()},
+        decoders={j: remapped(dec, tilde_view, nb * nb) for j, dec in tilde.decoders.items()},
     )
 
 
@@ -684,7 +686,7 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
         for s in range(1, m + 1):
             split_table[(edge_idx, (t - 1) * m + s)] = (bf, bb)
 
-    def old_view(state, horizon: int):
+    def old_view(horizon: int, state):
         def recv(sender, t):
             idx, direction = inst.slot(sender, state.node)
             key = (idx, t, direction)
@@ -695,22 +697,19 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
             # old alphabet so the old code sees a symbol it accepts.
             return min(combine_digits(digits, (b,) * m), code.splits.size(*key) - 1)
 
-        return StateView(state.node, horizon, state.message, recv)
+        return state.replace(horizon, recv)
 
     encoders = {}
     for (edge_idx, t, direction), base_enc in code.encoders.items():
         b = radix.get((edge_idx, t, direction), 1)
+        old = remapped(base_enc, old_view, t - 1)
         for s in range(1, m + 1):
-            def encoder(state, base_enc=base_enc, t=t, b=b, s=s):
-                symbol = base_enc(old_view(state, t - 1))
-                return split_digits(symbol, (b,) * m)[s - 1]
+            def encoder(state, old=old, b=b, s=s):
+                return split_digits(old(state), (b,) * m)[s - 1]
 
             encoders[(edge_idx, (t - 1) * m + s, direction)] = encoder
 
-    decoders = {
-        j: (lambda dec: (lambda state: dec(old_view(state, code.outer_n))))(dec)
-        for j, dec in code.decoders.items()
-    }
+    decoders = {j: remapped(dec, old_view, code.outer_n) for j, dec in code.decoders.items()}
 
     return NetworkCode(
         inner_n=n_new,

@@ -64,6 +64,16 @@ def cycle4():
         ["a", "c"], ["c", "a"], [[1, 0], [0, 1]]))
 
 
+def fractional_alpha():
+    # the probe v0-v4 at lambda 1 rides the widest v0-v4 path v0-v2-v4
+    # (gamma 3/2), so alpha = 3/5 divides no inner blocklength below 3
+    return make(inst_doc(
+        ["v0", "v1", "v2", "v3", "v4"],
+        [("v1", "v2", "1"), ("v2", "v3", "1"), ("v0", "v2", "2"), ("v0", "v3", "2"),
+         ("v2", "v4", "3/2")],
+        ["v3"], ["v2"], [[1]]))
+
+
 def two_triangles():
     # disconnected; the probe pair (c, d) bridges them
     return make(inst_doc(
@@ -142,18 +152,19 @@ def clamp_code(inst, sender, receiver, n, outer_n, send_round, size=4):
     )
 
 
-def path_chain(n_rounds, inst=None, off_path=False):
+def path_chain(n_rounds, inst=None, off_path=False, extra=()):
     """interleave -> pipeline_path -> host_path_code -> scale_code on
     cycle4 (or `inst`, whose widest a-c path is a-b-c) with probe a-c,
     built the way edge_removal_report builds it.  Each base route sends
     one bit (n=1), so both base messages have two values.  a->c takes the
     probe at round 1; c->a takes it at round 2 or, with `off_path`, goes
-    c-d-a at rounds 1 and 2, off the host path (stages named "offpath-")."""
+    c-d-a at rounds 1 and 2, off the host path (stages named "offpath-").
+    The `extra` routes also run; decoders read the routes above."""
     inst = cycle4() if inst is None else inst
     aug = nc.add_edge(inst, "a", "c", Fraction(1))
     back = nc.Route(1, 1, ("c", "d", "a"), (1, 2)) if off_path else nc.Route(1, 1, ("c", "a"), (2,))
     base = nc.make_routing_code(
-        aug, [nc.Route(0, 0, ("a", "c"), (1,)), back], 1, n_rounds, [2, 2])
+        aug, [nc.Route(0, 0, ("a", "c"), (1,)), back, *extra], 1, n_rounds, [2, 2])
     bound = nc.path_case_bound(inst, "a", "c", Fraction(1))
     path = list(bound.path.nodes)
     star_path = ["a"] + [f"relay{r}" for r in range(2, len(path))] + ["c"]

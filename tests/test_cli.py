@@ -23,6 +23,7 @@ from netcode.cli import main
 from conftest import (
     clamp_code,
     cycle4,
+    fractional_alpha,
     inst_doc,
     line3,
     make,
@@ -421,6 +422,23 @@ def test_analyze_path_case_with_code(tmp_path, capsys):
     assert [cl["claimed_rate"] for cl in ver["rate_claims"]] == ["1/10", "1/10"]
     assert all(cl["achieved"] for cl in ver["rate_claims"])
     assert ver["final"]["passed"] is True
+
+
+def test_analyze_path_case_claims_the_rate_at_its_blocklength(tmp_path, capsys):
+    # alpha = 3/5 does not divide n = 2; the claim is n/ceil(n/alpha) *
+    # N/(N+ell) * R = 1/2 * 1/4 * 1/2, which the final code achieves
+    ipath = jfile(tmp_path, "inst.json", fractional_alpha().to_doc())
+    cpath = jfile(tmp_path, "code.json", {
+        "kind": "routing", "inner_n": 2, "outer_n": 1, "message_sizes": [2],
+        "routes": [{"source": 0, "terminal": 0, "nodes": ["v3", "v2"], "rounds": [1]}],
+    })
+    rc, doc = run_cli(
+        capsys, ["analyze", ipath, "--edge", "v0,v4", "--lambda", "1",
+                 "--code", cpath, "--rate", "1/2"])
+    assert rc == 0
+    ver = doc["verification"]
+    assert (ver["alpha"], ver["passed"]) == ("3/5", True)
+    assert ver["rate_claims"] == [{"achieved": True, "claimed_rate": "1/16", "source": 0}]
 
 
 def test_analyze_bridge_verification_sets_exit_code(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 import netcode as nc
 from netcode import codes
 from netcode.codes import Engine
-from netcode.errors import CapacityOverflow, SymbolOutOfRange
+from netcode.errors import CapacityOverflow, EnumerationTooLarge, SymbolOutOfRange
 
 import reference_exec as ref
 from conftest import (
@@ -96,6 +96,19 @@ def cases():
         clamp, inst, 3, "repetition", Fraction(1, 4), strict=False)))
     out += [case for case in path_chain(2) if case[0] != "chain-base"]
     out += path_chain(2, off_path=True)
+    # session-packed codes: an interleaved and a repeated routing code, one
+    # over base messages of three values, and the host stage of a chain
+    # whose b->a slot folds two sessions (c->a also goes c-b-a)
+    inst = two_way()
+    base = nc.make_routing_code(
+        inst, [nc.Route(0, 0, ("a", "b"), (1,)), nc.Route(1, 1, ("b", "a"), (2,))], 1, 2, [2, 2])
+    ternary = nc.make_routing_code(single_edge(), [nc.Route(0, 0, ("a", "b"), (1,))], 2, 1, [3])
+    out += [("interleave", inst, nc.interleave(base, inst)),
+            ("repeat", inst, nc.parallel_repeat(base, inst, 3)),
+            ("repeat-ternary", single_edge(), nc.parallel_repeat(ternary, single_edge(), 2))]
+    fold = (nc.Route(1, 1, ("c", "b", "a"), (1, 2)),)
+    out += [(f"folded-{name}", inst, code) for name, inst, code in path_chain(2, extra=fold)
+            if name == "chain-host"]
     out += [synthetic_case(s) for s in range(3)]
     return out
 
@@ -388,16 +401,118 @@ def test_sliced_reports_match_reference(data):
     assert Engine(code, inst)._sliced_pass(spaces, 10 ** 9) == clean
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def count_calls(monkeypatch):
+    """Count Engine._call calls: map calls, from the trie or not."""
+    calls = [0]
+    call = Engine._call
+
+    def counted(self, memo, state):
+        calls[0] += 1
+        return call(self, memo, state)
+
+    monkeypatch.setattr(Engine, "_call", counted)
+    return calls
+
+
+# map calls of the walk on the final chain code: one sink per session of
+# each terminal, then one per slot, each branching over the one digit it
+# reads (the joint loop would run 4**N tuples of 4*N + 14 maps)
+CHAIN_WALK_CALLS = {2: 84, 3: 120, 4: 156, 5: 192, 6: 228}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_sliced_pass_settles_the_path_chain(monkeypatch, n):
-    # each terminal of the final chain code reads one message, so the walk
-    # makes fewer map calls than the joint loop would (at N=2, 134 against
-    # 16 tuples of 22 maps each): no tuple runs
     _, inst, code = (CHAINS[n] if n in CHAINS else path_chain(n))[-1]
-    runs = count_runs(monkeypatch)
+    runs, calls = count_runs(monkeypatch), count_calls(monkeypatch)
     report = nc.check_feasibility(code, inst)
     assert (report.trials, report.failures, report.failing) == (4 ** n, 0, ())
     assert report.passed and report.certified and runs == []
+    assert calls[0] == CHAIN_WALK_CALLS[n]
+
+
+def test_limit_counts_the_walk_map_calls_past_the_tuple_limit(monkeypatch):
+    # at N=11 the final chain code has 4**11 tuples, over the default
+    # limit of 2**20, and the walk settles it in 408 map calls: a limit of
+    # 408 certifies the code, one less raises
+    _, inst, code = path_chain(11)[-1]
+    runs = count_runs(monkeypatch)
+    report = nc.check_feasibility(code, inst)
+    assert (report.trials, report.failures, report.passed, report.certified) == \
+        (4 ** 11, 0, True, True)
+    assert nc.check_feasibility(code, inst, limit=408) == report
+    with pytest.raises(EnumerationTooLarge):
+        nc.check_feasibility(code, inst, limit=407)
+    assert runs == []
+
+
+FACTORED = [case for case in CASES
+            if any(isinstance(dec, codes.Joined) for dec in case[2].decoders.values())]
+
+
+@pytest.mark.parametrize("case", FACTORED, ids=[name for name, *_ in FACTORED])
+def test_factored_walk_settles_and_matches_reference_at_rates(case):
+    # the walk settles every code whose decoders are Joined (its whole
+    # spaces are compared with the reference in test_reports_match_reference);
+    # at rates of about a quarter of each message space it may spend its
+    # budget first, and the report must still equal the reference's
+    _, inst, code = case
+    assert Engine(code, inst)._sliced_pass(code.message_sizes, 10 ** 9)
+    rates = [Fraction(max(0, s.bit_length() - 2), code.outer_n * code.inner_n)
+             for s in code.message_sizes]
+    report = nc.check_feasibility(code, inst, rates=rates)
+    assert report == ref.check_feasibility(code, inst, rates=rates)
+    assert report.failures == 0
+
+
+def test_walk_past_a_rated_space_only_falls_back(monkeypatch):
+    # two sessions of a three-value message: a rated space of 4 messages
+    # is no product of digit ranges, so the walk covers it with messages
+    # 0..5, and a fault at message 5 makes it fall back to the 4 tuples
+    inst = single_edge()
+    base = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 2, 1, [3])
+    code = nc.parallel_repeat(base, inst, 2)
+    enc = code.encoders[(0, 1, nc.FWD)]
+    code = replace(code, encoders={(0, 1, nc.FWD): lambda view: 9 if view.message(0) == 5 else enc(view)})
+    rates = [Fraction(1, 2)]
+    runs = count_runs(monkeypatch)
+    report = nc.check_feasibility(code, inst, rates=rates)
+    assert report == ref.check_feasibility(code, inst, rates=rates)
+    assert (report.trials, report.failures) == (4, 0)
+    assert runs == [(0,), (1,), (2,), (3,)]
+    with pytest.raises(SymbolOutOfRange):
+        nc.check_feasibility(code, inst)
+
+
+def with_wrong_session(code, j, s):
+    """The code with terminal j's Joined decoder reading every symbol of
+    session s as 0: it decodes 0 there, wrong exactly where that session's
+    digit of the demanded message is 1."""
+    dec = code.decoders[j]
+
+    def sessions(state):
+        view = dec.sessions(state)
+
+        def session(k):
+            seen = view(k)
+            if k != s:
+                return seen
+            return nc.StateView(seen.node, seen.time, seen.message, lambda sender, t: 0)
+
+        return session
+
+    return replace(code, decoders={**code.decoders, j: codes.Joined(dec.base, sessions, dec.count, dec.radices)})
+
+
+@pytest.mark.parametrize("s", range(3))
+def test_one_wrong_session_is_reported_as_the_reference(s):
+    # every session is a sink of its own, so the walk finds the one that
+    # decodes a wrong digit; the joint loop then lists its failing tuples
+    _, inst, code = CHAINS[3][-1]
+    code = with_wrong_session(code, 0, s)
+    want = ref.check_feasibility(code, inst)
+    assert nc.check_feasibility(code, inst) == want
+    assert want.failures == 4 ** 3 // 2
+    assert not Engine(code, inst)._sliced_pass(code.message_sizes, 10 ** 9)
 
 
 def test_a_wrong_decoder_ends_the_walk_before_any_slot_sink(monkeypatch):

@@ -15,12 +15,13 @@ from netcode.errors import (
     EnumerationTooLarge,
     NonPositiveCapacity,
     NotABridge,
+    SymbolOutOfRange,
     UnknownVertex,
 )
 from netcode.rational import combine_digits, log2_at_least
 
 import reference_exec as ref
-from conftest import cycle4, inst_doc, make, path_chain, two_triangles
+from conftest import cycle4, fractional_alpha, inst_doc, make, path_chain, two_triangles
 
 
 def bridged_pair():
@@ -631,6 +632,40 @@ def test_path_report_renames_a_relay_that_names_a_vertex(monkeypatch):
     rep = nc.edge_removal_report(inst, "a", "c", Fraction(1), code=chord_routes_code(aug, 1))
     assert paths == [(["a", "relay2_", "c"], ["a", "d", "c"])]
     assert rep.verification.passed
+
+
+def test_path_report_claims_the_rate_the_rounded_blocklength_gives():
+    # alpha = 3/5 does not divide n = 2: scale_code stretches n to
+    # ceil(2/alpha) = 4, so the final code carries exactly
+    # 2/4 * N/(N+ell) * R = 1/16, below alpha * N/(N+ell) * R = 3/40
+    inst = fractional_alpha()
+    aug = nc.add_edge(inst, "v0", "v4", Fraction(1))
+    code = nc.make_routing_code(aug, [nc.Route(0, 0, ("v3", "v2"), (1,))], 2, 1, [2])
+    rep = nc.edge_removal_report(inst, "v0", "v4", Fraction(1), code=code, rates=[Fraction(1, 2)])
+    ver = rep.verification
+    assert (rep.alpha, ver.ell, ver.final_inner_n, ver.final_outer_n) == (Fraction(3, 5), 3, 4, 4)
+    assert ver.base_report.measured_error == ver.final_report.measured_error == 0
+    assert [(cl.claimed_rate, cl.achieved) for cl in ver.rate_claims] == [(Fraction(1, 16), True)]
+    assert ver.passed
+
+
+def test_path_report_names_the_star_slot_a_folded_symbol_overflows():
+    # a->c sends message 0 whole over a two-symbol slot.  At rates (1, 0)
+    # the base check runs messages 0 and 1, which fit; the final check
+    # runs every message, and the host fold meets message 2 on the relay
+    inst = cycle4()
+    aug = nc.add_edge(inst, "a", "c", Fraction(1))
+    probe = aug.edge_between("a", "c")[0]
+    code = nc.NetworkCode(
+        inner_n=1, outer_n=1, message_sizes=(4, 2),
+        splits=nc.AlphabetSplit({(probe, 1): (2, 1)}),
+        encoders={(probe, 1, nc.FWD): lambda view: view.message(0)},
+        decoders={0: lambda view: (view.recv("a", 1),), 1: lambda view: (0,)},
+    )
+    with pytest.raises(SymbolOutOfRange,
+                       match="encoder on 'a'-'relay2' t=1 fwd produced 2, alphabet size 2"):
+        nc.edge_removal_report(inst, "a", "c", Fraction(1), code=code,
+                               rates=[Fraction(1), Fraction(0)])
 
 
 def test_path_report_without_code():

@@ -17,6 +17,7 @@ from netcode.errors import (
     NotInterleaved,
     SeedSearchFailed,
     SplitCapacityViolation,
+    SymbolOutOfRange,
 )
 from netcode.rational import split_digits
 from netcode.transforms import InterleaveTag
@@ -79,6 +80,22 @@ def test_parallel_repeat_error_composition():
         rep = nc.check_feasibility(
             nc.parallel_repeat(base, inst, m), inst, epsilon=Fraction(1))
         assert rep.measured_error == expect
+
+
+def test_parallel_repeat_names_the_session_symbol_outside_its_slot():
+    # the encoder sends message 0 over a slot of one symbol: the base code
+    # fails at message 1, and the two-session code where session 1 sends 1
+    inst = single_edge()
+    code = nc.NetworkCode(
+        inner_n=1, outer_n=1, message_sizes=(2,), splits=nc.AlphabetSplit({}),
+        encoders={(0, 1, nc.FWD): lambda view: view.message(0)},
+        decoders={0: lambda view: (0,)},
+    )
+    with pytest.raises(SymbolOutOfRange, match="encoder on 'a'-'b' t=1 fwd produced 1"):
+        nc.check_feasibility(code, inst)
+    with pytest.raises(SymbolOutOfRange,
+                       match="session 1 encoder on 'a'-'b' t=1 fwd produced 1, alphabet size 1"):
+        nc.check_feasibility(nc.parallel_repeat(code, inst, 2), inst)
 
 
 # ----------------------------------------------------------------- interleave
