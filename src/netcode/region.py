@@ -5,15 +5,20 @@ deterministic code table over every message-size tuple (powers of two
 only, so the resulting rates log2|W_i|/(Nn) are rational) and returns the
 Pareto-maximal achievable rate points.
 
-The search is exact but exponential: defaults cap it at 3 edges, binary
-edge alphabets, N <= 2, and message spaces of at most 4.  Anything beyond
-the configured limits raises EnumerationTooLarge rather than running
-forever.
+The search is exact but exponential, so it is a branch and bound: a
+branch stops at the first slot after which some terminal can no longer
+receive enough to tell its demanded messages apart, and each source is
+searched up to the largest size the cuts allow.  Defaults cap it at 3
+edges, binary edge alphabets and N <= 2.  A search that a limit cuts
+short raises EnumerationTooLarge naming the limit, rather than running
+forever or answering wrong.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -25,15 +30,21 @@ from .rational import alphabet_size
 
 @dataclass(frozen=True)
 class RegionLimits:
+    """Bounds on a region search.  `max_message_size`, when set, caps every
+    message size below its cut ceiling; `max_ops` bounds the size tuples
+    tried plus the slot functions enumerated."""
+
     max_edges: int = 3
     max_alphabet: int = 2
     max_outer: int = 2
-    max_message_size: int = 4
+    max_message_size: Optional[int] = None
     max_ops: int = 2_000_000
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
+            if value is None and name == "max_message_size":
+                continue
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise MalformedDocument(
                     f"region limit {name} must be an integer >= 1, got {value!r}"
@@ -68,15 +79,15 @@ def _rgs_exact(count: int, blocks: int):
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("ops", "left")
 
     def __init__(self, ops: int):
-        self.left = ops
+        self.ops = self.left = ops
 
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
         if self.left < 0:
-            raise EnumerationTooLarge("code-table enumeration budget exhausted")
+            raise EnumerationTooLarge(f"region search used all of max_ops={self.ops}")
 
 
 def _search_codes(
@@ -89,37 +100,43 @@ def _search_codes(
     """True iff some deterministic code is zero-error at these sizes."""
     tuples = list(itertools.product(*(range(s) for s in sizes)))
     count = len(tuples)
-    own = {v: inst.sources_at(v) for v in inst.vertices}
+    own = {
+        v: [tuple(msgs[i] for i in inst.sources_at(v)) for msgs in tuples]
+        for v in inst.vertices
+    }
     incoming = {v: incoming_slots(inst, v) for v in inst.vertices}
     split_options = [
         [(f, b) for f in range(1, a + 1) for b in range(1, a + 1) if f * b <= a]
         for a in alphabets
     ]
-    demands = [
-        (j, inst.terminals[j], inst.demanded_at(j))
-        for j in range(len(inst.terminals))
-        if inst.demanded_at(j)
-    ]
+    # Edges are staged round by round; checks[step] lists (terminal, its
+    # demanded values per tuple, how many symbol sequences its incoming
+    # slots from `step` on can carry) for the terminals whose view the
+    # slot before `step` may have refined.
+    slots = [(t, pos) for t in range(1, outer_n + 1) for pos in range(len(inst.edges))]
+    checks: list[list] = [[] for _ in range(len(slots) + 1)]
+    for j, node in enumerate(inst.terminals):
+        if not inst.demanded_at(j):
+            continue
+        into = {e for e, _, _ in incoming[node]}
+        wanted = [tuple(msgs[i] for i in inst.demanded_at(j)) for msgs in tuples]
+        for step in range(len(slots) + 1):
+            if step == 0 or slots[step - 1][1] in into:
+                room = math.prod(alphabets[e] for _, e in slots[step:] if e in into)
+                checks[step].append((node, wanted, room))
 
     # hist holds per-tuple symbols for every committed slot of size > 1
     hist: dict[tuple[int, int, str], tuple[int, ...]] = {}
 
     def views(node: str, horizon: int) -> list:
+        """Per tuple: the node's own messages, then what it received."""
         keys = [
             (e, t, d)
             for (e, d, _) in incoming[node]
             for t in range(1, horizon + 1)
             if (e, t, d) in hist
         ]
-        out = []
-        for idx, msgs in enumerate(tuples):
-            out.append(
-                (
-                    tuple(msgs[i] for i in own[node]),
-                    tuple(hist[k][idx] for k in keys),
-                )
-            )
-        return out
+        return list(zip(own[node], *(hist[k] for k in keys)))
 
     def slot_functions(edge_idx: int, direction: str, size: int, t: int):
         """Candidate per-tuple symbol vectors for one slot."""
@@ -135,87 +152,71 @@ def _search_codes(
             budget.spend()
             yield tuple(assignment[r] for r in ranks)
 
-    def decodable() -> bool:
-        for _, node, demanded in demands:
-            groups: dict = {}
-            for idx, key in enumerate(views(node, outer_n)):
-                wit = groups.get(key)
-                if wit is None:
-                    groups[key] = idx
-                    continue
-                for i in demanded:
-                    if tuples[wit][i] != tuples[idx][i]:
-                        return False
+    def receivable(step: int) -> bool:
+        """Cut-set bound mid-search: the tuples a terminal cannot tell apart
+        so far can hold at most `room` demanded values; finally, one."""
+        for node, wanted, room in checks[step]:
+            groups = Counter(key for key, _ in set(zip(views(node, outer_n), wanted)))
+            if max(groups.values()) > room:
+                return False
         return True
 
-    def fill_round(t: int) -> bool:
-        if t > outer_n:
-            return decodable()
-
-        def per_edge(pos: int, staged: list) -> bool:
-            if pos == len(inst.edges):
-                for key, syms in staged:
-                    hist[key] = syms
-                ok = fill_round(t + 1)
-                for key, _ in staged:
-                    del hist[key]
-                return ok
-            for f, b in split_options[pos]:
-                for fsyms in slot_functions(pos, FWD, f, t):
-                    staged_f = staged + (
-                        [((pos, t, FWD), fsyms)] if fsyms is not None else []
-                    )
-                    for bsyms in slot_functions(pos, BWD, b, t):
-                        staged_fb = staged_f + (
-                            [((pos, t, BWD), bsyms)] if bsyms is not None else []
-                        )
-                        if per_edge(pos + 1, staged_fb):
-                            return True
+    def fill(step: int) -> bool:
+        if not receivable(step):
             return False
-
-        return per_edge(0, [])
+        if step == len(slots):
+            return True
+        t, pos = slots[step]
+        for f, b in split_options[pos]:
+            for fsyms in slot_functions(pos, FWD, f, t):
+                for bsyms in slot_functions(pos, BWD, b, t):
+                    staged = [
+                        (key, syms)
+                        for key, syms in (((pos, t, FWD), fsyms), ((pos, t, BWD), bsyms))
+                        if syms is not None
+                    ]
+                    hist.update(staged)
+                    ok = fill(step + 1)
+                    for key, _ in staged:
+                        del hist[key]
+                    if ok:
+                        return True
+        return False
 
     if count == 1:
         return True
-    return fill_round(1)
+    return fill(0)
 
 
 def _cut_prune(
     inst: NetworkInstance, alphabets: tuple[int, ...], outer_n: int
-) -> list[tuple[set, int]]:
-    """(vertex set X, crossing alphabet product) for every bipartition."""
+) -> list[tuple[set[int], int]]:
+    """(sources demanded across X in either direction, crossing alphabet
+    product) for every bipartition X that some demand crosses."""
     verts = inst.vertices
+    k, r = len(inst.sources), len(inst.terminals)
     cuts = []
     for mask in range(1, 2 ** len(verts) - 1):
         x = {verts[i] for i in range(len(verts)) if mask >> i & 1}
+        crossing = {
+            i
+            for i in range(k)
+            for j in range(r)
+            if inst.demand[i][j] and (inst.sources[i] in x) != (inst.terminals[j] in x)
+        }
         prod = 1
         for e_idx, e in enumerate(inst.edges):
             if (e.a in x) != (e.b in x):
                 prod *= alphabets[e_idx] ** outer_n
-        cuts.append((x, prod))
+        if crossing:
+            cuts.append((crossing, prod))
     return cuts
 
 
-def _passes_cuts(inst: NetworkInstance, cuts, sizes: tuple[int, ...]) -> bool:
+def _passes_cuts(cuts, sizes: tuple[int, ...]) -> bool:
     """Counting bound: messages demanded across a cut must fit, jointly in
     both directions, inside the crossing alphabet product."""
-    k, r = len(inst.sources), len(inst.terminals)
-    for x, prod in cuts:
-        need = 1
-        for inside in (True, False):
-            crossing = {
-                i
-                for i in range(k)
-                for j in range(r)
-                if inst.demand[i][j]
-                and (inst.sources[i] in x) == inside
-                and (inst.terminals[j] in x) != inside
-            }
-            for i in crossing:
-                need *= sizes[i]
-        if need > prod:
-            return False
-    return True
+    return all(math.prod(sizes[i] for i in crossing) <= prod for crossing, prod in cuts)
 
 
 def rate_region_micro(
@@ -226,13 +227,20 @@ def rate_region_micro(
 ) -> frozenset[tuple[Fraction, ...]]:
     """Pareto-maximal zero-error rate points at blocklengths (n, N).
 
-    Message space sizes range over powers of two up to the configured
-    maximum, so every reported rate is exactly log2(size)/(N*n).
-    Feasibility of a size tuple is decided by exhaustive code search with
-    two sound reductions: output symbols of each slot are canonicalized
-    up to relabeling, and size tuples violating a cut-capacity count are
-    rejected without search.  limits.max_ops counts every size tuple tried
-    and every slot function enumerated.
+    Message space sizes range over powers of two, so every reported rate
+    is exactly log2(size)/(N*n).  Source i is searched up to its cut
+    ceiling, the largest power of two that passes the cut-capacity count
+    while every other source has size 1, and below limits.max_message_size
+    when that is set.  A size tuple is decided by exhaustive code search
+    with three sound reductions: output symbols of each slot are
+    canonicalized up to relabeling, size tuples violating a cut-capacity
+    count are rejected without search, and a branch stops at a slot
+    after which some terminal could no longer receive enough to decode.
+    limits.max_ops counts every size tuple tried and every slot function
+    enumerated.  EnumerationTooLarge names the limit that stopped the
+    search; the cap stops it when a feasible size tuple sits at the cap in
+    a coordinate whose doubling still passes the cut count, or when no cut
+    bounds a source and there is no cap.
     """
     limits = limits or RegionLimits()
     if len(inst.edges) > limits.max_edges:
@@ -250,29 +258,50 @@ def rate_region_micro(
     if len(inst.vertices) > 16:
         raise EnumerationTooLarge("more than 16 vertices")
 
-    size_options = [1 << b for b in range(limits.max_message_size.bit_length())]
-
     budget = _Budget(limits.max_ops)
     cuts = _cut_prune(inst, alphabets, outer_n)
     k = len(inst.sources)
+    cap = limits.max_message_size
+
+    def describe(i: int, ceiling) -> str:
+        return f"source {i} at {inst.sources[i]!r} (cut ceiling {ceiling or 'none'})"
+
+    tops, ceilings = [], []
+    for i in range(k):
+        bounds = [prod for crossing, prod in cuts if i in crossing]
+        ceiling = 1 << (min(bounds).bit_length() - 1) if bounds else None
+        if ceiling is None and cap is None:
+            raise EnumerationTooLarge(f"no cut bounds {describe(i, None)}; set max_message_size")
+        ceilings.append(ceiling)
+        top = min(c for c in (ceiling, cap) if c is not None)
+        tops.append(1 << (top.bit_length() - 1))
 
     feasible: list[tuple[int, ...]] = []
     infeasible: list[tuple[int, ...]] = []
 
     # Ascending lexicographic order extends the componentwise order, so
     # every tuple below `sizes` has been decided before it.
-    for sizes in itertools.product(size_options, repeat=k):
+    for sizes in itertools.product(*([1 << b for b in range(top.bit_length())] for top in tops)):
         budget.spend()
         if any(all(s >= g for s, g in zip(sizes, known)) for known in infeasible):
             infeasible.append(sizes)
             continue
-        if not _passes_cuts(inst, cuts, sizes):
+        if not _passes_cuts(cuts, sizes):
             infeasible.append(sizes)
             continue
         if _search_codes(inst, alphabets, outer_n, sizes, budget):
             feasible.append(sizes)
         else:
             infeasible.append(sizes)
+
+    for sizes in feasible:
+        for i in range(k):
+            doubled = sizes[:i] + (2 * sizes[i],) + sizes[i + 1:]
+            if sizes[i] == tops[i] and _passes_cuts(cuts, doubled):
+                raise EnumerationTooLarge(
+                    f"max_message_size={cap} may hide larger sizes of "
+                    f"{describe(i, ceilings[i])}"
+                )
 
     denom = n * outer_n
     points = {

@@ -156,15 +156,19 @@ def _decompose_side(
     s_idx: tuple[int, ...],
     foreign: tuple[int, ...],
     fails: Counter,
+    limit: int,
 ) -> SideDecomposition:
     """The side's fixing, the first foreign combination in ascending order
-    with the fewest failing tuples (`fails`), and its simulated code."""
+    with the fewest failing tuples (`fails`), and its simulated code.  The
+    trace match runs every free tuple, so more than `limit` of them raise
+    EnumerationTooLarge."""
     inst, code = engine.inst, engine.code
     free_sizes = [code.message_sizes[i] for i in s_idx]
+    free_total = math.prod(free_sizes)
     best = min(
         itertools.product(*(range(code.message_sizes[i]) for i in foreign)),
         key=lambda combo: fails[combo],
-    )
+    ) if fails else (0,) * len(foreign)
     fixing = dict(zip(foreign, best))
 
     d_idx = tuple(j for j, d in enumerate(inst.terminals) if d in side)
@@ -173,6 +177,10 @@ def _decompose_side(
     if side_inst is not None:
         # side edge p is edge orig_of_side[p] of the original instance
         orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
+        if free_total > limit:
+            raise EnumerationTooLarge(
+                f"{free_total} free message tuples of side {sorted(side)} exceed limit {limit}"
+            )
         side_code = _simulated_side_code(
             inst, code, side, e_idx, s_idx, d_idx, side_inst, orig_of_side, fixing
         )
@@ -193,7 +201,7 @@ def _decompose_side(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
         fixing=fixing,
-        conditional_error=Fraction(fails[best], math.prod(free_sizes)),
+        conditional_error=Fraction(fails[best], free_total),
         instance=side_inst,
         code=side_code,
         trace_match=match,
@@ -307,7 +315,9 @@ def bridge_decompose(
     tuples counts, for both sides at once, the tuples that miss one of
     the side's demands, keyed by the side's foreign values.  The pass is
     skipped when the engine's sliced walk (see check_feasibility) proves
-    that no tuple misses a demand.
+    that no tuple misses a demand.  As in check_feasibility, past `limit`
+    tuples the walk may make `limit` map calls, and EnumerationTooLarge is
+    raised only if it does not settle the code.
     """
     minus = drop_edge(inst_with_e, u, v)
     comp_u = next(b for b in connected_components(minus) if u in b)
@@ -317,21 +327,21 @@ def bridge_decompose(
     v_set = set(inst_with_e.vertices) - u_set
 
     total = math.prod(code.message_sizes)
-    if total > limit:
-        raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
     engine = Engine(code, inst_with_e)
     e_idx = inst_with_e.edge_between(u, v)[0]
     sides = (u_set, v_set)
     parts = [_side_messages(inst_with_e, side) for side in sides]
     fails = [Counter() for _ in sides]
-    if not engine._sliced_pass(code.message_sizes, total):
+    if not engine._sliced_pass(code.message_sizes, total, None if total <= limit else limit):
+        if total > limit:
+            raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
         for msgs in itertools.product(*(range(s) for s in code.message_sizes)):
             decoded = engine.decode(engine.run(msgs))
             for (_, foreign, demands), count in zip(parts, fails):
                 if any(decoded[j][pos] != msgs[i] for i, j, pos in demands):
                     count[tuple(msgs[i] for i in foreign)] += 1
     return BridgeDecomposition(*(
-        _decompose_side(engine, side, e_idx, owned, foreign, count)
+        _decompose_side(engine, side, e_idx, owned, foreign, count, limit)
         for side, (owned, foreign, _), count in zip(sides, parts, fails)
     ))
 

@@ -655,7 +655,8 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
     integer with B**m >= old directional size.  Requires the alphabet
     inclusion floor(2**(cap*n*m)) <= floor(2**(cap*(n+1)))**m on every edge
     (and its directional refinement per split); decoded outputs are
-    unchanged, outer blocklength becomes N*m.
+    unchanged, outer blocklength becomes N*m.  An old symbol outside its
+    slot's alphabet raises SymbolOutOfRange naming the old slot.
     """
     if m < 1:
         raise MalformedDocument("m must be >= 1")
@@ -703,9 +704,13 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
     for (edge_idx, t, direction), base_enc in code.encoders.items():
         b = radix.get((edge_idx, t, direction), 1)
         old = remapped(base_enc, old_view, t - 1)
+        size = (code.splits.size(edge_idx, t, direction),)
+        edge = inst.edges[edge_idx]
+        names = [f"encoder on {edge.a!r}-{edge.b!r} t={t} {direction}"]
         for s in range(1, m + 1):
-            def encoder(state, old=old, b=b, s=s):
-                return split_digits(old(state), (b,) * m)[s - 1]
+            def encoder(state, old=old, b=b, s=s, size=size, names=names):
+                symbol = pack([old(state)], size, names.__getitem__)
+                return split_digits(symbol, (b,) * m)[s - 1]
 
             encoders[(edge_idx, (t - 1) * m + s, direction)] = encoder
 

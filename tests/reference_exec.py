@@ -8,6 +8,11 @@ unchanged except for imports.  `bridge_decompose` is the earlier bridge
 regime of netcode.removal, which ran every free tuple of a side once per
 fixing of its foreign messages (tests/test_removal.py); it is unchanged
 except for imports and the dropped `terminal_indices` field.
+`_search_codes`, `_cut_prune`, `_passes_cuts` and `rate_region_micro` are
+the earlier exhaustive region search of netcode.region, which checked
+decodability only after the last round and swept every source up to
+`max_message_size` (tests/test_region.py); they are unchanged except for
+imports.
 """
 
 from __future__ import annotations
@@ -38,8 +43,17 @@ from netcode.errors import (
     SymbolOutOfRange,
     TableTooLarge,
 )
-from netcode.graphs import FWD, NetworkInstance, connected_components, drop_edge, slot_tail
-from netcode.rational import combine_digits
+from netcode.graphs import (
+    BWD,
+    FWD,
+    NetworkInstance,
+    connected_components,
+    drop_edge,
+    incoming_slots,
+    slot_tail,
+)
+from netcode.rational import alphabet_size, combine_digits
+from netcode.region import RegionLimits, _Budget, _rgs_exact
 from netcode.removal import (
     BridgeDecomposition,
     SideDecomposition,
@@ -455,3 +469,213 @@ def bridge_decompose(
         u_side=_decompose_side(engine, u_set, u, v),
         v_side=_decompose_side(engine, v_set, v, u),
     )
+
+
+def _search_codes(
+    inst: NetworkInstance,
+    alphabets: tuple[int, ...],
+    outer_n: int,
+    sizes: tuple[int, ...],
+    budget: _Budget,
+) -> bool:
+    """True iff some deterministic code is zero-error at these sizes."""
+    tuples = list(itertools.product(*(range(s) for s in sizes)))
+    count = len(tuples)
+    own = {v: inst.sources_at(v) for v in inst.vertices}
+    incoming = {v: incoming_slots(inst, v) for v in inst.vertices}
+    split_options = [
+        [(f, b) for f in range(1, a + 1) for b in range(1, a + 1) if f * b <= a]
+        for a in alphabets
+    ]
+    demands = [
+        (j, inst.terminals[j], inst.demanded_at(j))
+        for j in range(len(inst.terminals))
+        if inst.demanded_at(j)
+    ]
+
+    # hist holds per-tuple symbols for every committed slot of size > 1
+    hist: dict[tuple[int, int, str], tuple[int, ...]] = {}
+
+    def views(node: str, horizon: int) -> list:
+        keys = [
+            (e, t, d)
+            for (e, d, _) in incoming[node]
+            for t in range(1, horizon + 1)
+            if (e, t, d) in hist
+        ]
+        out = []
+        for idx, msgs in enumerate(tuples):
+            out.append(
+                (
+                    tuple(msgs[i] for i in own[node]),
+                    tuple(hist[k][idx] for k in keys),
+                )
+            )
+        return out
+
+    def slot_functions(edge_idx: int, direction: str, size: int, t: int):
+        """Candidate per-tuple symbol vectors for one slot."""
+        if size == 1:
+            yield None
+            return
+        tail = slot_tail(inst, edge_idx, direction)
+        seen: dict = {}
+        ranks = []
+        for key in views(tail, t - 1):
+            ranks.append(seen.setdefault(key, len(seen)))
+        for assignment in _rgs_exact(len(seen), size):
+            budget.spend()
+            yield tuple(assignment[r] for r in ranks)
+
+    def decodable() -> bool:
+        for _, node, demanded in demands:
+            groups: dict = {}
+            for idx, key in enumerate(views(node, outer_n)):
+                wit = groups.get(key)
+                if wit is None:
+                    groups[key] = idx
+                    continue
+                for i in demanded:
+                    if tuples[wit][i] != tuples[idx][i]:
+                        return False
+        return True
+
+    def fill_round(t: int) -> bool:
+        if t > outer_n:
+            return decodable()
+
+        def per_edge(pos: int, staged: list) -> bool:
+            if pos == len(inst.edges):
+                for key, syms in staged:
+                    hist[key] = syms
+                ok = fill_round(t + 1)
+                for key, _ in staged:
+                    del hist[key]
+                return ok
+            for f, b in split_options[pos]:
+                for fsyms in slot_functions(pos, FWD, f, t):
+                    staged_f = staged + (
+                        [((pos, t, FWD), fsyms)] if fsyms is not None else []
+                    )
+                    for bsyms in slot_functions(pos, BWD, b, t):
+                        staged_fb = staged_f + (
+                            [((pos, t, BWD), bsyms)] if bsyms is not None else []
+                        )
+                        if per_edge(pos + 1, staged_fb):
+                            return True
+            return False
+
+        return per_edge(0, [])
+
+    if count == 1:
+        return True
+    return fill_round(1)
+
+
+def _cut_prune(
+    inst: NetworkInstance, alphabets: tuple[int, ...], outer_n: int
+) -> list[tuple[set, int]]:
+    """(vertex set X, crossing alphabet product) for every bipartition."""
+    verts = inst.vertices
+    cuts = []
+    for mask in range(1, 2 ** len(verts) - 1):
+        x = {verts[i] for i in range(len(verts)) if mask >> i & 1}
+        prod = 1
+        for e_idx, e in enumerate(inst.edges):
+            if (e.a in x) != (e.b in x):
+                prod *= alphabets[e_idx] ** outer_n
+        cuts.append((x, prod))
+    return cuts
+
+
+def _passes_cuts(inst: NetworkInstance, cuts, sizes: tuple[int, ...]) -> bool:
+    """Counting bound: messages demanded across a cut must fit, jointly in
+    both directions, inside the crossing alphabet product."""
+    k, r = len(inst.sources), len(inst.terminals)
+    for x, prod in cuts:
+        need = 1
+        for inside in (True, False):
+            crossing = {
+                i
+                for i in range(k)
+                for j in range(r)
+                if inst.demand[i][j]
+                and (inst.sources[i] in x) == inside
+                and (inst.terminals[j] in x) != inside
+            }
+            for i in crossing:
+                need *= sizes[i]
+        if need > prod:
+            return False
+    return True
+
+
+def rate_region_micro(
+    inst: NetworkInstance,
+    n: int,
+    outer_n: int,
+    limits: Optional[RegionLimits] = None,
+) -> frozenset[tuple[Fraction, ...]]:
+    """Pareto-maximal zero-error rate points at blocklengths (n, N).
+
+    Message space sizes range over powers of two up to the configured
+    maximum, so every reported rate is exactly log2(size)/(N*n).
+    Feasibility of a size tuple is decided by exhaustive code search with
+    two sound reductions: output symbols of each slot are canonicalized
+    up to relabeling, and size tuples violating a cut-capacity count are
+    rejected without search.  limits.max_ops counts every size tuple tried
+    and every slot function enumerated.
+    """
+    limits = limits or RegionLimits()
+    if len(inst.edges) > limits.max_edges:
+        raise EnumerationTooLarge(
+            f"{len(inst.edges)} edges exceed region limit {limits.max_edges}"
+        )
+    if outer_n > limits.max_outer:
+        raise EnumerationTooLarge(f"N={outer_n} exceeds region limit {limits.max_outer}")
+    alphabets = tuple(alphabet_size(e.cap, n) for e in inst.edges)
+    for e, a in zip(inst.edges, alphabets):
+        if a > limits.max_alphabet:
+            raise EnumerationTooLarge(
+                f"alphabet {a} on edge {e.a!r}-{e.b!r} exceeds limit {limits.max_alphabet}"
+            )
+    if len(inst.vertices) > 16:
+        raise EnumerationTooLarge("more than 16 vertices")
+
+    size_options = [1 << b for b in range(limits.max_message_size.bit_length())]
+
+    budget = _Budget(limits.max_ops)
+    cuts = _cut_prune(inst, alphabets, outer_n)
+    k = len(inst.sources)
+
+    feasible: list[tuple[int, ...]] = []
+    infeasible: list[tuple[int, ...]] = []
+
+    # Ascending lexicographic order extends the componentwise order, so
+    # every tuple below `sizes` has been decided before it.
+    for sizes in itertools.product(size_options, repeat=k):
+        budget.spend()
+        if any(all(s >= g for s, g in zip(sizes, known)) for known in infeasible):
+            infeasible.append(sizes)
+            continue
+        if not _passes_cuts(inst, cuts, sizes):
+            infeasible.append(sizes)
+            continue
+        if _search_codes(inst, alphabets, outer_n, sizes, budget):
+            feasible.append(sizes)
+        else:
+            infeasible.append(sizes)
+
+    denom = n * outer_n
+    points = {
+        tuple(Fraction(s.bit_length() - 1, denom) for s in sizes)
+        for sizes in feasible
+    }
+    maximal = frozenset(
+        p
+        for p in points
+        if not any(
+            q != p and all(qi >= pi for qi, pi in zip(q, p)) for q in points
+        )
+    )
+    return maximal

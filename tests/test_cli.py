@@ -727,6 +727,23 @@ def test_region_limit_overrides_and_exit_codes(tmp_path, capsys):
     assert (rc, doc) == run_cli(capsys, argv + ["--limits", "max_ops=3"])
 
 
+def test_region_exits_5_naming_the_limit_that_stopped_it(tmp_path, capsys):
+    path = jfile(tmp_path, "two_way.json", two_way().to_doc())
+    argv = ["region", path, "--n", "1", "--N", "3", "--limits", "max_outer=3"]
+    rc, doc = run_cli(capsys, argv)
+    assert rc == 0
+    assert len(doc["points"]) == 4
+
+    # the cuts let each message reach 8, so a cap of 4 may hide points
+    rc, doc = run_cli(capsys, argv[:-1] + ["max_outer=3,max_message_size=4"])
+    assert (rc, doc["error"]) == (5, "EnumerationTooLarge")
+    assert doc["message"] == (
+        "max_message_size=4 may hide larger sizes of source 1 at 'b' (cut ceiling 8)"
+    )
+    rc, doc = run_cli(capsys, argv[:-1] + ["max_outer=3,max_ops=20"])
+    assert (rc, doc["message"]) == (5, "region search used all of max_ops=20")
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("field", list(nc.RegionLimits.__dataclass_fields__))
 def test_region_rejects_limits_below_one(tmp_path, capsys, field, value):

@@ -18,7 +18,7 @@ from netcode.rational import (
     split_digits,
 )
 
-from conftest import brute_force_cut, inst_doc, make, widest_path_oracle
+from conftest import all_simple_paths, brute_force_cut, inst_doc, make, widest_path_oracle
 
 CAPS = ["1/2", "1", "3/2", "2", "7/3"]
 
@@ -42,6 +42,64 @@ def small_instances(draw):
         terminals.append(t)
     demand = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     return make(inst_doc(verts, edges, sources, terminals, demand))
+
+
+@st.composite
+def removal_cases(draw):
+    """(G, probe u-v, lambda, routing code on G+e, rates): G has 3-5
+    vertices in one component (the path case) or two that the probe joins
+    (the bridge case); each of at most two unit-demand sources routes one
+    bit along a simple path of G+e, hop h in round h."""
+    nv = draw(st.integers(3, 5))
+    verts = [f"v{i}" for i in range(nv)]
+    split = draw(st.integers(1, nv - 1)) if draw(st.booleans()) else nv
+    tree = [(verts[draw(st.integers(0 if i < split else split, i - 1))], verts[i])
+            for i in range(1, nv) if i != split]
+    side = {v: i >= split for i, v in enumerate(verts)}
+    others = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]
+              if (a, b) not in tree and side[a] == side[b]]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    probes = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]
+              if (a, b) not in tree + extra and (split == nv or side[a] != side[b])]
+    assume(probes)
+    u, v = draw(st.sampled_from(probes))
+    edges = [(a, b, draw(st.sampled_from(CAPS))) for a, b in tree + extra]
+    lam = Fraction(draw(st.sampled_from(["1/2", "2/3", "1", "5/3", "2"])))
+    pairs = [(s, t) for s in verts for t in verts if s != t]
+    ends = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))
+    k = len(ends)
+    inst = make(inst_doc(verts, edges, [s for s, _ in ends], [t for _, t in ends],
+                         [[int(i == j) for j in range(k)] for i in range(k)]))
+    aug = nc.add_edge(inst, u, v, lam)
+    paths = [draw(st.sampled_from(all_simple_paths(aug, s, t))) for s, t in ends]
+    outer_n = max(len(path) - 1 for path in paths)
+    # n = 4 gives every edge at least 4 symbols, room for two bits in a slot
+    code = nc.make_routing_code(
+        aug, [nc.Route(i, i, path, tuple(range(1, len(path)))) for i, path in enumerate(paths)],
+        4, outer_n, [2] * k)
+    return inst, u, v, lam, code, [Fraction(1, 4 * outer_n)] * k
+
+
+@given(removal_cases())
+@settings(deadline=None, max_examples=25)
+def test_removing_the_probe_edge_keeps_a_zero_error_code(case):
+    # the paper's theorem on drawn inputs: a zero-error code on G+e becomes
+    # a zero-error code on G at the claimed rates, losing at most O(lambda)
+    inst, u, v, lam, code, rates = case
+    rep = nc.edge_removal_report(inst, u, v, lam, code=code, rates=rates)
+    ver = rep.verification
+    assert ver.base_report.measured_error == 0
+    assert ver.passed
+    if rep.case == "bridge":
+        return
+    final = ver.final_report
+    assert final.measured_error == 0 and final.certified
+    for claim, size, rate in zip(ver.rate_claims, final.message_sizes, rates):
+        # message sizes stay powers of two, so the final rate is exact
+        assert size & (size - 1) == 0
+        assert claim.claimed_rate == Fraction(size.bit_length() - 1,
+                                              ver.final_outer_n * ver.final_inner_n)
+        assert rate - rep.alpha * rate <= rep.f_rate_form
 
 
 @given(small_instances())

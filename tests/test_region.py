@@ -1,13 +1,18 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import netcode as nc
+import reference_exec as ref
+from netcode import region
 from netcode.errors import EnumerationTooLarge, MalformedDocument
+from netcode.rational import alphabet_size
 from netcode.region import _rgs_exact
 
 from conftest import (
+    corpus,
     cycle4,
     inst_doc,
     line3,
@@ -131,3 +136,85 @@ def test_region_budget_bounds_the_size_sweep():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# Every corpus case the earlier search (reference_exec) decides within
+# about 50 ms: (corpus index, n, N).  Larger N, and n = 2 on the 4- and
+# 6-vertex instances other than cycle4, take it seconds; single_edge_cap2
+# (index 1) has alphabet 16 at n = 2.
+REFERENCE_CASES = (
+    [(i, 1, 1) for i in range(12)]
+    + [(i, 1, 2) for i in (0, 1, 2, 3, 4, 5, 6, 10)]
+    + [(i, 2, 1) for i in (0, 2, 3, 4, 5, 6, 7, 10)]
+)
+REFERENCE_LIMITS = nc.RegionLimits(max_edges=7, max_alphabet=4, max_message_size=4)
+
+
+def verdicts(search, inst, n, outer_n, cap):
+    """Each size tuple the sweep up to `cap` searches, with its verdict."""
+    alphabets = tuple(alphabet_size(e.cap, n) for e in inst.edges)
+    cuts = region._cut_prune(inst, alphabets, outer_n)
+    powers = [1 << b for b in range(cap.bit_length())]
+    out, infeasible = {}, []
+    for sizes in itertools.product(powers, repeat=len(inst.sources)):
+        if any(all(s >= g for s, g in zip(sizes, bad)) for bad in infeasible):
+            continue
+        if region._passes_cuts(cuts, sizes):
+            out[sizes] = search(inst, alphabets, outer_n, sizes, region._Budget(10 ** 6))
+        if not out.get(sizes):
+            infeasible.append(sizes)
+    return out
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_pruned_search_matches_the_earlier_search(case):
+    idx, n, outer_n = case
+    inst = corpus()[idx]
+    cap = REFERENCE_LIMITS.max_message_size
+    assert verdicts(region._search_codes, inst, n, outer_n, cap) == verdicts(
+        ref._search_codes, inst, n, outer_n, cap
+    )
+    before = ref.rate_region_micro(inst, n, outer_n, REFERENCE_LIMITS)
+    try:
+        after = nc.rate_region_micro(inst, n, outer_n, REFERENCE_LIMITS)
+    except EnumerationTooLarge as exc:
+        # only a cap that binds stops the search, at a point the cap reaches
+        assert "max_message_size=4" in str(exc)
+        assert any(Fraction(2, n * outer_n) in point for point in before)
+    else:
+        assert after == before
+
+
+def test_sizes_reach_each_cut_ceiling():
+    # the old size ceiling of 4 hid the single-message points at N=3
+    limits = nc.RegionLimits(max_outer=3)
+    assert nc.rate_region_micro(two_way(), 1, 3, limits) == {
+        (F(0), F(1)),
+        (Fraction(1, 3), Fraction(2, 3)),
+        (Fraction(2, 3), Fraction(1, 3)),
+        (F(1), F(0)),
+    }
+    with pytest.raises(EnumerationTooLarge, match=r"max_message_size=4 .*cut ceiling 8"):
+        nc.rate_region_micro(two_way(), 1, 3, nc.RegionLimits(max_outer=3, max_message_size=4))
+    # a cap at the cut ceiling cuts nothing short
+    assert nc.rate_region_micro(
+        two_way(), 1, 3, nc.RegionLimits(max_outer=3, max_message_size=8)
+    ) == nc.rate_region_micro(two_way(), 1, 3, limits)
+
+
+def test_terminal_decodes_with_its_own_messages():
+    # b demands its own message, which a also demands: b decodes it from
+    # its own messages alone, so a prune that groups b's view without them
+    # would lose (0, 1)
+    inst = make(inst_doc("ab", [("a", "b", "1")], ["a", "b"], ["b", "a", "b"],
+                         [[1, 0, 0], [0, 1, 1]]))
+    assert nc.rate_region_micro(inst, 1, 1) == {(F(1), F(0)), (F(0), F(1))}
+
+
+def test_source_bounded_by_no_cut_needs_a_cap():
+    # source 1 is demanded only where it sits, so its rate has no bound
+    inst = make(inst_doc("ab", [("a", "b", "1")], ["a", "b"], ["b", "b"], [[1, 0], [0, 1]]))
+    with pytest.raises(EnumerationTooLarge, match=r"no cut bounds source 1 at 'b'"):
+        nc.rate_region_micro(inst, 1, 1)
+    with pytest.raises(EnumerationTooLarge, match=r"max_message_size=2 .*source 1 .*none"):
+        nc.rate_region_micro(inst, 1, 1, nc.RegionLimits(max_message_size=2))

@@ -251,6 +251,41 @@ def test_bridge_decompose_errors():
         nc.bridge_decompose(aug, "b", "c", clamped_pair_code(aug), limit=8)
 
 
+def diagonal_triangles(sources, terminals):
+    """two_triangles + c-d with diagonal demands, and its routing code
+    at n=4, N=1 and 16 messages per source, each sent over one edge."""
+    k = len(sources)
+    inst = make(inst_doc(
+        "abcdfg",
+        [("a", "b", "1"), ("b", "c", "1"), ("a", "c", "1"),
+         ("d", "f", "1"), ("f", "g", "1"), ("d", "g", "1")],
+        sources, terminals, [[int(i == j) for j in range(k)] for i in range(k)]))
+    aug = nc.add_edge(inst, "c", "d", Fraction(1))
+    routes = [nc.Route(i, i, (s, d), (1,)) for i, (s, d) in enumerate(zip(sources, terminals))]
+    return inst, aug, nc.make_routing_code(aug, routes, 4, 1, [16] * k)
+
+
+def test_bridge_report_walks_past_the_tuple_limit():
+    # 256 joint tuples over limit 255: the walk settles the code, as in
+    # check_feasibility, and each side's trace match runs 16 free tuples
+    inst, aug, code = diagonal_triangles("ad", "bg")
+    assert nc.check_feasibility(code, aug, limit=255).certified
+    rep = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code, limit=255)
+    assert rep.verification.passed
+    with pytest.raises(EnumerationTooLarge, match="256 message tuples exceed limit 100"):
+        nc.bridge_decompose(aug, "c", "d", code, limit=100)
+
+
+def test_bridge_trace_match_counts_its_free_tuples_against_the_limit():
+    # the walk settles 4,096 joint tuples under limit 255, but side a-b-c
+    # owns two messages, 256 free tuples to match
+    _, aug, code = diagonal_triangles("abd", "bcg")
+    assert nc.check_feasibility(code, aug, limit=255).passed
+    with pytest.raises(EnumerationTooLarge, match=r"256 free message tuples of side \['a', 'b', 'c'\]"):
+        nc.bridge_decompose(aug, "c", "d", code, limit=255)
+    assert nc.bridge_decompose(aug, "c", "d", code, limit=256).u_side.trace_match
+
+
 def test_bridge_report_with_code_verifies():
     inst = bridged_pair()
     aug = nc.add_edge(inst, "b", "c", Fraction(1))

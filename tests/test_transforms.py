@@ -475,6 +475,25 @@ def test_reblock_splits_symbols_into_digits():
         assert nc.decode_outputs(reb, inst, tr) == {0: (w,)}
 
 
+@pytest.mark.parametrize("bad", [3, 5])
+def test_reblock_names_the_old_symbol_outside_its_slot(bad):
+    # the (2, 1) split gives the old slot 2 symbols; 3 fits two binary
+    # digits and 5 does not, and both must be named
+    inst = single_edge()
+    code = nc.NetworkCode(
+        inner_n=2, outer_n=1, message_sizes=(8,),
+        splits=nc.AlphabetSplit({(0, 1): (2, 1)}),
+        encoders={(0, 1, nc.FWD): lambda s: bad if s.message(0) == 7 else s.message(0) % 2},
+        decoders={0: lambda s: (s.recv("a", 1),)},
+    )
+    reb = nc.reblock(code, inst, 2)
+    message = f"encoder on 'a'-'b' t=1 fwd produced {bad}, alphabet size 2"
+    with pytest.raises(SymbolOutOfRange, match=message):
+        nc.check_feasibility(reb, inst)
+    with pytest.raises(SymbolOutOfRange, match=message):
+        nc.execute(reb, inst, [7])
+
+
 def test_reblock_input_validation():
     inst = single_edge()
     code = unit_code(inst, "ab", (1,), n=3, sizes=(8,))
