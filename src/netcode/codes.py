@@ -17,9 +17,10 @@ consumer of a code reads execution state through its one guarded view.
 The contract this relies on: an encoder or decoder is a deterministic
 function of what it reads through its StateView (its messages and
 received symbols, plus the view's node and time).  A map with hidden
-state or randomness falls outside the contract.  An exhaustive check first
-runs each map on only the messages it reads (see check_feasibility), and
-a message packed from sessions (Joined) on only the digits it reads.
+state or randomness falls outside the contract.  A check, exhaustive or
+sampled, first runs each map on only the messages it reads (see
+check_feasibility), and a message packed from sessions (Joined) on only
+the digits it reads.
 """
 
 from __future__ import annotations
@@ -666,15 +667,17 @@ def check_feasibility(
     """Measure the code's error probability under uniform messages.
 
     Exhaustive mode covers the whole product message space (error is exact;
-    this is the only mode that certifies zero error).  It first walks each
-    decoder (each session of a Joined one), then each slot, over only the
-    messages, or session digits, it reads; if none raises or misdecodes, no
-    tuple fails and none runs.  Otherwise, or once the walk makes as many
-    map calls as the tuples would, every tuple runs.  Past `limit` tuples
-    the walk may make `limit` map calls, and EnumerationTooLarge is raised
-    only if it does not settle the code.  Sampled mode draws seeded uniform
-    tuples and reports a Clopper-Pearson interval alongside the point
-    estimate.
+    this is the only mode that certifies zero error).  Sampled mode draws
+    `trials` seeded uniform tuples and reports a Clopper-Pearson interval
+    alongside the point estimate.  Either mode first walks each decoder
+    (each session of a Joined one), then each slot, over only the messages,
+    or session digits, it reads; if none raises or misdecodes, no tuple
+    fails, and none is run or drawn.  Otherwise, or once the walk makes as
+    many map calls as the check's tuples would (one per map per tuple or
+    draw), the tuples run: every one in exhaustive mode, `trials` seeded
+    draws in sampled mode.  Past `limit` tuples the exhaustive walk may
+    make `limit` map calls, and EnumerationTooLarge is raised only if it
+    does not settle the code.
 
     When `rates` is given, source i is checked over the first
     floor(2**(R_i*N*n)) messages; the code must have at least that many.
@@ -698,20 +701,25 @@ def check_feasibility(
         spaces = code.message_sizes
 
     engine = Engine(code, inst)
-    if mode == "exhaustive":
-        total = math.prod(spaces)
-        settled = engine._sliced_pass(spaces, total, None if total <= limit else limit)
-        if not settled and total > limit:
-            raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
-        tuples = () if settled else itertools.product(*(range(s) for s in spaces))
-    elif mode == "sampled":
+    sampled = mode == "sampled"
+    if sampled:
         if trials < 1:
             raise ValueError("sampled mode needs trials >= 1")
-        rng = random.Random(seed)
         total = trials
-        tuples = (tuple(rng.randrange(s) for s in spaces) for _ in range(trials))
+    elif mode == "exhaustive":
+        total = math.prod(spaces)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    capped = not sampled and total > limit
+    if engine._sliced_pass(spaces, total, limit if capped else None):
+        tuples = ()
+    elif capped:
+        raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
+    elif sampled:
+        rng = random.Random(seed)
+        tuples = (tuple(rng.randrange(s) for s in spaces) for _ in range(trials))
+    else:
+        tuples = itertools.product(*(range(s) for s in spaces))
 
     failing: list[tuple[int, ...]] = []
     failures = 0
@@ -721,7 +729,6 @@ def check_feasibility(
             if len(failing) < KEEP_FAILURES:
                 failing.append(tup)
     measured = Fraction(failures, total)
-    sampled = mode == "sampled"
     return FeasibilityReport(
         epsilon=epsilon,
         rates=rates,

@@ -271,14 +271,18 @@ def outer_encode(spec: OuterCodeSpec, message: Sequence[int]) -> tuple[int, ...]
 def nearest_codeword_decode(
     word: Sequence[int], spec: OuterCodeSpec, limit: int = 2 ** 16
 ) -> tuple[int, ...]:
-    """Minimum-Hamming-distance decoding by full message enumeration.
-
-    Ties go to the smallest message index (row-major over the k digits).
-    Corrects any pattern of up to floor((d-1)/2) corruptions.
+    """Minimum-Hamming-distance decoding; ties go to the smallest message
+    index (row-major over the k digits).  Corrects any pattern of up to
+    floor((d-1)/2) corruptions.  A repetition word decodes to its most
+    frequent in-range symbol, (0,) when it has none; Reed-Solomon enumerates
+    all q**k messages, at most `limit`.
     """
     if len(word) != spec.length:
         raise MalformedDocument(f"word length {len(word)} != {spec.length}")
     q = max(spec.alphabet, 1)
+    if spec.family == "repetition":
+        votes = [s for s in word if 0 <= s < q]
+        return (min(votes, key=lambda s: (-votes.count(s), s), default=0),)
     if q ** spec.k > limit:
         raise EnumerationTooLarge(f"{q}**{spec.k} candidate messages exceed {limit}")
     best = None

@@ -571,6 +571,89 @@ def test_full_cone_code_falls_back_within_its_budget(monkeypatch):
         assert want.failures == (wrong_at is not None)
 
 
+# A sampled check walks first too, with a budget of `trials` times the
+# number of maps; a code the walk settles is reported with no tuple drawn,
+# and any other runs the reference's seeded draws.
+
+def sampled(code, inst, trials, seed):
+    """The engine's and the reference's sampled reports (or errors)."""
+    kwargs = {"mode": "sampled", "trials": trials, "seed": seed}
+    return (outcome(lambda: nc.check_feasibility(code, inst, **kwargs)),
+            outcome(lambda: ref.check_feasibility(code, inst, **kwargs)))
+
+
+def amplified_clamp(m):
+    inst = single_edge()
+    clamp = clamp_code(inst, "a", "b", 2, 1, 1)
+    return inst, nc.amplify(clamp, inst, m, "repetition", Fraction(1, 4), strict=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampled_check_of_a_settled_code_draws_no_tuple(monkeypatch, seed):
+    # the clamp code amplified over 16 sessions (4 tuples) and the final
+    # path-chain code at N=6 (4,096 tuples)
+    for inst, code in (amplified_clamp(16), path_chain(6)[-1][1:]):
+        runs = count_runs(monkeypatch)
+        got, want = sampled(code, inst, 200, seed)
+        assert runs == []
+        assert got == want
+        assert (got.failures, got.passed, got.certified) == (0, True, False)
+
+
+def test_sampled_check_of_an_unsettled_code_draws_every_tuple(monkeypatch):
+    inst = single_edge()
+    code = clamp_code(inst, "a", "b", 2, 1, 1)
+    runs = count_runs(monkeypatch)
+    got, want = sampled(code, inst, 500, 3)
+    assert got == want
+    assert len(runs) == 500 and 0 < got.failures < 500
+
+
+def test_sampled_check_raises_only_where_a_seed_draws_the_raising_message():
+    # the decoder raises on message 13 alone, so the walk falls back and a
+    # seed whose 5 draws miss 13 still gets its report
+    inst = single_edge()
+    base = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 4, 1, [16])
+    dec = base.decoders[0]
+
+    def decoder(view):
+        out = dec(view)
+        if out == (13,):
+            raise ValueError("decoder fails on 13")
+        return out
+
+    code = replace(base, decoders={0: decoder})
+    kinds = set()
+    for seed in range(12):
+        got, want = sampled(code, inst, 5, seed)
+        assert got == want
+        kinds.add(type(got))
+    assert kinds == {codes.FeasibilityReport, tuple}
+
+
+@pytest.mark.parametrize("wrong_at", [None, 3])
+def test_sampled_walk_stays_within_trials_times_maps(monkeypatch, wrong_at):
+    # the correct full-cone code needs 31 walk calls over its 3 maps: 10
+    # trials (30 calls) fall back to drawing them, 11 settle it
+    inst, code = full_cone_code(wrong_at)
+    calls, walked = count_calls(monkeypatch), []
+    sliced = Engine._sliced_pass
+
+    def recorded(self, *args):
+        before = calls[0]
+        settled = sliced(self, *args)
+        walked.append(calls[0] - before)
+        return settled
+
+    monkeypatch.setattr(Engine, "_sliced_pass", recorded)
+    for trials in (10, 11):
+        runs = count_runs(monkeypatch)
+        got, want = sampled(code, inst, trials, 7)
+        assert got == want
+        assert walked[-1] <= trials * 3
+        assert len(runs) == (0 if wrong_at is None and trials == 11 else trials)
+
+
 def test_one_failing_terminal_report_matches_reference():
     inst = two_way()
     base = nc.make_routing_code(

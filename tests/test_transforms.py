@@ -212,6 +212,23 @@ def test_nearest_codeword_tie_break_and_limit():
         nc.nearest_codeword_decode((0, 0, 0, 0), rs, limit=10)
 
 
+def test_repetition_vote_equals_the_enumeration():
+    # every word over q <= 4 and m <= 5, with symbols -1 and q out of range:
+    # the decode is the first message at the least Hamming distance
+    for q, m in itertools.product(range(1, 5), range(1, 6)):
+        spec = nc.make_outer_spec("repetition", m, q)
+        for word in itertools.product(range(-1, q + 1), repeat=m):
+            want = min(((x,) for x in range(q)), key=lambda msg: sum(
+                a != b for a, b in zip(nc.outer_encode(spec, msg), word)))
+            assert nc.nearest_codeword_decode(word, spec) == want, (q, word)
+
+
+def test_repetition_decodes_past_the_enumeration_limit():
+    spec = nc.make_outer_spec("repetition", 3, 2 ** 17)
+    assert nc.nearest_codeword_decode((5, 5, 7), spec) == (5,)
+    assert nc.nearest_codeword_decode((9, 2 ** 17, 7), spec) == (7,)
+
+
 # -------------------------------------------------------------------- amplify
 
 def test_generate_permutations():
