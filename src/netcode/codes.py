@@ -416,24 +416,61 @@ class Engine:
             table.append(self._call(memo, self._lay_out(state)))
         return table
 
-    def _sliced_pass(self, spaces: Sequence[int], total: int, budget: Optional[int] = None) -> bool:
+    def _sliced_pass(self, spaces: Sequence[int], total: int, budget: Optional[int] = None,
+                     sinks: Optional[list] = None, fixed: Optional[Mapping[int, int]] = None) -> bool:
         """Whether every tuple below `spaces` runs clean and meets every
-        demand, decided per sink; False once the walk has made `budget` map
-        calls, by default as many as `total` tuples make (one per map).  A
-        laid-out message is walked by digit, over digit ranges that cover
-        its space; a tuple past the space can only make the walk fail."""
+        demand, decided per sink (`sinks`, by default the code's own; a
+        target that is a slot is pulled first, so a sink runs once per
+        branch); False once the walk has made `budget` map calls, by default
+        as many as `total` tuples make (one per map).  A laid-out message is
+        walked by digit, over digit ranges that cover its space; a tuple
+        past the space can only make the walk fail.  A message in `fixed`
+        (index -> value) holds its value instead."""
         budget = total * len(self._memos) if budget is None else budget
-        reach = [0] * len(self._blank)  # values tried per position; 0: a slot or unused
-        for digits, space in zip(self._spelled, spaces):
+        fixed = fixed or {}
+        state = [fixed.get(i, 0) for i in range(len(spaces))] + self._blank[len(spaces):]
+        reach = [0] * len(state)  # values tried per position; 0: fixed, a slot or unused
+        for i, (digits, space) in enumerate(zip(self._spelled, spaces)):
+            if i in fixed:
+                continue
             top, free = split_digits(space - 1, [radix for _, radix in digits]), False
             for (pos, radix), d in zip(digits, top):
                 reach[pos], free = (radix if free else d + 1), free or d > 0
-        unset = [-1 if reach[p] or p in self._slots else 0 for p in range(len(reach))]
-        for sink in self._sinks:
-            budget = self._walk(sink, unset[:], [], reach, budget)
+        unset = [-1 if reach[p] or p in self._slots else value
+                 for p, value in enumerate(self._lay_out(state))]
+        for sink in self._sinks if sinks is None else sinks:
+            pulls = [pos for digits in sink[1] for pos, _ in digits if pos in self._slots]
+            budget = self._walk(sink, unset[:], pulls, reach, budget)
             if budget < 0:
                 return False
         return True
+
+    def _matches(self, part: "Engine", edges: Sequence[int], messages: Sequence[int],
+                 fixed: Mapping[int, int]) -> bool:
+        """Whether `part` (of this outer_n; its edge p and message q are this
+        code's edges[p] and messages[q]) sends what this code does on every
+        tuple of its messages, the others at `fixed`.  A walk sink per slot
+        of `part` runs its encoder on this execution against this code's
+        symbol there.  On a raising map, a mismatch, or past the map calls
+        the tuples make, the tuples run and their edges are compared."""
+        k, ks, width = len(self.inst.sources), len(part.inst.sources), 2 * self.code.outer_n
+        sinks = []
+        for pos, (fn, node, time, check, _) in part._slots.items():
+            def sink(view, fn=fn, check=check):
+                return (check(fn(StateView(view.node, view.time,
+                                           lambda q: view.message(messages[q]), view.recv))),)
+            p, at = divmod(pos - ks, width)  # one digit to match: its radix is never used
+            sinks.append(((sink, node, time, tuple, {}), [((k + edges[p] * width + at, 1),)]))
+        total, maps = math.prod(part.code.message_sizes), len(self._slots) + len(part._slots)
+
+        def agree(free):
+            given = {**fixed, **dict(zip(messages, free))}
+            full, mine = self.run([given[i] for i in range(k)]), part.run(free)
+            return all(full[k + oi * width:][:width] == mine[ks + p * width:][:width]
+                       for p, oi in enumerate(edges))
+
+        return (self._sliced_pass(self.code.message_sizes, total, total * maps, sinks, fixed)
+                or all(map(agree, itertools.product(*map(range, part.code.message_sizes)))))
 
     def _walk(self, sink: tuple, state: list, pulls: list, reach: Sequence, budget: int) -> int:
         """The map calls left of `budget` once `sink` (memo, digits each
@@ -683,6 +720,11 @@ def check_feasibility(
     floor(2**(R_i*N*n)) messages; the code must have at least that many.
     An `epsilon` outside [0, 1] raises MalformedDocument.
     """
+    return _check(code, inst, rates, epsilon, mode, trials, seed, limit)[0]
+
+
+def _check(code, inst, rates, epsilon, mode, trials, seed, limit):
+    """check_feasibility's report, its Engine, and whether its walk settled the code."""
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon <= 1:
         raise MalformedDocument(f"error tolerance {epsilon} outside [0, 1]")
@@ -711,7 +753,7 @@ def check_feasibility(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     capped = not sampled and total > limit
-    if engine._sliced_pass(spaces, total, limit if capped else None):
+    if settled := engine._sliced_pass(spaces, total, limit if capped else None):
         tuples = ()
     elif capped:
         raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
@@ -743,7 +785,7 @@ def check_feasibility(
         certified=not sampled,
         failing=tuple(failing),
         interval=clopper_pearson(failures, total) if sampled else None,
-    )
+    ), engine, settled
 
 
 # ------------------------------------------------------------ routing codes

@@ -11,7 +11,8 @@ Two regimes:
 - bridge: removing the probe disconnects u from v.  Each side can fix the
   other side's messages to their best value and replay the lost edge's
   traffic locally, so per-side rates survive unchanged and crossing
-  demands are capped by lam.
+  demands are capped by lam.  The base check's engine and walk also serve
+  the decomposition, whose trace match is a walk on that engine.
 - path: u and v stay connected.  The probe's traffic is pipelined over
   the widest u-v path (bottleneck gamma) and the whole instance is scaled
   by alpha = gamma/(gamma+lam) to make room, costing each rate at most
@@ -34,6 +35,7 @@ from .codes import (
     FeasibilityReport,
     NetworkCode,
     StateView,
+    _check,
     check_feasibility,
     checked_rates,
     pack,
@@ -159,12 +161,11 @@ def _decompose_side(
     limit: int,
 ) -> SideDecomposition:
     """The side's fixing, the first foreign combination in ascending order
-    with the fewest failing tuples (`fails`), and its simulated code.  The
-    trace match runs every free tuple, so more than `limit` of them raise
+    with the fewest failing tuples (`fails`), and its simulated code, trace
+    matched as in bridge_decompose; more than `limit` free tuples raise
     EnumerationTooLarge."""
     inst, code = engine.inst, engine.code
-    free_sizes = [code.message_sizes[i] for i in s_idx]
-    free_total = math.prod(free_sizes)
+    free_total = math.prod(code.message_sizes[i] for i in s_idx)
     best = min(
         itertools.product(*(range(code.message_sizes[i]) for i in foreign)),
         key=lambda combo: fails[combo],
@@ -185,18 +186,7 @@ def _decompose_side(
             inst, code, side, e_idx, s_idx, d_idx, side_inst, orig_of_side, fixing
         )
         # Simulated side traces must equal the original ones edge for edge.
-        side_engine = Engine(side_code, side_inst)
-        for free in itertools.product(*(range(s) for s in free_sizes)):
-            given = {**fixing, **dict(zip(s_idx, free))}
-            msgs = [given[i] for i in range(len(inst.sources))]
-            full = engine.trace(engine.run(msgs))
-            part = side_engine.trace(side_engine.run(free))
-            if any(
-                full.fwd[oi] != part.fwd[p] or full.bwd[oi] != part.bwd[p]
-                for p, oi in enumerate(orig_of_side)
-            ):
-                match = False
-                break
+        match = engine._matches(Engine(side_code, side_inst), orig_of_side, s_idx, fixing)
     return SideDecomposition(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
@@ -318,21 +308,34 @@ def bridge_decompose(
     that no tuple misses a demand.  As in check_feasibility, past `limit`
     tuples the walk may make `limit` map calls, and EnumerationTooLarge is
     raised only if it does not settle the code.
+
+    The trace match walks the same engine, the foreign messages at the
+    fixing: each side encoder, run on the joint execution, must send the
+    joint symbol of its slot.  A round-t encoder reads only earlier rounds,
+    so by induction this holds exactly when every free tuple's side trace
+    equals the original one, edge for edge.  On a raising map, a mismatch
+    or past the map calls the free tuples make, they run and are compared.
     """
     minus = drop_edge(inst_with_e, u, v)
     comp_u = next(b for b in connected_components(minus) if u in b)
     if v in comp_u:
         raise NotABridge(f"{u!r}-{v!r} is not a bridge")
-    u_set = set(comp_u)
-    v_set = set(inst_with_e.vertices) - u_set
+    return _decompose(Engine(code, inst_with_e), u, v, set(comp_u), None, limit)
 
+
+def _decompose(engine: Engine, u: str, v: str, u_set: set[str], settled: Optional[bool],
+               limit: int) -> BridgeDecomposition:
+    """bridge_decompose on the bridged code's engine, given u's side and the
+    walk's verdict on the whole message space (None: not walked yet)."""
+    inst, code = engine.inst, engine.code
     total = math.prod(code.message_sizes)
-    engine = Engine(code, inst_with_e)
-    e_idx = inst_with_e.edge_between(u, v)[0]
-    sides = (u_set, v_set)
-    parts = [_side_messages(inst_with_e, side) for side in sides]
+    e_idx = inst.edge_between(u, v)[0]
+    sides = (u_set, set(inst.vertices) - u_set)
+    parts = [_side_messages(inst, side) for side in sides]
     fails = [Counter() for _ in sides]
-    if not engine._sliced_pass(code.message_sizes, total, None if total <= limit else limit):
+    if settled is None:
+        settled = engine._sliced_pass(code.message_sizes, total, None if total <= limit else limit)
+    if not settled:
         if total > limit:
             raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
         for msgs in itertools.product(*(range(s) for s in code.message_sizes)):
@@ -564,10 +567,11 @@ def edge_removal_report(
     if code is None:
         return report
     augmented = add_edge(inst, u, v, lam)
-    base_rep = check_feasibility(code, augmented, rates=rates, epsilon=epsilon, limit=limit)
-
     if report.case == "bridge":
-        decomp = bridge_decompose(augmented, u, v, code, limit=limit)
+        base_rep, engine, settled = _check(code, augmented, rates, epsilon, "exhaustive", 1, 0, limit)
+        # the base check walked the whole message space unless rates shrank it
+        settled = settled if rates is None else None
+        decomp = _decompose(engine, u, v, set(report.bridge.u_side), settled, limit)
         sides_ok = all(
             side.trace_match and side.conditional_error <= base_rep.measured_error
             for side in (decomp.u_side, decomp.v_side)
@@ -580,6 +584,7 @@ def edge_removal_report(
         )
         return replace(report, verification=verification)
 
+    base_rep = check_feasibility(code, augmented, rates=rates, epsilon=epsilon, limit=limit)
     tilde = interleave(code, augmented)
     nb = code.outer_n
     path_nodes = report.path.nodes

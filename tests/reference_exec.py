@@ -8,6 +8,12 @@ unchanged except for imports.  `bridge_decompose` is the earlier bridge
 regime of netcode.removal, which ran every free tuple of a side once per
 fixing of its foreign messages (tests/test_removal.py); it is unchanged
 except for imports and the dropped `terminal_indices` field.
+`per_tuple_bridge_decompose` and `_per_tuple_decompose_side` are the
+later one-pass bridge regime, whose trace match ran every free tuple of
+a side on the joint engine and on the side code's own engine and
+compared the two traces (tests/test_removal.py); they are unchanged
+except for their names and for reaching the removal helpers through the
+module, so a test that patches `_simulated_side_code` patches them too.
 `_search_codes`, `_cut_prune`, `_passes_cuts` and `rate_region_micro` are
 the earlier exhaustive region search of netcode.region, which checked
 decodability only after the last round and swept every source up to
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +59,7 @@ from netcode.graphs import (
     incoming_slots,
     slot_tail,
 )
+import netcode.removal as removal
 from netcode.rational import alphabet_size, combine_digits
 from netcode.region import RegionLimits, _Budget, _rgs_exact
 from netcode.removal import (
@@ -469,6 +477,112 @@ def bridge_decompose(
         u_side=_decompose_side(engine, u_set, u, v),
         v_side=_decompose_side(engine, v_set, v, u),
     )
+
+
+def _per_tuple_decompose_side(
+    engine: Engine,
+    side: set[str],
+    e_idx: int,
+    s_idx: tuple[int, ...],
+    foreign: tuple[int, ...],
+    fails: Counter,
+    limit: int,
+) -> SideDecomposition:
+    """The side's fixing, the first foreign combination in ascending order
+    with the fewest failing tuples (`fails`), and its simulated code.  The
+    trace match runs every free tuple, so more than `limit` of them raise
+    EnumerationTooLarge."""
+    inst, code = engine.inst, engine.code
+    free_sizes = [code.message_sizes[i] for i in s_idx]
+    free_total = math.prod(free_sizes)
+    best = min(
+        itertools.product(*(range(code.message_sizes[i]) for i in foreign)),
+        key=lambda combo: fails[combo],
+    ) if fails else (0,) * len(foreign)
+    fixing = dict(zip(foreign, best))
+
+    d_idx = tuple(j for j, d in enumerate(inst.terminals) if d in side)
+    side_inst = removal._induced_instance(inst, side, s_idx, d_idx)
+    side_code, match = None, True
+    if side_inst is not None:
+        # side edge p is edge orig_of_side[p] of the original instance
+        orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
+        if free_total > limit:
+            raise EnumerationTooLarge(
+                f"{free_total} free message tuples of side {sorted(side)} exceed limit {limit}"
+            )
+        side_code = removal._simulated_side_code(
+            inst, code, side, e_idx, s_idx, d_idx, side_inst, orig_of_side, fixing
+        )
+        # Simulated side traces must equal the original ones edge for edge.
+        side_engine = Engine(side_code, side_inst)
+        for free in itertools.product(*(range(s) for s in free_sizes)):
+            given = {**fixing, **dict(zip(s_idx, free))}
+            msgs = [given[i] for i in range(len(inst.sources))]
+            full = engine.trace(engine.run(msgs))
+            part = side_engine.trace(side_engine.run(free))
+            if any(
+                full.fwd[oi] != part.fwd[p] or full.bwd[oi] != part.bwd[p]
+                for p, oi in enumerate(orig_of_side)
+            ):
+                match = False
+                break
+    return SideDecomposition(
+        vertices=tuple(sorted(side)),
+        source_indices=s_idx,
+        fixing=fixing,
+        conditional_error=Fraction(fails[best], free_total),
+        instance=side_inst,
+        code=side_code,
+        trace_match=match,
+    )
+
+
+def per_tuple_bridge_decompose(
+    inst_with_e: NetworkInstance,
+    u: str,
+    v: str,
+    code: NetworkCode,
+    limit: int = 2 ** 20,
+) -> BridgeDecomposition:
+    """Split a bridged instance into two independently feasible halves.
+
+    Each side fixes its foreign messages (those not fully demanded inside
+    the side) to the values that minimize the side's conditional error,
+    and gets the simulated code in which its anchor node replays the far
+    side's transmissions internally.  One pass over the joint message
+    tuples counts, for both sides at once, the tuples that miss one of
+    the side's demands, keyed by the side's foreign values.  The pass is
+    skipped when the engine's sliced walk (see check_feasibility) proves
+    that no tuple misses a demand.  As in check_feasibility, past `limit`
+    tuples the walk may make `limit` map calls, and EnumerationTooLarge is
+    raised only if it does not settle the code.
+    """
+    minus = drop_edge(inst_with_e, u, v)
+    comp_u = next(b for b in connected_components(minus) if u in b)
+    if v in comp_u:
+        raise NotABridge(f"{u!r}-{v!r} is not a bridge")
+    u_set = set(comp_u)
+    v_set = set(inst_with_e.vertices) - u_set
+
+    total = math.prod(code.message_sizes)
+    engine = Engine(code, inst_with_e)
+    e_idx = inst_with_e.edge_between(u, v)[0]
+    sides = (u_set, v_set)
+    parts = [removal._side_messages(inst_with_e, side) for side in sides]
+    fails = [Counter() for _ in sides]
+    if not engine._sliced_pass(code.message_sizes, total, None if total <= limit else limit):
+        if total > limit:
+            raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
+        for msgs in itertools.product(*(range(s) for s in code.message_sizes)):
+            decoded = engine.decode(engine.run(msgs))
+            for (_, foreign, demands), count in zip(parts, fails):
+                if any(decoded[j][pos] != msgs[i] for i, j, pos in demands):
+                    count[tuple(msgs[i] for i in foreign)] += 1
+    return BridgeDecomposition(*(
+        _per_tuple_decompose_side(engine, side, e_idx, owned, foreign, count, limit)
+        for side, (owned, foreign, _), count in zip(sides, parts, fails)
+    ))
 
 
 def _search_codes(

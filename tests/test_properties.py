@@ -1,6 +1,8 @@
 """Randomized invariant checks over small generated inputs."""
 
+import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from netcode.rational import (
     split_digits,
 )
 
+import reference_exec as ref
 from conftest import all_simple_paths, brute_force_cut, inst_doc, make, widest_path_oracle
 
 CAPS = ["1/2", "1", "3/2", "2", "7/3"]
@@ -45,14 +48,15 @@ def small_instances(draw):
 
 
 @st.composite
-def removal_cases(draw):
+def removal_cases(draw, bridge=False):
     """(G, probe u-v, lambda, routing code on G+e, rates): G has 3-5
     vertices in one component (the path case) or two that the probe joins
-    (the bridge case); each of at most two unit-demand sources routes one
-    bit along a simple path of G+e, hop h in round h."""
+    (the bridge case, always with `bridge`); each of at most two
+    unit-demand sources routes one bit along a simple path of G+e, hop h
+    in round h."""
     nv = draw(st.integers(3, 5))
     verts = [f"v{i}" for i in range(nv)]
-    split = draw(st.integers(1, nv - 1)) if draw(st.booleans()) else nv
+    split = draw(st.integers(1, nv - 1)) if bridge or draw(st.booleans()) else nv
     tree = [(verts[draw(st.integers(0 if i < split else split, i - 1))], verts[i])
             for i in range(1, nv) if i != split]
     side = {v: i >= split for i, v in enumerate(verts)}
@@ -100,6 +104,42 @@ def test_removing_the_probe_edge_keeps_a_zero_error_code(case):
         assert claim.claimed_rate == Fraction(size.bit_length() - 1,
                                               ver.final_outer_n * ver.final_inner_n)
         assert rate - rep.alpha * rate <= rep.f_rate_form
+
+
+@given(removal_cases(bridge=True), st.integers(0, 7), st.integers(0, 3), st.booleans())
+@settings(deadline=None, max_examples=25)
+def test_perturbed_side_encoder_matches_the_per_tuple_trace_match(case, slot, value, outside):
+    # in each side code, one slot's encoder is off (by one in range, or out
+    # of range) wherever the real one outputs `value`; the report's trace
+    # match must give the reference loop's verdicts or raise its error
+    inst, u, v, lam, code, _ = case
+    real = nc.removal._simulated_side_code
+
+    def perturbed(*args):
+        side_code = real(*args)
+        keys = sorted(side_code.encoders)
+        key = keys[slot % len(keys)]
+        enc, size = side_code.encoders[key], side_code.splits.size(*key)
+
+        def encoder(s):
+            out = enc(s)
+            if out != value % size:
+                return out
+            return out + size if outside else (out + 1) % size
+
+        return dataclasses.replace(side_code, encoders={**side_code.encoders, key: encoder})
+
+    def outcome(decompose):
+        try:
+            decomp = decompose()
+        except Exception as exc:
+            return type(exc)
+        return [side.trace_match for side in (decomp.u_side, decomp.v_side)]
+
+    with mock.patch.object(nc.removal, "_simulated_side_code", perturbed):
+        want = outcome(lambda: ref.per_tuple_bridge_decompose(nc.add_edge(inst, u, v, lam), u, v, code))
+        assert outcome(lambda: nc.edge_removal_report(
+            inst, u, v, lam, code=code).verification.decomposition) == want
 
 
 @given(small_instances())

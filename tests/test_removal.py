@@ -502,12 +502,30 @@ def engine_runs(monkeypatch, code):
     return calls
 
 
-def trace_match_runs(decomp, k):
+def engine_walks(monkeypatch):
+    """Record Engine._sliced_pass verdicts: (feasibility walks over the
+    code's own sinks, trace-match walks over a side's sinks)."""
+    walks = ([], [])
+    walk = Engine._sliced_pass
+
+    def recorded(self, spaces, total, budget=None, sinks=None, fixed=None):
+        settled = walk(self, spaces, total, budget, sinks, fixed)
+        walks[sinks is not None].append(settled)
+        return settled
+
+    monkeypatch.setattr(Engine, "_sliced_pass", recorded)
+    return walks
+
+
+def trace_match_runs(decomp, k, settled):
     """The joint tuples of k messages the trace match runs: each side's
-    free tuples under its fixing."""
+    free tuples under its fixing, for the sides with a side code whose
+    match walk (`settled`, one verdict per such side) did not settle."""
+    sides = [side for side in (decomp.u_side, decomp.v_side) if side.instance is not None]
+    assert len(settled) == len(sides)
     runs = []
-    for side in (decomp.u_side, decomp.v_side):
-        if side.instance is None:
+    for side, done in zip(sides, settled):
+        if done:
             continue
         for free in itertools.product(*(range(s) for s in side.code.message_sizes)):
             msgs = {**side.fixing, **dict(zip(side.source_indices, free))}
@@ -515,25 +533,158 @@ def trace_match_runs(decomp, k):
     return runs
 
 
-@pytest.mark.parametrize("case", [routed_pair, cross_traffic_n2])
-def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case):
-    # the sliced walk proves these codes correct, so only the trace match runs
+def ping_pong_pair():
+    """(augmented bridged_pair, code): message 0 bounces a-b-a-b-a-b over
+    five rounds, so each match sink pulls the whole chain before it."""
+    aug = nc.add_edge(bridged_pair(), "b", "c", Fraction(1))
+    return aug, nc.make_routing_code(
+        aug, [nc.Route(0, 0, tuple("ababab"), (1, 2, 3, 4, 5)), nc.Route(1, 1, ("c", "d"), (1,))],
+        1, 5, [4, 4])
+
+
+@pytest.mark.parametrize("case, walked", [
+    pytest.param(case, walked, id=case.__name__) for case, walked in (
+        (routed_pair, [True, True]), (cross_traffic_n2, [True]), (ping_pong_pair, [False, True]))])
+def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case, walked):
+    # the sliced walk proves these codes correct, so only the trace match
+    # runs tuples: none for a side whose match walk settles, and exactly
+    # its free tuples, on both engines, for one whose walk falls back
     aug, code = case()
     assert Engine(code, aug)._sliced_pass(code.message_sizes, math.prod(code.message_sizes))
-    calls = engine_runs(monkeypatch, code)
+    calls, walks = engine_runs(monkeypatch, code), engine_walks(monkeypatch)
     decomp = nc.bridge_decompose(aug, "b", "c", code)
     joint = [msgs for on_code, msgs in calls if on_code]
-    assert joint == trace_match_runs(decomp, len(aug.sources))
+    assert walks == ([True], walked)
+    assert joint == trace_match_runs(decomp, len(aug.sources), walks[1])
     assert len(calls) == 2 * len(joint)
+    assert decomp.u_side.trace_match and decomp.v_side.trace_match
 
 
 def test_unsettled_bridge_code_runs_joint_tuples_once(monkeypatch):
     aug, code = foreign_demand_code()
-    calls = engine_runs(monkeypatch, code)
+    calls, walks = engine_runs(monkeypatch, code), engine_walks(monkeypatch)
     decomp = nc.bridge_decompose(aug, "b", "c", code)
     joint = [msgs for on_code, msgs in calls if on_code]
     everything = [list(t) for t in itertools.product(*(range(s) for s in code.message_sizes))]
-    assert joint == everything + trace_match_runs(decomp, len(aug.sources))
+    assert walks == ([False], [True, True])
+    assert joint == everything + trace_match_runs(decomp, len(aug.sources), walks[1])
+
+
+def side_encoders_patched(change):
+    """_simulated_side_code with each side encoder `enc` of a side replaced
+    by change(side, enc), or kept where that returns None."""
+    real = nc.removal._simulated_side_code
+
+    def patched(*args):
+        side_code = real(*args)
+        return dataclasses.replace(side_code, encoders={
+            key: change(args[2], enc) or enc for key, enc in side_code.encoders.items()})
+
+    return patched
+
+
+def skewed(side, enc):
+    return lambda s: (enc(s) + 1) % 4
+
+
+def at_two(s):
+    return s.node == "a" and s.message(0) == 2
+
+
+def off_at_two(side, enc):
+    # a's encoders are wrong for free message 2 alone
+    if "a" in side:
+        return lambda s: enc(s) ^ 1 if at_two(s) else enc(s)
+
+
+def raises_at_two(side, enc):
+    def encoder(s):
+        if at_two(s):
+            raise ValueError("no symbol for message 2")
+        return enc(s)
+
+    return encoder if "a" in side else None
+
+
+def as_float(side, enc):
+    # equal in value to the real symbol, but not an int: a run rejects it
+    if "a" in side:
+        return lambda s: float(enc(s))
+
+
+def diagonal_pair():
+    _, aug, code = diagonal_triangles("ad", "bg")
+    return aug, code
+
+
+def interleaved_cross_traffic():
+    # three sessions packed into each message: the engine walks it by digit
+    aug, code = cross_traffic()
+    return aug, nc.interleave(code, aug)
+
+
+@pytest.mark.parametrize("case, change", [
+    (routed_pair, None), (clamp_pair, None), (cross_traffic, None), (cross_traffic_n2, None),
+    (foreign_demand_code, None), (diagonal_pair, None), (ping_pong_pair, None),
+    (interleaved_cross_traffic, None), (raising_decoder_pair, None), (out_of_range_encoder_pair, None),
+    (routed_pair, skewed), (routed_pair, off_at_two), (routed_pair, raises_at_two),
+    (routed_pair, as_float), (interleaved_cross_traffic, off_at_two),
+], ids=lambda p: getattr(p, "__name__", "real"))
+def test_trace_match_equals_the_per_tuple_reference(monkeypatch, case, change):
+    # the match walk on the shared engine must give what running every free
+    # tuple on both engines gives, through bridge_decompose and the report
+    aug, code = case()
+    u, v = ("c", "d") if case is diagonal_pair else ("b", "c")
+    if change is not None:
+        monkeypatch.setattr(nc.removal, "_simulated_side_code", side_encoders_patched(change))
+
+    def outcome(decompose):
+        try:
+            return bridge_fields(decompose())
+        except Exception as exc:
+            return type(exc)
+
+    want = outcome(lambda: ref.per_tuple_bridge_decompose(aug, u, v, code))
+    assert outcome(lambda: nc.bridge_decompose(aug, u, v, code)) == want
+    inst = nc.drop_edge(aug, u, v)
+    assert outcome(lambda: nc.edge_removal_report(
+        inst, u, v, Fraction(1), code=code, epsilon=Fraction(1)).verification.decomposition) == want
+    if change in (raises_at_two, as_float):
+        assert want is (ValueError if change is raises_at_two else SymbolOutOfRange)
+    elif change is not None:
+        assert want[0][3] is False
+
+
+@pytest.mark.parametrize("case", [routed_pair, foreign_demand_code])
+def test_bridge_report_shares_one_engine_and_one_walk(monkeypatch, case):
+    # the base check's engine and walk serve the decomposition; with rates
+    # the check walks smaller spaces, so the decomposition walks again
+    aug, code = case()
+    inst = nc.drop_edge(aug, "b", "c")
+    built = []
+    init = Engine.__init__
+
+    def counted(self, c, i):
+        built.append(c is code)
+        init(self, c, i)
+
+    monkeypatch.setattr(Engine, "__init__", counted)
+    walks = engine_walks(monkeypatch)
+    rep = nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code, epsilon=Fraction(1))
+    assert built.count(True) == 1 and len(walks[0]) == 1
+    assert len(walks[1]) == built.count(False) == 2
+
+    rates = [Fraction(1, code.outer_n)] * len(aug.sources)
+    built.clear()
+    walks[0].clear()
+    rated = nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code, rates=rates,
+                                   epsilon=Fraction(1))
+    assert built.count(True) == 1 and len(walks[0]) == 2
+    ver = rated.verification
+    assert ver.base_report == nc.check_feasibility(code, aug, rates=rates, epsilon=Fraction(1))
+    want = bridge_fields(ref.per_tuple_bridge_decompose(aug, "b", "c", code))
+    assert bridge_fields(ver.decomposition) == bridge_fields(rep.verification.decomposition) == want
+    assert ver.passed == rep.verification.passed
 
 
 def test_bridge_report_leaves_no_cyclic_garbage():
