@@ -122,12 +122,13 @@ class StateView:
 
     __slots__ = ("node", "time", "_message_fn", "_recv_fn", "_digit_fn")
 
-    def __init__(self, node: str, time: int, message_fn: Callable, recv_fn: Callable):
+    def __init__(self, node: str, time: int, message_fn: Callable, recv_fn: Callable,
+                 digit_fn: Optional[Callable] = None):
         self.node = node
         self.time = time
         self._message_fn = message_fn
         self._recv_fn = recv_fn
-        self._digit_fn = None
+        self._digit_fn = digit_fn
 
     def message(self, i: int) -> int:
         return self._message_fn(i)
@@ -148,9 +149,8 @@ class StateView:
     def replace(self, time: int, recv_fn: Callable, node: Optional[str] = None) -> "StateView":
         """This view's messages, whole and by digit, with another horizon,
         recv and (optionally) node."""
-        view = StateView(self.node if node is None else node, time, self._message_fn, recv_fn)
-        view._digit_fn = self._digit_fn
-        return view
+        return StateView(self.node if node is None else node, time, self._message_fn, recv_fn,
+                         self._digit_fn)
 
 
 def pack(values: Sequence[int], radices: Sequence[int], name: Callable[[int], str]) -> int:
@@ -563,23 +563,22 @@ class Engine:
                 raise LookupError(f"no edge {sender!r}-{node!r}")
             return read(inbound[sender] + t - 1)
 
-        view = StateView(node, time, message, recv)
-        if self._digits:  # laid-out messages are read by digit
-            digits = self._digits
+        digits = self._digits
+        if not digits:
+            return StateView(node, time, message, recv)
 
-            def whole(i: int) -> int:
-                if i not in digits or i not in own:
-                    return message(i)
-                at, radices = digits[i]
-                return combine_digits([read(at + s) for s in range(len(radices))], radices)
+        def whole(i: int) -> int:  # laid-out messages are read by digit
+            if i not in digits or i not in own:
+                return message(i)
+            at, radices = digits[i]
+            return combine_digits([read(at + s) for s in range(len(radices))], radices)
 
-            def digit(i: int, j: int, radices: tuple[int, ...]) -> int:
-                if i not in own or digits.get(i, (0, ()))[1] != radices:
-                    return split_digits(whole(i), radices)[j]
-                return read(digits[i][0] + j)
+        def digit(i: int, j: int, radices: tuple[int, ...]) -> int:
+            if i not in own or digits.get(i, (0, ()))[1] != radices:
+                return split_digits(whole(i), radices)[j]
+            return read(digits[i][0] + j)
 
-            view._message_fn, view._digit_fn = whole, digit
-        return view
+        return StateView(node, time, whole, recv, digit)
 
 
 def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -> ExecutionTrace:
@@ -627,20 +626,20 @@ def checked_rates(rates: Sequence[Fraction], count: int) -> tuple[Fraction, ...]
 
 
 def _binom_tail_ge(k: int, n: int, p: float) -> float:
-    """P(X >= k) for X ~ Binomial(n, p).  Float helper for the interval."""
+    """P(X >= k) for X ~ Binomial(n, p).  Float helper for the interval;
+    the terms are summed from their logarithms, so none underflows."""
     if k <= 0:
         return 1.0
     if p <= 0.0:
         return 0.0
     if p >= 1.0:
         return 1.0
-    # iterate terms of P(X = i) from i = 0, accumulate the complement
-    q = 1.0 - p
-    term = q ** n
-    below = 0.0
+    # accumulate P(X = i) for i < k, the complement; log P(X = 0) = n log q
+    log_term, odds, below = n * math.log1p(-p), p / (1.0 - p), 0.0
     for i in range(k):
-        below += term
-        term *= (n - i) / (i + 1) * (p / q)
+        if i:
+            log_term += math.log((n - i + 1) / i * odds)
+        below += math.exp(log_term)
     return max(0.0, 1.0 - below)
 
 
@@ -723,24 +722,26 @@ def check_feasibility(
     return _check(code, inst, rates, epsilon, mode, trials, seed, limit)[0]
 
 
-def _check(code, inst, rates, epsilon, mode, trials, seed, limit):
-    """check_feasibility's report, its Engine, and whether its walk settled the code."""
+def _spaces(code: NetworkCode, rates: Optional[tuple[Fraction, ...]]) -> tuple[int, ...]:
+    """The message space sizes a check at checked `rates` covers."""
+    return tuple(code.message_sizes if rates is None else
+                 (message_size_for_rate(r, code.inner_n, code.outer_n) for r in rates))
+
+
+def _check(code, inst, rates, epsilon, mode, trials, seed, limit, observe=None):
+    """check_feasibility's report and its Engine; `observe(tuple, decoded)`
+    is called for every tuple the joint loop runs."""
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon <= 1:
         raise MalformedDocument(f"error tolerance {epsilon} outside [0, 1]")
     if rates is not None:
         rates = checked_rates(rates, len(inst.sources))
-        spaces = tuple(
-            message_size_for_rate(r, code.inner_n, code.outer_n) for r in rates
-        )
-        for i, (need, have) in enumerate(zip(spaces, code.message_sizes)):
-            if need > have:
-                raise BadRate(
-                    f"rate {rates[i]} needs {need} messages at source {i}, "
-                    f"code carries {have}"
-                )
-    else:
-        spaces = code.message_sizes
+    spaces = _spaces(code, rates)
+    for i, (need, have) in enumerate(zip(spaces, code.message_sizes)):
+        if need > have:
+            raise BadRate(
+                f"rate {rates[i]} needs {need} messages at source {i}, code carries {have}"
+            )
 
     engine = Engine(code, inst)
     sampled = mode == "sampled"
@@ -753,7 +754,7 @@ def _check(code, inst, rates, epsilon, mode, trials, seed, limit):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     capped = not sampled and total > limit
-    if settled := engine._sliced_pass(spaces, total, limit if capped else None):
+    if engine._sliced_pass(spaces, total, limit if capped else None):
         tuples = ()
     elif capped:
         raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
@@ -766,7 +767,10 @@ def _check(code, inst, rates, epsilon, mode, trials, seed, limit):
     failing: list[tuple[int, ...]] = []
     failures = 0
     for tup in tuples:
-        if not demands_met(inst, tup, engine.decode(engine.run(tup))):
+        decoded = engine.decode(engine.run(tup))
+        if observe is not None:
+            observe(tup, decoded)
+        if not demands_met(inst, tup, decoded):
             failures += 1
             if len(failing) < KEEP_FAILURES:
                 failing.append(tup)
@@ -785,7 +789,7 @@ def _check(code, inst, rates, epsilon, mode, trials, seed, limit):
         certified=not sampled,
         failing=tuple(failing),
         interval=clopper_pearson(failures, total) if sampled else None,
-    ), engine, settled
+    ), engine
 
 
 # ------------------------------------------------------------ routing codes

@@ -313,20 +313,9 @@ def connected_components(inst: NetworkInstance) -> tuple[tuple[str, ...], ...]:
     seen: set[str] = set()
     comps = []
     for start in sorted(inst.vertices):
-        if start in seen:
-            continue
-        block = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            x = queue.popleft()
-            block.append(x)
-            for y in inst.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        comps.append(tuple(sorted(block)))
-    comps.sort(key=lambda block: block[0])
+        if start not in seen:
+            comps.append(tuple(sorted(_reachable(inst, Fraction(0), start))))
+            seen.update(comps[-1])
     return tuple(comps)
 
 

@@ -11,8 +11,12 @@ Two regimes:
 - bridge: removing the probe disconnects u from v.  Each side can fix the
   other side's messages to their best value and replay the lost edge's
   traffic locally, so per-side rates survive unchanged and crossing
-  demands are capped by lam.  The base check's engine and walk also serve
-  the decomposition, whose trace match is a walk on that engine.
+  demands are capped by lam.  The decomposition observes the base check's
+  one pass: it counts each side's failing tuples from the tuples that
+  check runs, and takes fixings and conditional errors over the message
+  spaces it covers, the rates' spaces when rates are given, so the joint
+  tuples follow the check's one limit rule.  Each side's trace match is a
+  walk on the check's engine.
 - path: u and v stay connected.  The probe's traffic is pipelined over
   the widest u-v path (bottleneck gamma) and the whole instance is scaled
   by alpha = gamma/(gamma+lam) to make room, costing each rate at most
@@ -36,6 +40,7 @@ from .codes import (
     NetworkCode,
     StateView,
     _check,
+    _spaces,
     check_feasibility,
     checked_rates,
     pack,
@@ -153,6 +158,7 @@ def _side_messages(inst: NetworkInstance, side: set[str]):
 
 def _decompose_side(
     engine: Engine,
+    spaces: Sequence[int],
     side: set[str],
     e_idx: int,
     s_idx: tuple[int, ...],
@@ -160,14 +166,14 @@ def _decompose_side(
     fails: Counter,
     limit: int,
 ) -> SideDecomposition:
-    """The side's fixing, the first foreign combination in ascending order
-    with the fewest failing tuples (`fails`), and its simulated code, trace
-    matched as in bridge_decompose; more than `limit` free tuples raise
-    EnumerationTooLarge."""
+    """The side's fixing, the first foreign combination below `spaces` in
+    ascending order with the fewest failing tuples (`fails`), its
+    conditional error over the free tuples below `spaces`, and its
+    simulated code, trace matched as in bridge_decompose; more than `limit`
+    free tuples of the side code raise EnumerationTooLarge."""
     inst, code = engine.inst, engine.code
-    free_total = math.prod(code.message_sizes[i] for i in s_idx)
     best = min(
-        itertools.product(*(range(code.message_sizes[i]) for i in foreign)),
+        itertools.product(*(range(spaces[i]) for i in foreign)),
         key=lambda combo: fails[combo],
     ) if fails else (0,) * len(foreign)
     fixing = dict(zip(foreign, best))
@@ -178,6 +184,7 @@ def _decompose_side(
     if side_inst is not None:
         # side edge p is edge orig_of_side[p] of the original instance
         orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
+        free_total = math.prod(code.message_sizes[i] for i in s_idx)
         if free_total > limit:
             raise EnumerationTooLarge(
                 f"{free_total} free message tuples of side {sorted(side)} exceed limit {limit}"
@@ -191,7 +198,7 @@ def _decompose_side(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
         fixing=fixing,
-        conditional_error=Fraction(fails[best], free_total),
+        conditional_error=Fraction(fails[best], math.prod(spaces[i] for i in s_idx)),
         instance=side_inst,
         code=side_code,
         trace_match=match,
@@ -301,50 +308,50 @@ def bridge_decompose(
     Each side fixes its foreign messages (those not fully demanded inside
     the side) to the values that minimize the side's conditional error,
     and gets the simulated code in which its anchor node replays the far
-    side's transmissions internally.  One pass over the joint message
-    tuples counts, for both sides at once, the tuples that miss one of
-    the side's demands, keyed by the side's foreign values.  The pass is
-    skipped when the engine's sliced walk (see check_feasibility) proves
-    that no tuple misses a demand.  As in check_feasibility, past `limit`
-    tuples the walk may make `limit` map calls, and EnumerationTooLarge is
-    raised only if it does not settle the code.
+    side's transmissions internally.  The counts come from the one pass of
+    the code's exhaustive check (check_feasibility, no rates): it observes
+    every joint tuple it runs and counts, for both sides at once, the
+    tuples that miss one of the side's demands, keyed by the side's foreign
+    values.  A check whose sliced walk settles the code runs no tuple, and
+    no side misses a demand.  The joint tuples follow check_feasibility's
+    limit rule: past `limit` of them the walk may make `limit` map calls,
+    and EnumerationTooLarge is raised only if it does not settle the code.
 
-    The trace match walks the same engine, the foreign messages at the
+    The trace match walks the check's engine, the foreign messages at the
     fixing: each side encoder, run on the joint execution, must send the
     joint symbol of its slot.  A round-t encoder reads only earlier rounds,
     so by induction this holds exactly when every free tuple's side trace
     equals the original one, edge for edge.  On a raising map, a mismatch
-    or past the map calls the free tuples make, they run and are compared.
+    or past the map calls the free tuples make, they run and are compared,
+    so more than `limit` free tuples of a side raise EnumerationTooLarge.
     """
     minus = drop_edge(inst_with_e, u, v)
     comp_u = next(b for b in connected_components(minus) if u in b)
     if v in comp_u:
         raise NotABridge(f"{u!r}-{v!r} is not a bridge")
-    return _decompose(Engine(code, inst_with_e), u, v, set(comp_u), None, limit)
+    return _decompose(code, inst_with_e, u, v, set(comp_u), None, 0, limit)[1]
 
 
-def _decompose(engine: Engine, u: str, v: str, u_set: set[str], settled: Optional[bool],
-               limit: int) -> BridgeDecomposition:
-    """bridge_decompose on the bridged code's engine, given u's side and the
-    walk's verdict on the whole message space (None: not walked yet)."""
-    inst, code = engine.inst, engine.code
-    total = math.prod(code.message_sizes)
+def _decompose(code: NetworkCode, inst: NetworkInstance, u: str, v: str, u_set: set[str],
+               rates: Optional[Sequence[Fraction]], epsilon: Fraction,
+               limit: int) -> tuple[FeasibilityReport, BridgeDecomposition]:
+    """The exhaustive check at `rates` of the bridged code, and
+    bridge_decompose over the message spaces it covers, counted from the
+    tuples its joint loop runs; u_set is u's side."""
     e_idx = inst.edge_between(u, v)[0]
     sides = (u_set, set(inst.vertices) - u_set)
     parts = [_side_messages(inst, side) for side in sides]
     fails = [Counter() for _ in sides]
-    if settled is None:
-        settled = engine._sliced_pass(code.message_sizes, total, None if total <= limit else limit)
-    if not settled:
-        if total > limit:
-            raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
-        for msgs in itertools.product(*(range(s) for s in code.message_sizes)):
-            decoded = engine.decode(engine.run(msgs))
-            for (_, foreign, demands), count in zip(parts, fails):
-                if any(decoded[j][pos] != msgs[i] for i, j, pos in demands):
-                    count[tuple(msgs[i] for i in foreign)] += 1
-    return BridgeDecomposition(*(
-        _decompose_side(engine, side, e_idx, owned, foreign, count, limit)
+
+    def observe(msgs, decoded):
+        for (_, foreign, demands), count in zip(parts, fails):
+            if any(decoded[j][pos] != msgs[i] for i, j, pos in demands):
+                count[tuple(msgs[i] for i in foreign)] += 1
+
+    report, engine = _check(code, inst, rates, epsilon, "exhaustive", 1, 0, limit, observe)
+    spaces = _spaces(code, report.rates)
+    return report, BridgeDecomposition(*(
+        _decompose_side(engine, spaces, side, e_idx, owned, foreign, count, limit)
         for side, (owned, foreign, _), count in zip(sides, parts, fails)
     ))
 
@@ -568,10 +575,8 @@ def edge_removal_report(
         return report
     augmented = add_edge(inst, u, v, lam)
     if report.case == "bridge":
-        base_rep, engine, settled = _check(code, augmented, rates, epsilon, "exhaustive", 1, 0, limit)
-        # the base check walked the whole message space unless rates shrank it
-        settled = settled if rates is None else None
-        decomp = _decompose(engine, u, v, set(report.bridge.u_side), settled, limit)
+        base_rep, decomp = _decompose(code, augmented, u, v, set(report.bridge.u_side), rates,
+                                      epsilon, limit)
         sides_ok = all(
             side.trace_match and side.conditional_error <= base_rep.measured_error
             for side in (decomp.u_side, decomp.v_side)
@@ -604,7 +609,6 @@ def edge_removal_report(
     host_inst = replace_edge_with_path(augmented, u, v, path_nodes, fresh=False)
     hosted = host_path_code(piped, star_inst, host_inst, star_path, path_nodes)
     scaled = scale_code(hosted, 1 / report.alpha)
-    scaled.splits.validate(inst, scaled.inner_n, scaled.outer_n)
 
     final_eps = min(Fraction(1), nb * Fraction(epsilon))
     final_rep = check_feasibility(scaled, inst, epsilon=final_eps, limit=limit)

@@ -18,7 +18,10 @@ module, so a test that patches `_simulated_side_code` patches them too.
 the earlier exhaustive region search of netcode.region, which checked
 decodability only after the last round and swept every source up to
 `max_message_size` (tests/test_region.py); they are unchanged except for
-imports.
+imports.  `binom_cdf_scaled` and `interval_valid` are the exact integer
+check of a Clopper-Pearson interval that perfbench/workloads.py applies
+to every sampled report (`_binom_cdf_scaled` there); they are unchanged
+except for the name of the first (tests/test_codes.py).
 """
 
 from __future__ import annotations
@@ -281,6 +284,40 @@ def check_feasibility(
         failing=tuple(failing),
         interval=clopper_pearson(failures, trials),
     )
+
+
+def binom_cdf_scaled(k: int, n: int, p: Fraction) -> int:
+    """b**n * P(X <= k) for X ~ Binomial(n, a/b), p = a/b, as an exact int."""
+    a, b = p.numerator, p.denominator
+    c = b - a
+    if c == 0:
+        return b ** n if k >= n else 0
+    term = c ** n  # i = 0: C(n,0) a**0 c**n
+    total = term
+    for i in range(min(k, n)):
+        term = term * (n - i) * a // ((i + 1) * c)
+        total += term
+    return total
+
+
+def interval_valid(failures: int, trials: int, low: Fraction, high: Fraction,
+                   tail: Fraction = Fraction(1, 40)) -> bool:
+    """True when [low, high] contains the exact Clopper-Pearson interval
+    with `tail` in each tail, decided in exact integer arithmetic."""
+    k, n = failures, trials
+    if not 0 <= low <= Fraction(k, n) <= high <= 1:
+        return False
+    if k == 0:
+        low_ok = low == 0
+    else:  # P(X >= k | low) <= tail
+        whole = low.denominator ** n
+        low_ok = (whole - binom_cdf_scaled(k - 1, n, low)) * tail.denominator <= whole * tail.numerator
+    if k == n:
+        high_ok = high == 1
+    else:  # P(X <= k | high) <= tail
+        whole = high.denominator ** n
+        high_ok = binom_cdf_scaled(k, n, high) * tail.denominator <= whole * tail.numerator
+    return low_ok and high_ok
 
 
 def _tabulate(fn, inst, code, node, horizon, limit):

@@ -465,6 +465,20 @@ def test_analyze_bridge_verification_sets_exit_code(tmp_path, capsys):
     assert doc["verification"]["passed"] is True
 
 
+def test_analyze_bridge_sides_are_measured_at_the_checked_rates(tmp_path, capsys):
+    # at rate 1 only messages 0 and 1 are checked, which the clamp keeps
+    inst = bridged_pair()
+    aug = nc.add_edge(inst, "b", "c", 1)
+    ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+    cpath = jfile(tmp_path, "code.json", nc.code_to_doc(clamped_pair_code(aug), aug))
+    rc, doc = run_cli(
+        capsys, ["analyze", ipath, "--edge", "b,c", "--lambda", "1",
+                 "--code", cpath, "--rate", "1,1"])
+    assert rc == 0
+    assert doc["verification"]["passed"] is True
+    assert [side["conditional_error"] for side in doc["verification"]["sides"]] == ["0", "0"]
+
+
 @pytest.mark.parametrize("epsilon", ["-1", "3"])
 def test_analyze_rejects_tolerance_outside_unit_interval(tmp_path, capsys, epsilon):
     ipath = jfile(tmp_path, "inst.json", cycle4().to_doc())

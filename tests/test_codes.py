@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import netcode as nc
 from netcode.graphs import slot_tail
@@ -14,6 +15,7 @@ from netcode.errors import (
     SymbolOutOfRange,
 )
 
+from reference_exec import interval_valid
 from conftest import (
     clamp_code,
     line3,
@@ -235,6 +237,27 @@ def test_clopper_pearson_interval():
     assert low.denominator <= 10 ** 6 and high.denominator <= 10 ** 6
     with pytest.raises(ValueError):
         nc.clopper_pearson(5, 4)
+
+
+@pytest.mark.parametrize("failures, trials, low, high", [
+    # half failing at the CLI's default trial count: the upper end is about 0.5315
+    (500, 1000, Fraction(117137, 250000), Fraction(132863, 250000)),
+    (999, 1000, Fraction(24861, 25000), Fraction(124997, 125000)),
+    (2000, 2000, Fraction(249539, 250000), Fraction(1)),
+    (1000, 2000, Fraction(477849, 10 ** 6), Fraction(522151, 10 ** 6)),
+    (0, 10 ** 4, Fraction(0), Fraction(37, 10 ** 5)),
+])
+def test_clopper_pearson_is_valid_where_float_terms_underflow(failures, trials, low, high):
+    # a term (1-p)**n below the smallest float once made these intervals miss
+    assert nc.clopper_pearson(failures, trials) == (low, high)
+    assert interval_valid(failures, trials, low, high)
+
+
+@given(st.integers(1, 2000), st.data())
+@settings(deadline=None, max_examples=6)
+def test_clopper_pearson_passes_the_exact_check(trials, data):
+    failures = data.draw(st.integers(0, trials))
+    assert interval_valid(failures, trials, *nc.clopper_pearson(failures, trials))
 
 
 def test_check_feasibility_exhaustive_zero_error():

@@ -238,3 +238,31 @@ def test_slot_direction_is_derived_in_graphs_only():
 ])
 def test_orientation_guard_flags(source, flagged):
     assert bool(orientation_sites(ast.parse(source))) == flagged
+
+
+def walk_calls(tree) -> list[tuple[int, str]]:
+    """(line, source) of every call of a `_sliced_pass` in the tree."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _bare_name(node.func) == "_sliced_pass"
+    ]
+
+
+def test_only_the_check_walks_a_code():
+    # every other module reaches the walk through a check, so no report
+    # walks the same code twice
+    found = []
+    for path in sorted((SRC / "netcode").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "codes.py" and "_sliced_pass" in text:  # parse only a candidate
+            found += [(path.name, *site) for site in walk_calls(ast.parse(text))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("engine._sliced_pass(spaces, total)", True), ("Engine._sliced_pass(e, s, t)", True),
+    ("walk = engine._sliced_pass", False), ("engine._matches(part, edges, s, f)", False),
+])
+def test_walk_guard_flags(source, flagged):
+    assert bool(walk_calls(ast.parse(source))) == flagged

@@ -142,6 +142,31 @@ def test_perturbed_side_encoder_matches_the_per_tuple_trace_match(case, slot, va
             inst, u, v, lam, code=code).verification.decomposition) == want
 
 
+@given(removal_cases(bridge=True), st.integers(0, 15))
+@settings(deadline=None, max_examples=15)
+def test_bridge_sides_ignore_messages_outside_the_checked_rates(case, pick):
+    # one encoder at the node of a side-owned source i sends a wrong symbol
+    # whenever message i lies outside the rate-0 space {0}; the check at
+    # the rates never runs such a tuple, and neither may the sides
+    inst, u, v, lam, code, rates = case
+    aug, u_side = nc.add_edge(inst, u, v, lam), set(nc.classify_edge(inst, u, v).u_side)
+    owned = [(key, i) for key in sorted(code.encoders) for i in range(len(aug.sources))
+             if (aug.sources[i] in u_side) == (aug.terminals[i] in u_side)
+             and nc.graphs.slot_tail(aug, key[0], key[2]) == aug.sources[i]]
+    assume(owned)
+    key, i = owned[pick % len(owned)]
+    enc, size = code.encoders[key], code.splits.size(*key)
+
+    def encoder(s):
+        return (enc(s) + 1) % size if s.message(i) else enc(s)
+
+    code = dataclasses.replace(code, encoders={**code.encoders, key: encoder})
+    rates = [Fraction(0) if source == i else rate for source, rate in enumerate(rates)]
+    ver = nc.edge_removal_report(inst, u, v, lam, code=code, rates=rates).verification
+    if ver.base_report.measured_error == 0:
+        assert ver.passed
+
+
 @given(small_instances())
 @settings(deadline=None)
 def test_components_partition_the_vertices(inst):

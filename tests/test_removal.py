@@ -301,6 +301,20 @@ def test_bridge_report_with_code_verifies():
     assert not tight.verification.passed
 
 
+def test_bridge_sides_are_measured_over_the_checked_rate_spaces():
+    # rate 1 checks messages 0 and 1, which the clamp keeps: the base check
+    # is zero-error there, and so must each side be
+    inst = bridged_pair()
+    aug = nc.add_edge(inst, "b", "c", Fraction(1))
+    rep = nc.edge_removal_report(inst, "b", "c", Fraction(1), code=clamped_pair_code(aug),
+                                 rates=[Fraction(1), Fraction(1)])
+    ver = rep.verification
+    assert ver.base_report.measured_error == 0 and ver.base_report.trials == 4
+    sides = (ver.decomposition.u_side, ver.decomposition.v_side)
+    assert [(side.fixing, side.conditional_error) for side in sides] == [({1: 0}, 0), ({0: 0}, 0)]
+    assert ver.passed
+
+
 def test_diverging_side_trace_fails_the_bridge_report(monkeypatch):
     # side codes whose encoders send one more than the original's: every
     # side trace differs from the original one, so the report must fail
@@ -655,11 +669,42 @@ def test_trace_match_equals_the_per_tuple_reference(monkeypatch, case, change):
         assert want[0][3] is False
 
 
+def rated_sides(aug, code, u_side, spaces):
+    """(source indices, fixing, conditional error) of each side of the
+    bridged code, counted tuple by tuple with the reference executor over
+    the messages below `spaces`: of every fixing of the side's foreign
+    messages, the first whose free tuples miss the side's demands least."""
+    k, terminals = len(aug.sources), range(len(aug.terminals))
+    fields = []
+    for side in (set(u_side), set(aug.vertices) - set(u_side)):
+        owned = tuple(i for i in range(k) if aug.sources[i] in side
+                      and all(aug.terminals[j] in side for j in terminals if aug.demand[i][j]))
+        foreign = tuple(i for i in range(k) if i not in owned)
+        counts = []
+        for combo in itertools.product(*(range(spaces[i]) for i in foreign)):
+            fails = 0
+            for free in itertools.product(*(range(spaces[i]) for i in owned)):
+                given = {**dict(zip(foreign, combo)), **dict(zip(owned, free))}
+                msgs = [given[i] for i in range(k)]
+                decoded = ref.decode_outputs(code, aug, ref.execute(code, aug, msgs))
+                fails += any(decoded[j][aug.demanded_at(j).index(i)] != msgs[i]
+                             for i in owned for j in terminals if aug.demand[i][j])
+            counts.append((fails, combo))
+        fails, combo = min(counts, key=lambda count: count[0])
+        fields.append((owned, dict(zip(foreign, combo)),
+                       Fraction(fails, math.prod(spaces[i] for i in owned))))
+    return fields
+
+
 @pytest.mark.parametrize("case", [routed_pair, foreign_demand_code])
 def test_bridge_report_shares_one_engine_and_one_walk(monkeypatch, case):
-    # the base check's engine and walk serve the decomposition; with rates
-    # the check walks smaller spaces, so the decomposition walks again
+    # the base check's engine, walk and joint loop serve the decomposition,
+    # with or without rates: each joint tuple runs at most once, and with
+    # rates the fixings and errors are taken over the spaces the check covers
     aug, code = case()
+    # joint runs without and with rates: the walk settles routed_pair's
+    # whole space, but not its four rated tuples within its budget
+    runs = {routed_pair: (0, 4), foreign_demand_code: (16, 8)}[case]
     inst = nc.drop_edge(aug, "b", "c")
     built = []
     init = Engine.__init__
@@ -669,21 +714,29 @@ def test_bridge_report_shares_one_engine_and_one_walk(monkeypatch, case):
         init(self, c, i)
 
     monkeypatch.setattr(Engine, "__init__", counted)
-    walks = engine_walks(monkeypatch)
+    walks, calls = engine_walks(monkeypatch), engine_runs(monkeypatch, code)
     rep = nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code, epsilon=Fraction(1))
     assert built.count(True) == 1 and len(walks[0]) == 1
     assert len(walks[1]) == built.count(False) == 2
+    assert sum(on_code for on_code, _ in calls) == runs[0]
 
     rates = [Fraction(1, code.outer_n)] * len(aug.sources)
     built.clear()
     walks[0].clear()
+    calls.clear()
     rated = nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code, rates=rates,
                                    epsilon=Fraction(1))
-    assert built.count(True) == 1 and len(walks[0]) == 2
+    assert built.count(True) == 1 and len(walks[0]) == 1
+    assert sum(on_code for on_code, _ in calls) == runs[1]
     ver = rated.verification
     assert ver.base_report == nc.check_feasibility(code, aug, rates=rates, epsilon=Fraction(1))
+    spaces = [nc.message_size_for_rate(r, code.inner_n, code.outer_n) for r in rates]
+    sides = (ver.decomposition.u_side, ver.decomposition.v_side)
+    assert [(s.source_indices, s.fixing, s.conditional_error) for s in sides] == rated_sides(
+        aug, code, rated.bridge.u_side, spaces)
+    assert all(side.trace_match for side in sides)
     want = bridge_fields(ref.per_tuple_bridge_decompose(aug, "b", "c", code))
-    assert bridge_fields(ver.decomposition) == bridge_fields(rep.verification.decomposition) == want
+    assert bridge_fields(rep.verification.decomposition) == want
     assert ver.passed == rep.verification.passed
 
 
