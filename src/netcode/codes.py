@@ -283,10 +283,12 @@ class Engine:
     """Runs one code on one instance for any number of message tuples.
 
     Construction validates the splits and lists, in round order, the slots
-    that have an encoder; a live slot without one raises there.  A run is
+    that have an encoder; a live slot without one raises there.  `box`,
+    the space a check covers, gives each message (values, radix) digits,
+    most significant first, the digit ranging over range(values).  A run is
     one flat state list: the messages, then for each edge its forward and
     its backward symbols by round, then one position per digit of each
-    message a Joined decoder splits (read whole as all its digits, and by
+    message the box splits (read whole as all its digits, and by
     `StateView.digit` as one).  Round-t symbols are written as they are
     produced, which equals the two-phase commit because the causality guard
     keeps every round-t encoder from reading them.
@@ -302,7 +304,7 @@ class Engine:
     one map over a tabulation domain, and `_walk` over partial states.
     """
 
-    def __init__(self, code: NetworkCode, inst: NetworkInstance):
+    def __init__(self, code: NetworkCode, inst: NetworkInstance, box: Optional[tuple] = None):
         k, n_out = len(inst.sources), code.outer_n
         if len(code.message_sizes) != k:
             raise MalformedDocument("code message_sizes do not match instance sources")
@@ -335,8 +337,10 @@ class Engine:
                     pos = k + (2 * idx + d) * n_out + t - 1
                     memo = self._memos[(idx, t, direction)] = (enc, tail, t - 1, check, {})
                     self._slots[pos] = memo
-        # message -> (state position of its first digit, digit radices)
-        self._digits: dict[int, tuple[int, tuple[int, ...]]] = {}
+        # the box lays each message out as a Joined decoder packs it, in full
+        # where the given box covers it whole, else where the given digits
+        # fit that split
+        split: dict[int, tuple[int, ...]] = {}
         self._decoders: dict[int, tuple] = {}
         for j, node in enumerate(inst.terminals):
             demanded, dec = inst.demanded_at(j), code.decoders.get(j)
@@ -346,14 +350,23 @@ class Engine:
             self._decoders[j] = self._memos[j] = (dec, node, n_out, check, {})
             if isinstance(dec, Joined) and len(dec.radices) == len(demanded):
                 for i, radices in zip(demanded, dec.radices):
-                    if i not in self._digits and math.prod(radices) == code.message_sizes[i]:
-                        self._digits[i] = (len(self._blank), radices)
-                        self._blank += [0] * len(radices)
+                    if math.prod(radices) == code.message_sizes[i]:
+                        split.setdefault(i, radices)
+        # split message -> (state position of its first digit, radices)
+        self._digits: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self.box, self._spelled = (), []
+        for i, size in enumerate(code.message_sizes):
+            given = box[i] if box and _size(box[i]) < size else ((size, size),)
+            digits = _over(given, split.get(i, (size,))) or given
+            self.box += (digits,)
+            radices, at = tuple(radix for _, radix in digits), i
+            if len(digits) > 1:
+                at = len(self._blank)
+                self._digits[i] = (at, radices)
+                self._blank += [0] * len(digits)
+            self._spelled.append(tuple(enumerate(radices, at)))
         # the walk's sinks, decoders first: (memo, per output the (position,
         # radix) digits it must spell), one per session of a laid-out Joined
-        self._spelled = [((i, size),) for i, size in enumerate(code.message_sizes)]
-        for i, (at, radices) in self._digits.items():
-            self._spelled[i] = tuple((at + s, r) for s, r in enumerate(radices))
         self._sinks = []
         for j, memo in self._decoders.items():
             dec, targets = memo[0], [self._spelled[i] for i in inst.demanded_at(j)]
@@ -416,26 +429,21 @@ class Engine:
             table.append(self._call(memo, self._lay_out(state)))
         return table
 
-    def _sliced_pass(self, spaces: Sequence[int], total: int, budget: Optional[int] = None,
-                     sinks: Optional[list] = None, fixed: Optional[Mapping[int, int]] = None) -> bool:
-        """Whether every tuple below `spaces` runs clean and meets every
-        demand, decided per sink (`sinks`, by default the code's own; a
-        target that is a slot is pulled first, so a sink runs once per
-        branch); False once the walk has made `budget` map calls, by default
-        as many as `total` tuples make (one per map).  A laid-out message is
-        walked by digit, over digit ranges that cover its space; a tuple
-        past the space can only make the walk fail.  A message in `fixed`
-        (index -> value) holds its value instead."""
+    def _sliced_pass(self, total: int, budget: Optional[int] = None, sinks: Optional[list] = None,
+                     fixed: Optional[Mapping[int, int]] = None) -> bool:
+        """Whether every tuple of the box runs clean and meets every demand,
+        decided per sink (`sinks`, by default the code's own; a target that
+        is a slot is pulled first, so a sink runs once per branch); False
+        once the walk has made `budget` map calls, by default as many as
+        `total` tuples make (one per map).  Each message is walked by the
+        digits of its box; one in `fixed` (index -> value) holds its value."""
         budget = total * len(self._memos) if budget is None else budget
-        fixed = fixed or {}
-        state = [fixed.get(i, 0) for i in range(len(spaces))] + self._blank[len(spaces):]
+        fixed, k = fixed or {}, len(self.box)
+        state = [fixed.get(i, 0) for i in range(k)] + self._blank[k:]
         reach = [0] * len(state)  # values tried per position; 0: fixed, a slot or unused
-        for i, (digits, space) in enumerate(zip(self._spelled, spaces)):
-            if i in fixed:
-                continue
-            top, free = split_digits(space - 1, [radix for _, radix in digits]), False
-            for (pos, radix), d in zip(digits, top):
-                reach[pos], free = (radix if free else d + 1), free or d > 0
+        for i, (spelled, digits) in enumerate(zip(self._spelled, self.box)):
+            for (pos, _), (count, _) in zip(spelled, digits):
+                reach[pos] = 0 if i in fixed else count
         unset = [-1 if reach[p] or p in self._slots else value
                  for p, value in enumerate(self._lay_out(state))]
         for sink in self._sinks if sinks is None else sinks:
@@ -449,10 +457,10 @@ class Engine:
                  fixed: Mapping[int, int]) -> bool:
         """Whether `part` (of this outer_n; its edge p and message q are this
         code's edges[p] and messages[q]) sends what this code does on every
-        tuple of its messages, the others at `fixed`.  A walk sink per slot
-        of `part` runs its encoder on this execution against this code's
-        symbol there.  On a raising map, a mismatch, or past the map calls
-        the tuples make, the tuples run and their edges are compared."""
+        tuple of its messages in the box, the others at `fixed`.  A walk
+        sink per slot of `part` runs its encoder on this execution against
+        this code's symbol there.  On a raising map, a mismatch, or past the
+        map calls the tuples make, the tuples run and their edges are compared."""
         k, ks, width = len(self.inst.sources), len(part.inst.sources), 2 * self.code.outer_n
         sinks = []
         for pos, (fn, node, time, check, _) in part._slots.items():
@@ -461,7 +469,7 @@ class Engine:
                                            lambda q: view.message(messages[q]), view.recv))),)
             p, at = divmod(pos - ks, width)  # one digit to match: its radix is never used
             sinks.append(((sink, node, time, tuple, {}), [((k + edges[p] * width + at, 1),)]))
-        total, maps = math.prod(part.code.message_sizes), len(self._slots) + len(part._slots)
+        total, maps = math.prod(_size(self.box[i]) for i in messages), len(self._slots) + len(part._slots)
 
         def agree(free):
             given = {**fixed, **dict(zip(messages, free))}
@@ -469,8 +477,8 @@ class Engine:
             return all(full[k + oi * width:][:width] == mine[ks + p * width:][:width]
                        for p, oi in enumerate(edges))
 
-        return (self._sliced_pass(self.code.message_sizes, total, total * maps, sinks, fixed)
-                or all(map(agree, itertools.product(*map(range, part.code.message_sizes)))))
+        return (self._sliced_pass(total, total * maps, sinks, fixed)
+                or all(map(agree, itertools.product(*(_values(self.box[i]) for i in messages)))))
 
     def _walk(self, sink: tuple, state: list, pulls: list, reach: Sequence, budget: int) -> int:
         """The map calls left of `budget` once `sink` (memo, digits each
@@ -715,54 +723,84 @@ def check_feasibility(
     make `limit` map calls, and EnumerationTooLarge is raised only if it
     does not settle the code.
 
-    When `rates` is given, source i is checked over the first
-    floor(2**(R_i*N*n)) messages; the code must have at least that many.
+    When `rates` is given, source i is checked over its first
+    floor(2**(R_i*N*n)) messages, a box of one digit that the Engine lays
+    out by session digit where it can, else over the whole space; the code
+    must have at least that many.
     An `epsilon` outside [0, 1] raises MalformedDocument.
     """
     return _check(code, inst, rates, epsilon, mode, trials, seed, limit)[0]
 
 
-def _spaces(code: NetworkCode, rates: Optional[tuple[Fraction, ...]]) -> tuple[int, ...]:
-    """The message space sizes a check at checked `rates` covers."""
-    return tuple(code.message_sizes if rates is None else
-                 (message_size_for_rate(r, code.inner_n, code.outer_n) for r in rates))
+def _size(digits) -> int:
+    """How many message values a box's digits hold."""
+    return math.prod(count for count, _ in digits)
 
 
-def _check(code, inst, rates, epsilon, mode, trials, seed, limit, observe=None):
-    """check_feasibility's report and its Engine; `observe(tuple, decoded)`
-    is called for every tuple the joint loop runs."""
+def _over(digits, radices) -> Optional[tuple]:
+    """The box digits `digits` laid out over `radices`, most significant
+    first: each digit's radix must be the product of a run of them, over
+    which its range(values) is leading 1s, one digit, then full digits;
+    None where it is not."""
+    out, rest = [], list(reversed(radices))
+    for values, radix in digits:
+        while radix > 1:
+            if not rest or radix % rest[-1]:
+                return None
+            r = rest.pop()
+            radix //= r
+            if values > radix and values % radix:
+                return None
+            out.append((max(1, values // radix), r))
+            values = min(values, radix)
+    return None if rest else tuple(out)
+
+
+def _values(digits) -> list[int]:
+    """Every message value a box's digits hold, ascending."""
+    values = [0]
+    for count, radix in digits:
+        values = [value * radix + d for value in values for d in range(count)]
+    return values
+
+
+def _check(code, inst, rates, epsilon, mode, trials, seed, limit, observe=None, box=None):
+    """check_feasibility's report and its Engine, over the rates' box, else
+    `box`; `observe(tuple, decoded)` is called for every tuple the joint loop runs."""
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon <= 1:
         raise MalformedDocument(f"error tolerance {epsilon} outside [0, 1]")
     if rates is not None:
         rates = checked_rates(rates, len(inst.sources))
-    spaces = _spaces(code, rates)
-    for i, (need, have) in enumerate(zip(spaces, code.message_sizes)):
-        if need > have:
-            raise BadRate(
-                f"rate {rates[i]} needs {need} messages at source {i}, code carries {have}"
-            )
+        box = tuple(((message_size_for_rate(r, code.inner_n, code.outer_n), size),)
+                    for r, size in zip(rates, code.message_sizes))
+        for i, ((need, have),) in enumerate(box):
+            if need > have:
+                raise BadRate(
+                    f"rate {rates[i]} needs {need} messages at source {i}, code carries {have}"
+                )
 
-    engine = Engine(code, inst)
+    engine = Engine(code, inst, box)
     sampled = mode == "sampled"
     if sampled:
         if trials < 1:
             raise ValueError("sampled mode needs trials >= 1")
         total = trials
     elif mode == "exhaustive":
-        total = math.prod(spaces)
+        total = math.prod(map(_size, engine.box))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     capped = not sampled and total > limit
-    if engine._sliced_pass(spaces, total, limit if capped else None):
+    if engine._sliced_pass(total, limit if capped else None):
         tuples = ()
     elif capped:
         raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
     elif sampled:
+        # a sampled box, the rates' or the whole space, holds values 0, 1, ...
         rng = random.Random(seed)
-        tuples = (tuple(rng.randrange(s) for s in spaces) for _ in range(trials))
+        tuples = (tuple(rng.randrange(_size(digits)) for digits in engine.box) for _ in range(trials))
     else:
-        tuples = itertools.product(*(range(s) for s in spaces))
+        tuples = itertools.product(*map(_values, engine.box))
 
     failing: list[tuple[int, ...]] = []
     failures = 0

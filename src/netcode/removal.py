@@ -13,14 +13,16 @@ Two regimes:
   traffic locally, so per-side rates survive unchanged and crossing
   demands are capped by lam.  The decomposition observes the base check's
   one pass: it counts each side's failing tuples from the tuples that
-  check runs, and takes fixings and conditional errors over the message
-  spaces it covers, the rates' spaces when rates are given, so the joint
-  tuples follow the check's one limit rule.  Each side's trace match is a
-  walk on the check's engine.
+  check runs, and takes fixings, conditional errors and the trace match
+  over the box it covers, the rates' spaces when rates are given, so the
+  joint tuples follow the check's one limit rule.  Each side's trace
+  match is a walk on the check's engine.
 - path: u and v stay connected.  The probe's traffic is pipelined over
   the widest u-v path (bottleneck gamma) and the whole instance is scaled
   by alpha = gamma/(gamma+lam) to make room, costing each rate at most
-  f(lam) = (2W/w)*lam in the limit.
+  f(lam) = (2W/w)*lam in the limit.  A base message is one session digit
+  of N in the final code, which is checked, and its rates claimed, over
+  the image of the base check's box: each digit over that box's values.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .codes import (
     NetworkCode,
     StateView,
     _check,
-    _spaces,
-    check_feasibility,
+    _size,
+    _values,
     checked_rates,
     pack,
     remapped,
@@ -158,7 +160,6 @@ def _side_messages(inst: NetworkInstance, side: set[str]):
 
 def _decompose_side(
     engine: Engine,
-    spaces: Sequence[int],
     side: set[str],
     e_idx: int,
     s_idx: tuple[int, ...],
@@ -166,17 +167,18 @@ def _decompose_side(
     fails: Counter,
     limit: int,
 ) -> SideDecomposition:
-    """The side's fixing, the first foreign combination below `spaces` in
-    ascending order with the fewest failing tuples (`fails`), its
-    conditional error over the free tuples below `spaces`, and its
-    simulated code, trace matched as in bridge_decompose; more than `limit`
-    free tuples of the side code raise EnumerationTooLarge."""
-    inst, code = engine.inst, engine.code
+    """The side's fixing, the first foreign combination of the engine's box
+    in ascending order with the fewest failing tuples (`fails`), its
+    conditional error over the box's free tuples, and its simulated code,
+    trace matched as in bridge_decompose; more than `limit` free tuples
+    raise EnumerationTooLarge."""
+    inst, code, box = engine.inst, engine.code, engine.box
     best = min(
-        itertools.product(*(range(spaces[i]) for i in foreign)),
+        itertools.product(*(_values(box[i]) for i in foreign)),
         key=lambda combo: fails[combo],
     ) if fails else (0,) * len(foreign)
     fixing = dict(zip(foreign, best))
+    free_total = math.prod(_size(box[i]) for i in s_idx)
 
     d_idx = tuple(j for j, d in enumerate(inst.terminals) if d in side)
     side_inst = _induced_instance(inst, side, s_idx, d_idx)
@@ -184,7 +186,6 @@ def _decompose_side(
     if side_inst is not None:
         # side edge p is edge orig_of_side[p] of the original instance
         orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
-        free_total = math.prod(code.message_sizes[i] for i in s_idx)
         if free_total > limit:
             raise EnumerationTooLarge(
                 f"{free_total} free message tuples of side {sorted(side)} exceed limit {limit}"
@@ -198,7 +199,7 @@ def _decompose_side(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
         fixing=fixing,
-        conditional_error=Fraction(fails[best], math.prod(spaces[i] for i in s_idx)),
+        conditional_error=Fraction(fails[best], free_total),
         instance=side_inst,
         code=side_code,
         trace_match=match,
@@ -317,13 +318,14 @@ def bridge_decompose(
     limit rule: past `limit` of them the walk may make `limit` map calls,
     and EnumerationTooLarge is raised only if it does not settle the code.
 
-    The trace match walks the check's engine, the foreign messages at the
-    fixing: each side encoder, run on the joint execution, must send the
-    joint symbol of its slot.  A round-t encoder reads only earlier rounds,
-    so by induction this holds exactly when every free tuple's side trace
-    equals the original one, edge for edge.  On a raising map, a mismatch
-    or past the map calls the free tuples make, they run and are compared,
-    so more than `limit` free tuples of a side raise EnumerationTooLarge.
+    The trace match walks the check's engine over the box the check covers,
+    the foreign messages at the fixing: each side encoder, run on the joint
+    execution, must send the joint symbol of its slot.  A round-t encoder
+    reads only earlier rounds, so by induction this holds exactly when
+    every free tuple's side trace equals the original one, edge for edge.
+    On a raising map, a mismatch or past the map calls the free tuples of
+    the box make, they run and are compared, so more than `limit` of them
+    raise EnumerationTooLarge.
     """
     minus = drop_edge(inst_with_e, u, v)
     comp_u = next(b for b in connected_components(minus) if u in b)
@@ -336,7 +338,7 @@ def _decompose(code: NetworkCode, inst: NetworkInstance, u: str, v: str, u_set: 
                rates: Optional[Sequence[Fraction]], epsilon: Fraction,
                limit: int) -> tuple[FeasibilityReport, BridgeDecomposition]:
     """The exhaustive check at `rates` of the bridged code, and
-    bridge_decompose over the message spaces it covers, counted from the
+    bridge_decompose over the box it covers, counted from the
     tuples its joint loop runs; u_set is u's side."""
     e_idx = inst.edge_between(u, v)[0]
     sides = (u_set, set(inst.vertices) - u_set)
@@ -349,9 +351,8 @@ def _decompose(code: NetworkCode, inst: NetworkInstance, u: str, v: str, u_set: 
                 count[tuple(msgs[i] for i in foreign)] += 1
 
     report, engine = _check(code, inst, rates, epsilon, "exhaustive", 1, 0, limit, observe)
-    spaces = _spaces(code, report.rates)
     return report, BridgeDecomposition(*(
-        _decompose_side(engine, spaces, side, e_idx, owned, foreign, count, limit)
+        _decompose_side(engine, side, e_idx, owned, foreign, count, limit)
         for side, (owned, foreign, _), count in zip(sides, parts, fails)
     ))
 
@@ -589,7 +590,7 @@ def edge_removal_report(
         )
         return replace(report, verification=verification)
 
-    base_rep = check_feasibility(code, augmented, rates=rates, epsilon=epsilon, limit=limit)
+    base_rep, base = _check(code, augmented, rates, epsilon, "exhaustive", 1, 0, limit)
     tilde = interleave(code, augmented)
     nb = code.outer_n
     path_nodes = report.path.nodes
@@ -611,22 +612,22 @@ def edge_removal_report(
     scaled = scale_code(hosted, 1 / report.alpha)
 
     final_eps = min(Fraction(1), nb * Fraction(epsilon))
-    final_rep = check_feasibility(scaled, inst, epsilon=final_eps, limit=limit)
+    image = tuple(((_size(digits), size),) * nb for digits, size in zip(base.box, code.message_sizes))
+    final_rep = _check(scaled, inst, None, final_eps, "exhaustive", 1, 0, limit, box=image)[0]
 
     claims = []
-    if rates is not None:
-        for i, rate in enumerate(rates):
-            # the rate the final code carries: n/ceil(n/alpha) is alpha once
-            # alpha divides n, and tends to it as n grows
-            claimed = Fraction(code.inner_n, scaled.inner_n) * Fraction(nb, nb + ell) * Fraction(rate)
-            exponent = claimed * scaled.outer_n * scaled.inner_n
-            claims.append(
-                RateClaim(
-                    source=i,
-                    claimed_rate=claimed,
-                    achieved=log2_at_least(scaled.message_sizes[i], exponent),
-                )
+    for i, (rate, digits) in enumerate(zip(rates or (), image)):
+        # the rate the final code carries: n/ceil(n/alpha) is alpha once
+        # alpha divides n, and tends to it as n grows
+        claimed = Fraction(code.inner_n, scaled.inner_n) * Fraction(nb, nb + ell) * rate
+        exponent = claimed * scaled.outer_n * scaled.inner_n
+        claims.append(
+            RateClaim(
+                source=i,
+                claimed_rate=claimed,
+                achieved=log2_at_least(_size(digits), exponent),
             )
+        )
     verification = PathVerification(
         base_report=base_rep,
         final_report=final_rep,

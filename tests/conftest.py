@@ -1,6 +1,7 @@
 """Shared micro instances and independent oracles for the test suite."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import netcode as nc
@@ -152,18 +153,26 @@ def clamp_code(inst, sender, receiver, n, outer_n, send_round, size=4):
     )
 
 
-def path_chain(n_rounds, inst=None, off_path=False, extra=()):
+def bridged_pair():
+    # two cap-2 links; a probe b-c is their only connection
+    return make(inst_doc(
+        "abcd", [("a", "b", "2"), ("c", "d", "2")],
+        ["a", "c"], ["b", "d"], [[1, 0], [0, 1]]))
+
+
+def path_chain(n_rounds, inst=None, off_path=False, extra=(), base=None):
     """interleave -> pipeline_path -> host_path_code -> scale_code on
     cycle4 (or `inst`, whose widest a-c path is a-b-c) with probe a-c,
     built the way edge_removal_report builds it.  Each base route sends
     one bit (n=1), so both base messages have two values.  a->c takes the
     probe at round 1; c->a takes it at round 2 or, with `off_path`, goes
     c-d-a at rounds 1 and 2, off the host path (stages named "offpath-").
-    The `extra` routes also run; decoders read the routes above."""
+    The `extra` routes also run; decoders read the routes above.  A given
+    `base` code on the instance plus a-c at capacity 1 replaces the routes."""
     inst = cycle4() if inst is None else inst
     aug = nc.add_edge(inst, "a", "c", Fraction(1))
     back = nc.Route(1, 1, ("c", "d", "a"), (1, 2)) if off_path else nc.Route(1, 1, ("c", "a"), (2,))
-    base = nc.make_routing_code(
+    base = base or nc.make_routing_code(
         aug, [nc.Route(0, 0, ("a", "c"), (1,)), back, *extra], 1, n_rounds, [2, 2])
     bound = nc.path_case_bound(inst, "a", "c", Fraction(1))
     path = list(bound.path.nodes)
@@ -182,6 +191,17 @@ def path_chain(n_rounds, inst=None, off_path=False, extra=()):
         (f"{prefix}-host", host, hosted),
         (f"{prefix}-scale", inst, scaled),
     ]
+
+
+def three_as_zero_chord_code(aug):
+    """Chord routes on cycle4 + a-c at lambda 2 (n=1, N=2, sizes (4, 4)):
+    message 0 goes a->c at round 1 and is sent as 0 when it is 3, message
+    1 goes c->a at round 2."""
+    routes = [nc.Route(0, 0, ("a", "c"), (1,)), nc.Route(1, 1, ("c", "a"), (2,))]
+    code = nc.make_routing_code(aug, routes, 1, 2, [4, 4])
+    key = (aug.edge_between("a", "c")[0], 1, nc.FWD)
+    send = code.encoders[key]
+    return replace(code, encoders={**code.encoders, key: lambda view: send(view) % 3})
 
 
 # ------------------------------------------------------------------- oracles

@@ -608,7 +608,7 @@ def per_tuple_bridge_decompose(
     sides = (u_set, v_set)
     parts = [removal._side_messages(inst_with_e, side) for side in sides]
     fails = [Counter() for _ in sides]
-    if not engine._sliced_pass(code.message_sizes, total, None if total <= limit else limit):
+    if not engine._sliced_pass(total, None if total <= limit else limit):
         if total > limit:
             raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
         for msgs in itertools.product(*(range(s) for s in code.message_sizes)):

@@ -21,6 +21,7 @@ import netcode as nc
 from netcode.cli import main
 
 from conftest import (
+    bridged_pair,
     clamp_code,
     cycle4,
     fractional_alpha,
@@ -29,6 +30,7 @@ from conftest import (
     make,
     pair_at_one_node,
     single_edge,
+    three_as_zero_chord_code,
     two_way,
     unit_code,
 )
@@ -44,12 +46,6 @@ def jfile(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
-
-
-def bridged_pair():
-    return make(inst_doc(
-        "abcd", [("a", "b", "2"), ("c", "d", "2")],
-        ["a", "c"], ["b", "d"], [[1, 0], [0, 1]]))
 
 
 def clamped_pair_code(aug):
@@ -439,6 +435,24 @@ def test_analyze_path_case_claims_the_rate_at_its_blocklength(tmp_path, capsys):
     ver = doc["verification"]
     assert (ver["alpha"], ver["passed"]) == ("3/5", True)
     assert ver["rate_claims"] == [{"achieved": True, "claimed_rate": "1/16", "source": 0}]
+
+
+def test_analyze_path_case_checks_the_image_of_the_rates(tmp_path, capsys):
+    # the tabulated chord code sends message 3 as 0, outside the rate-1/2
+    # spaces {0, 1}; the final check covers their image, 16 tuples
+    inst = cycle4()
+    aug = nc.add_edge(inst, "a", "c", 2)
+    ipath = jfile(tmp_path, "inst.json", inst.to_doc())
+    cpath = jfile(tmp_path, "code.json", nc.code_to_doc(three_as_zero_chord_code(aug), aug))
+    rc, doc = run_cli(
+        capsys, ["analyze", ipath, "--edge", "a,c", "--lambda", "2",
+                 "--code", cpath, "--rate", "1/2,1/2"])
+    assert rc == 0
+    ver = doc["verification"]
+    final = ver["final"]
+    assert (final["rates"], final["trials"], final["measured_error"]) == (None, 16, "0")
+    assert [(cl["claimed_rate"], cl["achieved"]) for cl in ver["rate_claims"]] == [("1/15", True)] * 2
+    assert ver["passed"] is True
 
 
 def test_analyze_bridge_verification_sets_exit_code(tmp_path, capsys):

@@ -397,8 +397,8 @@ def test_sliced_reports_match_reference(data):
     # with an unbounded budget the walk alone says whether every tuple is
     # correct
     clean = isinstance(want, codes.FeasibilityReport) and want.failures == 0
-    spaces = code.message_sizes if bits is None else [2 ** b for b in bits]
-    assert Engine(code, inst)._sliced_pass(spaces, 10 ** 9) == clean
+    box = None if bits is None else [((2 ** b, s),) for b, s in zip(bits, code.message_sizes)]
+    assert Engine(code, inst, box)._sliced_pass(10 ** 9) == clean
 
 
 def count_calls(monkeypatch):
@@ -433,16 +433,43 @@ def test_sliced_pass_settles_the_path_chain(monkeypatch, n):
 def test_limit_counts_the_walk_map_calls_past_the_tuple_limit(monkeypatch):
     # at N=11 the final chain code has 4**11 tuples, over the default
     # limit of 2**20, and the walk settles it in 408 map calls: a limit of
-    # 408 certifies the code, one less raises
+    # 408 certifies the code, one less raises.  At 10 of each message's 11
+    # bits the box is 0 in the top session digit and full in the other
+    # ten, laid out over the decoders' split, so the walk still branches
+    # per session digit, in 396 calls (as one 1024-value digit per message
+    # it would exhaust 408)
     _, inst, code = path_chain(11)[-1]
-    runs = count_runs(monkeypatch)
+    runs, calls = count_runs(monkeypatch), count_calls(monkeypatch)
     report = nc.check_feasibility(code, inst)
     assert (report.trials, report.failures, report.passed, report.certified) == \
         (4 ** 11, 0, True, True)
     assert nc.check_feasibility(code, inst, limit=408) == report
     with pytest.raises(EnumerationTooLarge):
         nc.check_feasibility(code, inst, limit=407)
+    assert Engine(code, inst, [((2 ** 10, 2 ** 11),)] * 2).box == (((1, 2),) + ((2, 2),) * 10,) * 2
+    calls[0] = 0
+    rated = nc.check_feasibility(code, inst, rates=[Fraction(10, code.inner_n * code.outer_n)] * 2,
+                                 limit=408)
+    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 396)
     assert runs == []
+
+
+@pytest.mark.parametrize("digits, radices, laid", [
+    (((16, 16),), (4, 4), ((4, 4), (4, 4))),
+    (((8, 16),), (4, 4), ((2, 4), (4, 4))),
+    (((3, 16),), (4, 4), ((1, 4), (3, 4))),
+    (((4, 16),), (4, 4), ((1, 4), (4, 4))),
+    (((1, 16),), (4, 4), ((1, 4), (1, 4))),
+    (((2, 4), (3, 4)), (2, 2, 4), ((1, 2), (2, 2), (3, 4))),
+    (((3, 4), (2, 4)), (2, 2, 4), None),  # {0, 1, 2} is no box over 2 x 2
+    (((6, 16),), (4, 4), None),  # no digit box over the split
+    (((3, 8),), (4, 4), None),  # 8 is no run of the radices
+    (((3, 4),), (4, 4), None),  # radices left over
+])
+def test_box_digits_are_laid_out_over_the_split(digits, radices, laid):
+    assert codes._over(digits, radices) == laid
+    if laid is not None:
+        assert codes._values(laid) == codes._values(digits)
 
 
 FACTORED = [case for case in CASES
@@ -456,7 +483,7 @@ def test_factored_walk_settles_and_matches_reference_at_rates(case):
     # at rates of about a quarter of each message space it may spend its
     # budget first, and the report must still equal the reference's
     _, inst, code = case
-    assert Engine(code, inst)._sliced_pass(code.message_sizes, 10 ** 9)
+    assert Engine(code, inst)._sliced_pass(10 ** 9)
     rates = [Fraction(max(0, s.bit_length() - 2), code.outer_n * code.inner_n)
              for s in code.message_sizes]
     report = nc.check_feasibility(code, inst, rates=rates)
@@ -465,9 +492,11 @@ def test_factored_walk_settles_and_matches_reference_at_rates(case):
 
 
 def test_walk_past_a_rated_space_only_falls_back(monkeypatch):
-    # two sessions of a three-value message: a rated space of 4 messages
-    # is no product of digit ranges, so the walk covers it with messages
-    # 0..5, and a fault at message 5 makes it fall back to the 4 tuples
+    # two sessions of a three-value message: the rated space of 4 messages
+    # is no digit box over the two ternary session digits, so it stays one
+    # digit, messages 0..3, and the walk never meets the fault
+    # at message 5; reading the message whole, it spends its budget of 8
+    # map calls (4 tuples of 2 maps) and falls back to the 4 tuples
     inst = single_edge()
     base = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 2, 1, [3])
     code = nc.parallel_repeat(base, inst, 2)
@@ -512,7 +541,7 @@ def test_one_wrong_session_is_reported_as_the_reference(s):
     want = ref.check_feasibility(code, inst)
     assert nc.check_feasibility(code, inst) == want
     assert want.failures == 4 ** 3 // 2
-    assert not Engine(code, inst)._sliced_pass(code.message_sizes, 10 ** 9)
+    assert not Engine(code, inst)._sliced_pass(10 ** 9)
 
 
 def test_a_wrong_decoder_ends_the_walk_before_any_slot_sink(monkeypatch):
@@ -755,7 +784,7 @@ def test_map_that_swallows_every_error():
     assert got == outcome(lambda: ref.check_feasibility(code, inst))
     assert got[0] is SymbolOutOfRange
     engine = Engine(code, inst)
-    assert not engine._sliced_pass(code.message_sizes, 8)
+    assert not engine._sliced_pass(8)
     for tup in itertools.product(range(4), range(2)):
         want = outcome(lambda: ref.execute(code, inst, tup))
         assert outcome(lambda: engine.trace(engine.run(tup))) == want

@@ -240,24 +240,36 @@ def test_orientation_guard_flags(source, flagged):
     assert bool(orientation_sites(ast.parse(source))) == flagged
 
 
-def walk_calls(tree) -> list[tuple[int, str]]:
-    """(line, source) of every call of a `_sliced_pass` in the tree."""
+def calls_to(tree, name: str) -> list[tuple[int, str]]:
+    """(line, source) of every call of a `name` in the tree."""
     return [
         (node.lineno, ast.unparse(node))
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and _bare_name(node.func) == "_sliced_pass"
+        if isinstance(node, ast.Call) and _bare_name(node.func) == name
     ]
+
+
+def calls_outside_codes(name: str) -> list[tuple[str, int, str]]:
+    """(file, line, source) of every call of a `name` in src/netcode
+    outside codes.py."""
+    found = []
+    for path in sorted((SRC / "netcode").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "codes.py" and name in text:  # parse only a candidate
+            found += [(path.name, *site) for site in calls_to(ast.parse(text), name)]
+    return found
 
 
 def test_only_the_check_walks_a_code():
     # every other module reaches the walk through a check, so no report
     # walks the same code twice
-    found = []
-    for path in sorted((SRC / "netcode").glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        if path.name != "codes.py" and "_sliced_pass" in text:  # parse only a candidate
-            found += [(path.name, *site) for site in walk_calls(ast.parse(text))]
-    assert found == []
+    assert calls_outside_codes("_sliced_pass") == []
+
+
+def test_only_codes_turns_rates_into_boxes():
+    # a check's box at given rates is decided in codes alone, so the base
+    # check, the bridge sides and the path-case image all cover one space
+    assert calls_outside_codes("message_size_for_rate") == []
 
 
 @pytest.mark.parametrize("source, flagged", [
@@ -265,4 +277,12 @@ def test_only_the_check_walks_a_code():
     ("walk = engine._sliced_pass", False), ("engine._matches(part, edges, s, f)", False),
 ])
 def test_walk_guard_flags(source, flagged):
-    assert bool(walk_calls(ast.parse(source))) == flagged
+    assert bool(calls_to(ast.parse(source), "_sliced_pass")) == flagged
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("nc.message_size_for_rate(r, n, N)", True), ("message_size_for_rate(r, 1, 2)", True),
+    ("size = codes.message_size_for_rate", False), ("sizes = code.message_sizes", False),
+])
+def test_rate_guard_flags(source, flagged):
+    assert bool(calls_to(ast.parse(source), "message_size_for_rate")) == flagged

@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import netcode as nc
 from netcode.errors import NotConnected
@@ -21,7 +21,8 @@ from netcode.rational import (
 )
 
 import reference_exec as ref
-from conftest import all_simple_paths, brute_force_cut, inst_doc, make, widest_path_oracle
+from conftest import (
+    all_simple_paths, bridged_pair, brute_force_cut, inst_doc, make, widest_path_oracle)
 
 CAPS = ["1/2", "1", "3/2", "2", "7/3"]
 
@@ -48,15 +49,17 @@ def small_instances(draw):
 
 
 @st.composite
-def removal_cases(draw, bridge=False):
+def removal_cases(draw, bridge=False, path=False):
     """(G, probe u-v, lambda, routing code on G+e, rates): G has 3-5
-    vertices in one component (the path case) or two that the probe joins
-    (the bridge case, always with `bridge`); each of at most two
-    unit-demand sources routes one bit along a simple path of G+e, hop h
-    in round h."""
+    vertices in one component (the path case, always with `path`) or two
+    that the probe joins (the bridge case, always with `bridge`); each of
+    at most two unit-demand sources routes one bit along a simple path of
+    G+e, hop h in round h."""
     nv = draw(st.integers(3, 5))
     verts = [f"v{i}" for i in range(nv)]
-    split = draw(st.integers(1, nv - 1)) if bridge or draw(st.booleans()) else nv
+    split = nv
+    if not path and (bridge or draw(st.booleans())):
+        split = draw(st.integers(1, nv - 1))
     tree = [(verts[draw(st.integers(0 if i < split else split, i - 1))], verts[i])
             for i in range(1, nv) if i != split]
     side = {v: i >= split for i, v in enumerate(verts)}
@@ -142,27 +145,69 @@ def test_perturbed_side_encoder_matches_the_per_tuple_trace_match(case, slot, va
             inst, u, v, lam, code=code).verification.decomposition) == want
 
 
-@given(removal_cases(bridge=True), st.integers(0, 15))
-@settings(deadline=None, max_examples=15)
-def test_bridge_sides_ignore_messages_outside_the_checked_rates(case, pick):
-    # one encoder at the node of a side-owned source i sends a wrong symbol
-    # whenever message i lies outside the rate-0 space {0}; the check at
-    # the rates never runs such a tuple, and neither may the sides
+def wrong_outside_rate_zero(case, key, i, outside):
+    """The case's code with the encoder of slot `key` sending a wrong
+    symbol, out of range with `outside`, wherever message i is not 0, and
+    its rates with source i at 0."""
     inst, u, v, lam, code, rates = case
-    aug, u_side = nc.add_edge(inst, u, v, lam), set(nc.classify_edge(inst, u, v).u_side)
-    owned = [(key, i) for key in sorted(code.encoders) for i in range(len(aug.sources))
-             if (aug.sources[i] in u_side) == (aug.terminals[i] in u_side)
-             and nc.graphs.slot_tail(aug, key[0], key[2]) == aug.sources[i]]
-    assume(owned)
-    key, i = owned[pick % len(owned)]
     enc, size = code.encoders[key], code.splits.size(*key)
 
     def encoder(s):
-        return (enc(s) + 1) % size if s.message(i) else enc(s)
+        if not s.message(i):
+            return enc(s)
+        return enc(s) + size if outside else (enc(s) + 1) % size
 
     code = dataclasses.replace(code, encoders={**code.encoders, key: encoder})
-    rates = [Fraction(0) if source == i else rate for source, rate in enumerate(rates)]
+    return code, [Fraction(0) if source == i else rate for source, rate in enumerate(rates)]
+
+
+def at_sources(aug, code, keep) -> list:
+    """(slot, source i) for every encoder at the node of a source i that
+    `keep(i)` accepts."""
+    return [(key, i) for key in sorted(code.encoders) for i in range(len(aug.sources))
+            if keep(i) and nc.graphs.slot_tail(aug, key[0], key[2]) == aug.sources[i]]
+
+
+def bridged_pair_case():
+    """removal_cases' form of bridged_pair with the probe b-c at lambda 1,
+    a->b and c->d each routing one bit."""
+    inst = bridged_pair()
+    aug = nc.add_edge(inst, "b", "c", Fraction(1))
+    routes = [nc.Route(0, 0, ("a", "b"), (1,)), nc.Route(1, 1, ("c", "d"), (1,))]
+    code = nc.make_routing_code(aug, routes, 4, 1, [2, 2])
+    return inst, "b", "c", Fraction(1), code, [Fraction(1, 4)] * 2
+
+
+@given(removal_cases(bridge=True), st.integers(0, 15), st.booleans())
+@example(bridged_pair_case(), 0, True)  # a->b leaves its slot on message 1
+@settings(deadline=None, max_examples=15)
+def test_bridge_sides_ignore_messages_outside_the_checked_rates(case, pick, outside):
+    # one encoder at the node of a side-owned source i sends a wrong symbol,
+    # in range or not, whenever message i lies outside the rate-0 space
+    # {0}; the check at the rates never runs such a tuple, and neither may
+    # the sides
+    inst, u, v, lam, code, _ = case
+    aug, u_side = nc.add_edge(inst, u, v, lam), set(nc.classify_edge(inst, u, v).u_side)
+    owned = at_sources(aug, code, lambda i: (aug.sources[i] in u_side) == (aug.terminals[i] in u_side))
+    assume(owned)
+    code, rates = wrong_outside_rate_zero(case, *owned[pick % len(owned)], outside)
     ver = nc.edge_removal_report(inst, u, v, lam, code=code, rates=rates).verification
+    if ver.base_report.measured_error == 0:
+        assert ver.passed
+
+
+@given(removal_cases(path=True), st.integers(0, 15), st.booleans())
+@settings(deadline=None, max_examples=15)
+def test_path_report_ignores_messages_outside_the_checked_rates(case, pick, outside):
+    # the path twin: the final check covers the image of the rate spaces,
+    # one session digit in {0} for message i, and never runs the wrong
+    # symbol either
+    inst, u, v, lam, code, _ = case
+    found = at_sources(nc.add_edge(inst, u, v, lam), code, lambda i: True)
+    assume(found)
+    code, rates = wrong_outside_rate_zero(case, *found[pick % len(found)], outside)
+    ver = nc.edge_removal_report(inst, u, v, lam, code=code, rates=rates).verification
+    assert ver.final_report.rates is None
     if ver.base_report.measured_error == 0:
         assert ver.passed
 

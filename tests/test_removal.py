@@ -21,14 +21,9 @@ from netcode.errors import (
 from netcode.rational import combine_digits, log2_at_least
 
 import reference_exec as ref
-from conftest import cycle4, fractional_alpha, inst_doc, make, path_chain, two_triangles
-
-
-def bridged_pair():
-    # two cap-2 links; the probe b-c is their only connection
-    return make(inst_doc(
-        "abcd", [("a", "b", "2"), ("c", "d", "2")],
-        ["a", "c"], ["b", "d"], [[1, 0], [0, 1]]))
+from conftest import (
+    bridged_pair, cycle4, fractional_alpha, inst_doc, make, path_chain, three_as_zero_chord_code,
+    two_triangles)
 
 
 def clamped_pair_code(aug):
@@ -522,8 +517,8 @@ def engine_walks(monkeypatch):
     walks = ([], [])
     walk = Engine._sliced_pass
 
-    def recorded(self, spaces, total, budget=None, sinks=None, fixed=None):
-        settled = walk(self, spaces, total, budget, sinks, fixed)
+    def recorded(self, total, budget=None, sinks=None, fixed=None):
+        settled = walk(self, total, budget, sinks, fixed)
         walks[sinks is not None].append(settled)
         return settled
 
@@ -564,7 +559,7 @@ def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case, walked):
     # runs tuples: none for a side whose match walk settles, and exactly
     # its free tuples, on both engines, for one whose walk falls back
     aug, code = case()
-    assert Engine(code, aug)._sliced_pass(code.message_sizes, math.prod(code.message_sizes))
+    assert Engine(code, aug)._sliced_pass(math.prod(code.message_sizes))
     calls, walks = engine_runs(monkeypatch, code), engine_walks(monkeypatch)
     decomp = nc.bridge_decompose(aug, "b", "c", code)
     joint = [msgs for on_code, msgs in calls if on_code]
@@ -709,9 +704,9 @@ def test_bridge_report_shares_one_engine_and_one_walk(monkeypatch, case):
     built = []
     init = Engine.__init__
 
-    def counted(self, c, i):
+    def counted(self, c, i, box=None):
         built.append(c is code)
-        init(self, c, i)
+        init(self, c, i, box)
 
     monkeypatch.setattr(Engine, "__init__", counted)
     walks, calls = engine_walks(monkeypatch), engine_runs(monkeypatch, code)
@@ -889,9 +884,10 @@ def test_path_report_claims_the_rate_the_rounded_blocklength_gives():
 
 
 def test_path_report_names_the_star_slot_a_folded_symbol_overflows():
-    # a->c sends message 0 whole over a two-symbol slot.  At rates (1, 0)
-    # the base check runs messages 0 and 1, which fit; the final check
-    # runs every message, and the host fold meets message 2 on the relay
+    # a->c sends message 0 whole over a two-symbol slot.  Over its whole
+    # space the final code meets message 2, which the host fold names on
+    # the relay; at rates (1, 0) the base check runs messages 0 and 1,
+    # which fit, and the final check runs only their image
     inst = cycle4()
     aug = nc.add_edge(inst, "a", "c", Fraction(1))
     probe = aug.edge_between("a", "c")[0]
@@ -901,10 +897,30 @@ def test_path_report_names_the_star_slot_a_folded_symbol_overflows():
         encoders={(probe, 1, nc.FWD): lambda view: view.message(0)},
         decoders={0: lambda view: (view.recv("a", 1),), 1: lambda view: (0,)},
     )
+    _, _, scaled = path_chain(1, base=code)[-1]
     with pytest.raises(SymbolOutOfRange,
                        match="encoder on 'a'-'relay2' t=1 fwd produced 2, alphabet size 2"):
-        nc.edge_removal_report(inst, "a", "c", Fraction(1), code=code,
-                               rates=[Fraction(1), Fraction(0)])
+        nc.check_feasibility(scaled, inst)
+    rep = nc.edge_removal_report(inst, "a", "c", Fraction(1), code=code,
+                                 rates=[Fraction(1), Fraction(0)])
+    assert rep.verification.final_report.trials == 2 and rep.verification.passed
+
+
+def test_path_report_checks_the_final_code_over_the_image_of_the_rates():
+    # rates 1/2 check messages 0 and 1, which the chord sends as they are:
+    # the final check runs their image, a box of two session digits in
+    # {0, 1} per message, and never meets message 3 in a session
+    inst = cycle4()
+    aug = nc.add_edge(inst, "a", "c", Fraction(2))
+    rep = nc.edge_removal_report(inst, "a", "c", Fraction(2), code=three_as_zero_chord_code(aug),
+                                 rates=[Fraction(1, 2)] * 2)
+    ver = rep.verification
+    assert (ver.base_report.measured_error, ver.base_report.trials) == (0, 4)
+    final = ver.final_report
+    assert (final.rates, final.trials, final.measured_error) == (None, 16, 0)
+    assert final.message_sizes == (16, 16)
+    assert [(cl.claimed_rate, cl.achieved) for cl in ver.rate_claims] == [(Fraction(1, 15), True)] * 2
+    assert ver.passed
 
 
 def test_path_report_without_code():
