@@ -141,9 +141,7 @@ class StateView:
 
     def recv(self, sender: str, t: int) -> int:
         if not 1 <= t <= self.time:
-            raise LookupError(
-                f"symbol from {sender!r} at t={t} not visible at time {self.time}"
-            )
+            raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
         return self._recv_fn(sender, t)
 
     def replace(self, time: int, recv_fn: Callable, node: Optional[str] = None) -> "StateView":
@@ -233,6 +231,50 @@ class _Unset(Exception):
     """Read of a state position (args[0]) that a sliced walk has not set."""
 
 
+class _Recording(StateView):
+    """The guarded view one map run reads an Engine state through: each read
+    it answers is recorded in `reads`, and an unset one raises _Unset.
+    `digits` lays messages out as Engine._digits does; those are read by digit."""
+
+    __slots__ = ("state", "reads", "own", "inbound", "digits")
+
+    def __init__(self, node, time, state, reads, own, inbound, digits):
+        self.node, self.time, self.state, self.reads = node, time, state, reads
+        self.own, self.inbound, self.digits = own, inbound, digits
+
+    def _read(self, pos: int) -> int:
+        value = self.state[pos]
+        self.reads.append((pos, value))
+        if value < 0:
+            raise _Unset(pos)
+        return value
+
+    def message(self, i: int) -> int:
+        if i not in self.own:
+            raise KeyError(f"node {self.node!r} holds no message {i}")
+        if i not in self.digits:
+            return self._read(i)
+        at, radices = self.digits[i]
+        return combine_digits([self._read(at + s) for s in range(len(radices))], radices)
+
+    def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
+        laid = self.digits.get(i)
+        if laid is None or laid[1] != radices or i not in self.own:
+            return split_digits(self.message(i), radices)[j]
+        return self._read(laid[0] + j)
+
+    def recv(self, sender: str, t: int) -> int:
+        if not 1 <= t <= self.time:
+            raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
+        if sender not in self.inbound:
+            raise LookupError(f"no edge {sender!r}-{self.node!r}")
+        return self._read(self.inbound[sender] + t - 1)
+
+    def replace(self, time: int, recv_fn: Callable, node: Optional[str] = None) -> StateView:
+        return StateView(self.node if node is None else node, time, self.message, recv_fn,
+                         self.digit)
+
+
 # Total trie nodes one Engine stores (about 100 bytes each on CPython 3.11);
 # past it, a miss runs uncached.
 TRIE_NODE_CAP = 1 << 17
@@ -271,6 +313,23 @@ def _output_check(j: int, demanded: Sequence[int], sizes: Sequence[int]) -> Call
     return check
 
 
+def _covered(node, state: list[int], reach: Sequence[int]) -> bool:
+    """Whether trie `node` holds an output for every completion of `state`:
+    each value in range(reach) at an unset walked position, the set value
+    elsewhere; a branch on an unset slot position is not covered."""
+    while type(node) is list:
+        pos, kids = node
+        if state[pos] < 0 < reach[pos]:
+            covered = True
+            for value in range(reach[pos]):
+                state[pos] = value
+                covered = covered and _covered(kids.get(value), state, reach)
+            state[pos] = -1
+            return covered
+        node = kids.get(state[pos])
+    return node is not None
+
+
 def _missing_decoder(j: int, node: str) -> Callable:
     """The map that stands in for the absent decoder of terminal j."""
     def decoder(view):
@@ -282,26 +341,28 @@ def _missing_decoder(j: int, node: str) -> Callable:
 class Engine:
     """Runs one code on one instance for any number of message tuples.
 
-    Construction validates the splits and lists, in round order, the slots
-    that have an encoder; a live slot without one raises there.  `box`,
-    the space a check covers, gives each message (values, radix) digits,
-    most significant first, the digit ranging over range(values).  A run is
-    one flat state list: the messages, then for each edge its forward and
-    its backward symbols by round, then one position per digit of each
-    message the box splits (read whole as all its digits, and by
-    `StateView.digit` as one).  Round-t symbols are written as they are
-    produced, which equals the two-phase commit because the causality guard
-    keeps every round-t encoder from reading them.
+    Construction validates the splits and lists, in round order, the live
+    slots (an encoder or a split size other than 1); one without an encoder
+    raises there.  `box`, the space a check covers, gives each message
+    (values, radix) digits, most significant first, the digit ranging over
+    range(values).  A run is one flat state list: the messages, then for
+    each edge its forward and its backward symbols by round, then one
+    position per digit of each message the box splits (read whole as all
+    its digits, and by `StateView.digit` as one).  Round-t symbols are
+    written as they are produced, which equals the two-phase commit because
+    the causality guard keeps every round-t encoder from reading them.
 
     Every encoder and decoder is memoized in a trie keyed on the ordered
     values it read (see the module docstring for the contract this needs).
     A call replays the recorded reads against the state; on a miss it runs
-    the real map on a recording StateView, so the guard checks every read
-    a map makes, and a replayed read is one the guard passed at the same
+    the real map on one `_Recording` view, so the guard checks every read a
+    map makes, and a replayed read is one the guard passed at the same
     horizon.  A read that raises is not recorded: it raises in every state.
-    The tries hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the
-    cap a miss runs uncached and nothing more is stored.  `_table` runs
-    one map over a tabulation domain, and `_walk` over partial states.
+    A leaf is a checked output, as a raising run is never stored, so a slot
+    whose trie covers every tuple a walk would try needs no walk.  The tries
+    hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the cap a miss
+    runs uncached and nothing more is stored.  `_table` runs one map over a
+    tabulation domain, and `_walk` over partial states.
     """
 
     def __init__(self, code: NetworkCode, inst: NetworkInstance, box: Optional[tuple] = None):
@@ -321,22 +382,22 @@ class Engine:
         # outputs, {None: trie root}), also kept by slot key or terminal index
         self._slots: dict[int, tuple] = {}
         self._memos: dict[SlotKey | int, tuple] = {}
-        for t in range(1, n_out + 1):
-            for idx, e in enumerate(inst.edges):
-                for d, direction in enumerate(DIRECTIONS):
-                    size = code.splits.size(idx, t, direction)
-                    enc = code.encoders.get((idx, t, direction))
-                    if enc is None:
-                        if size != 1:
-                            raise MalformedDocument(
-                                f"missing encoder for edge {e.a!r}-{e.b!r} t={t} {direction}"
-                            )
-                        continue
-                    tail = slot_tail(inst, idx, direction)
-                    check = _symbol_check(e, t, direction, size)
-                    pos = k + (2 * idx + d) * n_out + t - 1
-                    memo = self._memos[(idx, t, direction)] = (enc, tail, t - 1, check, {})
-                    self._slots[pos] = memo
+        # the live slots, those with an encoder or a split size other than 1,
+        # in round order: (round, edge, direction index)
+        live = {(t, idx, d) for (idx, t), sizes in code.splits.items()
+                for d, size in enumerate(sizes) if size != 1}
+        live.update((t, idx, DIRECTIONS.index(direction)) for idx, t, direction in code.encoders
+                    if direction in DIRECTIONS and 0 <= idx < len(inst.edges) and 1 <= t <= n_out)
+        for t, idx, d in sorted(live):
+            e, direction = inst.edges[idx], DIRECTIONS[d]
+            enc = code.encoders.get((idx, t, direction))
+            if enc is None:
+                raise MalformedDocument(
+                    f"missing encoder for edge {e.a!r}-{e.b!r} t={t} {direction}"
+                )
+            check = _symbol_check(e, t, direction, code.splits.size(idx, t, direction))
+            self._slots[k + (2 * idx + d) * n_out + t - 1] = self._memos[(idx, t, direction)] = (
+                enc, slot_tail(inst, idx, direction), t - 1, check, {})
         # the box lays each message out as a Joined decoder packs it, in full
         # where the given box covers it whole, else where the given digits
         # fit that split
@@ -433,10 +494,11 @@ class Engine:
                      fixed: Optional[Mapping[int, int]] = None) -> bool:
         """Whether every tuple of the box runs clean and meets every demand,
         decided per sink (`sinks`, by default the code's own; a target that
-        is a slot is pulled first, so a sink runs once per branch); False
-        once the walk has made `budget` map calls, by default as many as
-        `total` tuples make (one per map).  Each message is walked by the
-        digits of its box; one in `fixed` (index -> value) holds its value."""
+        is a slot is pulled first, so a sink runs once per branch; a slot
+        sink its trie covers, `_covered`, settles uncalled); False once the
+        walk has made `budget` map calls, by default as many as `total`
+        tuples make (one per map).  Each message is walked by the digits of
+        its box; one in `fixed` (index -> value) holds its value."""
         budget = total * len(self._memos) if budget is None else budget
         fixed, k = fixed or {}, len(self.box)
         state = [fixed.get(i, 0) for i in range(k)] + self._blank[k:]
@@ -447,6 +509,8 @@ class Engine:
         unset = [-1 if reach[p] or p in self._slots else value
                  for p, value in enumerate(self._lay_out(state))]
         for sink in self._sinks if sinks is None else sinks:
+            if not sink[1] and _covered(sink[0][4].get(None), unset, reach):
+                continue
             pulls = [pos for digits in sink[1] for pos, _ in digits if pos in self._slots]
             budget = self._walk(sink, unset[:], pulls, reach, budget)
             if budget < 0:
@@ -531,7 +595,8 @@ class Engine:
             raise _Unset(branch[0])
         reads: list[tuple[int, int]] = []
         try:
-            out = check(fn(self._view(node, time, state, reads)))
+            out = check(fn(_Recording(node, time, state, reads, self._own[node],
+                                      self._inbound[node], self._digits)))
         except Exception:
             if all(value >= 0 for _, value in reads):
                 raise
@@ -549,44 +614,6 @@ class Engine:
             nxt[key] = out
             self.nodes += 1
         return out
-
-    def _view(self, node: str, time: int, state: list[int], reads: list) -> StateView:
-        """A guarded view of `state` that records each read it answers."""
-        own, inbound = self._own[node], self._inbound[node]
-
-        def read(pos: int) -> int:
-            value = state[pos]
-            reads.append((pos, value))
-            if value < 0:
-                raise _Unset(pos)
-            return value
-
-        def message(i: int) -> int:
-            if i not in own:
-                raise KeyError(f"node {node!r} holds no message {i}")
-            return read(i)
-
-        def recv(sender: str, t: int) -> int:
-            if sender not in inbound:
-                raise LookupError(f"no edge {sender!r}-{node!r}")
-            return read(inbound[sender] + t - 1)
-
-        digits = self._digits
-        if not digits:
-            return StateView(node, time, message, recv)
-
-        def whole(i: int) -> int:  # laid-out messages are read by digit
-            if i not in digits or i not in own:
-                return message(i)
-            at, radices = digits[i]
-            return combine_digits([read(at + s) for s in range(len(radices))], radices)
-
-        def digit(i: int, j: int, radices: tuple[int, ...]) -> int:
-            if i not in own or digits.get(i, (0, ()))[1] != radices:
-                return split_digits(whole(i), radices)[j]
-            return read(digits[i][0] + j)
-
-        return StateView(node, time, whole, recv, digit)
 
 
 def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -> ExecutionTrace:
@@ -714,14 +741,14 @@ def check_feasibility(
     this is the only mode that certifies zero error).  Sampled mode draws
     `trials` seeded uniform tuples and reports a Clopper-Pearson interval
     alongside the point estimate.  Either mode first walks each decoder
-    (each session of a Joined one), then each slot, over only the messages,
-    or session digits, it reads; if none raises or misdecodes, no tuple
-    fails, and none is run or drawn.  Otherwise, or once the walk makes as
-    many map calls as the check's tuples would (one per map per tuple or
-    draw), the tuples run: every one in exhaustive mode, `trials` seeded
-    draws in sampled mode.  Past `limit` tuples the exhaustive walk may
-    make `limit` map calls, and EnumerationTooLarge is raised only if it
-    does not settle the code.
+    (each session of a Joined one), then each slot not yet run on every
+    value it reads, over only the messages, or session digits, it reads; if
+    none raises or misdecodes, no tuple fails, and none is run or drawn.
+    Otherwise, or once the walk makes as many map calls as the check's
+    tuples would (one per map per tuple or draw), the tuples run: every one
+    in exhaustive mode, `trials` seeded draws in sampled mode.  Past `limit`
+    tuples the exhaustive walk may make `limit` map calls, and
+    EnumerationTooLarge is raised only if it does not settle the code.
 
     When `rates` is given, source i is checked over its first
     floor(2**(R_i*N*n)) messages, a box of one digit that the Engine lays
@@ -902,25 +929,24 @@ def make_routing_code(
                 f"on edge {e.a!r}-{e.b!r} at t={t}"
             )
 
-    def carried_value(state: StateView, ridx: int, hop: int) -> int:
+    def carried(ridx: int, hop: int) -> Callable[[StateView], int]:
+        """The value route ridx carries into hop `hop`, as its node reads it:
+        the source's message, else its digit of the previous hop's symbol."""
         route = routes[ridx]
         if hop == 0:
-            return state.message(route.source)
-        x, y = route.nodes[hop - 1], route.nodes[hop]
-        prev_t = route.rounds[hop - 1]
-        idx, direction = inst.slot(x, y)
-        prev_key = (idx, prev_t, direction)
-        symbol = state.recv(x, prev_t)
-        digits = split_digits(symbol, slot_radices(prev_key))
-        return digits[slots[prev_key].index((ridx, hop - 1))]
+            return lambda state: state.message(route.source)
+        x, t = route.nodes[hop - 1], route.rounds[hop - 1]
+        idx, direction = inst.slot(x, route.nodes[hop])
+        radices = slot_radices((idx, t, direction))
+        at = slots[(idx, t, direction)].index((ridx, hop - 1))
+        return lambda state: split_digits(state.recv(x, t), radices)[at]
 
     def make_encoder(key: SlotKey):
-        entries = slots[key]
+        reads = [carried(ridx, hop) for ridx, hop in slots[key]]
         radices = slot_radices(key)
 
         def encoder(state: StateView) -> int:
-            values = [carried_value(state, ridx, hop) for ridx, hop in entries]
-            return combine_digits(values, radices)
+            return combine_digits([read(state) for read in reads], radices)
 
         return encoder
 
@@ -931,17 +957,17 @@ def make_routing_code(
         route_for.setdefault((route.source, route.terminal), ridx)
 
     def make_decoder(j: int):
-        demanded = inst.demanded_at(j)
+        reads = []
+        for i in inst.demanded_at(j):
+            ridx = route_for.get((i, j))
+            if ridx is None:
+                reads.append(lambda state, i=i:
+                             state.message(i) if inst.sources[i] == state.node else 0)
+            else:
+                reads.append(carried(ridx, len(routes[ridx].nodes) - 1))
 
         def decoder(state: StateView) -> tuple[int, ...]:
-            out = []
-            for i in demanded:
-                ridx = route_for.get((i, j))
-                if ridx is None:
-                    out.append(state.message(i) if inst.sources[i] == state.node else 0)
-                    continue
-                out.append(carried_value(state, ridx, len(routes[ridx].nodes) - 1))
-            return tuple(out)
+            return tuple([read(state) for read in reads])
 
         return decoder
 

@@ -27,6 +27,7 @@ Two regimes:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -379,11 +380,11 @@ def host_path_code(
     to_host = dict(zip(star_path, host_path))
     originals = set(host_inst.vertices)
 
-    # (host edge, host direction) -> its parts (star sender, star edge,
-    # star direction); (star sender, star node) -> (its host slot's parts,
-    # position among them); star edge -> host edge
+    # host slot (host edge, host direction) -> its parts (star sender, star
+    # edge, star direction); (star sender, star node) -> (its host slot,
+    # position among the parts); star edge -> host edge
     parts: dict[tuple[int, str], list[tuple[str, int, str]]] = {}
-    part_of: dict[tuple[str, str], tuple[list, int]] = {}
+    part_of: dict[tuple[str, str], tuple[tuple[int, str], int]] = {}
     host_edge: dict[int, int] = {}
     fresh_last = sorted(
         enumerate(star_inst.edges), key=lambda item: not {item[1].a, item[1].b} <= originals
@@ -393,29 +394,32 @@ def host_path_code(
             h_idx, h_dir = host_inst.slot(to_host.get(sender, sender), to_host.get(node, node))
             host_edge[s_idx] = h_idx
             layout = parts.setdefault((h_idx, h_dir), [])
-            part_of[(sender, node)] = (layout, len(layout))
+            part_of[(sender, node)] = ((h_idx, h_dir), len(layout))
             layout.append((sender, s_idx, s_dir))
 
-    def radices(layout, t: int) -> tuple[int, ...]:
-        return tuple([piped.splits.size(s_idx, t, s_dir) for _, s_idx, s_dir in layout])
+    @functools.cache
+    def radices(slot: tuple[int, str], t: int) -> tuple[int, ...]:
+        """The star alphabet sizes folded onto a host slot at round t."""
+        return tuple([piped.splits.size(s_idx, t, s_dir) for _, s_idx, s_dir in parts[slot]])
 
     def star_view(star_node: str, horizon: int, state):
         """Present the host execution as the star instance's execution."""
 
         def recv(star_sender, t):
-            layout, pos = part_of[(star_sender, star_node)]
+            slot, pos = part_of[(star_sender, star_node)]
             symbol = state.recv(to_host.get(star_sender, star_sender), t)
-            return split_digits(symbol, radices(layout, t))[pos]
+            return split_digits(symbol, radices(slot, t))[pos]
 
         return state.replace(horizon, recv, node=to_host.get(star_node, star_node))
 
-    def fold(layout, t: int):
+    def fold(slot: tuple[int, str], t: int):
         """Host encoder of round t: every part's star encoder, combined; a
         part outside its star slot's alphabet raises SymbolOutOfRange."""
+        layout = parts[slot]
         encs = [piped.encoders.get((s_idx, t, s_dir)) for _, s_idx, s_dir in layout]
         if not any(encs):
             return None
-        sizes = radices(layout, t)
+        sizes = radices(slot, t)
         calls = [enc and remapped(enc, star_view, sender, t - 1)
                  for enc, (sender, _, _) in zip(encs, layout)]
         edges = [(star_inst.edges[s_idx], s_dir) for _, s_idx, s_dir in layout]
@@ -432,12 +436,11 @@ def host_path_code(
     encoders = {}
     split_table: dict[tuple[int, int], tuple[int, int]] = {}
     for h_idx, t in sorted(live):
-        layouts = [parts[(h_idx, direction)] for direction in DIRECTIONS]
-        shape = (math.prod(radices(layouts[0], t)), math.prod(radices(layouts[1], t)))
+        shape = tuple(math.prod(radices((h_idx, direction), t)) for direction in DIRECTIONS)
         if shape != (1, 1):
             split_table[(h_idx, t)] = shape
-        for direction, layout in zip(DIRECTIONS, layouts):
-            encoder = fold(layout, t)
+        for direction in DIRECTIONS:
+            encoder = fold((h_idx, direction), t)
             if encoder is not None:
                 encoders[(h_idx, t, direction)] = encoder
 

@@ -22,6 +22,10 @@ imports.  `binom_cdf_scaled` and `interval_valid` are the exact integer
 check of a Clopper-Pearson interval that perfbench/workloads.py applies
 to every sampled report (`_binom_cdf_scaled` there); they are unchanged
 except for the name of the first (tests/test_codes.py).
+`make_routing_code` is the earlier store-and-forward builder of
+netcode.codes, whose maps worked out on every call each hop's sender,
+round, slot radices and position in the slot (`carried_value`); it is
+unchanged except for imports (tests/test_engine.py).
 """
 
 from __future__ import annotations
@@ -35,17 +39,23 @@ from typing import Callable, Optional, Sequence
 
 from netcode.codes import (
     DIRECTIONS,
+    AlphabetSplit,
     Engine,
     ExecutionTrace,
     FeasibilityReport,
     NetworkCode,
+    Route,
+    SlotKey,
     StateView,
     clopper_pearson,
     demands_met,
+    edge_alphabets,
     message_size_for_rate,
 )
 from netcode.errors import (
     BadRate,
+    BadRoute,
+    CapacityOverflow,
     EdgeMissing,
     EnumerationTooLarge,
     MalformedDocument,
@@ -63,7 +73,7 @@ from netcode.graphs import (
     slot_tail,
 )
 import netcode.removal as removal
-from netcode.rational import alphabet_size, combine_digits
+from netcode.rational import alphabet_size, combine_digits, split_digits
 from netcode.region import RegionLimits, _Budget, _rgs_exact
 from netcode.removal import (
     BridgeDecomposition,
@@ -830,3 +840,118 @@ def rate_region_micro(
         )
     )
     return maximal
+
+
+def make_routing_code(
+    inst: NetworkInstance,
+    routes: Sequence[Route],
+    n: int,
+    outer_n: int,
+    message_sizes: Sequence[int],
+) -> NetworkCode:
+    """Store-and-forward code: each route carries its source's whole message.
+
+    Several routes may share an (edge, round, direction) slot; the slot then
+    carries the mixed-radix combination of their values, and the split sizes
+    are the products of the carried message space sizes.  Overfull slots
+    raise CapacityOverflow.
+    """
+    k, r = len(inst.sources), len(inst.terminals)
+    sizes = tuple(int(s) for s in message_sizes)
+    if len(sizes) != k or any(s < 1 for s in sizes):
+        raise BadRoute("need one message size >= 1 per source")
+
+    for route in routes:
+        if not 0 <= route.source < k or not 0 <= route.terminal < r:
+            raise BadRoute(f"route references unknown source/terminal: {route}")
+        if route.nodes[0] != inst.sources[route.source]:
+            raise BadRoute(f"route must start at its source node: {route}")
+        if route.nodes[-1] != inst.terminals[route.terminal]:
+            raise BadRoute(f"route must end at its terminal node: {route}")
+        if len(route.rounds) != len(route.nodes) - 1:
+            raise BadRoute(f"route needs one round per hop: {route}")
+        if any(t2 <= t1 for t1, t2 in zip(route.rounds, route.rounds[1:])):
+            raise BadRoute(f"route rounds must be strictly increasing: {route}")
+        if any(not 1 <= t <= outer_n for t in route.rounds):
+            raise BadRoute(f"route rounds outside 1..{outer_n}: {route}")
+        for x, y in zip(route.nodes, route.nodes[1:]):
+            if inst.edge_between(x, y) is None:
+                raise BadRoute(f"no edge {x!r}-{y!r} on route {route}")
+
+    # slot -> ordered (route index, hop) entries sharing it
+    slots: dict[SlotKey, list[tuple[int, int]]] = {}
+    for ridx, route in enumerate(routes):
+        for hop, (x, y) in enumerate(zip(route.nodes, route.nodes[1:])):
+            idx, direction = inst.slot(x, y)
+            slots.setdefault((idx, route.rounds[hop], direction), []).append((ridx, hop))
+
+    def slot_radices(key: SlotKey) -> tuple[int, ...]:
+        return tuple(sizes[routes[ridx].source] for ridx, _ in slots[key])
+
+    split_table: dict[tuple[int, int], tuple[int, int]] = {}
+    for (edge_idx, t, direction) in slots:
+        f, b = split_table.get((edge_idx, t), (1, 1))
+        load = math.prod(slot_radices((edge_idx, t, direction)))
+        split_table[(edge_idx, t)] = (load, b) if direction == FWD else (f, load)
+    alphabets = edge_alphabets(inst, n)
+    for (edge_idx, t), (f, b) in split_table.items():
+        if f * b > alphabets[edge_idx]:
+            e = inst.edges[edge_idx]
+            raise CapacityOverflow(
+                f"routed load {f}*{b} exceeds alphabet {alphabets[edge_idx]} "
+                f"on edge {e.a!r}-{e.b!r} at t={t}"
+            )
+
+    def carried_value(state: StateView, ridx: int, hop: int) -> int:
+        route = routes[ridx]
+        if hop == 0:
+            return state.message(route.source)
+        x, y = route.nodes[hop - 1], route.nodes[hop]
+        prev_t = route.rounds[hop - 1]
+        idx, direction = inst.slot(x, y)
+        prev_key = (idx, prev_t, direction)
+        symbol = state.recv(x, prev_t)
+        digits = split_digits(symbol, slot_radices(prev_key))
+        return digits[slots[prev_key].index((ridx, hop - 1))]
+
+    def make_encoder(key: SlotKey):
+        entries = slots[key]
+        radices = slot_radices(key)
+
+        def encoder(state: StateView) -> int:
+            values = [carried_value(state, ridx, hop) for ridx, hop in entries]
+            return combine_digits(values, radices)
+
+        return encoder
+
+    encoders = {key: make_encoder(key) for key in slots}
+
+    route_for: dict[tuple[int, int], int] = {}
+    for ridx, route in enumerate(routes):
+        route_for.setdefault((route.source, route.terminal), ridx)
+
+    def make_decoder(j: int):
+        demanded = inst.demanded_at(j)
+
+        def decoder(state: StateView) -> tuple[int, ...]:
+            out = []
+            for i in demanded:
+                ridx = route_for.get((i, j))
+                if ridx is None:
+                    out.append(state.message(i) if inst.sources[i] == state.node else 0)
+                    continue
+                out.append(carried_value(state, ridx, len(routes[ridx].nodes) - 1))
+            return tuple(out)
+
+        return decoder
+
+    decoders = {j: make_decoder(j) for j in range(r) if inst.demanded_at(j)}
+
+    return NetworkCode(
+        inner_n=n,
+        outer_n=outer_n,
+        message_sizes=sizes,
+        splits=AlphabetSplit(split_table),
+        encoders=encoders,
+        decoders=decoders,
+    )

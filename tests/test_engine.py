@@ -18,7 +18,13 @@ from hypothesis import assume, given, settings, strategies as st
 import netcode as nc
 from netcode import codes
 from netcode.codes import Engine
-from netcode.errors import CapacityOverflow, EnumerationTooLarge, SymbolOutOfRange
+from netcode.errors import (
+    CapacityOverflow,
+    EnumerationTooLarge,
+    MalformedDocument,
+    SymbolOutOfRange,
+)
+from netcode.graphs import slot_tail
 
 import reference_exec as ref
 from conftest import (
@@ -416,8 +422,10 @@ def count_calls(monkeypatch):
 
 # map calls of the walk on the final chain code: one sink per session of
 # each terminal, then one per slot, each branching over the one digit it
-# reads (the joint loop would run 4**N tuples of 4*N + 14 maps)
-CHAIN_WALK_CALLS = {2: 84, 3: 120, 4: 156, 5: 192, 6: 228}
+# reads; a slot whose trie the earlier sinks filled for every value it
+# reads settles with none (the joint loop would run 4**N tuples of
+# 4*N + 14 maps)
+CHAIN_WALK_CALLS = {2: 72, 3: 102, 4: 132, 5: 162, 6: 192}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -432,25 +440,25 @@ def test_sliced_pass_settles_the_path_chain(monkeypatch, n):
 
 def test_limit_counts_the_walk_map_calls_past_the_tuple_limit(monkeypatch):
     # at N=11 the final chain code has 4**11 tuples, over the default
-    # limit of 2**20, and the walk settles it in 408 map calls: a limit of
-    # 408 certifies the code, one less raises.  At 10 of each message's 11
+    # limit of 2**20, and the walk settles it in 342 map calls: a limit of
+    # 342 certifies the code, one less raises.  At 10 of each message's 11
     # bits the box is 0 in the top session digit and full in the other
     # ten, laid out over the decoders' split, so the walk still branches
-    # per session digit, in 396 calls (as one 1024-value digit per message
-    # it would exhaust 408)
+    # per session digit, in 332 calls (as one 1024-value digit per message
+    # it would exhaust 342)
     _, inst, code = path_chain(11)[-1]
     runs, calls = count_runs(monkeypatch), count_calls(monkeypatch)
     report = nc.check_feasibility(code, inst)
     assert (report.trials, report.failures, report.passed, report.certified) == \
         (4 ** 11, 0, True, True)
-    assert nc.check_feasibility(code, inst, limit=408) == report
+    assert nc.check_feasibility(code, inst, limit=342) == report
     with pytest.raises(EnumerationTooLarge):
-        nc.check_feasibility(code, inst, limit=407)
+        nc.check_feasibility(code, inst, limit=341)
     assert Engine(code, inst, [((2 ** 10, 2 ** 11),)] * 2).box == (((1, 2),) + ((2, 2),) * 10,) * 2
     calls[0] = 0
     rated = nc.check_feasibility(code, inst, rates=[Fraction(10, code.inner_n * code.outer_n)] * 2,
-                                 limit=408)
-    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 396)
+                                 limit=342)
+    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 332)
     assert runs == []
 
 
@@ -662,8 +670,8 @@ def test_sampled_check_raises_only_where_a_seed_draws_the_raising_message():
 
 @pytest.mark.parametrize("wrong_at", [None, 3])
 def test_sampled_walk_stays_within_trials_times_maps(monkeypatch, wrong_at):
-    # the correct full-cone code needs 31 walk calls over its 3 maps: 10
-    # trials (30 calls) fall back to drawing them, 11 settle it
+    # the correct full-cone code needs 24 walk calls over its 3 maps: 7
+    # trials (21 calls) fall back to drawing them, 8 settle it
     inst, code = full_cone_code(wrong_at)
     calls, walked = count_calls(monkeypatch), []
     sliced = Engine._sliced_pass
@@ -675,12 +683,12 @@ def test_sampled_walk_stays_within_trials_times_maps(monkeypatch, wrong_at):
         return settled
 
     monkeypatch.setattr(Engine, "_sliced_pass", recorded)
-    for trials in (10, 11):
+    for trials in (7, 8):
         runs = count_runs(monkeypatch)
         got, want = sampled(code, inst, trials, 7)
         assert got == want
         assert walked[-1] <= trials * 3
-        assert len(runs) == (0 if wrong_at is None and trials == 11 else trials)
+        assert len(runs) == (0 if wrong_at is None and trials == 8 else trials)
 
 
 def test_one_failing_terminal_report_matches_reference():
@@ -802,3 +810,203 @@ def test_exhaustive_check_leaves_no_cyclic_garbage():
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+# ------------------------------------------------------- covered slot sinks
+
+def relay_code():
+    """(line3, code): message 0 (4 values) goes a->b at round 1, b->c at 2."""
+    inst = line3()
+    return inst, nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b", "c"), (1, 2))], 2, 2, [4])
+
+
+def sink_calls(monkeypatch, engine):
+    """Per sink of `engine`, in walk order: (its node, whether its walk
+    settles, the map calls it makes), each sink walked on its own after
+    the ones before it."""
+    calls, walked = count_calls(monkeypatch), []
+    for sink in engine._sinks:
+        before = calls[0]
+        settled = engine._sliced_pass(4, 10 ** 6, [sink])
+        walked.append((sink[0][1], settled, calls[0] - before))
+    return walked
+
+
+def test_covered_slot_sink_makes_no_map_call(monkeypatch):
+    # the decoder at c pulls both slots over message 0's four values, so
+    # the a->b encoder's trie, which reads message 0 alone, covers its
+    # sink's box: that sink settles without a call
+    inst, code = relay_code()
+    walked = sink_calls(monkeypatch, Engine(code, inst))
+    assert walked[:2] == [("c", True, 15), ("a", True, 0)]
+    # on its own, with an empty trie, the same sink walks: one call that
+    # meets the unset message, then one per value
+    engine = Engine(code, inst)
+    calls = count_calls(monkeypatch)
+    assert engine._sliced_pass(4, 10 ** 6, [engine._sinks[1]]) and calls[0] == 5
+
+
+def test_slot_whose_trie_branches_on_a_slot_is_walked(monkeypatch):
+    # the b->c encoder reads the a->b symbol, a slot position the walk has
+    # not set, so its full trie does not settle its sink: it pulls a->b
+    # (a trie hit each) and runs on each of the four values
+    inst, code = relay_code()
+    walked = sink_calls(monkeypatch, Engine(code, inst))
+    assert walked[2] == ("b", True, 10)
+
+
+def test_truncated_tries_are_walked(monkeypatch):
+    # with room for 4 trie nodes no slot's trie covers its box, so every
+    # slot sink walks (84 calls, as many as without the rule) and the
+    # reports stay the reference's
+    monkeypatch.setattr(codes, "TRIE_NODE_CAP", 4)
+    _, inst, code = CHAINS[2][-1]
+    calls = count_calls(monkeypatch)
+    assert nc.check_feasibility(code, inst) == ref.check_feasibility(code, inst)
+    assert calls[0] == 84
+    for inst, code in (relay_code(), full_cone_code(), full_cone_code(3)):
+        assert nc.check_feasibility(code, inst) == ref.check_feasibility(code, inst)
+        for trials in (1, 5):
+            got, want = sampled(code, inst, trials, 3)
+            assert got == want
+
+
+def test_slot_raising_on_one_message_value_is_reported():
+    # the round-2 a->b encoder, which no decoder reads, raises on message
+    # value 2: its trie never holds a leaf for 2, so its sink walks and
+    # the check raises as the reference does, even after runs on every
+    # other value filled the trie
+    inst = single_edge()
+
+    def raising(view):
+        if view.message(0) == 2:
+            raise ValueError("encoder fails on 2")
+        return view.message(0)
+
+    code = nc.NetworkCode(
+        inner_n=2, outer_n=2, message_sizes=(4,),
+        splits=nc.AlphabetSplit({(0, 1): (4, 1), (0, 2): (4, 1)}),
+        encoders={(0, 1, nc.FWD): lambda view: view.message(0), (0, 2, nc.FWD): raising},
+        decoders={0: lambda view: (view.recv("a", 1),)},
+    )
+    want = outcome(lambda: ref.check_feasibility(code, inst))
+    assert want == (ValueError, "encoder fails on 2")
+    assert outcome(lambda: nc.check_feasibility(code, inst)) == want
+    engine = Engine(code, inst)
+    for m in (0, 1, 3):
+        engine.run([m])
+    assert not engine._sliced_pass(4, 10 ** 6)
+
+
+# ------------------------------------------------------ engine construction
+
+def test_first_missing_encoder_in_round_order_is_named():
+    # b-c lacks its round-1 encoder and a-b its round-2 one: the round
+    # comes before the edge, so b-c is named
+    inst = line3()
+    code = nc.NetworkCode(
+        inner_n=1, outer_n=2, message_sizes=(2,),
+        splits=nc.AlphabetSplit({(0, 2): (2, 1), (1, 1): (2, 1), (0, 1): (2, 1)}),
+        encoders={(0, 1, nc.FWD): lambda view: view.message(0)},
+        decoders={0: lambda view: (0,)},
+    )
+    with pytest.raises(MalformedDocument, match="missing encoder for edge 'b'-'c' t=1 fwd"):
+        Engine(code, inst)
+
+
+def test_encoders_outside_the_code_are_ignored():
+    # encoders keyed past the last round, at an unknown edge or with a bad
+    # direction are never run
+    inst = single_edge()
+    base = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 2, 1, [4])
+
+    def never(view):
+        raise AssertionError("ran an encoder outside the code")
+
+    stray = {(0, 2, nc.FWD): never, (1, 1, nc.FWD): never, (-1, 1, nc.BWD): never,
+             (0, 1, "up"): never, (0, 0, nc.BWD): never}
+    code = replace(base, encoders={**base.encoders, **stray})
+    engine = Engine(code, inst)
+    assert list(engine._memos) == [(0, 1, nc.FWD), 0]
+    assert nc.check_feasibility(code, inst) == nc.check_feasibility(base, inst)
+    assert nc.execute(code, inst, [3]) == nc.execute(base, inst, [3])
+
+
+def test_encoder_of_a_size_one_slot_is_run_and_checked():
+    # b->a has no split entry, so its alphabet is {0}: its encoder still
+    # runs, and its output 1 is out of range
+    inst = single_edge()
+    base = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 2, 1, [4])
+    code = replace(base, encoders={**base.encoders, (0, 1, nc.BWD): lambda view: 1})
+    with pytest.raises(SymbolOutOfRange, match="t=1 bwd produced 1, alphabet size 1"):
+        nc.execute(code, inst, [0])
+    assert outcome(lambda: nc.check_feasibility(code, inst)) == \
+        outcome(lambda: ref.check_feasibility(code, inst))
+
+
+# --------------------------------------------------------- routing oracle
+
+def shared_routes(data):
+    """(instance, routes, N, sizes) of a routing code whose routes often
+    share slots: a route may be drawn twice, and rounds come from 1..N
+    with N at most 3, so routes over one edge tend to meet."""
+    inst = data.draw(st.sampled_from(ROUTED), label="instance")
+    outer_n = data.draw(st.integers(2, 3), label="N")
+    sizes = [data.draw(st.sampled_from([1, 2, 4]), label="size") for _ in inst.sources]
+    pairs = [(i, j) for i, row in enumerate(inst.demand) for j, wanted in enumerate(row) if wanted]
+    routes = []
+    for _ in range(data.draw(st.integers(1, 4), label="routes")):
+        i, j = data.draw(st.sampled_from(pairs), label="pair")
+        paths = all_simple_paths(inst, inst.sources[i], inst.terminals[j])
+        nodes = data.draw(st.sampled_from(paths), label="path")
+        if len(nodes) - 1 > outer_n:
+            continue
+        rounds = sorted(data.draw(st.sets(
+            st.integers(1, outer_n), min_size=len(nodes) - 1, max_size=len(nodes) - 1),
+            label="rounds"))
+        copies = data.draw(st.integers(1, 2), label="copies")
+        routes += [nc.Route(i, j, nodes, tuple(rounds))] * copies
+    return inst, routes, outer_n, sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_routing_maps_match_the_per_call_builder(data):
+    # every encoder and decoder, on drawn messages and received symbols
+    # (some outside their slot's alphabet), answers as the builder that
+    # worked out each hop on every call
+    inst, routes, outer_n, sizes = shared_routes(data)
+    built = outcome(lambda: nc.make_routing_code(inst, routes, 6, outer_n, sizes))
+    oracle = outcome(lambda: ref.make_routing_code(inst, routes, 6, outer_n, sizes))
+    if not isinstance(oracle, nc.NetworkCode):  # an overfull slot
+        assert built == oracle
+        return
+    assert (built.splits, built.message_sizes) == (oracle.splits, oracle.message_sizes)
+    assert list(built.encoders) == list(oracle.encoders)
+    assert list(built.decoders) == list(oracle.decoders)
+    wide = data.draw(st.booleans(), label="wide")
+    messages = [data.draw(st.integers(0, s - 1), label="message") for s in sizes]
+    symbols = {}
+    for key in itertools.product(range(len(inst.edges)), range(1, outer_n + 1), codes.DIRECTIONS):
+        size = built.splits.size(*key) * (2 if wide else 1)
+        symbols[key] = data.draw(st.integers(0, size - 1), label="symbol")
+
+    def view(node, horizon):
+        def message(i):
+            if inst.sources[i] != node:
+                raise KeyError(f"node {node!r} holds no message {i}")
+            return messages[i]
+
+        def recv(sender, t):
+            idx, d = inst.slot(sender, node)
+            return symbols[(idx, t, d)]
+
+        return nc.StateView(node, horizon, message, recv)
+
+    maps = [(built.encoders[key], oracle.encoders[key], slot_tail(inst, key[0], key[2]), key[1] - 1)
+            for key in built.encoders]
+    maps += [(built.decoders[j], oracle.decoders[j], inst.terminals[j], outer_n)
+             for j in built.decoders]
+    for got, want, node, horizon in maps:
+        assert outcome(lambda: got(view(node, horizon))) == \
+            outcome(lambda: want(view(node, horizon)))

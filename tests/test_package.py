@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -286,3 +287,28 @@ def test_walk_guard_flags(source, flagged):
 ])
 def test_rate_guard_flags(source, flagged):
     assert bool(calls_to(ast.parse(source), "message_size_for_rate")) == flagged
+
+
+def test_every_module_stays_below_the_parser_token_step():
+    """Every module of the package compiles from fewer than 8,192 tokens
+    (as `tokenize` counts them, COMMENT and NL excluded).
+
+    CPython's parser holds a module's tokens in an array that doubles when
+    it fills, so a module of 8,192 tokens or more raises the peak memory of
+    compiling it by about 0.5 MiB.  perfbench's processes compile the
+    package on every start, so `peak_rss_mib` reports that step on every
+    workload.  Measured with CPython 3.11.7 on Linux x86-64: compiling a
+    copy of `codes.py` at 8,140 tokens, and the same copy padded to 8,224,
+    raised `ru_maxrss` by 3,072 and 3,584 KiB, and the padded tree read
+    0.47-0.66 MiB more `peak_rss_mib` on `amplify-m16` and 0.42-0.55 MiB
+    more on `cli-cold` (two 5-second runs each).  `codes.py` has 8,103
+    tokens; it had 7,762 before the Engine's recording view and
+    covered-slot rule.
+    """
+    counts = {}
+    for path in sorted((SRC / "netcode").glob("*.py")):
+        with path.open("rb") as source:
+            counts[path.name] = sum(1 for tok in tokenize.tokenize(source.readline)
+                                    if tok.type not in (tokenize.COMMENT, tokenize.NL))
+    assert {name: count for name, count in counts.items() if count >= 8192} == {}
+    assert "codes.py" in counts

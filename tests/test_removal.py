@@ -261,14 +261,16 @@ def diagonal_triangles(sources, terminals):
 
 
 def test_bridge_report_walks_past_the_tuple_limit():
-    # 256 joint tuples over limit 255: the walk settles the code, as in
-    # check_feasibility, and each side's trace match runs 16 free tuples
+    # 256 joint tuples over limit 255: the walk settles the code in 68 map
+    # calls, as in check_feasibility, and each side's trace match runs 16
+    # free tuples; a limit of 67 leaves the walk short
     inst, aug, code = diagonal_triangles("ad", "bg")
     assert nc.check_feasibility(code, aug, limit=255).certified
     rep = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code, limit=255)
     assert rep.verification.passed
-    with pytest.raises(EnumerationTooLarge, match="256 message tuples exceed limit 100"):
-        nc.bridge_decompose(aug, "c", "d", code, limit=100)
+    assert nc.bridge_decompose(aug, "c", "d", code, limit=68).u_side.trace_match
+    with pytest.raises(EnumerationTooLarge, match="256 message tuples exceed limit 67"):
+        nc.bridge_decompose(aug, "c", "d", code, limit=67)
 
 
 def test_bridge_trace_match_counts_its_free_tuples_against_the_limit():
@@ -698,8 +700,9 @@ def test_bridge_report_shares_one_engine_and_one_walk(monkeypatch, case):
     # rates the fixings and errors are taken over the spaces the check covers
     aug, code = case()
     # joint runs without and with rates: the walk settles routed_pair's
-    # whole space, but not its four rated tuples within its budget
-    runs = {routed_pair: (0, 4), foreign_demand_code: (16, 8)}[case]
+    # whole space and its four rated tuples, while foreign_demand_code's
+    # misdecoding falls back to the joint loop both times
+    runs = {routed_pair: (0, 0), foreign_demand_code: (16, 8)}[case]
     inst = nc.drop_edge(aug, "b", "c")
     built = []
     init = Engine.__init__
