@@ -181,14 +181,6 @@ class Joined:
         return lambda state: self.base(self.sessions(state)(j))
 
 
-def remapped(fn: Callable, view_fn: Callable, *args) -> Callable:
-    """`fn` run on view_fn(*args, state), Joined if `fn` is."""
-    view = functools.partial(view_fn, *args)
-    if isinstance(fn, Joined):
-        return Joined(fn.base, lambda state: fn.sessions(view(state)), fn.count, fn.radices)
-    return lambda state: fn(view(state))
-
-
 @dataclass(frozen=True)
 class NetworkCode:
     """A deterministic network code (see module docstring)."""
@@ -273,6 +265,32 @@ class _Recording(StateView):
     def replace(self, time: int, recv_fn: Callable, node: Optional[str] = None) -> StateView:
         return StateView(self.node if node is None else node, time, self.message, recv_fn,
                          self.digit)
+
+
+class _Renamed(StateView):
+    """A part's view of a run (`view`): its message q is the run's message
+    names[q], read whole, and its symbols are the run's."""
+
+    __slots__ = ("view", "names")
+
+    def __init__(self, view, names):
+        self.node, self.time = view.node, view.time
+        self.view, self.names = view, names
+
+    def message(self, q):
+        return self.view.message(self.names[q])
+
+    def digit(self, q, j, radices):
+        return split_digits(self.message(q), radices)[j]
+
+    def recv(self, sender, t):
+        return self.view.recv(sender, t)
+
+
+def _matched(fn, check, names, view) -> tuple:
+    """A part's map `fn` run on `view` renamed by `names`: its checked
+    output, as the one output of a sink."""
+    return (check(fn(_Renamed(view, names))),)
 
 
 # Total trie nodes one Engine stores (about 100 bytes each on CPython 3.11);
@@ -523,16 +541,16 @@ class Engine:
         code's edges[p] and messages[q]) sends what this code does on every
         tuple of its messages in the box, the others at `fixed`.  A walk
         sink per slot of `part` runs its encoder on this execution against
-        this code's symbol there.  On a raising map, a mismatch, or past the
-        map calls the tuples make, the tuples run and their edges are compared."""
+        this code's symbol there: each map call reads the call's recording
+        view through one `_Renamed`, which reads message q as messages[q].
+        On a raising map, a mismatch, or past the map calls the tuples
+        make, the tuples run and their edges are compared."""
         k, ks, width = len(self.inst.sources), len(part.inst.sources), 2 * self.code.outer_n
         sinks = []
         for pos, (fn, node, time, check, _) in part._slots.items():
-            def sink(view, fn=fn, check=check):
-                return (check(fn(StateView(view.node, view.time,
-                                           lambda q: view.message(messages[q]), view.recv))),)
             p, at = divmod(pos - ks, width)  # one digit to match: its radix is never used
-            sinks.append(((sink, node, time, tuple, {}), [((k + edges[p] * width + at, 1),)]))
+            sinks.append(((functools.partial(_matched, fn, check, messages), node, time, tuple, {}),
+                          [((k + edges[p] * width + at, 1),)]))
         total, maps = math.prod(_size(self.box[i]) for i in messages), len(self._slots) + len(part._slots)
 
         def agree(free):

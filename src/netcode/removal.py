@@ -47,7 +47,6 @@ from .codes import (
     _values,
     checked_rates,
     pack,
-    remapped,
 )
 from .errors import (
     BadPath,
@@ -71,7 +70,7 @@ from .graphs import (
     widest_path,
 )
 from .rational import log2_at_least, split_digits
-from .transforms import interleave, pipeline_path, scale_code
+from .transforms import interleave, pipeline_path, remapped, scale_code
 
 
 @dataclass(frozen=True)
@@ -207,31 +206,43 @@ def _decompose_side(
     )
 
 
-def _replaying_view(replay: tuple, node: str, horizon: int, state, sim=None) -> StateView:
+class _Replaying(StateView):
     """The original code's view at `node` over the side execution seen by
     `state`, a side view of `node` or, in a replay, of the anchor.  `replay`
     is what `_simulated_side_code` fixed for the side; sim[r-1] holds the
-    replayed symbols of round r (a fresh list outside a replay)."""
-    inst, e_idx, side, own, side_pos, fixing, replayed = replay
-    sim = [] if sim is None else sim
+    replayed symbols of round r, one list for the views of one replay."""
 
-    def message(i):
-        if i not in own[node]:
-            raise KeyError(f"node {node!r} holds no message {i}")
-        return state.message(side_pos[i]) if i in side_pos else fixing[i]
+    __slots__ = ("replay", "state", "sim")
 
-    def recv(sender, t):
-        oi, direction = inst.slot(sender, node)
-        if oi != e_idx and sender in side:
-            return state.recv(sender, t)
+    def __init__(self, replay: tuple, node: str, time: int, state, sim: Optional[list] = None):
+        self.replay, self.node, self.time = replay, node, time
+        self.state, self.sim = state, sim
+
+    def message(self, i: int) -> int:
+        _, _, own, side_pos, fixing, _ = self.replay
+        if i not in own[self.node]:
+            raise KeyError(f"node {self.node!r} holds no message {i}")
+        return self.state.message(side_pos[i]) if i in side_pos else fixing[i]
+
+    def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
+        return split_digits(self.message(i), radices)[j]
+
+    def recv(self, sender: str, t: int) -> int:
+        if not 1 <= t <= self.time:
+            raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
+        inst, local, _, _, _, replayed = self.replay
+        if (sender, self.node) in local:
+            return self.state.recv(sender, t)
+        oi, direction = inst.slot(sender, self.node)
+        sim = self.sim
+        if sim is None:
+            sim = self.sim = []
         while len(sim) < t:
             r = len(sim) + 1
             sim.append({})
             for key, enc, tail in replayed.get(r, ()):
-                sim[r - 1][key] = enc(_replaying_view(replay, tail, r - 1, state, sim))
+                sim[r - 1][key] = enc(_Replaying(self.replay, tail, r - 1, self.state, sim))
         return sim[t - 1].get((oi, direction), 0)
-
-    return StateView(node, horizon, message, recv)
 
 
 def _simulated_side_code(
@@ -248,12 +259,13 @@ def _simulated_side_code(
     """Restrict the code to one side, replaying the removed edge `e_idx`.
 
     The side code runs every original encoder and decoder of the side on
-    one kind of view (`_replaying_view`).  A view reads each slot either
-    from the side execution or from a replay.  The replayed slots are
-    those whose sender is on the far side, plus both directions of the
-    removed edge: with every far message fixed, the anchor can recompute
-    them from its own inputs.  A view simulates the replayed slots once,
-    round by round, up to the latest round it is asked for.
+    one kind of view: each map call builds one `_Replaying` straight on the
+    side view it gets.  A view reads each slot either from the side
+    execution or from a replay.  The replayed slots are those whose sender
+    is on the far side, plus both directions of the removed edge: with
+    every far message fixed, the anchor can recompute them from its own
+    inputs.  A view simulates the replayed slots once, round by round, up
+    to the latest round it is asked for.
     """
     side_pos = {i: pos for pos, i in enumerate(s_idx)}
     own = {x: set(inst.sources_at(x)) for x in inst.vertices}
@@ -263,14 +275,20 @@ def _simulated_side_code(
         tail = slot_tail(inst, oi, direction)
         if oi == e_idx or tail not in side:
             replayed.setdefault(t, []).append(((oi, direction), enc, tail))
-    replay = (inst, e_idx, side, own, side_pos, fixing, replayed)
+    # (sender, receiver) of every slot the side execution carries
+    local = {pair for oi, e in enumerate(inst.edges) if oi != e_idx
+             for pair in ((e.a, e.b), (e.b, e.a)) if pair[0] in side}
+    replay = (inst, local, own, side_pos, fixing, replayed)
+
+    def replaying(enc, node: str, horizon: int):
+        return lambda state: enc(_Replaying(replay, node, horizon, state))
 
     def restrict(j: int):
         keep = [pos for pos, i in enumerate(inst.demanded_at(j)) if i in side_pos]
-        full = remapped(code.decoders[j], _replaying_view, replay, inst.terminals[j], code.outer_n)
+        dec, node = code.decoders[j], inst.terminals[j]
 
         def decoder(state):
-            out = full(state)
+            out = dec(_Replaying(replay, node, code.outer_n, state))
             return tuple(out[pos] for pos in keep)
 
         return decoder
@@ -284,9 +302,7 @@ def _simulated_side_code(
             {(side_of[oi], t): shape for (oi, t), shape in code.splits.items() if oi in side_of}
         ),
         encoders={
-            (side_of[oi], t, direction): remapped(
-                enc, _replaying_view, replay, slot_tail(inst, oi, direction), t - 1
-            )
+            (side_of[oi], t, direction): replaying(enc, slot_tail(inst, oi, direction), t - 1)
             for (oi, t, direction), enc in code.encoders.items()
             if oi in side_of
         },

@@ -21,11 +21,12 @@ Transforms provided:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .codes import (
     AlphabetSplit,
@@ -35,7 +36,6 @@ from .codes import (
     check_feasibility,
     edge_alphabets,
     pack,
-    remapped,
 )
 from .errors import (
     AlphabetInclusionFails,
@@ -55,7 +55,55 @@ from .graphs import BWD, FWD, NetworkInstance, replace_edge_with_path
 from .rational import ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
 
 
+def remapped(fn: Callable, view_fn: Callable, *args) -> Callable:
+    """`fn` run on view_fn(*args, state), Joined if `fn` is."""
+    view = functools.partial(view_fn, *args)
+    if isinstance(fn, Joined):
+        return Joined(fn.base, lambda state: fn.sessions(view(state)), fn.count, fn.radices)
+    return lambda state: fn(view(state))
+
+
 # ------------------------------------------------------------------ sessions
+
+class _Session(StateView):
+    """Session j's view of the host view `host` (see _pack_sessions).
+    `packing` is (count, staggered, radices, message_parts, inst, splits);
+    `split` is ({message: parts}, {(sender, round): digits}), what the
+    session views of one host view have split of it so far."""
+
+    __slots__ = ("host", "j", "packing", "split")
+
+    def __init__(self, host: StateView, time: int, j: int, packing: tuple, split: tuple):
+        self.node, self.time, self.host, self.j = host.node, time, host, j
+        self.packing, self.split = packing, split
+
+    def message(self, i: int) -> int:
+        _, _, radices, message_parts, _, _ = self.packing
+        if message_parts is None:
+            return self.host.digit(i, self.j, radices[i])
+        parts = self.split[0].get(i)
+        if parts is None:
+            parts = self.split[0][i] = message_parts(i, self.host.message(i))
+        return parts[self.j]
+
+    def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
+        return split_digits(self.message(i), radices)[j]
+
+    def recv(self, sender: str, t: int) -> int:
+        if not 1 <= t <= self.time:
+            raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
+        count, staggered, _, _, inst, splits = self.packing
+        if staggered:
+            return self.host.recv(sender, (t - 1) * count + self.j + 1)
+        parts = self.split[1].get((sender, t))
+        if parts is None:
+            idx, direction = inst.slot(sender, self.node)
+            radix = splits.size(idx, t, direction)
+            parts = self.split[1][(sender, t)] = split_digits(
+                self.host.recv(sender, t), (radix,) * count
+            )
+        return parts[self.j]
+
 
 def _pack_sessions(
     code: NetworkCode,
@@ -79,40 +127,17 @@ def _pack_sessions(
     view, however many sessions read it.
 
     Returns (sessions, decoders).  sessions(state) maps j to the view of
-    session j.  Each decoder runs the base decoder on every session and is
-    Joined, or with `join` joins the outputs of source i by join(i, outputs).
+    session j, a `_Session`.  Each decoder runs the base decoder on every
+    session and is Joined, or with `join` joins the outputs of source i by
+    join(i, outputs).
     """
     radices = [(size,) * count for size in code.message_sizes]
+    packing = (count, staggered, radices, message_parts, inst, code.splits)
 
     def sessions(state):
-        node = state.node
         horizon = state.time // count if staggered else state.time
-        messages, symbols = {}, {}
-
-        def view(j: int) -> StateView:
-            def message(i):
-                if message_parts is None:
-                    return state.digit(i, j, radices[i])
-                parts = messages.get(i)
-                if parts is None:
-                    parts = messages[i] = message_parts(i, state.message(i))
-                return parts[j]
-
-            def recv(sender, t):
-                if staggered:
-                    return state.recv(sender, (t - 1) * count + j + 1)
-                parts = symbols.get((sender, t))
-                if parts is None:
-                    idx, direction = inst.slot(sender, node)
-                    radix = code.splits.size(idx, t, direction)
-                    parts = symbols[(sender, t)] = split_digits(
-                        state.recv(sender, t), (radix,) * count
-                    )
-                return parts[j]
-
-            return StateView(node, horizon, message, recv)
-
-        return view
+        split = ({}, {})
+        return lambda j: _Session(state, horizon, j, packing, split)
 
     if join is None:
         return sessions, {j: Joined(dec, sessions, count, tuple(radices[i] for i in inst.demanded_at(j)))

@@ -26,6 +26,12 @@ except for the name of the first (tests/test_codes.py).
 netcode.codes, whose maps worked out on every call each hop's sender,
 round, slot radices and position in the slot (`carried_value`); it is
 unchanged except for imports (tests/test_engine.py).
+`_replaying_view` is the earlier closure-built view of the bridge's side
+code (netcode.removal), and `match_view` the view that the earlier
+`Engine._matches` sink built around the engine's recording view for a
+side encoder (side message q read as joint message messages[q]); they
+are unchanged except for the second one's name and signature
+(tests/test_properties.py).
 """
 
 from __future__ import annotations
@@ -955,3 +961,36 @@ def make_routing_code(
         encoders=encoders,
         decoders=decoders,
     )
+
+
+def _replaying_view(replay: tuple, node: str, horizon: int, state, sim=None) -> StateView:
+    """The original code's view at `node` over the side execution seen by
+    `state`, a side view of `node` or, in a replay, of the anchor.  `replay`
+    is what `_simulated_side_code` fixed for the side; sim[r-1] holds the
+    replayed symbols of round r (a fresh list outside a replay)."""
+    inst, e_idx, side, own, side_pos, fixing, replayed = replay
+    sim = [] if sim is None else sim
+
+    def message(i):
+        if i not in own[node]:
+            raise KeyError(f"node {node!r} holds no message {i}")
+        return state.message(side_pos[i]) if i in side_pos else fixing[i]
+
+    def recv(sender, t):
+        oi, direction = inst.slot(sender, node)
+        if oi != e_idx and sender in side:
+            return state.recv(sender, t)
+        while len(sim) < t:
+            r = len(sim) + 1
+            sim.append({})
+            for key, enc, tail in replayed.get(r, ()):
+                sim[r - 1][key] = enc(_replaying_view(replay, tail, r - 1, state, sim))
+        return sim[t - 1].get((oi, direction), 0)
+
+    return StateView(node, horizon, message, recv)
+
+
+def match_view(view: StateView, messages: Sequence[int]) -> StateView:
+    """The side view a match sink gave a side encoder: `view` with side
+    message q read as message messages[q]."""
+    return StateView(view.node, view.time, lambda q: view.message(messages[q]), view.recv)

@@ -7,6 +7,8 @@ from unittest import mock
 from hypothesis import assume, example, given, settings, strategies as st
 
 import netcode as nc
+from netcode import codes
+from netcode.codes import Engine
 from netcode.errors import NotConnected
 from netcode.rational import (
     alphabet_size,
@@ -143,6 +145,70 @@ def test_perturbed_side_encoder_matches_the_per_tuple_trace_match(case, slot, va
         want = outcome(lambda: ref.per_tuple_bridge_decompose(nc.add_edge(inst, u, v, lam), u, v, code))
         assert outcome(lambda: nc.edge_removal_report(
             inst, u, v, lam, code=code).verification.decomposition) == want
+
+
+def replay_of(aug, code, side, e_idx, owned, fixing) -> tuple:
+    """The `replay` that removal._simulated_side_code fixes for one side,
+    and the one that the closure-built view read, in its layout."""
+    replayed = {}
+    for (oi, t, direction), enc in code.encoders.items():
+        tail = nc.graphs.slot_tail(aug, oi, direction)
+        if oi == e_idx or tail not in side:
+            replayed.setdefault(t, []).append(((oi, direction), enc, tail))
+    local = {pair for oi, e in enumerate(aug.edges) if oi != e_idx
+             for pair in ((e.a, e.b), (e.b, e.a)) if pair[0] in side}
+    own, side_pos = {x: set(aug.sources_at(x)) for x in aug.vertices}, {i: p for p, i in enumerate(owned)}
+    return ((aug, local, own, side_pos, fixing, replayed),
+            (aug, e_idx, side, own, side_pos, fixing, replayed))
+
+
+def reads_of(view, aug, k, n_rounds) -> list:
+    """What `view` answers, value or exception, to every message, digit and
+    recv read of a node of `aug` (and a few past them), in one order."""
+    def answer(read, *args):
+        try:
+            return read(*args)
+        except Exception as exc:
+            return type(exc), exc.args
+
+    out = [answer(view.message, i) for i in range(k + 1)]
+    out += [answer(view.digit, i, j, radices) for i in range(k + 1)
+            for radices in ((2,), (1, 2), (2, 2)) for j in range(len(radices))]
+    out += [answer(view.recv, sender, t) for sender in aug.vertices for t in range(n_rounds + 2)]
+    return out
+
+
+@given(removal_cases(bridge=True), st.integers(0, 3), st.booleans())
+@settings(deadline=None, max_examples=25)
+def test_side_views_read_as_the_closure_views(case, values, unset_slots):
+    # the slotted replaying view over the slotted renaming view must answer
+    # every read, and raise every error in the same order with the same
+    # message, as the closure-built views did around the same recording
+    # view, and make the same recorded reads; with `unset_slots` the joint
+    # symbols are unset, so a read raises the walk's _Unset
+    inst, u, v, lam, code, _ = case
+    aug = nc.add_edge(inst, u, v, lam)
+    engine, k, e_idx = Engine(code, aug), len(aug.sources), aug.edge_between(u, v)[0]
+    msgs = [(values >> i) & 1 for i in range(k)]
+    state = [-1 if unset_slots and pos in engine._slots else value
+             for pos, value in enumerate(engine.run(msgs))]
+    u_side = next(c for c in nc.connected_components(inst) if u in c)
+    for side in (set(u_side), set(aug.vertices) - set(u_side)):
+        owned, foreign, _ = nc.removal._side_messages(aug, side)
+        replay, closure_replay = replay_of(aug, code, side, e_idx, owned, {i: msgs[i] for i in foreign})
+        for node in sorted(side):
+            for horizon in range(code.outer_n + 1):
+                def recording(reads):
+                    return codes._Recording(node, horizon, state, reads, engine._own[node],
+                                            engine._inbound[node], engine._digits)
+
+                old_reads, new_reads = [], []
+                old = ref._replaying_view(closure_replay, node, horizon,
+                                          ref.match_view(recording(old_reads), owned))
+                new = nc.removal._Replaying(replay, node, horizon,
+                                            codes._Renamed(recording(new_reads), owned))
+                assert reads_of(new, aug, k, code.outer_n) == reads_of(old, aug, k, code.outer_n)
+                assert new_reads == old_reads
 
 
 def wrong_outside_rate_zero(case, key, i, outside):

@@ -273,6 +273,39 @@ def test_bridge_report_walks_past_the_tuple_limit():
         nc.bridge_decompose(aug, "c", "d", code, limit=67)
 
 
+def test_bridge_trace_match_builds_no_closure_view(monkeypatch):
+    # each side encoder of the match reads the joint recording view through
+    # slotted views alone, so no StateView is built while Engine._matches
+    # runs; the report still makes 134 map calls, 66 of them in the match
+    inst, _, code = diagonal_triangles("ad", "bg")
+    counts, inside = {"calls": 0, "match calls": 0, "match views": 0}, []
+    call, init, matches = Engine._call, nc.StateView.__init__, Engine._matches
+
+    def counted_call(self, memo, state):
+        counts["calls"] += 1
+        counts["match calls"] += bool(inside)
+        return call(self, memo, state)
+
+    def counted_init(self, *args, **kwargs):
+        counts["match views"] += bool(inside)
+        init(self, *args, **kwargs)
+
+    def marked(self, *args):
+        inside.append(True)
+        try:
+            return matches(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Engine, "_call", counted_call)
+    monkeypatch.setattr(nc.StateView, "__init__", counted_init)
+    monkeypatch.setattr(Engine, "_matches", marked)
+    ver = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code).verification
+    assert ver.passed
+    assert [side.trace_match for side in (ver.decomposition.u_side, ver.decomposition.v_side)] == [True, True]
+    assert counts == {"calls": 134, "match calls": 66, "match views": 0}
+
+
 def test_bridge_trace_match_counts_its_free_tuples_against_the_limit():
     # the walk settles 4,096 joint tuples under limit 255, but side a-b-c
     # owns two messages, 256 free tuples to match
