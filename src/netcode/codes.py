@@ -118,37 +118,54 @@ class StateView:
     `execute` builds the view of the real execution; code transforms build
     views that reinterpret the host execution (a session digit, a remapped
     timestep, a replayed neighbor) and run the old encoders against them.
+    A slotted subclass defines `message` and `recv` (guarded by `_visible`);
+    `digit` and `replace` work on every view.
     """
 
-    __slots__ = ("node", "time", "_message_fn", "_recv_fn", "_digit_fn")
+    __slots__ = ("node", "time", "_message_fn", "_recv_fn")
 
-    def __init__(self, node: str, time: int, message_fn: Callable, recv_fn: Callable,
-                 digit_fn: Optional[Callable] = None):
+    def __init__(self, node: str, time: int, message_fn: Callable, recv_fn: Callable):
         self.node = node
         self.time = time
         self._message_fn = message_fn
         self._recv_fn = recv_fn
-        self._digit_fn = digit_fn
 
     def message(self, i: int) -> int:
         return self._message_fn(i)
 
     def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
-        """split_digits(message(i), radices)[j], as one read where possible."""
-        if self._digit_fn is None:
-            return split_digits(self._message_fn(i), radices)[j]
-        return self._digit_fn(i, j, radices)
+        """split_digits(message(i), radices)[j]; a view that holds messages
+        by digit reads one directly."""
+        return split_digits(self.message(i), radices)[j]
 
-    def recv(self, sender: str, t: int) -> int:
+    def _visible(self, sender: str, t: int) -> None:
         if not 1 <= t <= self.time:
             raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
+
+    def recv(self, sender: str, t: int) -> int:
+        self._visible(sender, t)
         return self._recv_fn(sender, t)
 
     def replace(self, time: int, recv_fn: Callable, node: Optional[str] = None) -> "StateView":
         """This view's messages, whole and by digit, with another horizon,
         recv and (optionally) node."""
-        return StateView(self.node if node is None else node, time, self._message_fn, recv_fn,
-                         self._digit_fn)
+        return _Replaced(self, time, recv_fn, node)
+
+
+class _Replaced(StateView):
+    """StateView.replace of `view`: its message and digit reads, and recv_fn."""
+
+    __slots__ = ("view",)
+
+    def __init__(self, view, time, recv_fn, node):
+        self.node, self.time = view.node if node is None else node, time
+        self.view, self._recv_fn = view, recv_fn
+
+    def message(self, i):
+        return self.view.message(i)
+
+    def digit(self, i, j, radices):
+        return self.view.digit(i, j, radices)
 
 
 def pack(values: Sequence[int], radices: Sequence[int], name: Callable[[int], str]) -> int:
@@ -256,15 +273,10 @@ class _Recording(StateView):
         return self._read(laid[0] + j)
 
     def recv(self, sender: str, t: int) -> int:
-        if not 1 <= t <= self.time:
-            raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
+        self._visible(sender, t)
         if sender not in self.inbound:
             raise LookupError(f"no edge {sender!r}-{self.node!r}")
         return self._read(self.inbound[sender] + t - 1)
-
-    def replace(self, time: int, recv_fn: Callable, node: Optional[str] = None) -> StateView:
-        return StateView(self.node if node is None else node, time, self.message, recv_fn,
-                         self.digit)
 
 
 class _Renamed(StateView):
@@ -279,9 +291,6 @@ class _Renamed(StateView):
 
     def message(self, q):
         return self.view.message(self.names[q])
-
-    def digit(self, q, j, radices):
-        return split_digits(self.message(q), radices)[j]
 
     def recv(self, sender, t):
         return self.view.recv(sender, t)

@@ -224,12 +224,8 @@ class _Replaying(StateView):
             raise KeyError(f"node {self.node!r} holds no message {i}")
         return self.state.message(side_pos[i]) if i in side_pos else fixing[i]
 
-    def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
-        return split_digits(self.message(i), radices)[j]
-
     def recv(self, sender: str, t: int) -> int:
-        if not 1 <= t <= self.time:
-            raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
+        self._visible(sender, t)
         inst, local, _, _, _, replayed = self.replay
         if (sender, self.node) in local:
             return self.state.recv(sender, t)
@@ -243,6 +239,25 @@ class _Replaying(StateView):
             for key, enc, tail in replayed.get(r, ()):
                 sim[r - 1][key] = enc(_Replaying(self.replay, tail, r - 1, self.state, sim))
         return sim[t - 1].get((oi, direction), 0)
+
+
+def _side_replay(inst: NetworkInstance, code: NetworkCode, side: set[str], e_idx: int,
+                 s_idx: tuple[int, ...], fixing: dict[int, int]) -> tuple:
+    """The `replay` of one side's `_Replaying` views: (inst, local, own,
+    side_pos, fixing, replayed).  `local` holds the (sender, receiver) of
+    every slot the side execution carries, those off the removed edge sent
+    from the side.  Every other slot is replayed: replayed[r] lists those
+    of round r with an encoder, as ((edge, direction), map, sender)."""
+    ends = {(oi, d): pair for oi, e in enumerate(inst.edges)
+            for d, pair in ((FWD, (e.a, e.b)), (BWD, (e.b, e.a)))}
+    local = {pair for (oi, _), pair in ends.items() if oi != e_idx and pair[0] in side}
+    replayed: dict[int, list] = {}
+    for (oi, t, direction), enc in code.encoders.items():
+        pair = ends.get((oi, direction))
+        if pair is not None and pair not in local:
+            replayed.setdefault(t, []).append(((oi, direction), enc, pair[0]))
+    own = {x: set(inst.sources_at(x)) for x in inst.vertices}
+    return inst, local, own, {i: pos for pos, i in enumerate(s_idx)}, fixing, replayed
 
 
 def _simulated_side_code(
@@ -267,24 +282,13 @@ def _simulated_side_code(
     inputs.  A view simulates the replayed slots once, round by round, up
     to the latest round it is asked for.
     """
-    side_pos = {i: pos for pos, i in enumerate(s_idx)}
-    own = {x: set(inst.sources_at(x)) for x in inst.vertices}
-    # round -> replayed slots with an encoder: ((edge, direction), map, sender)
-    replayed: dict[int, list] = {}
-    for (oi, t, direction), enc in code.encoders.items():
-        tail = slot_tail(inst, oi, direction)
-        if oi == e_idx or tail not in side:
-            replayed.setdefault(t, []).append(((oi, direction), enc, tail))
-    # (sender, receiver) of every slot the side execution carries
-    local = {pair for oi, e in enumerate(inst.edges) if oi != e_idx
-             for pair in ((e.a, e.b), (e.b, e.a)) if pair[0] in side}
-    replay = (inst, local, own, side_pos, fixing, replayed)
+    replay = _side_replay(inst, code, side, e_idx, s_idx, fixing)
 
     def replaying(enc, node: str, horizon: int):
         return lambda state: enc(_Replaying(replay, node, horizon, state))
 
     def restrict(j: int):
-        keep = [pos for pos, i in enumerate(inst.demanded_at(j)) if i in side_pos]
+        keep = [pos for pos, i in enumerate(inst.demanded_at(j)) if i in s_idx]
         dec, node = code.decoders[j], inst.terminals[j]
 
         def decoder(state):

@@ -86,12 +86,8 @@ class _Session(StateView):
             parts = self.split[0][i] = message_parts(i, self.host.message(i))
         return parts[self.j]
 
-    def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
-        return split_digits(self.message(i), radices)[j]
-
     def recv(self, sender: str, t: int) -> int:
-        if not 1 <= t <= self.time:
-            raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
+        self._visible(sender, t)
         count, staggered, _, _, inst, splits = self.packing
         if staggered:
             return self.host.recv(sender, (t - 1) * count + self.j + 1)

@@ -147,24 +147,10 @@ def test_perturbed_side_encoder_matches_the_per_tuple_trace_match(case, slot, va
             inst, u, v, lam, code=code).verification.decomposition) == want
 
 
-def replay_of(aug, code, side, e_idx, owned, fixing) -> tuple:
-    """The `replay` that removal._simulated_side_code fixes for one side,
-    and the one that the closure-built view read, in its layout."""
-    replayed = {}
-    for (oi, t, direction), enc in code.encoders.items():
-        tail = nc.graphs.slot_tail(aug, oi, direction)
-        if oi == e_idx or tail not in side:
-            replayed.setdefault(t, []).append(((oi, direction), enc, tail))
-    local = {pair for oi, e in enumerate(aug.edges) if oi != e_idx
-             for pair in ((e.a, e.b), (e.b, e.a)) if pair[0] in side}
-    own, side_pos = {x: set(aug.sources_at(x)) for x in aug.vertices}, {i: p for p, i in enumerate(owned)}
-    return ((aug, local, own, side_pos, fixing, replayed),
-            (aug, e_idx, side, own, side_pos, fixing, replayed))
-
-
-def reads_of(view, aug, k, n_rounds) -> list:
+def reads_of(view, aug, k, n_rounds, replaced=True) -> list:
     """What `view` answers, value or exception, to every message, digit and
-    recv read of a node of `aug` (and a few past them), in one order."""
+    recv read of a node of `aug` (and a few past them), in one order; then,
+    with `replaced`, what its StateView.replace answers."""
     def answer(read, *args):
         try:
             return read(*args)
@@ -175,6 +161,9 @@ def reads_of(view, aug, k, n_rounds) -> list:
     out += [answer(view.digit, i, j, radices) for i in range(k + 1)
             for radices in ((2,), (1, 2), (2, 2)) for j in range(len(radices))]
     out += [answer(view.recv, sender, t) for sender in aug.vertices for t in range(n_rounds + 2)]
+    if replaced:
+        out += reads_of(view.replace(n_rounds, lambda sender, t: (sender, t), node="x"),
+                        aug, k, n_rounds, False)
     return out
 
 
@@ -184,8 +173,10 @@ def test_side_views_read_as_the_closure_views(case, values, unset_slots):
     # the slotted replaying view over the slotted renaming view must answer
     # every read, and raise every error in the same order with the same
     # message, as the closure-built views did around the same recording
-    # view, and make the same recorded reads; with `unset_slots` the joint
-    # symbols are unset, so a read raises the walk's _Unset
+    # view, and make the same recorded reads, also through replace(); with
+    # `unset_slots` the joint symbols are unset, so a read raises the
+    # walk's _Unset.  The closure view reads the production replay in its
+    # own layout, and splits local from replayed slots by its own rule
     inst, u, v, lam, code, _ = case
     aug = nc.add_edge(inst, u, v, lam)
     engine, k, e_idx = Engine(code, aug), len(aug.sources), aug.edge_between(u, v)[0]
@@ -195,7 +186,9 @@ def test_side_views_read_as_the_closure_views(case, values, unset_slots):
     u_side = next(c for c in nc.connected_components(inst) if u in c)
     for side in (set(u_side), set(aug.vertices) - set(u_side)):
         owned, foreign, _ = nc.removal._side_messages(aug, side)
-        replay, closure_replay = replay_of(aug, code, side, e_idx, owned, {i: msgs[i] for i in foreign})
+        replay = nc.removal._side_replay(aug, code, side, e_idx, owned, {i: msgs[i] for i in foreign})
+        _, _, own, side_pos, fixing, replayed = replay
+        closure_replay = (aug, e_idx, side, own, side_pos, fixing, replayed)
         for node in sorted(side):
             for horizon in range(code.outer_n + 1):
                 def recording(reads):

@@ -699,6 +699,22 @@ def test_trace_match_equals_the_per_tuple_reference(monkeypatch, case, change):
         assert want[0][3] is False
 
 
+@pytest.mark.parametrize("case", [diagonal_pair, clamp_pair, cross_traffic], ids=lambda f: f.__name__)
+def test_reblocked_code_decomposes_as_the_code(case):
+    # the side code runs the code's encoders, replayed ones too, on its
+    # slotted views, and reblock's encoders read StateView.replace of those;
+    # reblock at m=1 keeps every trace, so each side must decompose as on
+    # the code itself, in bridge_decompose and in the report
+    aug, code = case()
+    u, v = ("c", "d") if case is diagonal_pair else ("b", "c")
+    want = bridge_fields(nc.bridge_decompose(aug, u, v, code))
+    reb = nc.reblock(code, aug, 1)
+    assert bridge_fields(nc.bridge_decompose(aug, u, v, reb)) == want
+    ver = nc.edge_removal_report(nc.drop_edge(aug, u, v), u, v, Fraction(1), code=reb,
+                                 epsilon=Fraction(1)).verification
+    assert bridge_fields(ver.decomposition) == want
+
+
 def rated_sides(aug, code, u_side, spaces):
     """(source indices, fixing, conditional error) of each side of the
     bridged code, counted tuple by tuple with the reference executor over
@@ -863,6 +879,20 @@ def test_path_report_full_chain_unit_lambda():
     assert [cl.claimed_rate for cl in ver.rate_claims] == [Fraction(1, 10)] * 2
     assert all(cl.achieved for cl in ver.rate_claims)
     assert ver.passed
+
+
+def test_path_report_on_a_reblocked_code():
+    # the path case interleaves the code, so a reblocked code's encoders
+    # read StateView.replace of session views; reblock at m=1 keeps every
+    # trace, so both checks must measure what they measure on the code
+    inst = cycle4()
+    aug = nc.add_edge(inst, "a", "c", Fraction(1))
+    code = chord_routes_code(aug, 1)
+    vers = [nc.edge_removal_report(inst, "a", "c", Fraction(1), code=c).verification
+            for c in (code, nc.reblock(code, aug, 1))]
+    assert [(ver.passed, ver.base_report.measured_error, ver.base_report.trials,
+             ver.final_report.measured_error, ver.final_report.trials) for ver in vers] == \
+        [(True, 0, 4, 0, 16)] * 2
 
 
 def test_path_report_full_chain_half_lambda():

@@ -19,7 +19,7 @@ from netcode.errors import (
     SplitCapacityViolation,
     SymbolOutOfRange,
 )
-from netcode.rational import split_digits
+from netcode.rational import combine_digits, split_digits
 from netcode.transforms import InterleaveTag
 
 from conftest import (
@@ -53,6 +53,26 @@ def test_identity_transforms_preserve_traces_and_outputs():
                 assert tr.fwd == base_trace.fwd
                 assert tr.bwd == base_trace.bwd
                 assert nc.decode_outputs(var, inst, tr) == base_dec
+
+
+@pytest.mark.parametrize("pack", [
+    lambda code, inst: nc.parallel_repeat(code, inst, 2),
+    nc.interleave,
+], ids=["parallel_repeat", "interleave"])
+def test_reblocked_code_packs_as_the_code(pack):
+    # reblock's encoders read StateView.replace of the view they get, here
+    # a packing's session view; reblock at m=1 keeps every trace, so the
+    # packed reblocked code must send, decode and check as the packed code
+    cap2 = single_edge_cap2()
+    for inst, code in identity_suite() + [(cap2, clamp_code(cap2, "a", "b", 1, 2, 1))]:
+        got, want = pack(nc.reblock(code, inst, 1), inst), pack(code, inst)
+        for msgs in itertools.product(*(range(s) for s in want.message_sizes)):
+            tr, base = nc.execute(got, inst, msgs), nc.execute(want, inst, msgs)
+            assert (tr.fwd, tr.bwd) == (base.fwd, base.bwd)
+            assert nc.decode_outputs(got, inst, tr) == nc.decode_outputs(want, inst, base)
+        rep, exp = (nc.check_feasibility(c, inst, epsilon=Fraction(1)) for c in (got, want))
+        assert (rep.measured_error, rep.trials, rep.passed) == \
+            (exp.measured_error, exp.trials, exp.passed)
 
 
 # ------------------------------------------------------------ parallel_repeat
@@ -389,6 +409,24 @@ def test_pipeline_path_delivery_schedule(ell):
 
     rep = nc.check_feasibility(piped, path_inst, limit=100)
     assert rep.passed and rep.measured_error == 0
+
+
+def test_pipelined_code_runs_on_session_views():
+    # pipeline_path's encoders read StateView.replace of the view they get,
+    # here a session view of parallel_repeat: each session of the packed
+    # pipelined code decodes as the pipelined code does on its digits
+    inst = chord_relay()
+    path_inst = nc.replace_edge_with_path(inst, "a", "c", ["a", "c"], fresh=True)
+    piped = nc.pipeline_path(nc.interleave(chord_code(inst), inst), inst, "a", "c", path_inst, 2)
+    par = nc.parallel_repeat(piped, path_inst, 2)
+    assert par.message_sizes == (64, 64)
+    for msgs in [(0, 0), (5, 3), (63, 17), (42, 63)]:
+        per_session = [nc.decode_outputs(piped, path_inst, nc.execute(
+            piped, path_inst, [split_digits(w, (8, 8))[j] for w in msgs])) for j in range(2)]
+        got = nc.decode_outputs(par, path_inst, nc.execute(par, path_inst, msgs))
+        assert got == {t: tuple(combine_digits([out[t][p] for out in per_session], (8, 8))
+                                for p in range(len(out_t)))
+                       for t, out_t in per_session[0].items()}
 
 
 def test_pipeline_path_requires_interleaved_input():
