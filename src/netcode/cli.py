@@ -87,7 +87,7 @@ def _parse_limits(text: str) -> RegionLimits:
             raise MalformedDocument(f"--limits wants 'key=value,...', got {text!r}")
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in RegionLimits.__dataclass_fields__:
+        if key not in RegionLimits.__slots__:
             raise MalformedDocument(f"unknown limit {key!r}")
         try:
             fields[key] = int(value)

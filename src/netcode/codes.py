@@ -31,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadRate,
@@ -217,8 +217,7 @@ class NetworkCode:
             raise MalformedDocument("message sizes must be >= 1")
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     """Committed symbols of one execution: [edge][round-1] per direction."""
 
     inst: NetworkInstance
@@ -735,8 +734,7 @@ def clopper_pearson(failures: int, trials: int, tail: Fraction = Fraction(1, 40)
     return lower, min(upper, Fraction(1))
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     epsilon: Fraction
     rates: Optional[tuple[Fraction, ...]]
     inner_n: int
@@ -886,8 +884,7 @@ def _check(code, inst, rates, epsilon, mode, trials, seed, limit, observe=None, 
 
 # ------------------------------------------------------------ routing codes
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """One store-and-forward delivery: a path plus one round per hop."""
 
     source: int

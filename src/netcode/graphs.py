@@ -11,7 +11,6 @@ Capacities are `fractions.Fraction` throughout.  No floats.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -49,29 +48,46 @@ class Edge(NamedTuple):
     cap: Fraction
 
 
-@dataclass(frozen=True)
 class NetworkInstance:
-    """Immutable network instance (graph, sources, terminals, demand)."""
+    """Immutable network instance (graph, sources, terminals, demand);
+    `_replace(**changes)` returns a copy with some fields changed."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    sources: tuple[str, ...]
-    terminals: tuple[str, ...]
-    demand: tuple[tuple[int, ...], ...]
+    _fields = ("vertices", "edges", "sources", "terminals", "demand")
+    __slots__ = _fields + ("_pair_index", "_demanded")  # the fields, then two derived tables
 
-    # derived lookup tables, filled in __post_init__
-    _pair_index: dict = field(init=False, repr=False, compare=False)
-    _demanded: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...], sources: tuple[str, ...],
+                 terminals: tuple[str, ...], demand: tuple[tuple[int, ...], ...]):
         pairs = {}
-        for idx, e in enumerate(self.edges):
+        for idx, e in enumerate(edges):
             pairs[(e.a, e.b)] = (idx, True)
             pairs[(e.b, e.a)] = (idx, False)
-        object.__setattr__(self, "_pair_index", pairs)
-        object.__setattr__(self, "_demanded", tuple(
-            tuple(i for i in range(len(self.sources)) if self.demand[i][j])
-            for j in range(len(self.terminals))))
+        demanded = tuple(tuple(i for i in range(len(sources)) if demand[i][j])
+                         for j in range(len(terminals)))
+        for name, value in zip(self.__slots__, (vertices, edges, sources, terminals, demand,
+                                                pairs, demanded)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes) -> NetworkInstance:
+        return NetworkInstance(**{**dict(zip(self._fields, self._key())), **changes})
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return NetworkInstance, self._key()
+
+    def __repr__(self):
+        return f"NetworkInstance({', '.join(map('{}={!r}'.format, self._fields, self._key()))})"
 
     # ------------------------------------------------------------- lookups
 
@@ -235,7 +251,7 @@ def add_edge(inst: NetworkInstance, u: str, v: str, cap: Fraction) -> NetworkIns
     cap = Fraction(cap)
     if cap <= 0:
         raise NonPositiveCapacity(f"cap {cap} for edge {u!r}-{v!r}")
-    return replace(inst, edges=inst.edges + (Edge(u, v, cap),))
+    return inst._replace(edges=inst.edges + (Edge(u, v, cap),))
 
 
 def drop_edge(inst: NetworkInstance, u: str, v: str) -> NetworkInstance:
@@ -244,7 +260,7 @@ def drop_edge(inst: NetworkInstance, u: str, v: str) -> NetworkInstance:
     if found is None:
         raise EdgeMissing(f"no edge {u!r}-{v!r}")
     idx = found[0]
-    return replace(inst, edges=inst.edges[:idx] + inst.edges[idx + 1 :])
+    return inst._replace(edges=inst.edges[:idx] + inst.edges[idx + 1 :])
 
 
 def scale_instance(inst: NetworkInstance, alpha: Fraction) -> NetworkInstance:
@@ -252,7 +268,7 @@ def scale_instance(inst: NetworkInstance, alpha: Fraction) -> NetworkInstance:
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise NonPositiveScale(f"scale factor {alpha}")
-    return replace(inst, edges=tuple(Edge(e.a, e.b, e.cap * alpha) for e in inst.edges))
+    return inst._replace(edges=tuple(Edge(e.a, e.b, e.cap * alpha) for e in inst.edges))
 
 
 def replace_edge_with_path(
@@ -290,7 +306,7 @@ def replace_edge_with_path(
         if clash:
             raise InteriorNodeCollision(f"interior nodes already exist: {clash}")
         fresh_edges = tuple(Edge(x, y, lam) for x, y in zip(path, path[1:]))
-        return replace(base, vertices=base.vertices + interior, edges=base.edges + fresh_edges)
+        return base._replace(vertices=base.vertices + interior, edges=base.edges + fresh_edges)
 
     for w in interior:
         if w not in inst.vertices:
@@ -303,7 +319,7 @@ def replace_edge_with_path(
         idx = hop[0]
         e = edges[idx]
         edges[idx] = Edge(e.a, e.b, e.cap + lam)
-    return replace(base, edges=tuple(edges))
+    return base._replace(edges=tuple(edges))
 
 
 # ------------------------------------------------------------------ analysis

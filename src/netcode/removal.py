@@ -31,9 +31,8 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .codes import (
     DIRECTIONS,
@@ -73,14 +72,12 @@ from .rational import log2_at_least, split_digits
 from .transforms import interleave, pipeline_path, remapped, scale_code
 
 
-@dataclass(frozen=True)
-class BridgeCase:
+class BridgeCase(NamedTuple):
     u_side: tuple[str, ...]
     v_side: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PathCase:
+class PathCase(NamedTuple):
     nodes: tuple[str, ...]
     gamma: Fraction
 
@@ -104,8 +101,7 @@ def classify_edge(inst: NetworkInstance, u: str, v: str):
 
 # ----------------------------------------------------------- bridge regime
 
-@dataclass(frozen=True)
-class SideDecomposition:
+class SideDecomposition(NamedTuple):
     """One side of a bridge split with its simulated code."""
 
     vertices: tuple[str, ...]
@@ -117,8 +113,7 @@ class SideDecomposition:
     trace_match: bool
 
 
-@dataclass(frozen=True)
-class BridgeDecomposition:
+class BridgeDecomposition(NamedTuple):
     u_side: SideDecomposition
     v_side: SideDecomposition
 
@@ -477,15 +472,13 @@ def host_path_code(
 
 # ------------------------------------------------------------------ reports
 
-@dataclass(frozen=True)
-class RateClaim:
+class RateClaim(NamedTuple):
     source: int
     claimed_rate: Fraction
     achieved: bool
 
 
-@dataclass(frozen=True)
-class PathVerification:
+class PathVerification(NamedTuple):
     base_report: FeasibilityReport
     final_report: FeasibilityReport
     final_inner_n: int
@@ -496,16 +489,14 @@ class PathVerification:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BridgeVerification:
+class BridgeVerification(NamedTuple):
     base_report: FeasibilityReport
     decomposition: BridgeDecomposition
     cross_rate_ok: Optional[bool]
     passed: bool
 
 
-@dataclass(frozen=True)
-class RemovalReport:
+class RemovalReport(NamedTuple):
     edge: tuple[str, str]
     lam: Fraction
     case: str  # "bridge" | "path"
@@ -592,9 +583,9 @@ def edge_removal_report(
     if rates is not None:
         rates = checked_rates(rates, len(inst.sources))
         if report.case == "bridge":
-            report = replace(report, cross_rate_ok=all(rates[i] <= lam for i, _ in report.cross_demands))
+            report = report._replace(cross_rate_ok=all(rates[i] <= lam for i, _ in report.cross_demands))
         else:
-            report = replace(report, f_rate_form=report.delta / (1 + report.delta) * max(rates))
+            report = report._replace(f_rate_form=report.delta / (1 + report.delta) * max(rates))
     if code is None:
         return report
     augmented = add_edge(inst, u, v, lam)
@@ -611,7 +602,7 @@ def edge_removal_report(
             cross_rate_ok=report.cross_rate_ok,
             passed=base_rep.passed and sides_ok and report.cross_rate_ok is not False,
         )
-        return replace(report, verification=verification)
+        return report._replace(verification=verification)
 
     base_rep, base = _check(code, augmented, rates, epsilon, "exhaustive", 1, 0, limit)
     tilde = interleave(code, augmented)
@@ -663,4 +654,4 @@ def edge_removal_report(
         and final_rep.passed
         and all(cl.achieved for cl in claims),
     )
-    return replace(report, verification=verification)
+    return report._replace(verification=verification)

@@ -24,9 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codes import (
     AlphabetSplit,
@@ -219,8 +218,7 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OuterCodeSpec:
+class OuterCodeSpec(NamedTuple):
     """Block code over [q] used to protect one source across m sessions.
 
     family 'repetition': k=1, distance m.  family 'reed_solomon': prime q,
@@ -449,8 +447,7 @@ def find_amplify_seed(
 
 # ---------------------------------------------------------------- interleave
 
-@dataclass(frozen=True)
-class InterleaveTag:
+class InterleaveTag(NamedTuple):
     """Marks a code as the interleaving of a base code with this outer N."""
 
     base_outer: int

@@ -285,6 +285,23 @@ RELAY_ROUTING = {
     "routes": [{"source": 0, "terminal": 0, "nodes": ["a", "b", "c"], "rounds": [1, 2]}],
 }
 
+@pytest.mark.parametrize("route, message", [
+    ({"rounds": [2, 1]}, "route rounds must be strictly increasing: Route(source=0, terminal=0,"
+                         " nodes=('a', 'b', 'c'), rounds=(2, 1))"),
+    ({"nodes": ["a", "c"], "rounds": [1]}, "no edge 'a'-'c' on route Route(source=0, terminal=0,"
+                                           " nodes=('a', 'c'), rounds=(1,))"),
+], ids=["rounds_not_increasing", "missing_edge"])
+def test_check_bad_route_keeps_its_error_bytes(tmp_path, capsys, route, message):
+    # BadRoute messages embed the route's repr, so the record type of
+    # Route shows in stdout; these bytes are pinned
+    doc = {**RELAY_ROUTING, "routes": [{**RELAY_ROUTING["routes"][0], **route}]}
+    rc = main(["check", jfile(tmp_path, "inst.json", line3().to_doc()),
+               jfile(tmp_path, "code.json", doc)])
+    assert rc == 2
+    assert capsys.readouterr().out == (
+        '{\n  "error": "BadRoute",\n  "message": "' + message + '"\n}\n')
+
+
 # One step of every chain op, in an order each op accepts.
 EVERY_OP_CHAIN = {"steps": [
     {"op": "interleave"},
@@ -773,7 +790,7 @@ def test_region_exits_5_naming_the_limit_that_stopped_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("field", list(nc.RegionLimits.__dataclass_fields__))
+@pytest.mark.parametrize("field", list(nc.RegionLimits.__slots__))
 def test_region_rejects_limits_below_one(tmp_path, capsys, field, value):
     path = jfile(tmp_path, "inst.json", two_way().to_doc())
     rc, doc = run_cli(

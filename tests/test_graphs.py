@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -142,6 +144,44 @@ def test_replace_edge_onto_existing_path():
         nc.replace_edge_with_path(inst, "a", "c", ["a", "c"], fresh=False)
     with pytest.raises(EdgeMissing):
         nc.replace_edge_with_path(line3(), "a", "c", ["a", "b", "c"], fresh=False)
+
+
+def _lookups(inst):
+    """Every answer of slot, edge_between and has_edge over all vertex
+    pairs of inst, and of demanded_at over its terminals."""
+    answers = []
+    for x in inst.vertices:
+        for y in inst.vertices:
+            try:
+                slot = inst.slot(x, y)
+            except LookupError as exc:
+                slot = str(exc)
+            answers.append((x, y, slot, inst.edge_between(x, y), inst.has_edge(x, y)))
+    return answers, [inst.demanded_at(j) for j in range(len(inst.terminals))]
+
+
+def test_edited_instances_look_up_as_validated_ones():
+    # each edit copies the instance with changed fields; the copy's derived
+    # lookup tables must be the ones validation builds from its document
+    edited = []
+    for inst in corpus():
+        absent = [(x, y) for x in inst.vertices for y in inst.vertices
+                  if x < y and not inst.has_edge(x, y)]
+        grown = nc.add_edge(inst, *absent[0], Fraction(1, 3)) if absent else inst
+        edited += [grown, nc.drop_edge(grown, inst.edges[0].a, inst.edges[0].b),
+                   nc.scale_instance(inst, Fraction(3, 2))]
+    chord = nc.add_edge(cycle4(), "a", "c", Fraction(1, 2))
+    edited += [nc.replace_edge_with_path(chord, "a", "c", ["a", "p", "q", "c"], fresh=True),
+               nc.replace_edge_with_path(chord, "a", "c", ["a", "b", "c"], fresh=False)]
+    for inst in edited:
+        fresh = nc.validate_instance(inst.to_doc())
+        assert inst == fresh and hash(inst) == hash(fresh) and repr(inst) == repr(fresh)
+        assert _lookups(inst) == _lookups(fresh)
+    # copying and pickling rebuild the lookup tables too
+    for inst in (copy.deepcopy(chord), pickle.loads(pickle.dumps(chord))):
+        assert inst == chord and _lookups(inst) == _lookups(chord)
+    with pytest.raises(TypeError):
+        chord._replace(capacity=1)
 
 
 def test_connected_components():

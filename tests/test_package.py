@@ -3,7 +3,9 @@
 `netcode/__init__.py` resolves its public names lazily from the
 submodules, so `import netcode` and each CLI command load only the
 modules they run.  These tests pin the public names, their identity with
-the submodule attributes, and the module set each entry point loads.
+the submodule attributes, the module set each entry point loads, and the
+contract of the package's records: read-only fields, compared and
+printed field by field.
 """
 
 import ast
@@ -14,11 +16,14 @@ import shutil
 import subprocess
 import sys
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import netcode
+
+from conftest import bridged_pair, cycle4
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,10 +114,19 @@ LOADED = (
     "import json, sys; print(json.dumps(sorted(m for m in sys.modules"
     " if m == 'netcode' or m.startswith('netcode.'))), file=sys.stderr)"
 )
-RUN_CLI = (
-    "import sys; from netcode.cli import main; rc = main(sys.argv[1:]); "
-    + LOADED + "; sys.exit(rc)"
+# the standard-library modules that cost a cold CLI process the most:
+# dataclasses loads inspect, ast, dis and tokenize, about 10 ms
+HEAVY = (
+    "import json, sys; print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))),"
+    " file=sys.stderr)"
 )
+
+
+def run_cli(probe: str) -> str:
+    """`python -c` source running the CLI on argv, then the probe."""
+    return ("import sys; from netcode.cli import main; rc = main(sys.argv[1:]); "
+            + probe + "; sys.exit(rc)")
+
 
 CLI_BASE = {"netcode", "netcode.cli", "netcode.errors", "netcode.graphs", "netcode.rational"}
 CHECK = CLI_BASE | {"netcode.codes", "netcode.serialize"}
@@ -142,14 +156,127 @@ def test_bare_import_loads_only_the_package():
     assert _loaded_modules("import netcode; " + LOADED) == {"netcode"}
 
 
-@pytest.mark.parametrize("case", sorted(COMMANDS))
-def test_cli_command_loads_only_what_it_runs(case, tmp_path):
+def _golden_argv(case: str, tmp_path) -> list[str]:
+    """Copy a golden case's inputs to tmp_path and return its argv."""
     src = GOLDEN / case
     for path in src.iterdir():
         if not path.name.startswith("expected_"):
             shutil.copy(path, tmp_path / path.name)
-    argv = json.loads((src / "argv.json").read_text(encoding="utf-8"))
-    assert _loaded_modules(RUN_CLI, argv, cwd=tmp_path) == COMMANDS[case]
+    return json.loads((src / "argv.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_cli_command_loads_only_what_it_runs(case, tmp_path):
+    argv = _golden_argv(case, tmp_path)
+    assert _loaded_modules(run_cli(LOADED), argv, cwd=tmp_path) == COMMANDS[case]
+
+
+# golden case -> which of dataclasses and inspect its command loads
+HEAVY_LOADS = {
+    "validate_cycle4": set(),
+    "region_two_way": set(),
+    "check_two_route_table": {"dataclasses", "inspect"},  # NetworkCode is a dataclass
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEAVY_LOADS))
+def test_validate_and_region_load_no_dataclasses(case, tmp_path):
+    argv = _golden_argv(case, tmp_path)
+    assert _loaded_modules(run_cli(HEAVY), argv, cwd=tmp_path) == HEAVY_LOADS[case]
+
+
+def test_network_code_is_the_only_dataclass():
+    importers, decorated = [], []
+    for path in sorted((SRC / "netcode").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "dataclasses" in modules:
+                importers.append(path.name)
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                decorated.append((path.name, node.name))
+    assert importers == ["codes.py"]
+    assert decorated == [("codes.py", "NetworkCode")]
+
+
+# ------------------------------------------------------------------ records
+
+# Every record type of the package but NetworkCode: NamedTuples, except
+# NetworkInstance and RegionLimits, which derive or validate state.
+RECORDS = [
+    "BridgeCase", "BridgeDecomposition", "BridgeVerification", "ExecutionTrace",
+    "FeasibilityReport", "InterleaveTag", "NetworkInstance", "OuterCodeSpec", "PathCase",
+    "PathVerification", "RateClaim", "RegionLimits", "RemovalReport", "Route",
+    "SideDecomposition",
+]
+
+
+@pytest.fixture(scope="module")
+def records():
+    """Record name -> one value of it, built the way the package builds it."""
+    Route = netcode.Route
+    aug = netcode.add_edge(cycle4(), "a", "c", Fraction(1))
+    code = netcode.make_routing_code(
+        aug, [Route(0, 0, ("a", "c"), (1,)), Route(1, 1, ("c", "a"), (2,))], 1, 2, [2, 2])
+    path = netcode.edge_removal_report(
+        cycle4(), "a", "c", Fraction(1), code=code, rates=[Fraction(1, 2)] * 2)
+    pair = netcode.add_edge(bridged_pair(), "b", "c", Fraction(1))
+    pair_code = netcode.make_routing_code(
+        pair, [Route(0, 0, ("a", "b"), (1,)), Route(1, 1, ("c", "d"), (1,))], 1, 1, [4, 4])
+    bridge = netcode.edge_removal_report(bridged_pair(), "b", "c", Fraction(1), code=pair_code)
+    decomposition = bridge.verification.decomposition
+    values = [
+        aug, netcode.RegionLimits(max_message_size=4), Route(0, 0, ("a", "c"), (1,)),
+        netcode.execute(code, aug, (1, 0)), path, path.path, path.verification,
+        path.verification.base_report, path.verification.rate_claims[0], bridge, bridge.bridge,
+        bridge.verification, decomposition, decomposition.u_side,
+        netcode.make_outer_spec("repetition", 3, 2), netcode.interleave(code, aug).structure,
+    ]
+    return {type(value).__name__: value for value in values}
+
+
+def _fields(record) -> tuple[str, ...]:
+    return getattr(record, "_fields", None) or type(record).__slots__
+
+
+def _changed(value):
+    """A value unequal to `value` that its record still accepts."""
+    if isinstance(value, tuple) and value:
+        return value[::-1] if value[::-1] != value else value[:-1]
+    if value is None or isinstance(value, int) and not isinstance(value, bool):
+        return (value or 0) + 1
+    return object()
+
+
+def test_records_cover_every_record_type(records):
+    assert sorted(records) == RECORDS
+    assert [name for name, rec in records.items() if hasattr(rec, "__dataclass_fields__")] == []
+
+
+def test_record_fields_are_read_only(records):
+    for name, record in records.items():
+        for field in _fields(record):
+            value = getattr(record, field)
+            with pytest.raises(AttributeError):
+                setattr(record, field, value)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            assert getattr(record, field) is value, (name, field)
+
+
+def test_records_compare_and_print_field_by_field(records):
+    for name, record in records.items():
+        values = {field: getattr(record, field) for field in _fields(record)}
+        twin = type(record)(**values)
+        assert twin is not record and twin == record and not twin != record, name
+        if name in ("NetworkInstance", "RegionLimits"):
+            assert hash(twin) == hash(record)
+        assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+        for field, value in values.items():
+            assert type(record)(**{**values, field: _changed(value)}) != record, (name, field)
 
 
 # Top-level functions that may still compute in floats, until the
@@ -301,9 +428,9 @@ def test_every_module_stays_below_the_parser_token_step():
     copy of `codes.py` at 8,140 tokens, and the same copy padded to 8,224,
     raised `ru_maxrss` by 3,072 and 3,584 KiB, and the padded tree read
     0.47-0.66 MiB more `peak_rss_mib` on `amplify-m16` and 0.42-0.55 MiB
-    more on `cli-cold` (two 5-second runs each).  `codes.py` has 8,103
-    tokens; it had 7,762 before the Engine's recording view and
-    covered-slot rule.
+    more on `cli-cold` (two 5-second runs each).  `codes.py` has 8,135
+    tokens (8,148 before its records became NamedTuples); it had 7,762
+    before the Engine's recording view and covered-slot rule.
     """
     counts = {}
     for path in sorted((SRC / "netcode").glob("*.py")):

@@ -480,10 +480,10 @@ def test_pipeline_path_validates_path_instance():
     hop = nc.Edge("a", "p1", Fraction(1))
     assert path_inst.edges[-2] == hop
     for variant in (
-        replace(path_inst, edges=path_inst.edges[::-1]),
-        replace(path_inst, edges=path_inst.edges[:-2] + (hop._replace(a="p1", b="a"),)
+        path_inst._replace(edges=path_inst.edges[::-1]),
+        path_inst._replace(edges=path_inst.edges[:-2] + (hop._replace(a="p1", b="a"),)
                 + path_inst.edges[-1:]),
-        replace(path_inst, vertices=path_inst.vertices[::-1]),
+        path_inst._replace(vertices=path_inst.vertices[::-1]),
     ):
         with pytest.raises(BadPathInstance):
             nc.pipeline_path(tilde, inst, "a", "c", variant, 3)
