@@ -146,10 +146,10 @@ class StateView:
         self._visible(sender, t)
         return self._recv_fn(sender, t)
 
-    def replace(self, time: int, recv_fn: Callable, node: Optional[str] = None) -> "StateView":
-        """This view's messages, whole and by digit, with another horizon,
-        recv and (optionally) node."""
-        return _Replaced(self, time, recv_fn, node)
+    def replace(self, time: int, recv_fn: Callable) -> "StateView":
+        """This view's node and messages, whole and by digit, with another
+        horizon; a visible recv(sender, t) answers recv_fn(self, sender, t)."""
+        return _Replaced(self, time, recv_fn)
 
 
 class _Replaced(StateView):
@@ -157,9 +157,13 @@ class _Replaced(StateView):
 
     __slots__ = ("view",)
 
-    def __init__(self, view, time, recv_fn, node):
-        self.node, self.time = view.node if node is None else node, time
+    def __init__(self, view, time, recv_fn):
+        self.node, self.time = view.node, time
         self.view, self._recv_fn = view, recv_fn
+
+    def recv(self, sender, t):
+        self._visible(sender, t)
+        return self._recv_fn(self.view, sender, t)
 
     def message(self, i):
         return self.view.message(i)

@@ -48,7 +48,35 @@ class Edge(NamedTuple):
     cap: Fraction
 
 
-class NetworkInstance:
+class _Record:
+    """A slotted record whose read-only fields `_fields` are its __init__
+    arguments in order (stored with object.__setattr__); it compares,
+    hashes, prints, copies and pickles field by field."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self._key()))})"
+
+
+class NetworkInstance(_Record):
     """Immutable network instance (graph, sources, terminals, demand);
     `_replace(**changes)` returns a copy with some fields changed."""
 
@@ -67,27 +95,8 @@ class NetworkInstance:
                                                 pairs, demanded)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def _replace(self, **changes) -> NetworkInstance:
         return NetworkInstance(**{**dict(zip(self._fields, self._key())), **changes})
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return NetworkInstance, self._key()
-
-    def __repr__(self):
-        return f"NetworkInstance({', '.join(map('{}={!r}'.format, self._fields, self._key()))})"
 
     # ------------------------------------------------------------- lookups
 

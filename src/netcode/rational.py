@@ -62,10 +62,7 @@ def alphabet_size(cap: Fraction, n: int) -> int:
     """floor(2 ** (cap * n)): the edge alphabet size at inner blocklength n."""
     if n < 1:
         raise ValueError("inner blocklength must be >= 1")
-    q = cap * n
-    if q < 0:
-        raise ValueError("capacity must be non-negative")
-    return floor_root(2 ** q.numerator, q.denominator)
+    return floor_pow2(cap * n)
 
 
 def floor_pow2(exponent: Fraction) -> int:

@@ -23,16 +23,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EnumerationTooLarge, MalformedDocument
-from .graphs import BWD, FWD, NetworkInstance, incoming_slots, slot_tail
+from .graphs import BWD, FWD, NetworkInstance, _Record, incoming_slots, slot_tail
 from .rational import alphabet_size
 
 
-class RegionLimits:
+class RegionLimits(_Record):
     """Bounds on a region search.  `max_message_size`, when set, caps every
     message size below its cut ceiling; `max_ops` bounds the size tuples
     tried plus the slot functions enumerated.  The fields are read-only."""
 
-    __slots__ = ("max_edges", "max_alphabet", "max_outer", "max_message_size", "max_ops")
+    __slots__ = _fields = ("max_edges", "max_alphabet", "max_outer", "max_message_size", "max_ops")
 
     def __init__(self, max_edges: int = 3, max_alphabet: int = 2, max_outer: int = 2,
                  max_message_size: Optional[int] = None, max_ops: int = 2_000_000):
@@ -42,22 +42,6 @@ class RegionLimits:
             if not optional and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
                 raise MalformedDocument(f"region limit {name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"RegionLimits({', '.join(map('{}={!r}'.format, self.__slots__, self._key()))})"
 
 
 def _rgs_exact(count: int, blocks: int):

@@ -417,15 +417,15 @@ def host_path_code(
         """The star alphabet sizes folded onto a host slot at round t."""
         return tuple([piped.splits.size(s_idx, t, s_dir) for _, s_idx, s_dir in parts[slot]])
 
-    def star_view(star_node: str, horizon: int, state):
-        """Present the host execution as the star instance's execution."""
+    def star_recv(star_node: str):
+        """star_node's star symbols, read from the host execution."""
 
-        def recv(star_sender, t):
+        def recv(state, star_sender, t):
             slot, pos = part_of[(star_sender, star_node)]
             symbol = state.recv(to_host.get(star_sender, star_sender), t)
             return split_digits(symbol, radices(slot, t))[pos]
 
-        return state.replace(horizon, recv, node=to_host.get(star_node, star_node))
+        return recv
 
     def fold(slot: tuple[int, str], t: int):
         """Host encoder of round t: every part's star encoder, combined; a
@@ -435,7 +435,7 @@ def host_path_code(
         if not any(encs):
             return None
         sizes = radices(slot, t)
-        calls = [enc and remapped(enc, star_view, sender, t - 1)
+        calls = [enc and remapped(enc, t - 1, star_recv(sender))
                  for enc, (sender, _, _) in zip(encs, layout)]
         edges = [(star_inst.edges[s_idx], s_dir) for _, s_idx, s_dir in layout]
         names = [f"encoder on {e.a!r}-{e.b!r} t={t} {s_dir}" for e, s_dir in edges]
@@ -465,7 +465,7 @@ def host_path_code(
         message_sizes=piped.message_sizes,
         splits=AlphabetSplit(split_table),
         encoders=encoders,
-        decoders={j: remapped(dec, star_view, host_inst.terminals[j], piped.outer_n)
+        decoders={j: remapped(dec, piped.outer_n, star_recv(host_inst.terminals[j]))
                   for j, dec in piped.decoders.items()},
     )
 

@@ -21,7 +21,6 @@ Transforms provided:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -54,12 +53,12 @@ from .graphs import BWD, FWD, NetworkInstance, replace_edge_with_path
 from .rational import ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
 
 
-def remapped(fn: Callable, view_fn: Callable, *args) -> Callable:
-    """`fn` run on view_fn(*args, state), Joined if `fn` is."""
-    view = functools.partial(view_fn, *args)
+def remapped(fn: Callable, time: int, recv_fn: Callable) -> Callable:
+    """`fn` run on state.replace(time, recv_fn), Joined if `fn` is."""
     if isinstance(fn, Joined):
-        return Joined(fn.base, lambda state: fn.sessions(view(state)), fn.count, fn.radices)
-    return lambda state: fn(view(state))
+        return Joined(fn.base, lambda state: fn.sessions(state.replace(time, recv_fn)),
+                      fn.count, fn.radices)
+    return lambda state: fn(state.replace(time, recv_fn))
 
 
 # ------------------------------------------------------------------ sessions
@@ -470,12 +469,9 @@ def interleave(code: NetworkCode, inst: NetworkInstance) -> NetworkCode:
             split_table[(edge_idx, (t_base - 1) * n_base + j)] = shape
 
     sessions, decoders = _pack_sessions(code, inst, n_base, staggered=True)
-
-    def session(j, state):
-        return sessions(state)(j)
-
     encoders = {
-        (edge_idx, (t_base - 1) * n_base + j + 1, direction): remapped(base_enc, session, j)
+        (edge_idx, (t_base - 1) * n_base + j + 1, direction):
+            lambda state, enc=base_enc, j=j: enc(sessions(state)(j))
         for (edge_idx, t_base, direction), base_enc in code.encoders.items()
         for j in range(n_base)
     }
@@ -566,17 +562,13 @@ def pipeline_path(
     # (receiving end, original sender) -> the last path hop's sender
     last_hop = {(nodes[-1], nodes[0]): nodes[-2] for nodes in travel.values()}
 
-    def tilde_view(horizon: int, state):
-        """Present the pipelined history as the tilde execution's history."""
-
-        def recv(sender, tt):
-            t_out = pipe_time((tt - 1) // nb + 1, (tt - 1) % nb + 1)
-            relay_from = last_hop.get((state.node, sender))
-            if relay_from is not None:
-                return state.recv(relay_from, t_out + ell - 2)
-            return state.recv(sender, t_out)
-
-        return state.replace(horizon, recv)
+    def tilde_recv(state, sender, tt):
+        """The tilde execution's round-tt symbol, read from the pipelined one."""
+        t_out = pipe_time((tt - 1) // nb + 1, (tt - 1) % nb + 1)
+        relay_from = last_hop.get((state.node, sender))
+        if relay_from is not None:
+            return state.recv(relay_from, t_out + ell - 2)
+        return state.recv(sender, t_out)
 
     def relay(sender: str):
         """Pass on the symbol `sender` committed one round earlier."""
@@ -602,7 +594,7 @@ def pipeline_path(
                 for direction in (FWD, BWD):
                     base_enc = tilde.encoders.get((t_idx, tt, direction))
                     if base_enc is not None:
-                        encoders[(p_idx, pipe_time(i, j), direction)] = remapped(base_enc, tilde_view, tt - 1)
+                        encoders[(p_idx, pipe_time(i, j), direction)] = remapped(base_enc, tt - 1, tilde_recv)
 
     # The removed edge's symbols in direction trip_dir[d] cross path hop k
     # in direction d as hop h of their trip, and the j-th symbol of
@@ -630,7 +622,7 @@ def pipeline_path(
                         base_enc = tilde.encoders.get((e_idx, tilde_time(i, j), trip_dir[direction]))
                         if base_enc is None:
                             continue
-                        enc = remapped(base_enc, tilde_view, tilde_time(i, j) - 1)
+                        enc = remapped(base_enc, tilde_time(i, j) - 1, tilde_recv)
                     encoders[(p_idx, pipe_time(i, o), direction)] = enc
 
     return NetworkCode(
@@ -639,7 +631,7 @@ def pipeline_path(
         message_sizes=tilde.message_sizes,
         splits=AlphabetSplit(split_table),
         encoders=encoders,
-        decoders={j: remapped(dec, tilde_view, nb * nb) for j, dec in tilde.decoders.items()},
+        decoders={j: remapped(dec, nb * nb, tilde_recv) for j, dec in tilde.decoders.items()},
     )
 
 
@@ -709,23 +701,20 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
         for s in range(1, m + 1):
             split_table[(edge_idx, (t - 1) * m + s)] = (bf, bb)
 
-    def old_view(horizon: int, state):
-        def recv(sender, t):
-            idx, direction = inst.slot(sender, state.node)
-            key = (idx, t, direction)
-            b = radix.get(key, 1)
-            digits = [state.recv(sender, (t - 1) * m + s) for s in range(1, m + 1)]
-            # When b**m exceeds the old size, some digit tuples are never
-            # sent, but tabulation enumerates them: clamp them into the
-            # old alphabet so the old code sees a symbol it accepts.
-            return min(combine_digits(digits, (b,) * m), code.splits.size(*key) - 1)
-
-        return state.replace(horizon, recv)
+    def old_recv(state, sender, t):
+        idx, direction = inst.slot(sender, state.node)
+        key = (idx, t, direction)
+        b = radix.get(key, 1)
+        digits = [state.recv(sender, (t - 1) * m + s) for s in range(1, m + 1)]
+        # When b**m exceeds the old size, some digit tuples are never
+        # sent, but tabulation enumerates them: clamp them into the
+        # old alphabet so the old code sees a symbol it accepts.
+        return min(combine_digits(digits, (b,) * m), code.splits.size(*key) - 1)
 
     encoders = {}
     for (edge_idx, t, direction), base_enc in code.encoders.items():
         b = radix.get((edge_idx, t, direction), 1)
-        old = remapped(base_enc, old_view, t - 1)
+        old = remapped(base_enc, t - 1, old_recv)
         size = (code.splits.size(edge_idx, t, direction),)
         edge = inst.edges[edge_idx]
         names = [f"encoder on {edge.a!r}-{edge.b!r} t={t} {direction}"]
@@ -736,7 +725,7 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
 
             encoders[(edge_idx, (t - 1) * m + s, direction)] = encoder
 
-    decoders = {j: remapped(dec, old_view, code.outer_n) for j, dec in code.decoders.items()}
+    decoders = {j: remapped(dec, code.outer_n, old_recv) for j, dec in code.decoders.items()}
 
     return NetworkCode(
         inner_n=n_new,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netcode as nc
+from netcode import codes
 from netcode.graphs import slot_tail
 from netcode.errors import (
     BadRate,
@@ -140,6 +141,43 @@ def test_state_view_guards_time():
     with pytest.raises(LookupError):
         view.recv("y", 0)
     assert view.message(0) == 0
+
+
+def test_replace_runs_its_rule_on_the_host_view():
+    calls = []
+    host = nc.StateView("x", 1, {0: 5, 1: 11}.__getitem__, lambda sender, t: 7)
+
+    def rule(view, sender, t):
+        calls.append((view, sender, t))
+        return view.recv(sender, 1) + t
+
+    replaced = host.replace(3, rule)
+    assert (replaced.node, replaced.time) == ("x", 3)
+    assert replaced.recv("y", 3) == 10
+    assert calls == [(host, "y", 3)]
+    for t in (0, 4):  # past the new horizon: raised before the rule runs
+        with pytest.raises(LookupError):
+            replaced.recv("y", t)
+    assert calls == [(host, "y", 3)]
+    # message and digit reads are the host's
+    assert replaced.message(1) == 11 and replaced.digit(1, 0, (4, 4)) == 2
+    with pytest.raises(KeyError):
+        replaced.message(2)
+
+
+def test_replaced_view_reads_a_laid_out_digit_once():
+    # on an Engine, a digit read through replace reads one digit position
+    inst = single_edge()
+    code = nc.parallel_repeat(unit_code(inst, "ab", (1,)), inst, 2)
+    engine = codes.Engine(code, inst)
+    at, radices = engine._digits[0]
+    assert radices == (2, 2)
+    state, reads = engine.run([2]), []
+    view = codes._Recording("a", 0, state, reads, engine._own["a"], engine._inbound["a"],
+                            engine._digits)
+    replaced = view.replace(1, lambda host, sender, t: host.recv(sender, t))
+    assert replaced.digit(0, 0, radices) == 1
+    assert reads == [(at, 1)]
 
 
 def test_decoder_output_validation():

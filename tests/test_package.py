@@ -238,10 +238,6 @@ def records():
     return {type(value).__name__: value for value in values}
 
 
-def _fields(record) -> tuple[str, ...]:
-    return getattr(record, "_fields", None) or type(record).__slots__
-
-
 def _changed(value):
     """A value unequal to `value` that its record still accepts."""
     if isinstance(value, tuple) and value:
@@ -258,7 +254,7 @@ def test_records_cover_every_record_type(records):
 
 def test_record_fields_are_read_only(records):
     for name, record in records.items():
-        for field in _fields(record):
+        for field in record._fields:
             value = getattr(record, field)
             with pytest.raises(AttributeError):
                 setattr(record, field, value)
@@ -269,7 +265,7 @@ def test_record_fields_are_read_only(records):
 
 def test_records_compare_and_print_field_by_field(records):
     for name, record in records.items():
-        values = {field: getattr(record, field) for field in _fields(record)}
+        values = {field: getattr(record, field) for field in record._fields}
         twin = type(record)(**values)
         assert twin is not record and twin == record and not twin != record, name
         if name in ("NetworkInstance", "RegionLimits"):
@@ -416,6 +412,82 @@ def test_rate_guard_flags(source, flagged):
     assert bool(calls_to(ast.parse(source), "message_size_for_rate")) == flagged
 
 
+def _bound(fn) -> set[str]:
+    """The names a function or lambda binds: its parameters, and every name
+    it, or a function inside it, assigns or defines."""
+    args = fn.args
+    names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(arg.arg for arg in (args.vararg, args.kwarg) if arg)
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn:
+            names.add(node.name)
+    return names
+
+
+def view_replaces(tree, exempt: str | None = None) -> list[tuple[int, str]]:
+    """(line, source) of every call that builds a replaced view on a rule
+    made inside a function: `x.replace(t, rule, ...)` whose `rule` is a
+    lambda or a name that an enclosing function binds, outside the
+    functions named `exempt`; and `_Replaced(...)` outside
+    `StateView.replace`."""
+    found = []
+
+    def visit(node, scopes):
+        names = [scope.name for scope in scopes if not isinstance(scope, ast.Lambda)]
+        if isinstance(node, ast.Call):
+            rule = node.args[1] if len(node.args) > 1 else None
+            local = isinstance(rule, ast.Lambda) or isinstance(rule, ast.Name) and any(
+                rule.id in _bound(scope) for scope in scopes if not isinstance(scope, ast.ClassDef))
+            replaces = (isinstance(node.func, ast.Attribute) and node.func.attr == "replace"
+                        and local and exempt not in names)
+            if replaces or _bare_name(node.func) == "_Replaced" and names[-2:] != ["StateView", "replace"]:
+                found.append((node.lineno, ast.unparse(node)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            scopes = scopes + [node]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_remapped_replaces_a_view():
+    # a transform hands remapped a recv rule built with the transform, so
+    # no map call builds a view from a fresh closure
+    found = []
+    for path in sorted((SRC / "netcode").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = "remapped" if path.name == "transforms.py" else None
+        found += [(path.name, *site) for site in view_replaces(tree, exempt)]
+    assert found == []
+
+
+REMAPPED = "def remapped(fn, time, recv_fn):\n    return lambda state: fn(state.replace(time, recv_fn))"
+
+
+@pytest.mark.parametrize("source, exempt, flagged", [
+    ("def tilde_view(horizon, state):\n    def recv(sender, t):\n        return 0\n"
+     "    return state.replace(horizon, recv)", None, True),
+    ("view = state.replace(1, lambda host, sender, t: 0)", None, True),
+    ("def relay(fn):\n    return lambda state: fn(state.replace(1, lambda host, s, t: 0))", "remapped", True),
+    (REMAPPED, "remapped", False),
+    (REMAPPED, None, True),
+    ("s = name.replace('a', 'b')", None, False),
+    ("def tidy(name, new):\n    return name.replace('a', 'b').replace(' ', '')", None, False),
+    ("inst = inst._replace(edges=edges)", None, False),
+    ("code = dataclasses.replace(code, encoders=encoders)", None, False),
+    ("def view(state):\n    return codes._Replaced(state, 1, rule)", None, True),
+    ("class StateView:\n    def replace(self, time, recv_fn):\n"
+     "        return _Replaced(self, time, recv_fn)", None, False),
+    ("class Other:\n    def replace(self, time, recv_fn):\n"
+     "        return _Replaced(self, time, recv_fn)", None, True),
+])
+def test_view_replace_guard_flags(source, exempt, flagged):
+    assert bool(view_replaces(ast.parse(source), exempt)) == flagged
+
+
 def test_every_module_stays_below_the_parser_token_step():
     """Every module of the package compiles from fewer than 8,192 tokens
     (as `tokenize` counts them, COMMENT and NL excluded).
@@ -428,9 +500,10 @@ def test_every_module_stays_below_the_parser_token_step():
     copy of `codes.py` at 8,140 tokens, and the same copy padded to 8,224,
     raised `ru_maxrss` by 3,072 and 3,584 KiB, and the padded tree read
     0.47-0.66 MiB more `peak_rss_mib` on `amplify-m16` and 0.42-0.55 MiB
-    more on `cli-cold` (two 5-second runs each).  `codes.py` has 8,135
-    tokens (8,148 before its records became NamedTuples); it had 7,762
-    before the Engine's recording view and covered-slot rule.
+    more on `cli-cold` (two 5-second runs each).  `codes.py` has 8,152
+    tokens (8,135 before `StateView.replace` took a recv rule, 8,148
+    before its records became NamedTuples); it had 7,762 before the
+    Engine's recording view and covered-slot rule.
     """
     counts = {}
     for path in sorted((SRC / "netcode").glob("*.py")):

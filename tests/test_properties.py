@@ -162,7 +162,7 @@ def reads_of(view, aug, k, n_rounds, replaced=True) -> list:
             for radices in ((2,), (1, 2), (2, 2)) for j in range(len(radices))]
     out += [answer(view.recv, sender, t) for sender in aug.vertices for t in range(n_rounds + 2)]
     if replaced:
-        out += reads_of(view.replace(n_rounds, lambda sender, t: (sender, t), node="x"),
+        out += reads_of(view.replace(n_rounds, lambda host, sender, t: (sender, t)),
                         aug, k, n_rounds, False)
     return out
 

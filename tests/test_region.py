@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -105,6 +107,12 @@ def test_region_points_respect_cut_bounds():
 def test_region_limits_are_positive_integers(value):
     with pytest.raises(MalformedDocument):
         nc.RegionLimits(max_ops=value)
+
+
+def test_region_limits_copy_and_pickle():
+    limits = nc.RegionLimits(max_outer=3, max_message_size=4)
+    for twin in (copy.copy(limits), copy.deepcopy(limits), pickle.loads(pickle.dumps(limits))):
+        assert twin == limits and repr(twin) == repr(limits)
 
 
 def test_bigger_alphabet_with_raised_limits():
