@@ -15,7 +15,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import InputError, MalformedDocument, ResourceLimit, TableTooLarge
+from .errors import InputError, MalformedDocument, ResourceLimit, TableTooLarge, sized
 from .rational import format_rational, parse_rational
 
 if TYPE_CHECKING:
@@ -39,7 +39,7 @@ def _read_json(path: str):
         text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit of int()
         raise MalformedDocument(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -163,6 +163,9 @@ def cmd_transform(args) -> int:
                 }
             )
             return EXIT_INPUT
+    for i, size in enumerate(code.message_sizes):
+        if size.bit_length() > 14_000:  # CPython prints ints of up to 4,300 digits
+            raise TableTooLarge(f"message size {sized(size)} of source {i} exceeds the print limit")
     try:
         out_code = code_to_doc(code, cur)
     except TableTooLarge:

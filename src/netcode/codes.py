@@ -31,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadRate,
@@ -41,6 +41,7 @@ from .errors import (
     MalformedDocument,
     SplitCapacityViolation,
     SymbolOutOfRange,
+    sized,
 )
 from .graphs import BWD, FWD, NetworkInstance, slot_tail
 from .rational import alphabet_size, combine_digits, floor_pow2, split_digits
@@ -548,18 +549,20 @@ class Engine:
         return True
 
     def _matches(self, part: "Engine", edges: Sequence[int], messages: Sequence[int],
-                 fixed: Mapping[int, int]) -> bool:
+                 fixed: Mapping[int, int], agreed: Container) -> bool:
         """Whether `part` (of this outer_n; its edge p and message q are this
         code's edges[p] and messages[q]) sends what this code does on every
         tuple of its messages in the box, the others at `fixed`.  A walk
-        sink per slot of `part` runs its encoder on this execution against
-        this code's symbol there: each map call reads the call's recording
-        view through one `_Renamed`, which reads message q as messages[q].
-        On a raising map, a mismatch, or past the map calls the tuples
-        make, the tuples run and their edges are compared."""
+        sink per slot of `part` whose map is not in `agreed` (known to agree)
+        runs its encoder on this execution against this code's symbol there:
+        each map call reads the recording view through one `_Renamed`, which
+        reads message q as messages[q].  On a raising map, a mismatch, or
+        past the map calls the tuples make, the tuples run and are compared."""
         k, ks, width = len(self.inst.sources), len(part.inst.sources), 2 * self.code.outer_n
         sinks = []
         for pos, (fn, node, time, check, _) in part._slots.items():
+            if fn in agreed:
+                continue
             p, at = divmod(pos - ks, width)  # one digit to match: its radix is never used
             sinks.append(((functools.partial(_matched, fn, check, messages), node, time, tuple, {}),
                           [((k + edges[p] * width + at, 1),)]))
@@ -850,7 +853,7 @@ def _check(code, inst, rates, epsilon, mode, trials, seed, limit, observe=None, 
     if engine._sliced_pass(total, limit if capped else None):
         tuples = ()
     elif capped:
-        raise EnumerationTooLarge(f"{total} message tuples exceed limit {limit}")
+        raise EnumerationTooLarge(f"{sized(total)} message tuples exceed limit {limit}")
     elif sampled:
         # a sampled box, the rates' or the whole space, holds values 0, 1, ...
         rng = random.Random(seed)

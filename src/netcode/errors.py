@@ -8,6 +8,13 @@ exit codes, so new exceptions should subclass one of the two.
 from __future__ import annotations
 
 
+def sized(count: int) -> str:
+    """A count for an error message: its digits up to 30 of them, else its
+    size, "2^e" or, for no power of two, "over 2^e"."""
+    e = count.bit_length() - 1
+    return str(count) if e < 99 else f"2^{e}" if count == 1 << e else f"over 2^{e}"
+
+
 class NetcodeError(Exception):
     """Base class for all package errors."""
 

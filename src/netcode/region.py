@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from .errors import EnumerationTooLarge, MalformedDocument
+from .errors import EnumerationTooLarge, MalformedDocument, sized
 from .graphs import BWD, FWD, NetworkInstance, _Record, incoming_slots, slot_tail
 from .rational import alphabet_size
 
@@ -246,7 +246,7 @@ def rate_region_micro(
     for e, a in zip(inst.edges, alphabets):
         if a > limits.max_alphabet:
             raise EnumerationTooLarge(
-                f"alphabet {a} on edge {e.a!r}-{e.b!r} exceeds limit {limits.max_alphabet}"
+                f"alphabet {sized(a)} on edge {e.a!r}-{e.b!r} exceeds limit {limits.max_alphabet}"
             )
     if len(inst.vertices) > 16:
         raise EnumerationTooLarge("more than 16 vertices")
@@ -257,7 +257,7 @@ def rate_region_micro(
     cap = limits.max_message_size
 
     def describe(i: int, ceiling) -> str:
-        return f"source {i} at {inst.sources[i]!r} (cut ceiling {ceiling or 'none'})"
+        return f"source {i} at {inst.sources[i]!r} (cut ceiling {sized(ceiling) if ceiling else 'none'})"
 
     tops, ceilings = [], []
     for i in range(k):

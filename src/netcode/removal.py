@@ -55,6 +55,7 @@ from .errors import (
     NonPositiveCapacity,
     NotABridge,
     UnknownVertex,
+    sized,
 )
 from .graphs import (
     BWD,
@@ -121,9 +122,7 @@ class BridgeDecomposition(NamedTuple):
 def _induced_instance(
     inst: NetworkInstance, side: set[str], s_idx: Sequence[int], d_idx: Sequence[int]
 ) -> Optional[NetworkInstance]:
-    demand = tuple(
-        tuple(inst.demand[i][j] for j in d_idx) for i in s_idx
-    )
+    demand = tuple(tuple(inst.demand[i][j] for j in d_idx) for i in s_idx)
     if not s_idx or not d_idx or not any(any(row) for row in demand):
         return None
     return NetworkInstance(
@@ -183,13 +182,15 @@ def _decompose_side(
         orig_of_side = [inst.edge_between(se.a, se.b)[0] for se in side_inst.edges]
         if free_total > limit:
             raise EnumerationTooLarge(
-                f"{free_total} free message tuples of side {sorted(side)} exceed limit {limit}"
+                f"{sized(free_total)} free message tuples of side {sorted(side)} exceed limit {limit}"
             )
         side_code = _simulated_side_code(
             inst, code, side, e_idx, s_idx, d_idx, side_inst, orig_of_side, fixing
         )
-        # Simulated side traces must equal the original ones edge for edge.
-        match = engine._matches(Engine(side_code, side_inst), orig_of_side, s_idx, fixing)
+        # Side traces must equal the original ones; off the anchor they do.
+        anchor = next(x for x in (inst.edges[e_idx].a, inst.edges[e_idx].b) if x in side)
+        agreed = {f for f in side_code.encoders.values() if type(f) is _SideMap and f.node != anchor}
+        match = engine._matches(Engine(side_code, side_inst), orig_of_side, s_idx, fixing, agreed)
     return SideDecomposition(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
@@ -236,6 +237,19 @@ class _Replaying(StateView):
         return sim[t - 1].get((oi, direction), 0)
 
 
+class _SideMap:
+    """A side code's map: the original encoder or decoder `fn` at `node`,
+    run on one `_Replaying` view, at horizon `time`, of the side view it gets."""
+
+    __slots__ = ("replay", "fn", "node", "time")
+
+    def __init__(self, replay: tuple, fn, node: str, time: int):
+        self.replay, self.fn, self.node, self.time = replay, fn, node, time
+
+    def __call__(self, state):
+        return self.fn(_Replaying(self.replay, self.node, self.time, state))
+
+
 def _side_replay(inst: NetworkInstance, code: NetworkCode, side: set[str], e_idx: int,
                  s_idx: tuple[int, ...], fixing: dict[int, int]) -> tuple:
     """The `replay` of one side's `_Replaying` views: (inst, local, own,
@@ -269,28 +283,21 @@ def _simulated_side_code(
     """Restrict the code to one side, replaying the removed edge `e_idx`.
 
     The side code runs every original encoder and decoder of the side on
-    one kind of view: each map call builds one `_Replaying` straight on the
-    side view it gets.  A view reads each slot either from the side
-    execution or from a replay.  The replayed slots are those whose sender
-    is on the far side, plus both directions of the removed edge: with
-    every far message fixed, the anchor can recompute them from its own
+    one kind of view: each map, a `_SideMap`, builds one `_Replaying`
+    straight on the side view it gets.  A view reads each slot either from
+    the side execution or from a replay.  The replayed slots are those
+    whose sender is on the far side, plus both directions of the removed
+    edge: with every far message fixed, the anchor (the edge's end in the
+    side), which alone receives on them, can recompute them from its own
     inputs.  A view simulates the replayed slots once, round by round, up
     to the latest round it is asked for.
     """
     replay = _side_replay(inst, code, side, e_idx, s_idx, fixing)
 
-    def replaying(enc, node: str, horizon: int):
-        return lambda state: enc(_Replaying(replay, node, horizon, state))
-
     def restrict(j: int):
         keep = [pos for pos, i in enumerate(inst.demanded_at(j)) if i in s_idx]
-        dec, node = code.decoders[j], inst.terminals[j]
-
-        def decoder(state):
-            out = dec(_Replaying(replay, node, code.outer_n, state))
-            return tuple(out[pos] for pos in keep)
-
-        return decoder
+        dec = _SideMap(replay, code.decoders[j], inst.terminals[j], code.outer_n)
+        return lambda state: tuple(map(dec(state).__getitem__, keep))
 
     side_of = {oi: si for si, oi in enumerate(orig_of_side)}
     return NetworkCode(
@@ -301,7 +308,7 @@ def _simulated_side_code(
             {(side_of[oi], t): shape for (oi, t), shape in code.splits.items() if oi in side_of}
         ),
         encoders={
-            (side_of[oi], t, direction): replaying(enc, slot_tail(inst, oi, direction), t - 1)
+            (side_of[oi], t, direction): _SideMap(replay, enc, slot_tail(inst, oi, direction), t - 1)
             for (oi, t, direction), enc in code.encoders.items()
             if oi in side_of
         },
@@ -339,9 +346,12 @@ def bridge_decompose(
     execution, must send the joint symbol of its slot.  A round-t encoder
     reads only earlier rounds, so by induction this holds exactly when
     every free tuple's side trace equals the original one, edge for edge.
-    On a raising map, a mismatch or past the map calls the free tuples of
-    the box make, they run and are compared, so more than `limit` of them
-    raise EnumerationTooLarge.
+    Only the anchor's slots are walked: any other `_SideMap` is the
+    original map on a view that reads as the joint one, and the check ran
+    every map clean over the box, so it sends the joint symbol (a side map
+    not built so is walked).  On a raising map, a mismatch or past the map
+    calls the free tuples of the box make, they run and are compared, so
+    more than `limit` of them raise EnumerationTooLarge.
     """
     minus = drop_edge(inst_with_e, u, v)
     comp_u = next(b for b in connected_components(minus) if u in b)

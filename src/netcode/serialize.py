@@ -31,7 +31,7 @@ from .codes import (
     Route,
     make_routing_code,
 )
-from .errors import MalformedDocument, TableTooLarge
+from .errors import MalformedDocument, TableTooLarge, sized
 from .graphs import (
     BWD,
     FWD,
@@ -71,7 +71,7 @@ def _tabulate(engine: Engine, key, node: str, horizon: int, limit: int) -> list:
     own, dims, radices = _domain(engine.inst, engine.code, node, horizon)
     total = math.prod(radices)
     if total > limit:
-        raise TableTooLarge(f"table of {total} entries exceeds limit {limit}")
+        raise TableTooLarge(f"table of {sized(total)} entries exceeds limit {limit}")
     return engine._table(key, own, [(sender, tp) for _, tp, _, sender, _ in dims], radices)
 
 

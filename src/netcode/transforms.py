@@ -48,6 +48,7 @@ from .errors import (
     NonPositiveScale,
     NotInterleaved,
     SeedSearchFailed,
+    sized,
 )
 from .graphs import BWD, FWD, NetworkInstance, replace_edge_with_path
 from .rational import ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
@@ -302,7 +303,7 @@ def nearest_codeword_decode(
         votes = [s for s in word if 0 <= s < q]
         return (min(votes, key=lambda s: (-votes.count(s), s), default=0),)
     if q ** spec.k > limit:
-        raise EnumerationTooLarge(f"{q}**{spec.k} candidate messages exceed {limit}")
+        raise EnumerationTooLarge(f"{sized(q)}**{spec.k} candidate messages exceed {limit}")
     best = None
     best_dist = spec.length + 1
     for message in itertools.product(range(q), repeat=spec.k):

@@ -11,6 +11,7 @@ or feasibility failure, 5 resource limit exceeded.
 import copy
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import pytest
 
 import netcode as nc
 from netcode.cli import main
+from netcode.errors import sized
 
 from conftest import (
     bridged_pair,
@@ -797,6 +799,67 @@ def test_region_rejects_limits_below_one(tmp_path, capsys, field, value):
         capsys, ["region", path, "--n", "1", "--N", "2", "--limits", f"{field}={value}"])
     assert rc == 2
     assert doc["error"] == "MalformedDocument"
+
+
+# ------------------------------------------------------------ huge integers
+
+def cli_child(argv, cwd, seconds=60):
+    """`python -m netcode.cli argv` in a child whose address space is capped
+    at 2 GiB, so an input that makes netcode build a huge integer fails fast
+    instead of filling the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "netcode.cli", *argv], capture_output=True,
+                          env=env, cwd=cwd, timeout=seconds, preexec_fn=cap)
+
+
+def huge_integer_repro(tmp_path, case):
+    """(argv, exit code, error, message prefix) of one input that made the
+    CLI format an integer past CPython's 4,300-digit limit."""
+    ipath = jfile(tmp_path, "inst.json", single_edge().to_doc())
+    if case == "region_alphabet":
+        return (["region", jfile(tmp_path, "two_way.json", two_way().to_doc()),
+                 "--n", "20000", "--N", "1"],
+                5, "EnumerationTooLarge", "alphabet 2^20000 on edge 'a'-'b' exceeds limit ")
+    if case == "transform_parallel_repeat":
+        chain = jfile(tmp_path, "chain.json", {"steps": [{"op": "parallel_repeat", "m": 15000}]})
+        return (["transform", ipath, jfile(tmp_path, "code.json", unit_routing_doc()), chain,
+                 "--out", str(tmp_path / "out.json")],
+                5, "TableTooLarge", "message size 2^15000 of source 0 exceeds the print limit")
+    text = json.dumps(unit_routing_doc()).replace('"inner_n": 1', '"inner_n": 1' + "0" * 4999)
+    code = tmp_path / "code.json"
+    code.write_text(text, encoding="utf-8")
+    if case == "code_integer":
+        return ["check", ipath, str(code)], 2, "MalformedDocument", f"{code}: not valid JSON"
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(single_edge().to_doc()).replace('"1"', "1" + "0" * 4999),
+                   encoding="utf-8")
+    return ["validate", str(big)], 2, "MalformedDocument", f"{big}: not valid JSON"
+
+
+@pytest.mark.parametrize("case", [
+    "region_alphabet", "transform_parallel_repeat", "code_integer", "instance_integer"])
+def test_huge_integers_exit_with_a_named_error(tmp_path, case):
+    # each input once raised CPython's ValueError for an int of more than
+    # 4,300 digits, exit 1 with a traceback
+    argv, code, error, message = huge_integer_repro(tmp_path, case)
+    run = cli_child(argv, tmp_path)
+    assert b"Traceback" not in run.stderr
+    doc = json.loads(run.stdout)
+    assert (run.returncode, doc["error"]) == (code, error)
+    assert doc["message"].startswith(message)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_sized_names_a_long_count_by_its_size():
+    assert [sized(n) for n in (0, 7, 10 ** 29, (1 << 99) - 1)] == [
+        "0", "7", str(10 ** 29), str((1 << 99) - 1)]
+    assert [sized(1 << 99), sized((1 << 20000) + 1), sized(3 ** 5000)] == [
+        "2^99", "over 2^20000", "over 2^7924"]
 
 
 # -------------------------------------------------------------- determinism

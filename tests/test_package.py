@@ -500,8 +500,9 @@ def test_every_module_stays_below_the_parser_token_step():
     copy of `codes.py` at 8,140 tokens, and the same copy padded to 8,224,
     raised `ru_maxrss` by 3,072 and 3,584 KiB, and the padded tree read
     0.47-0.66 MiB more `peak_rss_mib` on `amplify-m16` and 0.42-0.55 MiB
-    more on `cli-cold` (two 5-second runs each).  `codes.py` has 8,152
-    tokens (8,135 before `StateView.replace` took a recv rule, 8,148
+    more on `cli-cold` (two 5-second runs each).  `codes.py` has 8,170
+    tokens (8,152 before the trace match's `agreed` slots and `sized`
+    counts, 8,135 before `StateView.replace` took a recv rule, 8,148
     before its records became NamedTuples); it had 7,762 before the
     Engine's recording view and covered-slot rule.
     """

@@ -1,6 +1,7 @@
 """Randomized invariant checks over small generated inputs."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -202,6 +203,52 @@ def test_side_views_read_as_the_closure_views(case, values, unset_slots):
                                             codes._Renamed(recording(new_reads), owned))
                 assert reads_of(new, aug, k, code.outer_n) == reads_of(old, aug, k, code.outer_n)
                 assert new_reads == old_reads
+
+
+@given(removal_cases(bridge=True))
+@settings(deadline=None, max_examples=25)
+def test_trace_match_skips_only_side_encoders_that_send_the_joint_symbol(case):
+    # each side's match walks exactly the side slots of its anchor, the
+    # bridge's end in the side; every other side encoder, on every free
+    # tuple of the box, sends the joint symbol both on the joint execution,
+    # read through the view the walk would give it, and in the side run
+    inst, u, v, lam, code, _ = case
+    aug = nc.add_edge(inst, u, v, lam)
+    e = aug.edges[aug.edge_between(u, v)[0]]
+    matched, walked = [], []
+    matches, sliced = Engine._matches, Engine._sliced_pass
+
+    def spied_match(self, part, edges, messages, fixed, agreed):
+        matched.append((self, part, edges, messages, fixed, agreed))
+        return matches(self, part, edges, messages, fixed, agreed)
+
+    def spied_pass(self, total, budget=None, sinks=None, fixed=None):
+        if sinks is not None:
+            walked.append(sorted((sink[0][1], sink[0][2]) for sink in sinks))
+        return sliced(self, total, budget, sinks, fixed)
+
+    with mock.patch.object(Engine, "_matches", spied_match), \
+            mock.patch.object(Engine, "_sliced_pass", spied_pass):
+        nc.bridge_decompose(aug, u, v, code)
+    assert len(matched) == len(walked)
+    k, width = len(aug.sources), 2 * code.outer_n
+    for (engine, part, edges, messages, fixed, agreed), sinks in zip(matched, walked):
+        anchor = e.a if e.a in part.inst.vertices else e.b
+        slots = part._slots.items()
+        assert sinks == sorted((node, time) for _, node, time, _, _ in part._slots.values()
+                               if node == anchor)
+        skipped = [(pos, memo) for pos, memo in slots if memo[0] in agreed]
+        assert [memo[1] != anchor for _, memo in slots] == [memo[0] in agreed for _, memo in slots]
+        for free in itertools.product(*(codes._values(engine.box[i]) for i in messages)):
+            given = {**fixed, **dict(zip(messages, free))}
+            state, mine = engine.run([given[i] for i in range(k)]), part.run(free)
+            for pos, (fn, node, time, _, _) in skipped:
+                p, at = divmod(pos - len(messages), width)
+                joint = state[k + edges[p] * width + at]
+                view = codes._Recording(node, time, state, [], engine._own[node],
+                                        engine._inbound[node], engine._digits)
+                assert fn(codes._Renamed(view, messages)) == joint
+                assert mine[pos] == joint
 
 
 def wrong_outside_rate_zero(case, key, i, outside):

@@ -276,7 +276,8 @@ def test_bridge_report_walks_past_the_tuple_limit():
 def test_bridge_trace_match_builds_no_closure_view(monkeypatch):
     # each side encoder of the match reads the joint recording view through
     # slotted views alone, so no StateView is built while Engine._matches
-    # runs; the report still makes 134 map calls, 66 of them in the match
+    # runs; the report makes 101 map calls, 33 of them in the match, which
+    # walks only d's slot d->g (a->b is away from c, its side's anchor)
     inst, _, code = diagonal_triangles("ad", "bg")
     counts, inside = {"calls": 0, "match calls": 0, "match views": 0}, []
     call, init, matches = Engine._call, nc.StateView.__init__, Engine._matches
@@ -303,7 +304,7 @@ def test_bridge_trace_match_builds_no_closure_view(monkeypatch):
     ver = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code).verification
     assert ver.passed
     assert [side.trace_match for side in (ver.decomposition.u_side, ver.decomposition.v_side)] == [True, True]
-    assert counts == {"calls": 134, "match calls": 66, "match views": 0}
+    assert counts == {"calls": 101, "match calls": 33, "match views": 0}
 
 
 def test_bridge_trace_match_counts_its_free_tuples_against_the_limit():
@@ -577,18 +578,29 @@ def trace_match_runs(decomp, k, settled):
     return runs
 
 
-def ping_pong_pair():
+def ping_pong_pair(hops=5, n=1, sizes=(4, 4)):
     """(augmented bridged_pair, code): message 0 bounces a-b-a-b-a-b over
-    five rounds, so each match sink pulls the whole chain before it."""
+    five rounds (`hops`, odd), so each match sink pulls the whole chain
+    before it; c sends message 1 to d at round 1."""
     aug = nc.add_edge(bridged_pair(), "b", "c", Fraction(1))
     return aug, nc.make_routing_code(
-        aug, [nc.Route(0, 0, tuple("ababab"), (1, 2, 3, 4, 5)), nc.Route(1, 1, ("c", "d"), (1,))],
-        1, 5, [4, 4])
+        aug, [nc.Route(0, 0, tuple("ab" * hops)[:hops + 1], tuple(range(1, hops + 1))),
+              nc.Route(1, 1, ("c", "d"), (1,))],
+        n, hops, list(sizes))
+
+
+def long_ping_pong_pair():
+    """ping_pong_pair over seven rounds at n=2, with 16 values of message 1:
+    the sinks of b, the u side's anchor, at rounds 2, 4 and 6 alone spend
+    that side's match budget, while the base walk, whose budget grows
+    with message 1's values, still settles the code."""
+    return ping_pong_pair(7, 2, (4, 16))
 
 
 @pytest.mark.parametrize("case, walked", [
     pytest.param(case, walked, id=case.__name__) for case, walked in (
-        (routed_pair, [True, True]), (cross_traffic_n2, [True]), (ping_pong_pair, [False, True]))])
+        (routed_pair, [True, True]), (cross_traffic_n2, [True]), (ping_pong_pair, [True, True]),
+        (long_ping_pong_pair, [False, True]))])
 def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case, walked):
     # the sliced walk proves these codes correct, so only the trace match
     # runs tuples: none for a side whose match walk settles, and exactly
@@ -601,6 +613,24 @@ def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case, walked):
     assert walks == ([True], walked)
     assert joint == trace_match_runs(decomp, len(aug.sources), walks[1])
     assert len(calls) == 2 * len(joint)
+    assert decomp.u_side.trace_match and decomp.v_side.trace_match
+
+
+def test_trace_match_walks_only_the_anchor_slots(monkeypatch):
+    # only the anchors' slots are walked: b's (rounds 2 and 4) on the u
+    # side and c's (c->d at round 1) on the v side; a's slots run the
+    # original encoders on the joint reads, so their sinks are not walked
+    aug, code = ping_pong_pair()
+    walked, sliced = [], Engine._sliced_pass
+
+    def recorded(self, total, budget=None, sinks=None, fixed=None):
+        if sinks is not None:
+            walked.append([(sink[0][1], sink[0][2]) for sink in sinks])
+        return sliced(self, total, budget, sinks, fixed)
+
+    monkeypatch.setattr(Engine, "_sliced_pass", recorded)
+    decomp = nc.bridge_decompose(aug, "b", "c", code)
+    assert walked == [[("b", 1), ("b", 3)], [("c", 0)]]
     assert decomp.u_side.trace_match and decomp.v_side.trace_match
 
 
@@ -670,6 +700,7 @@ def interleaved_cross_traffic():
 @pytest.mark.parametrize("case, change", [
     (routed_pair, None), (clamp_pair, None), (cross_traffic, None), (cross_traffic_n2, None),
     (foreign_demand_code, None), (diagonal_pair, None), (ping_pong_pair, None),
+    (long_ping_pong_pair, None),
     (interleaved_cross_traffic, None), (raising_decoder_pair, None), (out_of_range_encoder_pair, None),
     (routed_pair, skewed), (routed_pair, off_at_two), (routed_pair, raises_at_two),
     (routed_pair, as_float), (interleaved_cross_traffic, off_at_two),
