@@ -22,9 +22,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "codes": (
         "AlphabetSplit", "ExecutionTrace", "FeasibilityReport", "NetworkCode",
-        "Route", "StateView", "check_feasibility", "clopper_pearson",
-        "decode_outputs", "demands_met", "edge_alphabets", "execute",
-        "make_routing_code", "message_size_for_rate",
+        "StateView", "check_feasibility", "clopper_pearson", "decode_outputs",
+        "demands_met", "edge_alphabets", "execute", "message_size_for_rate",
     ),
     "errors": ("InputError", "NetcodeError", "ResourceLimit"),
     "graphs": (
@@ -39,6 +38,7 @@ _EXPORTS = {
         "BridgeCase", "PathCase", "RemovalReport", "bridge_decompose",
         "classify_edge", "edge_removal_report", "host_path_code", "path_case_bound",
     ),
+    "routing": ("Route", "make_routing_code"),
     "serialize": (
         "apply_chain", "code_to_doc", "feasibility_report_doc", "load_code",
         "removal_report_doc",

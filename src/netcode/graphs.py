@@ -51,7 +51,8 @@ class Edge(NamedTuple):
 class _Record:
     """A slotted record whose read-only fields `_fields` are its __init__
     arguments in order (stored with object.__setattr__); it compares,
-    hashes, prints, copies and pickles field by field."""
+    hashes, prints, copies and pickles field by field, and
+    `_replace(**changes)` returns a copy with some fields changed."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -72,13 +73,15 @@ class _Record:
     def __reduce__(self):
         return type(self), self._key()
 
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._key())), **changes})
+
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self._key()))})"
 
 
 class NetworkInstance(_Record):
-    """Immutable network instance (graph, sources, terminals, demand);
-    `_replace(**changes)` returns a copy with some fields changed."""
+    """Immutable network instance (graph, sources, terminals, demand)."""
 
     _fields = ("vertices", "edges", "sources", "terminals", "demand")
     __slots__ = _fields + ("_pair_index", "_demanded")  # the fields, then two derived tables
@@ -94,9 +97,6 @@ class NetworkInstance(_Record):
         for name, value in zip(self.__slots__, (vertices, edges, sources, terminals, demand,
                                                 pairs, demanded)):
             object.__setattr__(self, name, value)
-
-    def _replace(self, **changes) -> NetworkInstance:
-        return NetworkInstance(**{**dict(zip(self._fields, self._key())), **changes})
 
     # ------------------------------------------------------------- lookups
 

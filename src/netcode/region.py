@@ -242,11 +242,16 @@ def rate_region_micro(
         )
     if outer_n > limits.max_outer:
         raise EnumerationTooLarge(f"N={outer_n} exceeds region limit {limits.max_outer}")
-    alphabets = tuple(alphabet_size(e.cap, n) for e in inst.edges)
+    # An alphabet floor(2^(cap*n)) past both 2^99 and the limit is never
+    # built: it is named by its exponent, as errors.sized names it.
+    built_below = max(limits.max_alphabet.bit_length(), 99)
+    alphabets = tuple(alphabet_size(e.cap, n) if e.cap * n < built_below else None for e in inst.edges)
     for e, a in zip(inst.edges, alphabets):
-        if a > limits.max_alphabet:
+        if a is None or a > limits.max_alphabet:
+            whole, part = divmod(e.cap * n, 1)
+            name = sized(a) if a is not None else f"{'over ' if part else ''}2^{whole}"
             raise EnumerationTooLarge(
-                f"alphabet {sized(a)} on edge {e.a!r}-{e.b!r} exceeds limit {limits.max_alphabet}"
+                f"alphabet {name} on edge {e.a!r}-{e.b!r} exceeds limit {limits.max_alphabet}"
             )
     if len(inst.vertices) > 16:
         raise EnumerationTooLarge("more than 16 vertices")

@@ -23,14 +23,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .codes import (
-    AlphabetSplit,
-    Engine,
-    FeasibilityReport,
-    NetworkCode,
-    Route,
-    make_routing_code,
-)
+from .codes import AlphabetSplit, Engine, FeasibilityReport, NetworkCode
 from .errors import MalformedDocument, TableTooLarge, sized
 from .graphs import (
     BWD,
@@ -42,6 +35,7 @@ from .graphs import (
     validate_instance,
 )
 from .rational import combine_digits, format_rational, parse_rational, split_digits
+from .routing import Route, make_routing_code  # loaded with serialize, so a tracer sees its calls
 
 if TYPE_CHECKING:
     from .removal import RemovalReport

@@ -1,7 +1,6 @@
 """Shared micro instances and independent oracles for the test suite."""
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import netcode as nc
@@ -201,7 +200,7 @@ def three_as_zero_chord_code(aug):
     code = nc.make_routing_code(aug, routes, 1, 2, [4, 4])
     key = (aug.edge_between("a", "c")[0], 1, nc.FWD)
     send = code.encoders[key]
-    return replace(code, encoders={**code.encoders, key: lambda view: send(view) % 3})
+    return code._replace(encoders={**code.encoders, key: lambda view: send(view) % 3})
 
 
 # ------------------------------------------------------------------- oracles

@@ -22,8 +22,8 @@ imports.  `binom_cdf_scaled` and `interval_valid` are the exact integer
 check of a Clopper-Pearson interval that perfbench/workloads.py applies
 to every sampled report (`_binom_cdf_scaled` there); they are unchanged
 except for the name of the first (tests/test_codes.py).
-`make_routing_code` is the earlier store-and-forward builder of
-netcode.codes, whose maps worked out on every call each hop's sender,
+`make_routing_code` is the earlier store-and-forward builder, now in
+netcode.routing, whose maps worked out on every call each hop's sender,
 round, slot radices and position in the slot (`carried_value`); it is
 unchanged except for imports (tests/test_engine.py).
 `_replaying_view` is the earlier closure-built view of the bridge's side
@@ -50,7 +50,6 @@ from netcode.codes import (
     ExecutionTrace,
     FeasibilityReport,
     NetworkCode,
-    Route,
     SlotKey,
     StateView,
     clopper_pearson,
@@ -87,6 +86,7 @@ from netcode.removal import (
     _induced_instance,
     _simulated_side_code,
 )
+from netcode.routing import Route
 from netcode.serialize import DEFAULT_TABLE_LIMIT, _domain
 
 

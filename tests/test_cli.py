@@ -819,12 +819,13 @@ def cli_child(argv, cwd, seconds=60):
 
 def huge_integer_repro(tmp_path, case):
     """(argv, exit code, error, message prefix) of one input that made the
-    CLI format an integer past CPython's 4,300-digit limit."""
+    CLI format an integer past CPython's 4,300-digit limit, or build one
+    past its memory."""
     ipath = jfile(tmp_path, "inst.json", single_edge().to_doc())
-    if case == "region_alphabet":
-        return (["region", jfile(tmp_path, "two_way.json", two_way().to_doc()),
-                 "--n", "20000", "--N", "1"],
-                5, "EnumerationTooLarge", "alphabet 2^20000 on edge 'a'-'b' exceeds limit ")
+    if case in ("region_alphabet", "region_alphabet_memory"):
+        n = "20000" if case == "region_alphabet" else "100000000000"
+        return (["region", jfile(tmp_path, "two_way.json", two_way().to_doc()), "--n", n, "--N", "1"],
+                5, "EnumerationTooLarge", f"alphabet 2^{n} on edge 'a'-'b' exceeds limit ")
     if case == "transform_parallel_repeat":
         chain = jfile(tmp_path, "chain.json", {"steps": [{"op": "parallel_repeat", "m": 15000}]})
         return (["transform", ipath, jfile(tmp_path, "code.json", unit_routing_doc()), chain,
@@ -842,10 +843,12 @@ def huge_integer_repro(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", [
-    "region_alphabet", "transform_parallel_repeat", "code_integer", "instance_integer"])
+    "region_alphabet", "region_alphabet_memory", "transform_parallel_repeat", "code_integer",
+    "instance_integer"])
 def test_huge_integers_exit_with_a_named_error(tmp_path, case):
-    # each input once raised CPython's ValueError for an int of more than
-    # 4,300 digits, exit 1 with a traceback
+    # each input once ended in exit 1 with a traceback: CPython's ValueError
+    # for an int of more than 4,300 digits, or (region_alphabet_memory, an
+    # alphabet of 2^(10^11)) MemoryError under cli_child's address-space cap
     argv, code, error, message = huge_integer_repro(tmp_path, case)
     run = cli_child(argv, tmp_path)
     assert b"Traceback" not in run.stderr

@@ -9,7 +9,6 @@ reference's (tests/reference_exec.py).
 import gc
 import itertools
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -341,7 +340,7 @@ def faulty(data, code, inst):
             out = dec(view)
             return tuple((x + 1) % s if x == bad else x for x, s in zip(out, sizes))
 
-        return replace(code, decoders={**code.decoders, j: wrong})
+        return code._replace(decoders={**code.decoders, j: wrong})
     if kind == "encoder" and code.encoders:
         key = data.draw(st.sampled_from(sorted(code.encoders)), label="slot")
         size = code.splits.size(*key)
@@ -352,7 +351,7 @@ def faulty(data, code, inst):
             out = enc(view)
             return size if out == bad else out
 
-        return replace(code, encoders={**code.encoders, key: off})
+        return code._replace(encoders={**code.encoders, key: off})
     return code
 
 
@@ -509,7 +508,7 @@ def test_walk_past_a_rated_space_only_falls_back(monkeypatch):
     base = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 2, 1, [3])
     code = nc.parallel_repeat(base, inst, 2)
     enc = code.encoders[(0, 1, nc.FWD)]
-    code = replace(code, encoders={(0, 1, nc.FWD): lambda view: 9 if view.message(0) == 5 else enc(view)})
+    code = code._replace(encoders={(0, 1, nc.FWD): lambda view: 9 if view.message(0) == 5 else enc(view)})
     rates = [Fraction(1, 2)]
     runs = count_runs(monkeypatch)
     report = nc.check_feasibility(code, inst, rates=rates)
@@ -537,7 +536,7 @@ def with_wrong_session(code, j, s):
 
         return session
 
-    return replace(code, decoders={**code.decoders, j: codes.Joined(dec.base, sessions, dec.count, dec.radices)})
+    return code._replace(decoders={**code.decoders, j: codes.Joined(dec.base, sessions, dec.count, dec.radices)})
 
 
 @pytest.mark.parametrize("s", range(3))
@@ -561,7 +560,7 @@ def test_a_wrong_decoder_ends_the_walk_before_any_slot_sink(monkeypatch):
     def wrong(view):
         return tuple((x + 1) % size for x in dec(view))
 
-    code = replace(code, decoders={**code.decoders, 0: wrong})
+    code = code._replace(decoders={**code.decoders, 0: wrong})
     sinks = []
     walk = Engine._walk
 
@@ -659,7 +658,7 @@ def test_sampled_check_raises_only_where_a_seed_draws_the_raising_message():
             raise ValueError("decoder fails on 13")
         return out
 
-    code = replace(base, decoders={0: decoder})
+    code = base._replace(decoders={0: decoder})
     kinds = set()
     for seed in range(12):
         got, want = sampled(code, inst, 5, seed)
@@ -697,7 +696,7 @@ def test_one_failing_terminal_report_matches_reference():
         inst, [nc.Route(0, 0, ("a", "b"), (1,)), nc.Route(1, 1, ("b", "a"), (2,))],
         2, 2, [4, 4])
     dec = base.decoders[1]
-    code = replace(base, decoders={
+    code = base._replace(decoders={
         **base.decoders, 1: lambda view: ((dec(view)[0] + 1) % 4 if dec(view)[0] == 2 else
                                           dec(view)[0],)})
     report = nc.check_feasibility(code, inst)
@@ -925,7 +924,7 @@ def test_encoders_outside_the_code_are_ignored():
 
     stray = {(0, 2, nc.FWD): never, (1, 1, nc.FWD): never, (-1, 1, nc.BWD): never,
              (0, 1, "up"): never, (0, 0, nc.BWD): never}
-    code = replace(base, encoders={**base.encoders, **stray})
+    code = base._replace(encoders={**base.encoders, **stray})
     engine = Engine(code, inst)
     assert list(engine._memos) == [(0, 1, nc.FWD), 0]
     assert nc.check_feasibility(code, inst) == nc.check_feasibility(base, inst)
@@ -937,7 +936,7 @@ def test_encoder_of_a_size_one_slot_is_run_and_checked():
     # runs, and its output 1 is out of range
     inst = single_edge()
     base = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 2, 1, [4])
-    code = replace(base, encoders={**base.encoders, (0, 1, nc.BWD): lambda view: 1})
+    code = base._replace(encoders={**base.encoders, (0, 1, nc.BWD): lambda view: 1})
     with pytest.raises(SymbolOutOfRange, match="t=1 bwd produced 1, alphabet size 1"):
         nc.execute(code, inst, [0])
     assert outcome(lambda: nc.check_feasibility(code, inst)) == \

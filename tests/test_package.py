@@ -9,6 +9,7 @@ printed field by field.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -44,20 +45,20 @@ PUBLIC_NAMES = [
     "parallel_repeat", "path_case_bound", "pipeline_path",
     "rate_region_micro", "rational", "reblock", "region", "removal",
     "removal_constant", "removal_report_doc", "replace_edge_with_path",
-    "scale_code", "scale_instance", "serialize", "transforms",
+    "routing", "scale_code", "scale_instance", "serialize", "transforms",
     "validate_instance", "widest_path",
 ]
 
 SUBMODULES = [
     "codes", "errors", "graphs", "rational", "region", "removal",
-    "serialize", "transforms",
+    "routing", "serialize", "transforms",
 ]
 
 
 # ------------------------------------------------------------ package surface
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 68
     assert netcode.__all__ == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(netcode))
 
@@ -129,7 +130,7 @@ def run_cli(probe: str) -> str:
 
 
 CLI_BASE = {"netcode", "netcode.cli", "netcode.errors", "netcode.graphs", "netcode.rational"}
-CHECK = CLI_BASE | {"netcode.codes", "netcode.serialize"}
+CHECK = CLI_BASE | {"netcode.codes", "netcode.routing", "netcode.serialize"}
 TRANSFORM = CHECK | {"netcode.transforms"}
 
 # golden case -> the netcode modules its command may load
@@ -175,7 +176,9 @@ def test_cli_command_loads_only_what_it_runs(case, tmp_path):
 HEAVY_LOADS = {
     "validate_cycle4": set(),
     "region_two_way": set(),
-    "check_two_route_table": {"dataclasses", "inspect"},  # NetworkCode is a dataclass
+    "check_two_route_table": set(),
+    "interleave_two_route": set(),
+    "analyze_path_n2": set(),
 }
 
 
@@ -186,6 +189,8 @@ def test_validate_and_region_load_no_dataclasses(case, tmp_path):
 
 
 def test_network_code_is_the_only_dataclass():
+    # no module imports dataclasses or decorates a class with it; NetworkCode
+    # is a dataclass to dataclasses.replace alone (test_dataclasses_replace_*)
     importers, decorated = [], []
     for path in sorted((SRC / "netcode").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -198,18 +203,18 @@ def test_network_code_is_the_only_dataclass():
             if isinstance(node, ast.ClassDef) and any(
                     "dataclass" in ast.unparse(d) for d in node.decorator_list):
                 decorated.append((path.name, node.name))
-    assert importers == ["codes.py"]
-    assert decorated == [("codes.py", "NetworkCode")]
+    assert importers == []
+    assert decorated == []
 
 
 # ------------------------------------------------------------------ records
 
-# Every record type of the package but NetworkCode: NamedTuples, except
+# Every record type of the package: NamedTuples, except NetworkCode,
 # NetworkInstance and RegionLimits, which derive or validate state.
 RECORDS = [
     "BridgeCase", "BridgeDecomposition", "BridgeVerification", "ExecutionTrace",
-    "FeasibilityReport", "InterleaveTag", "NetworkInstance", "OuterCodeSpec", "PathCase",
-    "PathVerification", "RateClaim", "RegionLimits", "RemovalReport", "Route",
+    "FeasibilityReport", "InterleaveTag", "NetworkCode", "NetworkInstance", "OuterCodeSpec",
+    "PathCase", "PathVerification", "RateClaim", "RegionLimits", "RemovalReport", "Route",
     "SideDecomposition",
 ]
 
@@ -229,7 +234,7 @@ def records():
     bridge = netcode.edge_removal_report(bridged_pair(), "b", "c", Fraction(1), code=pair_code)
     decomposition = bridge.verification.decomposition
     values = [
-        aug, netcode.RegionLimits(max_message_size=4), Route(0, 0, ("a", "c"), (1,)),
+        aug, code, netcode.RegionLimits(max_message_size=4), Route(0, 0, ("a", "c"), (1,)),
         netcode.execute(code, aug, (1, 0)), path, path.path, path.verification,
         path.verification.base_report, path.verification.rate_claims[0], bridge, bridge.bridge,
         bridge.verification, decomposition, decomposition.u_side,
@@ -249,7 +254,9 @@ def _changed(value):
 
 def test_records_cover_every_record_type(records):
     assert sorted(records) == RECORDS
-    assert [name for name, rec in records.items() if hasattr(rec, "__dataclass_fields__")] == []
+    # NetworkCode's one is a shim that the harness's dataclasses.replace reads
+    assert [name for name, rec in records.items() if hasattr(rec, "__dataclass_fields__")] == [
+        "NetworkCode"]
 
 
 def test_record_fields_are_read_only(records):
@@ -273,6 +280,31 @@ def test_records_compare_and_print_field_by_field(records):
         assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
         for field, value in values.items():
             assert type(record)(**{**values, field: _changed(value)}) != record, (name, field)
+
+
+def test_records_replace_field_by_field(records):
+    for name, record in records.items():
+        for field in record._fields:
+            value = _changed(getattr(record, field))
+            copy = record._replace(**{field: value})
+            assert type(copy) is type(record) and getattr(copy, field) is value, (name, field)
+            assert all(getattr(copy, other) is getattr(record, other)
+                       for other in record._fields if other != field), (name, field)
+        with pytest.raises((TypeError, ValueError)):
+            record._replace(no_such_field=1)
+
+
+def test_dataclasses_replace_varies_a_code_as_the_harness_does(records):
+    # perfbench's Tracer.counted varies a code with dataclasses.replace
+    code = records["NetworkCode"]
+    encoders, decoders = dict(code.encoders), dict(code.decoders)
+    varied = dataclasses.replace(code, encoders=encoders, decoders=decoders)
+    assert type(varied) is netcode.NetworkCode
+    assert varied.encoders is encoders and varied.decoders is decoders
+    assert all(getattr(varied, field) is getattr(code, field)
+               for field in code._fields if field not in ("encoders", "decoders"))
+    with pytest.raises(netcode.errors.MalformedDocument, match="message sizes"):
+        dataclasses.replace(code, message_sizes=(0,))
 
 
 # Top-level functions that may still compute in floats, until the
@@ -500,11 +532,13 @@ def test_every_module_stays_below_the_parser_token_step():
     copy of `codes.py` at 8,140 tokens, and the same copy padded to 8,224,
     raised `ru_maxrss` by 3,072 and 3,584 KiB, and the padded tree read
     0.47-0.66 MiB more `peak_rss_mib` on `amplify-m16` and 0.42-0.55 MiB
-    more on `cli-cold` (two 5-second runs each).  `codes.py` has 8,170
-    tokens (8,152 before the trace match's `agreed` slots and `sized`
-    counts, 8,135 before `StateView.replace` took a recv rule, 8,148
-    before its records became NamedTuples); it had 7,762 before the
-    Engine's recording view and covered-slot rule.
+    more on `cli-cold` (two 5-second runs each).  `codes.py` has 7,094
+    tokens since `Route` and `make_routing_code` moved to `routing.py`
+    and `NetworkCode` became a slotted record (8,170 before; 8,152 before
+    the trace match's `agreed` slots and `sized` counts, 8,135 before
+    `StateView.replace` took a recv rule, 8,148 before its records became
+    NamedTuples); it had 7,762 before the Engine's recording view and
+    covered-slot rule.
     """
     counts = {}
     for path in sorted((SRC / "netcode").glob("*.py")):

@@ -1,6 +1,5 @@
 """Randomized invariant checks over small generated inputs."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -133,7 +132,7 @@ def test_perturbed_side_encoder_matches_the_per_tuple_trace_match(case, slot, va
                 return out
             return out + size if outside else (out + 1) % size
 
-        return dataclasses.replace(side_code, encoders={**side_code.encoders, key: encoder})
+        return side_code._replace(encoders={**side_code.encoders, key: encoder})
 
     def outcome(decompose):
         try:
@@ -263,7 +262,7 @@ def wrong_outside_rate_zero(case, key, i, outside):
             return enc(s)
         return enc(s) + size if outside else (enc(s) + 1) % size
 
-    code = dataclasses.replace(code, encoders={**code.encoders, key: encoder})
+    code = code._replace(encoders={**code.encoders, key: encoder})
     return code, [Fraction(0) if source == i else rate for source, rate in enumerate(rates)]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import math
@@ -356,7 +355,7 @@ def test_diverging_side_trace_fails_the_bridge_report(monkeypatch):
         side_code = real(*args)
         bumped = {key: (lambda s, enc=enc: (enc(s) + 1) % 4)
                   for key, enc in side_code.encoders.items()}
-        return dataclasses.replace(side_code, encoders=bumped)
+        return side_code._replace(encoders=bumped)
 
     monkeypatch.setattr(nc.removal, "_simulated_side_code", skewed)
     _, code = routed_pair()
@@ -385,7 +384,7 @@ def test_bridge_side_views_keep_message_ownership():
             return state.message(0)
 
     base = clamped_pair_code(aug)
-    code = dataclasses.replace(base, encoders={**base.encoders, (e_ab, 1, nc.FWD): guarded})
+    code = base._replace(encoders={**base.encoders, (e_ab, 1, nc.FWD): guarded})
     assert nc.check_feasibility(code, aug).measured_error == 0
     near = nc.bridge_decompose(aug, "b", "c", code).u_side
     assert near.fixing == {1: 0}
@@ -515,14 +514,14 @@ def raising_decoder_pair():
             raise ValueError("no decoding for 3")
         return (s.recv("c", 1),)
 
-    return aug, dataclasses.replace(code, decoders={**code.decoders, 1: decode_d})
+    return aug, code._replace(decoders={**code.decoders, 1: decode_d})
 
 
 def out_of_range_encoder_pair():
     aug, code = clamp_pair()
     e_ab = aug.edge_between("a", "b")[0]
-    return aug, dataclasses.replace(
-        code, encoders={**code.encoders, (e_ab, 1, nc.FWD): lambda s: s.message(0) + 1})
+    return aug, code._replace(
+        encoders={**code.encoders, (e_ab, 1, nc.FWD): lambda s: s.message(0) + 1})
 
 
 @pytest.mark.parametrize("case", [raising_decoder_pair, out_of_range_encoder_pair])
@@ -651,7 +650,7 @@ def side_encoders_patched(change):
 
     def patched(*args):
         side_code = real(*args)
-        return dataclasses.replace(side_code, encoders={
+        return side_code._replace(encoders={
             key: change(args[2], enc) or enc for key, enc in side_code.encoders.items()})
 
     return patched

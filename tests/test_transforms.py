@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -448,7 +447,7 @@ def test_pipeline_path_requires_interleaved_input():
     chord = inst.edge_between("a", "c")[0]
     assert tilde.splits.shape(chord, 1) == tilde.splits.shape(chord, 2) != (1, 1)
     splits = {**dict(tilde.splits.items()), (chord, 2): (1, 1)}
-    varied = replace(tilde, splits=nc.AlphabetSplit(splits))
+    varied = tilde._replace(splits=nc.AlphabetSplit(splits))
     with pytest.raises(NotInterleaved, match="vary inside sub-block 1"):
         nc.pipeline_path(varied, inst, "a", "c", path_inst, 3)
 
