@@ -115,6 +115,10 @@ class TableTooLarge(ResourceLimit):
     """A tabulated encoder/decoder would exceed the serialization limit."""
 
 
+class BitBudgetExceeded(ResourceLimit):
+    """An alphabet or message space floor(2**e) with e past rational.MAX_BITS."""
+
+
 class SeedSearchFailed(ResourceLimit):
     """No permutation seed within the retry budget met the error target."""
 

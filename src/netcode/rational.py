@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MalformedDocument
+from .errors import BitBudgetExceeded, MalformedDocument, sized
+
+MAX_BITS = 1 << 20  # the largest exponent e for which floor_pow2 builds 2^e
 
 
 def parse_rational(value) -> Fraction:
@@ -66,7 +68,11 @@ def alphabet_size(cap: Fraction, n: int) -> int:
 
 
 def floor_pow2(exponent: Fraction) -> int:
-    """floor(2 ** exponent) for exponent >= 0."""
+    """floor(2 ** exponent) for 0 <= exponent <= MAX_BITS, else BitBudgetExceeded."""
+    if exponent > MAX_BITS:  # named by its exponent, as errors.sized names a count
+        whole, part = divmod(exponent, 1)
+        name = sized(whole) if whole < 1 << 99 else f"({sized(whole)})"
+        raise BitBudgetExceeded(f"size {'over ' if part else ''}2^{name} exceeds the 2^20-bit budget")
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     return floor_root(2 ** exponent.numerator, exponent.denominator)

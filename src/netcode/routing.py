@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple, Sequence
 from .codes import AlphabetSplit, NetworkCode, SlotKey, StateView, edge_alphabets
 from .errors import BadRoute, CapacityOverflow
 from .graphs import FWD, NetworkInstance
-from .rational import combine_digits, split_digits
+from .rational import combine_digits
 
 
 class Route(NamedTuple):
@@ -83,7 +83,8 @@ def make_routing_code(
 
     def carried(ridx: int, hop: int) -> Callable[[StateView], int]:
         """The value route ridx carries into hop `hop`, as its node reads it:
-        the source's message, else its digit of the previous hop's symbol."""
+        the source's message, else its split_digits digit of the previous
+        hop's symbol, read by place value."""
         route = routes[ridx]
         if hop == 0:
             return lambda state: state.message(route.source)
@@ -91,14 +92,29 @@ def make_routing_code(
         idx, direction = inst.slot(x, route.nodes[hop])
         radices = slot_radices((idx, t, direction))
         at = slots[(idx, t, direction)].index((ridx, hop - 1))
-        return lambda state: split_digits(state.recv(x, t), radices)[at]
+        size, place, radix = math.prod(radices), math.prod(radices[at + 1:]), radices[at]
+
+        def read(state: StateView) -> int:
+            symbol = state.recv(x, t)
+            if not 0 <= symbol < size:
+                raise ValueError("value out of range for radices")
+            return symbol // place % radix
+
+        return read
 
     def make_encoder(key: SlotKey):
         reads = [carried(ridx, hop) for ridx, hop in slots[key]]
         radices = slot_radices(key)
+        if len(reads) > 1:
+            return lambda state: combine_digits([read(state) for read in reads], radices)
+        read, radix = reads[0], radices[0]
 
         def encoder(state: StateView) -> int:
-            return combine_digits([read(state) for read in reads], radices)
+            # one route: the packed symbol is the carried value itself
+            value = read(state)
+            if not 0 <= value < radix:
+                raise ValueError(f"digit {value} out of range for radix {radix}")
+            return value
 
         return encoder
 
@@ -118,10 +134,9 @@ def make_routing_code(
             else:
                 reads.append(carried(ridx, len(routes[ridx].nodes) - 1))
 
-        def decoder(state: StateView) -> tuple[int, ...]:
-            return tuple([read(state) for read in reads])
-
-        return decoder
+        if len(reads) == 1:
+            return lambda state, read=reads[0]: (read(state),)
+        return lambda state: tuple([read(state) for read in reads])
 
     decoders = {j: make_decoder(j) for j in range(r) if inst.demanded_at(j)}
 

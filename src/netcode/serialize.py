@@ -128,10 +128,25 @@ def _table_entry(inst: NetworkInstance, code: NetworkCode, node: str, horizon: i
         if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < bound:
             raise MalformedDocument(f"table entry {x!r} at {node!r} outside [0, {bound})")
 
+    messages = list(zip(own, radices))
+    received = [(sender, tp, w) for (_, tp, _, sender, w) in dims]
+
     def lookup(state):
-        digits = [state.message(i) for i in own]
-        digits += [state.recv(sender, tp) for (_, tp, _, sender, _) in dims]
-        return table[combine_digits(digits, radices)]
+        # table[combine_digits(reads, radices)]; a digit out of range raises after every read
+        index, bad = 0, None
+        for i, r in messages:
+            d = state.message(i)
+            if not 0 <= d < r and bad is None:
+                bad = d, r
+            index = index * r + d
+        for sender, tp, r in received:
+            d = state.recv(sender, tp)
+            if not 0 <= d < r and bad is None:
+                bad = d, r
+            index = index * r + d
+        if bad is not None:
+            raise ValueError("digit {} out of range for radix {}".format(*bad))
+        return table[index]
 
     return lookup
 

@@ -831,6 +831,15 @@ def huge_integer_repro(tmp_path, case):
         return (["transform", ipath, jfile(tmp_path, "code.json", unit_routing_doc()), chain,
                  "--out", str(tmp_path / "out.json")],
                 5, "TableTooLarge", "message size 2^15000 of source 0 exceeds the print limit")
+    if case in ("check_inner_n_memory", "check_capacity_memory"):
+        golden = Path(__file__).parent / "golden" / "check_two_route_table"
+        inst, code = (json.loads((golden / name).read_text()) for name in ("instance.json", "code.json"))
+        if case == "check_inner_n_memory":
+            code["inner_n"] = 10 ** 11
+        else:
+            inst["edges"][0]["cap"] = 10 ** 11
+        return (["check", jfile(tmp_path, "inst.json", inst), jfile(tmp_path, "code.json", code)],
+                5, "BitBudgetExceeded", "size 2^100000000000 exceeds the 2^20-bit budget")
     text = json.dumps(unit_routing_doc()).replace('"inner_n": 1', '"inner_n": 1' + "0" * 4999)
     code = tmp_path / "code.json"
     code.write_text(text, encoding="utf-8")
@@ -844,10 +853,10 @@ def huge_integer_repro(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "region_alphabet", "region_alphabet_memory", "transform_parallel_repeat", "code_integer",
-    "instance_integer"])
+    "instance_integer", "check_inner_n_memory", "check_capacity_memory"])
 def test_huge_integers_exit_with_a_named_error(tmp_path, case):
     # each input once ended in exit 1 with a traceback: CPython's ValueError
-    # for an int of more than 4,300 digits, or (region_alphabet_memory, an
+    # for an int of more than 4,300 digits, or (the *_memory cases, an
     # alphabet of 2^(10^11)) MemoryError under cli_child's address-space cap
     argv, code, error, message = huge_integer_repro(tmp_path, case)
     run = cli_child(argv, tmp_path)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import netcode as nc
-from netcode import codes
+from netcode import codes, rational, routing
 from netcode.codes import Engine
 from netcode.errors import (
     CapacityOverflow,
@@ -24,6 +24,7 @@ from netcode.errors import (
     SymbolOutOfRange,
 )
 from netcode.graphs import slot_tail
+from netcode.serialize import _domain
 
 import reference_exec as ref
 from conftest import (
@@ -1009,3 +1010,62 @@ def test_routing_maps_match_the_per_call_builder(data):
     for got, want, node, horizon in maps:
         assert outcome(lambda: got(view(node, horizon))) == \
             outcome(lambda: want(view(node, horizon)))
+
+
+def test_one_route_slots_run_without_the_digit_helpers(monkeypatch):
+    # each slot of a-b-c carries one route, so its maps read the carried
+    # value by place value: a check calls neither digit helper through
+    # netcode.routing.  A slot two routes share still packs its symbol.
+    calls = []
+
+    def counted(name):
+        fn = getattr(rational, name)
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(routing, "combine_digits", counted("combine_digits"))
+    monkeypatch.setattr(routing, "split_digits", counted("split_digits"), raising=False)
+    inst = line3()
+    code = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b", "c"), (1, 2))], 2, 2, [4])
+    assert nc.check_feasibility(code, inst).failures == 0
+    assert calls == []
+    pair = pair_at_one_node()
+    shared = nc.make_routing_code(
+        pair, [nc.Route(0, 0, ("a", "b"), (1,)), nc.Route(1, 1, ("a", "b"), (1,))], 2, 1, [2, 2])
+    assert nc.check_feasibility(shared, pair).failures == 0
+    assert set(calls) == {"combine_digits"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_maps_match_a_lookup_of_the_packed_reads(data):
+    # every loaded table encoder and decoder, on views whose messages and
+    # symbols may fall outside their radices and whose read of one slot may
+    # raise, answers as table[combine_digits(reads, radices)]: a later read
+    # that raises wins over an earlier digit out of range
+    inst, routed = routing_code(data)
+    doc = nc.code_to_doc(routed, inst)
+    code, _ = nc.load_code(doc, inst)
+    maps = [(code.encoders[key], item["table"], slot_tail(inst, key[0], key[2]), key[1] - 1, None)
+            for key, item in zip(sorted(routed.encoders), doc["encoders"])]
+    maps += [(code.decoders[item["terminal"]], item["table"], inst.terminals[item["terminal"]],
+              code.outer_n, [code.message_sizes[i] for i in inst.demanded_at(item["terminal"])])
+             for item in doc["decoders"]]
+    for got, table, node, horizon, out_radices in maps:
+        own, dims, radices = _domain(inst, code, node, horizon)
+        messages = {i: data.draw(st.integers(-1, 2 * r), label="message") for i, r in zip(own, radices)}
+        symbols = {(sender, tp): data.draw(st.integers(-1, 2 * w), label="symbol")
+                   for _, tp, _, sender, w in dims}
+        failing = data.draw(st.sampled_from([None, *symbols]), label="failing read")
+
+        def recv(sender, tp):
+            if (sender, tp) == failing:
+                raise LookupError(f"no symbol from {sender!r} at t={tp}")
+            return symbols[(sender, tp)]
+
+        def want():
+            reads = [messages[i] for i in own] + [recv(sender, tp) for _, tp, _, sender, _ in dims]
+            entry = table[rational.combine_digits(reads, radices)]
+            return entry if out_radices is None else rational.split_digits(entry, out_radices)
+
+        view = nc.StateView(node, horizon, messages.__getitem__, recv)
+        assert outcome(lambda: got(view)) == outcome(want)

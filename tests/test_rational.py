@@ -1,9 +1,15 @@
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from netcode.errors import MalformedDocument
+from netcode.errors import BitBudgetExceeded, MalformedDocument
 from netcode.rational import (
+    MAX_BITS,
     alphabet_size,
     ceil_frac,
     ceil_mul,
@@ -76,6 +82,29 @@ def test_floor_pow2_and_log2_at_least():
     assert not log2_at_least(11, Fraction(7, 2))
     assert log2_at_least(12, Fraction(7, 2))
     assert log2_at_least(8, Fraction(3))
+
+
+def test_floor_pow2_refuses_an_exponent_past_the_bit_budget():
+    # the exponent is compared before 2^exponent is built; the child's address
+    # space is capped at 2 GiB, so a build of 2^(10^11) (12.5 GB) would fail
+    # fast there instead of filling the machine's memory
+    probe = (
+        "from fractions import Fraction\nfrom netcode.rational import floor_pow2\n"
+        "for e in (10 ** 11, 1 << 20000):\n"
+        "    try:\n        floor_pow2(Fraction(e))\n"
+        "    except Exception as exc:\n        print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert run.stdout.splitlines() == [
+        "BitBudgetExceeded size 2^100000000000 exceeds the 2^20-bit budget",
+        "BitBudgetExceeded size 2^(2^20000) exceeds the 2^20-bit budget",
+    ]
+    assert floor_pow2(Fraction(MAX_BITS)) == 1 << MAX_BITS
+    with pytest.raises(BitBudgetExceeded, match=r"^size over 2\^1048576 exceeds"):
+        floor_pow2(Fraction(2 * MAX_BITS + 1, 2))
 
 
 def test_ceil_helpers():
