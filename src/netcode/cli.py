@@ -39,7 +39,7 @@ def _read_json(path: str):
         text = fh.read()
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer past the digit limit of int()
+    except (ValueError, RecursionError) as exc:  # also an int past int()'s digit limit, or deep nesting
         raise MalformedDocument(f"{path}: not valid JSON ({exc})") from exc
 
 

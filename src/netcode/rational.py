@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import BitBudgetExceeded, MalformedDocument, sized
 
-MAX_BITS = 1 << 20  # the largest exponent e for which floor_pow2 builds 2^e
+MAX_BITS = 1 << 20  # the bit budget: no 2^e with e past it, and no size past 2^MAX_BITS, is built
 
 
 def parse_rational(value) -> Fraction:
@@ -67,15 +67,39 @@ def alphabet_size(cap: Fraction, n: int) -> int:
     return floor_pow2(cap * n)
 
 
+def _over_budget(e: int, over: bool) -> BitBudgetExceeded:
+    """The error for a size of 2^e, or over 2^e, named as errors.sized would."""
+    name = sized(e) if e < 1 << 99 else f"({sized(e)})"
+    return BitBudgetExceeded(f"size {'over ' if over else ''}2^{name} exceeds the 2^20-bit budget")
+
+
 def floor_pow2(exponent: Fraction) -> int:
-    """floor(2 ** exponent) for 0 <= exponent <= MAX_BITS, else BitBudgetExceeded."""
-    if exponent > MAX_BITS:  # named by its exponent, as errors.sized names a count
-        whole, part = divmod(exponent, 1)
-        name = sized(whole) if whole < 1 << 99 else f"({sized(whole)})"
-        raise BitBudgetExceeded(f"size {'over ' if part else ''}2^{name} exceeds the 2^20-bit budget")
+    """floor(2 ** exponent) for exponent >= 0.  It builds 2^numerator, so an
+    exponent of 1 or more whose numerator is past MAX_BITS raises
+    BitBudgetExceeded, as does every exponent past MAX_BITS."""
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
+    if exponent < 1:
+        return 1
+    if exponent > MAX_BITS:
+        whole, part = divmod(exponent, 1)
+        raise _over_budget(whole, part != 0)
+    if exponent.numerator > MAX_BITS:
+        raise BitBudgetExceeded(f"size 2^({sized(exponent.numerator)}/{sized(exponent.denominator)}) "
+                                "has a numerator past the 2^20-bit budget")
     return floor_root(2 ** exponent.numerator, exponent.denominator)
+
+
+def checked_pow(base: int, exp: int) -> int:
+    """base ** exp for base, exp >= 0, or BitBudgetExceeded for a power past
+    2^MAX_BITS, refused before it is built."""
+    low = (base.bit_length() - 1) * exp  # base ** exp >= 2^low for base >= 1
+    if low > MAX_BITS:
+        raise _over_budget(low, base & (base - 1) != 0)
+    power = base ** exp  # below 2^(low + exp), and exp <= low unless base < 2
+    if power > 1 << MAX_BITS:
+        raise BitBudgetExceeded(f"size {sized(power)} exceeds the 2^20-bit budget")
+    return power
 
 
 def log2_at_least(value: int, exponent: Fraction) -> bool:

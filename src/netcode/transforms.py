@@ -17,10 +17,16 @@ Transforms provided:
   overlapping the per-hop delays inside each widened sub-block.
 - scale_code: re-hosts a code between capacity-scaled instances.
 - reblock: trades a long inner blocklength for more rounds.
+
+Two packings run several sessions in one, each with its own view of the
+host execution: side by side in every slot (parallel_repeat and amplify,
+`_Session`) or staggered in time (interleave, `_Staggered`).  The message
+spaces and splits they build are held to the bit budget (checked_pow).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -51,7 +57,7 @@ from .errors import (
     sized,
 )
 from .graphs import BWD, FWD, NetworkInstance, replace_edge_with_path
-from .rational import ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
+from .rational import checked_pow, ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
 
 
 def remapped(fn: Callable, time: int, recv_fn: Callable) -> Callable:
@@ -65,19 +71,19 @@ def remapped(fn: Callable, time: int, recv_fn: Callable) -> Callable:
 # ------------------------------------------------------------------ sessions
 
 class _Session(StateView):
-    """Session j's view of the host view `host` (see _pack_sessions).
-    `packing` is (count, staggered, radices, message_parts, inst, splits);
-    `split` is ({message: parts}, {(sender, round): digits}), what the
-    session views of one host view have split of it so far."""
+    """Session j's view of the host view `host` (see _side_by_side).
+    `packing` is (count, radices, message_parts, inst, splits); `split` is
+    ({message: parts}, {(sender, round): digits}), what the session views
+    of one host view have split of it so far."""
 
     __slots__ = ("host", "j", "packing", "split")
 
-    def __init__(self, host: StateView, time: int, j: int, packing: tuple, split: tuple):
-        self.node, self.time, self.host, self.j = host.node, time, host, j
+    def __init__(self, host: StateView, j: int, packing: tuple, split: tuple):
+        self.node, self.time, self.host, self.j = host.node, host.time, host, j
         self.packing, self.split = packing, split
 
     def message(self, i: int) -> int:
-        _, _, radices, message_parts, _, _ = self.packing
+        _, radices, message_parts, _, _ = self.packing
         if message_parts is None:
             return self.host.digit(i, self.j, radices[i])
         parts = self.split[0].get(i)
@@ -87,72 +93,15 @@ class _Session(StateView):
 
     def recv(self, sender: str, t: int) -> int:
         self._visible(sender, t)
-        count, staggered, _, _, inst, splits = self.packing
-        if staggered:
-            return self.host.recv(sender, (t - 1) * count + self.j + 1)
         parts = self.split[1].get((sender, t))
         if parts is None:
+            count, _, _, inst, splits = self.packing
             idx, direction = inst.slot(sender, self.node)
             radix = splits.size(idx, t, direction)
             parts = self.split[1][(sender, t)] = split_digits(
                 self.host.recv(sender, t), (radix,) * count
             )
         return parts[self.j]
-
-
-def _pack_sessions(
-    code: NetworkCode,
-    inst: NetworkInstance,
-    count: int,
-    staggered: bool = False,
-    message_parts=None,
-    join=None,
-):
-    """Session views and decoders for `count` runs of `code` in one host code.
-
-    Session j (0-based) of a host view sees message i as
-    message_parts(i, w)[j], w being the host's message i, or by default as
-    digit j of w in count digits of i's base size, one StateView.digit
-    read.  Its round-t symbol is digit j of the host's round-t symbol
-    when the sessions sit side by side, or the host's round
-    (t-1)*count + j + 1 symbol when they are staggered; a staggered view
-    of host time T sees base rounds up to T // count, which is t-1 for an
-    encoder of base round t and N for a decoder.  Each host symbol, and
-    each message that message_parts splits, is split at most once per host
-    view, however many sessions read it.
-
-    Returns (sessions, decoders).  sessions(state) maps j to the view of
-    session j, a `_Session`.  Each decoder runs the base decoder on every
-    session and is Joined, or with `join` joins the outputs of source i by
-    join(i, outputs).
-    """
-    radices = [(size,) * count for size in code.message_sizes]
-    packing = (count, staggered, radices, message_parts, inst, code.splits)
-
-    def sessions(state):
-        horizon = state.time // count if staggered else state.time
-        split = ({}, {})
-        return lambda j: _Session(state, horizon, j, packing, split)
-
-    if join is None:
-        return sessions, {j: Joined(dec, sessions, count, tuple(radices[i] for i in inst.demanded_at(j)))
-                          for j, dec in code.decoders.items()}
-
-    def make_decoder(j_term):
-        base = code.decoders[j_term]
-        demanded = inst.demanded_at(j_term)
-
-        def decoder(state):
-            view = sessions(state)
-            outputs = [base(view(j)) for j in range(count)]
-            return tuple(
-                join(i, [out[pos] for out in outputs])
-                for pos, i in enumerate(demanded)
-            )
-
-        return decoder
-
-    return sessions, {j: make_decoder(j) for j in code.decoders}
 
 
 def _side_by_side(
@@ -163,11 +112,24 @@ def _side_by_side(
     message_parts=None,
     join=None,
 ) -> NetworkCode:
-    """m sessions packed into every directional slot (see _pack_sessions);
-    a session symbol outside its slot's alphabet raises SymbolOutOfRange."""
-    sessions, decoders = _pack_sessions(
-        code, inst, m, message_parts=message_parts, join=join
-    )
+    """m sessions of `code` packed into every directional slot.
+
+    Session j (0-based) of a host view sees message i as
+    message_parts(i, w)[j], w being the host's message i, or by default as
+    digit j of w in m digits of i's base size, one StateView.digit read.
+    Its round-t symbol is digit j of the host's round-t symbol.  Each host
+    symbol, and each message that message_parts splits, is split at most
+    once per host view, however many sessions read it.  Each decoder runs
+    the base decoder on every session and is Joined, or with `join` joins
+    the outputs of source i by join(i, outputs).  A session symbol outside
+    its slot's alphabet raises SymbolOutOfRange.
+    """
+    radices = [(size,) * m for size in code.message_sizes]
+    packing = (m, radices, message_parts, inst, code.splits)
+
+    def sessions(state):
+        split = ({}, {})
+        return lambda j: _Session(state, j, packing, split)
 
     def make_encoder(key):
         base = code.encoders[key]
@@ -181,15 +143,31 @@ def _side_by_side(
 
         return encoder
 
+    def make_decoder(j_term):
+        base = code.decoders[j_term]
+        demanded = inst.demanded_at(j_term)
+        if join is None:
+            return Joined(base, sessions, m, tuple(radices[i] for i in demanded))
+
+        def decoder(state):
+            view = sessions(state)
+            outputs = [base(view(j)) for j in range(m)]
+            return tuple(
+                join(i, [out[pos] for out in outputs])
+                for pos, i in enumerate(demanded)
+            )
+
+        return decoder
+
     return NetworkCode(
         inner_n=code.inner_n * m,
         outer_n=code.outer_n,
         message_sizes=message_sizes,
         splits=AlphabetSplit(
-            {key: (f ** m, b ** m) for key, (f, b) in code.splits.items()}
+            {key: (checked_pow(f, m), checked_pow(b, m)) for key, (f, b) in code.splits.items()}
         ),
         encoders={key: make_encoder(key) for key in code.encoders},
-        decoders=decoders,
+        decoders={j: make_decoder(j) for j in code.decoders},
     )
 
 
@@ -202,7 +180,7 @@ def parallel_repeat(code: NetworkCode, inst: NetworkInstance, m: int) -> Network
     """
     if m < 1:
         raise MalformedDocument("session count must be >= 1")
-    return _side_by_side(code, inst, m, tuple(s ** m for s in code.message_sizes))
+    return _side_by_side(code, inst, m, tuple(checked_pow(s, m) for s in code.message_sizes))
 
 
 # ---------------------------------------------------------------- outer codes
@@ -394,7 +372,7 @@ def amplify(
         digits = nearest_codeword_decode(word, spec)
         return combine_digits(digits, (max(spec.alphabet, 1),) * spec.k)
 
-    sizes = tuple(max(spec.alphabet, 1) ** spec.k for spec in specs)
+    sizes = tuple(checked_pow(max(spec.alphabet, 1), spec.k) for spec in specs)
     return _side_by_side(code, inst, m, sizes, message_parts, join)
 
 
@@ -453,6 +431,28 @@ class InterleaveTag(NamedTuple):
     base_outer: int
 
 
+class _Staggered(StateView):
+    """Session j of `count` staggered over the host view `host` (see
+    interleave): message i is digit j of the host's message i in
+    `radices[i]`, one StateView.digit read, and round t is the host's round
+    (t-1)*count + j + 1.  A view of host time T sees rounds up to
+    T // count, which is t-1 for an encoder of base round t and N for a
+    decoder."""
+
+    __slots__ = ("host", "j", "count", "radices")
+
+    def __init__(self, count: int, radices: list, host: StateView, j: int):
+        self.node, self.time = host.node, host.time // count
+        self.host, self.j, self.count, self.radices = host, j, count, radices
+
+    def message(self, i: int) -> int:
+        return self.host.digit(i, self.j, self.radices[i])
+
+    def recv(self, sender: str, t: int) -> int:
+        self._visible(sender, t)
+        return self.host.recv(sender, (t - 1) * self.count + self.j + 1)
+
+
 def interleave(code: NetworkCode, inst: NetworkInstance) -> NetworkCode:
     """Stagger N sessions so round i of session j runs at t=(i-1)N+j.
 
@@ -462,20 +462,25 @@ def interleave(code: NetworkCode, inst: NetworkInstance) -> NetworkCode:
     the current sub-block, which is what pipeline_path later exploits.
     """
     n_base = code.outer_n
-    sizes = tuple(s ** n_base for s in code.message_sizes)
+    sizes = tuple(checked_pow(s, n_base) for s in code.message_sizes)
 
     split_table = {}
     for (edge_idx, t_base), shape in code.splits.items():
         for j in range(1, n_base + 1):
             split_table[(edge_idx, (t_base - 1) * n_base + j)] = shape
 
-    sessions, decoders = _pack_sessions(code, inst, n_base, staggered=True)
+    radices = [(size,) * n_base for size in code.message_sizes]
+    session = functools.partial(_Staggered, n_base, radices)
     encoders = {
         (edge_idx, (t_base - 1) * n_base + j + 1, direction):
-            lambda state, enc=base_enc, j=j: enc(sessions(state)(j))
+            lambda state, enc=base_enc, j=j: enc(session(state, j))
         for (edge_idx, t_base, direction), base_enc in code.encoders.items()
         for j in range(n_base)
     }
+    # Joined's sessions(state) maps j to session j's view of state
+    sessions = functools.partial(functools.partial, session)
+    decoders = {j: Joined(dec, sessions, n_base, tuple(radices[i] for i in inst.demanded_at(j)))
+                for j, dec in code.decoders.items()}
 
     return NetworkCode(
         inner_n=code.inner_n,

@@ -867,6 +867,47 @@ def test_huge_integers_exit_with_a_named_error(tmp_path, case):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("cap", ["1/1000000000000", "999999999999/1000000000000"])
+def test_a_capacity_with_a_huge_denominator_checks(tmp_path, cap):
+    # floor(2^cap) is 1 here: it once ended in MemoryError under cli_child's
+    # cap, building r^(10^12 - 1) in floor_root or 2^999999999999
+    golden = Path(__file__).parent / "golden" / "check_two_route_table"
+    inst, code = (json.loads((golden / name).read_text()) for name in ("instance.json", "code.json"))
+    inst["edges"][0]["cap"] = cap  # edge a-b, which carries no split
+    run = cli_child(["check", jfile(tmp_path, "inst.json", inst), jfile(tmp_path, "code.json", code),
+                     "--mode", "exhaustive"], tmp_path)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (golden / "expected_stdout.json").read_bytes()
+
+
+def test_a_message_space_past_the_bit_budget_is_refused_before_it_is_built(tmp_path):
+    # a fifth interleave squares 2^32768 into 2^(2^31): the child once ran
+    # for 42 s and ended in MemoryError; four steps reach TableTooLarge
+    golden = Path(__file__).parent / "golden" / "interleave_two_route"
+    chain = jfile(tmp_path, "chain.json", {"steps": [{"op": "interleave"}] * 5})
+    run = cli_child(["transform", str(golden / "instance.json"), str(golden / "code.json"), chain,
+                     "--out", str(tmp_path / "out.json")], tmp_path, seconds=2)
+    assert b"Traceback" not in run.stderr
+    doc = json.loads(run.stdout)
+    assert (run.returncode, doc) == (5, {"error": "BitBudgetExceeded",
+                                         "message": "size 2^2147483648 exceeds the 2^20-bit budget"})
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_a_deeply_nested_document_is_malformed(tmp_path, command):
+    # json.loads raises RecursionError on 200,000 nested arrays
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000, encoding="utf-8")
+    argv = [command, str(nested)] if command == "validate" else [
+        command, jfile(tmp_path, "inst.json", single_edge().to_doc()), str(nested)]
+    run = cli_child(argv, tmp_path)
+    assert b"Traceback" not in run.stderr
+    doc = json.loads(run.stdout)
+    assert (run.returncode, doc["error"]) == (2, "MalformedDocument")
+    assert doc["message"].startswith(f"{nested}: not valid JSON (maximum recursion depth exceeded")
+
+
 def test_sized_names_a_long_count_by_its_size():
     assert [sized(n) for n in (0, 7, 10 ** 29, (1 << 99) - 1)] == [
         "0", "7", str(10 ** 29), str((1 << 99) - 1)]

@@ -14,6 +14,7 @@ from netcode.rational import (
     ceil_frac,
     ceil_mul,
     ceil_root,
+    checked_pow,
     combine_digits,
     floor_pow2,
     floor_root,
@@ -105,6 +106,43 @@ def test_floor_pow2_refuses_an_exponent_past_the_bit_budget():
     assert floor_pow2(Fraction(MAX_BITS)) == 1 << MAX_BITS
     with pytest.raises(BitBudgetExceeded, match=r"^size over 2\^1048576 exceeds"):
         floor_pow2(Fraction(2 * MAX_BITS + 1, 2))
+
+
+def test_floor_pow2_builds_no_power_of_a_huge_numerator():
+    # below 1 the answer is 1 with nothing built; from 1 on, 2^numerator is
+    # built only within the budget.  A build of r^(10^12 - 1) or of
+    # 2^999999999999 would fail fast in the child, under a 2 GiB RLIMIT_AS
+    probe = (
+        "from fractions import Fraction\nfrom netcode.rational import floor_pow2\n"
+        "for p in (1, 10 ** 12 - 1, 2 * 10 ** 12 - 1):\n"
+        "    try:\n        print(floor_pow2(Fraction(p, 10 ** 12)))\n"
+        "    except Exception as exc:\n        print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert run.stdout.splitlines() == [
+        "1", "1",
+        "BitBudgetExceeded size 2^(1999999999999/1000000000000) has a numerator past the 2^20-bit budget",
+    ]
+    assert floor_pow2(Fraction(0)) == 1
+    assert floor_pow2(Fraction(3, 2)) == 2
+    with pytest.raises(BitBudgetExceeded, match="has a numerator past"):
+        floor_pow2(Fraction(MAX_BITS + 1, 3))
+
+
+def test_checked_pow_refuses_a_power_past_the_bit_budget():
+    assert checked_pow(2, MAX_BITS) == 1 << MAX_BITS
+    assert [checked_pow(0, 5), checked_pow(1, 10 ** 30), checked_pow(7, 0)] == [0, 1, 1]
+    # refused by its bit length before it is built, named by its size
+    for base, exp, size in [(2, MAX_BITS + 1, "2^1048577"), (1 << 32768, 1 << 16, "2^2147483648"),
+                            (3, 10 ** 29, "over 2^100000000000000000000000000000"),
+                            # built (at most 2^21 bits), then compared
+                            (3, 700000, "over 2^1109473")]:
+        with pytest.raises(BitBudgetExceeded) as refused:
+            checked_pow(base, exp)
+        assert str(refused.value) == f"size {size} exceeds the 2^20-bit budget"
 
 
 def test_ceil_helpers():

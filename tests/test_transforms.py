@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from netcode.errors import (
     SymbolOutOfRange,
 )
 from netcode.rational import combine_digits, split_digits
-from netcode.transforms import InterleaveTag
+from netcode import transforms
+from netcode.transforms import InterleaveTag, _side_by_side, _Staggered
 
 from conftest import (
     clamp_code,
@@ -147,6 +149,94 @@ def test_interleave_error_at_most_n_times_base():
     rep = nc.check_feasibility(til, inst, epsilon=Fraction(1))
     assert rep.measured_error == Fraction(7, 16)
     assert rep.measured_error <= 2 * base_err
+
+
+# -------------------------------------------------------------- session views
+
+class CountingHost(nc.StateView):
+    """A host view that counts its message, digit and recv calls."""
+
+    def __init__(self, node, time, messages, symbols):
+        super().__init__(node, time, messages.__getitem__, lambda sender, t: symbols[(sender, t)])
+        self.reads = Counter()
+
+    def message(self, i):
+        self.reads["message", i] += 1
+        return self._message_fn(i)
+
+    def digit(self, i, j, radices):
+        self.reads["digit", i] += 1
+        return split_digits(self._message_fn(i), radices)[j]
+
+    def recv(self, sender, t):
+        self.reads["recv", sender, t] += 1
+        return super().recv(sender, t)
+
+
+def test_a_staggered_session_reads_the_host_directly():
+    host = CountingHost("b", 7, {0: combine_digits((2, 3, 1), (4, 4, 4))},
+                        {("a", t): 10 * t for t in range(1, 8)})
+    views = [_Staggered(3, [(4, 4, 4), (2, 2, 2)], host, j) for j in range(3)]
+    assert [v.time for v in views] == [2, 2, 2]  # 7 // 3
+    assert [v.message(0) for v in views] == [2, 3, 1]
+    assert host.reads == Counter({("digit", 0): 3})
+    # round t of session j is host round (t-1)*3 + j + 1
+    assert [[v.recv("a", t) for t in (1, 2)] for v in views] == [[10, 40], [20, 50], [30, 60]]
+    assert all(host.reads["recv", "a", t] == 1 for t in range(1, 7))
+    host.reads.clear()
+    with pytest.raises(LookupError, match="at t=3 not visible at time 2"):
+        views[0].recv("a", 3)
+    assert not host.reads
+    # the host's own errors pass through: a message it does not hold, a
+    # symbol it cannot answer
+    with pytest.raises(KeyError):
+        views[1].message(1)
+    with pytest.raises(KeyError):
+        views[1].recv("c", 2)
+    assert host.reads == Counter({("digit", 1): 1, ("recv", "c", 5): 1})
+
+
+def test_side_by_side_sessions_split_each_host_read_once_per_host_view():
+    inst = single_edge()
+    code = unit_code(inst, "ab", (1,))
+    splits = []
+
+    def parts(i, w):
+        splits.append((i, w))
+        return (w, w + 1, w + 2)
+
+    sessions = _side_by_side(code, inst, 3, (8,), message_parts=parts).decoders[0].sessions
+    host = CountingHost("b", 1, {0: 4}, {("a", 1): combine_digits((1, 0, 1), (2, 2, 2))})
+    for _ in range(2):
+        view = sessions(host)
+        for _ in range(2):
+            assert [view(j).recv("a", 1) for j in range(3)] == [1, 0, 1]
+            assert [view(j).message(0) for j in range(3)] == [4, 5, 6]
+    assert host.reads == Counter({("recv", "a", 1): 2, ("message", 0): 2})
+    assert splits == [(0, 4), (0, 4)]
+    # by default a session reads its message as one host digit, unsplit
+    view = nc.parallel_repeat(code, inst, 3).decoders[0].sessions(host)
+    host.reads.clear()
+    assert [view(j).message(0) for j in range(3)] == [1, 0, 0]
+    assert host.reads == Counter({("digit", 0): 3})
+
+
+def test_checking_an_interleaved_code_builds_no_side_by_side_session(monkeypatch):
+    built = []
+    init = transforms._Session.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(transforms._Session, "__init__", counting)
+    inst = line3()
+    code = unit_code(inst, "abc", (1, 2), outer_n=2)
+    assert nc.check_feasibility(nc.interleave(code, inst), inst).failures == 0
+    assert nc.check_feasibility(nc.interleave(nc.interleave(code, inst), inst), inst).failures == 0
+    assert built == []
+    assert nc.check_feasibility(nc.parallel_repeat(code, inst, 2), inst).failures == 0
+    assert built
 
 
 # ---------------------------------------------------------------- outer codes
