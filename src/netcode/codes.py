@@ -42,7 +42,7 @@ from .errors import (
     sized,
 )
 from .graphs import BWD, FWD, NetworkInstance, _Record, slot_tail
-from .rational import alphabet_size, combine_digits, floor_pow2, split_digits
+from .rational import MAX_ROUNDS, alphabet_size, check_count, combine_digits, floor_pow2, split_digits
 
 DIRECTIONS = (FWD, BWD)
 
@@ -114,23 +114,12 @@ class StateView:
     symbols that arrived on its incident edges (`recv`).  Reads beyond
     `time` raise LookupError, which makes causality violations loud.
 
-    `execute` builds the view of the real execution; code transforms build
-    views that reinterpret the host execution (a session digit, a remapped
-    timestep, a replayed neighbor) and run the old encoders against them.
-    A slotted subclass defines `message` and `recv` (guarded by `_visible`);
-    `digit` and `replace` work on every view.
+    A view is a slotted subclass that sets `node` and `time` and defines
+    `message` and `recv` (guarded by `_visible`): the Engine's view reads
+    the execution, a transform's reinterprets a host view for old maps.
     """
 
-    __slots__ = ("node", "time", "_message_fn", "_recv_fn")
-
-    def __init__(self, node: str, time: int, message_fn: Callable, recv_fn: Callable):
-        self.node = node
-        self.time = time
-        self._message_fn = message_fn
-        self._recv_fn = recv_fn
-
-    def message(self, i: int) -> int:
-        return self._message_fn(i)
+    __slots__ = ("node", "time")
 
     def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
         """split_digits(message(i), radices)[j]; a view that holds messages
@@ -140,35 +129,6 @@ class StateView:
     def _visible(self, sender: str, t: int) -> None:
         if not 1 <= t <= self.time:
             raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
-
-    def recv(self, sender: str, t: int) -> int:
-        self._visible(sender, t)
-        return self._recv_fn(sender, t)
-
-    def replace(self, time: int, recv_fn: Callable) -> "StateView":
-        """This view's node and messages, whole and by digit, with another
-        horizon; a visible recv(sender, t) answers recv_fn(self, sender, t)."""
-        return _Replaced(self, time, recv_fn)
-
-
-class _Replaced(StateView):
-    """StateView.replace of `view`: its message and digit reads, and recv_fn."""
-
-    __slots__ = ("view",)
-
-    def __init__(self, view, time, recv_fn):
-        self.node, self.time = view.node, time
-        self.view, self._recv_fn = view, recv_fn
-
-    def recv(self, sender, t):
-        self._visible(sender, t)
-        return self._recv_fn(self.view, sender, t)
-
-    def message(self, i):
-        return self.view.message(i)
-
-    def digit(self, i, j, radices):
-        return self.view.digit(i, j, radices)
 
 
 def pack(values: Sequence[int], radices: Sequence[int], name: Callable[[int], str]) -> int:
@@ -218,6 +178,7 @@ class NetworkCode(_Record):
                  decoders: Mapping[int, Callable], structure: object = None):
         if inner_n < 1 or outer_n < 1:
             raise MalformedDocument("blocklengths must be >= 1")
+        check_count(outer_n, MAX_ROUNDS, "round count")
         if any(s < 1 for s in message_sizes):
             raise MalformedDocument("message sizes must be >= 1")
         for name, value in zip(self._fields, (inner_n, outer_n, message_sizes, splits, encoders,
@@ -605,6 +566,8 @@ class Engine:
                 if not reach[pos]:
                     pulls.append(pos)
                     continue
+                if reach[pos] > budget:  # each value costs a call
+                    return -1
                 for value in range(reach[pos]):
                     state[pos] = value
                     budget = self._walk(sink, state[:], pulls[:], reach, budget)

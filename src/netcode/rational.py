@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BitBudgetExceeded, MalformedDocument, sized
+from .errors import BitBudgetExceeded, EnumerationTooLarge, MalformedDocument, sized
 
 MAX_BITS = 1 << 20  # the bit budget: no 2^e with e past it, and no size past 2^MAX_BITS, is built
+MAX_ROUNDS = 1 << 16  # the outer blocklength of a code
+MAX_SESSIONS = 1 << 16  # the sessions parallel_repeat or amplify packs
+MAX_PERMUTED = 1 << 16  # the symbols amplify's permutations hold: m times the message sizes
 
 
 def parse_rational(value) -> Fraction:
@@ -42,8 +45,9 @@ def floor_root(x: int, k: int) -> int:
         raise ValueError("floor_root needs x >= 0, k >= 1")
     if x in (0, 1) or k == 1:
         return x
-    # Newton iteration on integers, seeded from the bit length.
-    r = 1 << (-(-x.bit_length() // k))
+    # Newton from above, seeded past 64 bits by the root of x's leading half
+    s = x.bit_length() // (2 * k) if x >> 64 else 0
+    r = (floor_root(x >> k * s, k) + 1) << s if s else 1 << -(-x.bit_length() // k)
     while True:
         nxt = ((k - 1) * r + x // r ** (k - 1)) // k
         if nxt >= r:
@@ -100,6 +104,12 @@ def checked_pow(base: int, exp: int) -> int:
     if power > 1 << MAX_BITS:
         raise BitBudgetExceeded(f"size {sized(power)} exceeds the 2^20-bit budget")
     return power
+
+
+def check_count(count: int, bound: int, what: str) -> None:
+    """EnumerationTooLarge naming `count` if it is past `bound`."""
+    if count > bound:
+        raise EnumerationTooLarge(f"{what} {sized(count)} exceeds the limit {bound}")
 
 
 def log2_at_least(value: int, exponent: Fraction) -> bool:

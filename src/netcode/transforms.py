@@ -57,15 +57,36 @@ from .errors import (
     sized,
 )
 from .graphs import BWD, FWD, NetworkInstance, replace_edge_with_path
-from .rational import checked_pow, ceil_frac, ceil_mul, ceil_root, combine_digits, split_digits
+from .rational import (MAX_PERMUTED, MAX_ROUNDS, MAX_SESSIONS, check_count, checked_pow, ceil_frac,
+                       ceil_mul, ceil_root, combine_digits, split_digits)
 
 
-def remapped(fn: Callable, time: int, recv_fn: Callable) -> Callable:
-    """`fn` run on state.replace(time, recv_fn), Joined if `fn` is."""
+class _Remapped(StateView):
+    """remapped's view of `view`: its node, messages and digits, horizon
+    `time`, and a visible recv(sender, t) answered by rule(view, sender, t)."""
+
+    __slots__ = ("view", "rule")
+
+    def __init__(self, view: StateView, time: int, rule: Callable):
+        self.node, self.time, self.view, self.rule = view.node, time, view, rule
+
+    def message(self, i: int) -> int:
+        return self.view.message(i)
+
+    def digit(self, i: int, j: int, radices: tuple[int, ...]) -> int:
+        return self.view.digit(i, j, radices)
+
+    def recv(self, sender: str, t: int) -> int:
+        self._visible(sender, t)
+        return self.rule(self.view, sender, t)
+
+
+def remapped(fn: Callable, time: int, rule: Callable) -> Callable:
+    """`fn` run on _Remapped(state, time, rule), Joined if `fn` is."""
     if isinstance(fn, Joined):
-        return Joined(fn.base, lambda state: fn.sessions(state.replace(time, recv_fn)),
+        return Joined(fn.base, lambda state: fn.sessions(_Remapped(state, time, rule)),
                       fn.count, fn.radices)
-    return lambda state: fn(state.replace(time, recv_fn))
+    return lambda state: fn(_Remapped(state, time, rule))
 
 
 # ------------------------------------------------------------------ sessions
@@ -124,6 +145,7 @@ def _side_by_side(
     the outputs of source i by join(i, outputs).  A session symbol outside
     its slot's alphabet raises SymbolOutOfRange.
     """
+    check_count(m, MAX_SESSIONS, "session count")
     radices = [(size,) * m for size in code.message_sizes]
     packing = (m, radices, message_parts, inst, code.splits)
 
@@ -348,6 +370,7 @@ def amplify(
                     f"base error {base_error} at m={m} (source {i})"
                 )
 
+    check_count(m * sum(code.message_sizes), MAX_PERMUTED, "permuted symbol count")
     if perms is None:
         perms = generate_permutations(seed, code.message_sizes, m)
     for i, row in enumerate(perms):
@@ -463,6 +486,7 @@ def interleave(code: NetworkCode, inst: NetworkInstance) -> NetworkCode:
     """
     n_base = code.outer_n
     sizes = tuple(checked_pow(s, n_base) for s in code.message_sizes)
+    check_count(n_base * n_base, MAX_ROUNDS, "round count")
 
     split_table = {}
     for (edge_idx, t_base), shape in code.splits.items():
@@ -682,6 +706,7 @@ def reblock(code: NetworkCode, inst: NetworkInstance, m: int) -> NetworkCode:
         raise MalformedDocument("m must be >= 1")
     if code.inner_n % m:
         raise MalformedDocument(f"inner blocklength {code.inner_n} not divisible by {m}")
+    check_count(code.outer_n * m, MAX_ROUNDS, "round count")
     n_new = code.inner_n // m + 1
 
     old_alpha = edge_alphabets(inst, code.inner_n)

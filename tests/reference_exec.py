@@ -90,6 +90,23 @@ from netcode.routing import Route
 from netcode.serialize import DEFAULT_TABLE_LIMIT, _domain
 
 
+class FnView(StateView):
+    """A view over two functions: message(i), and recv(sender, t) behind
+    the horizon guard."""
+
+    __slots__ = ("message_fn", "recv_fn")
+
+    def __init__(self, node: str, time: int, message_fn: Callable, recv_fn: Callable):
+        self.node, self.time, self.message_fn, self.recv_fn = node, time, message_fn, recv_fn
+
+    def message(self, i: int) -> int:
+        return self.message_fn(i)
+
+    def recv(self, sender: str, t: int) -> int:
+        self._visible(sender, t)
+        return self.recv_fn(sender, t)
+
+
 def _node_readers(
     inst: NetworkInstance,
     node: str,
@@ -97,7 +114,7 @@ def _node_readers(
     fwd: Sequence[Sequence[int]],
     bwd: Sequence[Sequence[int]],
 ) -> tuple[Callable, Callable]:
-    """The message and recv functions of a node's StateView.
+    """The message and recv functions of a node's FnView.
 
     They read `fwd`/`bwd` as the execution fills them in, so one pair
     serves the node at every round.
@@ -153,7 +170,7 @@ def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -
                 tail = slot_tail(inst, edge_idx, direction)
                 if tail not in readers:
                     readers[tail] = _node_readers(inst, tail, messages, fwd, bwd)
-                out = enc(StateView(tail, t - 1, *readers[tail]))
+                out = enc(FnView(tail, t - 1, *readers[tail]))
                 if not isinstance(out, int) or not 0 <= out < size:
                     e = inst.edges[edge_idx]
                     raise SymbolOutOfRange(
@@ -187,7 +204,7 @@ def decode_outputs(
             out[j] = ()
             continue
         readers = _node_readers(inst, node, trace.messages, trace.fwd, trace.bwd)
-        got = tuple(dec(StateView(node, code.outer_n, *readers)))
+        got = tuple(dec(FnView(node, code.outer_n, *readers)))
         if len(got) != len(demanded):
             raise SymbolOutOfRange(
                 f"decoder {j} returned {len(got)} values, expected {len(demanded)}"
@@ -362,7 +379,7 @@ def _tabulate(fn, inst, code, node, horizon, limit):
             e, d = found
             return slot_vals[(e, tq, d)]
 
-        table.append(fn(StateView(node, horizon, message, recv)))
+        table.append(fn(FnView(node, horizon, message, recv)))
     return table
 
 
@@ -987,10 +1004,10 @@ def _replaying_view(replay: tuple, node: str, horizon: int, state, sim=None) -> 
                 sim[r - 1][key] = enc(_replaying_view(replay, tail, r - 1, state, sim))
         return sim[t - 1].get((oi, direction), 0)
 
-    return StateView(node, horizon, message, recv)
+    return FnView(node, horizon, message, recv)
 
 
 def match_view(view: StateView, messages: Sequence[int]) -> StateView:
     """The side view a match sink gave a side encoder: `view` with side
     message q read as message messages[q]."""
-    return StateView(view.node, view.time, lambda q: view.message(messages[q]), view.recv)
+    return FnView(view.node, view.time, lambda q: view.message(messages[q]), view.recv)

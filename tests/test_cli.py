@@ -14,9 +14,11 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import netcode as nc
 from netcode.cli import main
@@ -803,18 +805,18 @@ def test_region_rejects_limits_below_one(tmp_path, capsys, field, value):
 
 # ------------------------------------------------------------ huge integers
 
-def cli_child(argv, cwd, seconds=60):
-    """`python -m netcode.cli argv` in a child whose address space is capped
-    at 2 GiB, so an input that makes netcode build a huge integer fails fast
-    instead of filling the machine's memory."""
+def cli_child(argv, cwd, seconds=60, args=("-m", "netcode.cli"), **run):
+    """`python -m netcode.cli argv` (or `python args argv`) in a child whose
+    address space is capped at 2 GiB, so an input that makes netcode build a
+    huge integer fails fast instead of filling the machine's memory."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "netcode.cli", *argv], capture_output=True,
-                          env=env, cwd=cwd, timeout=seconds, preexec_fn=cap)
+    return subprocess.run([sys.executable, *args, *argv], capture_output=True,
+                          env=env, cwd=cwd, timeout=seconds, preexec_fn=cap, **run)
 
 
 def huge_integer_repro(tmp_path, case):
@@ -840,6 +842,23 @@ def huge_integer_repro(tmp_path, case):
             inst["edges"][0]["cap"] = 10 ** 11
         return (["check", jfile(tmp_path, "inst.json", inst), jfile(tmp_path, "code.json", code)],
                 5, "BitBudgetExceeded", "size 2^100000000000 exceeds the 2^20-bit budget")
+    if case in ("transform_parallel_repeat_sessions", "transform_amplify_sessions"):
+        # message size 1 passes the bit budget however many sessions pack it
+        step = ({"op": "parallel_repeat", "m": 10 ** 9} if case == "transform_parallel_repeat_sessions"
+                else {"op": "amplify", "m": 10 ** 9, "family": "repetition", "base_error": "0"})
+        count = "session count" if "parallel" in case else "permuted symbol count"
+        return (["transform", ipath, jfile(tmp_path, "code.json", unit_routing_doc() | {"message_sizes": [1]}),
+                 jfile(tmp_path, "chain.json", {"steps": [step]}), "--out", str(tmp_path / "out.json")],
+                5, "EnumerationTooLarge", f"{count} 1000000000 exceeds the limit 65536")
+    if case.startswith("check_rounds_"):
+        golden = Path(__file__).parent / "golden" / "check_two_route_table"
+        if case == "check_rounds_table":
+            ipath, code = str(golden / "instance.json"), json.loads((golden / "code.json").read_text())
+        else:
+            code = unit_routing_doc()
+        outer_n = 10 ** 12 if case.endswith("_e12") else 10 ** 8
+        return (["check", ipath, jfile(tmp_path, "code.json", code | {"outer_n": outer_n})],
+                5, "EnumerationTooLarge", f"round count {outer_n} exceeds the limit 65536")
     text = json.dumps(unit_routing_doc()).replace('"inner_n": 1', '"inner_n": 1' + "0" * 4999)
     code = tmp_path / "code.json"
     code.write_text(text, encoding="utf-8")
@@ -853,11 +872,15 @@ def huge_integer_repro(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "region_alphabet", "region_alphabet_memory", "transform_parallel_repeat", "code_integer",
-    "instance_integer", "check_inner_n_memory", "check_capacity_memory"])
+    "instance_integer", "check_inner_n_memory", "check_capacity_memory",
+    "transform_parallel_repeat_sessions", "transform_amplify_sessions", "check_rounds_routing",
+    "check_rounds_routing_e12", "check_rounds_table"])
 def test_huge_integers_exit_with_a_named_error(tmp_path, case):
     # each input once ended in exit 1 with a traceback: CPython's ValueError
     # for an int of more than 4,300 digits, or (the *_memory cases, an
-    # alphabet of 2^(10^11)) MemoryError under cli_child's address-space cap
+    # alphabet of 2^(10^11)) MemoryError under cli_child's address-space cap;
+    # the *_sessions and check_rounds_* cases built a tuple of 10^9 radices
+    # or 10^8 permutations, or an Engine state or table domain of 2N rounds
     argv, code, error, message = huge_integer_repro(tmp_path, case)
     run = cli_child(argv, tmp_path)
     assert b"Traceback" not in run.stderr
@@ -906,6 +929,90 @@ def test_a_deeply_nested_document_is_malformed(tmp_path, command):
     doc = json.loads(run.stdout)
     assert (run.returncode, doc["error"]) == (2, "MalformedDocument")
     assert doc["message"].startswith(f"{nested}: not valid JSON (maximum recursion depth exceeded")
+
+
+# One child runs every drawn argv in turn and prints, per run, its exit code
+# (or "over time" past PER_RUN_S, or "raised" with a traceback when an
+# exception leaves main), its wall time and what it wrote to stderr.
+DRAWN_RUNNER = """
+import contextlib, io, json, signal, sys, time, traceback
+from netcode.cli import main
+
+class OverTime(BaseException):
+    pass
+
+def over_time(signum, frame):
+    raise OverTime
+
+signal.signal(signal.SIGALRM, over_time)
+runs = []
+for argv in json.load(sys.stdin):
+    err, start = io.StringIO(), time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, float(sys.argv[1]))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except OverTime:
+        code = "over time"
+    except Exception:
+        code = "raised"
+        err.write(traceback.format_exc())
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    runs.append([argv, code, time.perf_counter() - start, err.getvalue()])
+json.dump(runs, sys.stdout)
+"""
+PER_RUN_S = 60
+
+
+def log_uniform():
+    """An integer in 1..10^12 whose bit length is uniform in 1..40."""
+    return st.integers(0, 39).flatmap(lambda e: st.integers(1 << e, (2 << e) - 1)).map(
+        lambda x: min(x, 10 ** 12))
+
+
+@st.composite
+def drawn_case(draw):
+    """(instance, code, chain, n, N): one edge a-b of capacity p/q, a
+    routing code over it with one message and one route, and one transform
+    step; each size log-uniform up to 10^12."""
+    cap = f"{draw(log_uniform())}/{draw(log_uniform())}"
+    n, outer_n, size, m = (draw(log_uniform()) for _ in range(4))
+    inst = inst_doc("ab", [("a", "b", cap)], ["a"], ["b"], [[1]])
+    code = {"kind": "routing", "inner_n": n, "outer_n": outer_n, "message_sizes": [size],
+            "routes": [{"source": 0, "terminal": 0, "nodes": ["a", "b"],
+                        "rounds": [draw(st.sampled_from([1, outer_n]))]}]}
+    step = draw(st.sampled_from([
+        {"op": "parallel_repeat", "m": m}, {"op": "interleave"}, {"op": "reblock", "m": m},
+        {"op": "amplify", "m": m, "family": "repetition", "base_error": "0"}]))
+    return inst, code, {"steps": [step]}, n, outer_n
+
+
+@settings(max_examples=2, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(drawn_case(), min_size=25, max_size=25))
+def test_drawn_sizes_exit_with_a_named_code_in_time(cases):
+    # capacities, blocklengths, message sizes and session counts up to 10^12
+    # through validate, check, region and a one-step transform, all in one
+    # child under cli_child's 2 GiB cap: each run exits 0, 2, 4 or 5, with
+    # no traceback, within PER_RUN_S.  Before the round, session and
+    # permuted-symbol bounds, the seeded floor_root and the walk's branch
+    # rule, such draws ended in MemoryError, looped for minutes, or spent
+    # seconds on a refusal
+    with tempfile.TemporaryDirectory() as work:
+        argvs = []
+        for i, (inst, code, chain, n, outer_n) in enumerate(cases):
+            files = [jfile(Path(work), f"{name}{i}.json", doc)
+                     for name, doc in (("inst", inst), ("code", code), ("chain", chain))]
+            argvs += [["validate", files[0]], ["check", *files[:2]],
+                      ["region", files[0], "--n", str(n), "--N", str(outer_n)],
+                      ["transform", *files, "--out", str(Path(work) / f"out{i}.json")]]
+        run = cli_child([str(PER_RUN_S)], work, 300, ("-c", DRAWN_RUNNER), input=json.dumps(argvs),
+                        text=True)
+    assert run.returncode == 0, run.stderr
+    bad = [(argv, code, err) for argv, code, _, err in json.loads(run.stdout)
+           if code not in (0, 2, 4, 5) or "Traceback" in err]
+    assert bad == []
 
 
 def test_sized_names_a_long_count_by_its_size():

@@ -16,7 +16,9 @@ from netcode.errors import (
     SymbolOutOfRange,
 )
 
-from reference_exec import interval_valid
+from netcode.transforms import remapped
+
+from reference_exec import FnView, interval_valid
 from conftest import (
     clamp_code,
     line3,
@@ -133,7 +135,7 @@ def test_round_t_encoder_cannot_read_round_t():
 
 
 def test_state_view_guards_time():
-    view = nc.StateView("x", 2, lambda i: 0, lambda sender, t: 7)
+    view = FnView("x", 2, lambda i: 0, lambda sender, t: 7)
     assert view.recv("y", 1) == 7
     assert view.recv("y", 2) == 7
     with pytest.raises(LookupError):
@@ -143,15 +145,15 @@ def test_state_view_guards_time():
     assert view.message(0) == 0
 
 
-def test_replace_runs_its_rule_on_the_host_view():
+def test_a_remapped_view_runs_its_rule_on_the_host_view():
     calls = []
-    host = nc.StateView("x", 1, {0: 5, 1: 11}.__getitem__, lambda sender, t: 7)
+    host = FnView("x", 1, {0: 5, 1: 11}.__getitem__, lambda sender, t: 7)
 
     def rule(view, sender, t):
         calls.append((view, sender, t))
         return view.recv(sender, 1) + t
 
-    replaced = host.replace(3, rule)
+    replaced = remapped(lambda view: view, 3, rule)(host)
     assert (replaced.node, replaced.time) == ("x", 3)
     assert replaced.recv("y", 3) == 10
     assert calls == [(host, "y", 3)]
@@ -165,8 +167,8 @@ def test_replace_runs_its_rule_on_the_host_view():
         replaced.message(2)
 
 
-def test_replaced_view_reads_a_laid_out_digit_once():
-    # on an Engine, a digit read through replace reads one digit position
+def test_a_remapped_view_reads_a_laid_out_digit_once():
+    # on an Engine, a digit read through remapped's view reads one digit position
     inst = single_edge()
     code = nc.parallel_repeat(unit_code(inst, "ab", (1,)), inst, 2)
     engine = codes.Engine(code, inst)
@@ -175,7 +177,7 @@ def test_replaced_view_reads_a_laid_out_digit_once():
     state, reads = engine.run([2]), []
     view = codes._Recording("a", 0, state, reads, engine._own["a"], engine._inbound["a"],
                             engine._digits)
-    replaced = view.replace(1, lambda host, sender, t: host.recv(sender, t))
+    replaced = remapped(lambda view: view, 1, lambda host, sender, t: host.recv(sender, t))(view)
     assert replaced.digit(0, 0, radices) == 1
     assert reads == [(at, 1)]
 

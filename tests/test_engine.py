@@ -533,7 +533,7 @@ def with_wrong_session(code, j, s):
             seen = view(k)
             if k != s:
                 return seen
-            return nc.StateView(seen.node, seen.time, seen.message, lambda sender, t: 0)
+            return ref.FnView(seen.node, seen.time, seen.message, lambda sender, t: 0)
 
         return session
 
@@ -1001,7 +1001,7 @@ def test_routing_maps_match_the_per_call_builder(data):
             idx, d = inst.slot(sender, node)
             return symbols[(idx, t, d)]
 
-        return nc.StateView(node, horizon, message, recv)
+        return ref.FnView(node, horizon, message, recv)
 
     maps = [(built.encoders[key], oracle.encoders[key], slot_tail(inst, key[0], key[2]), key[1] - 1)
             for key in built.encoders]
@@ -1010,6 +1010,24 @@ def test_routing_maps_match_the_per_call_builder(data):
     for got, want, node, horizon in maps:
         assert outcome(lambda: got(view(node, horizon))) == \
             outcome(lambda: want(view(node, horizon)))
+
+
+def test_a_walk_gives_up_at_once_on_a_branch_wider_than_its_budget(monkeypatch):
+    # a message of 10^12 values on a one-edge routing code: each value costs
+    # the walk a map call, so it gives up before it tries one; it once made
+    # 2^20 map calls (3 s) before the same refusal
+    calls = []
+    call = Engine._call
+    monkeypatch.setattr(Engine, "_call", lambda self, memo, state: calls.append(1) or call(self, memo, state))
+    inst = make(inst_doc("ab", [("a", "b", "40")], ["a"], ["b"], [[1]]))
+    code = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 1, 1, [10 ** 12])
+    with pytest.raises(EnumerationTooLarge, match=r"^1000000000000 message tuples exceed limit 1048576$"):
+        nc.check_feasibility(code, inst)
+    assert len(calls) == 2  # the decoder, then the encoder it pulls, each reads an unset value
+    code = code._replace(message_sizes=(3,))
+    assert nc.check_feasibility(code, inst, limit=3).passed
+    with pytest.raises(EnumerationTooLarge, match="3 message tuples exceed limit 2"):
+        nc.check_feasibility(code, inst, limit=2)
 
 
 def test_one_route_slots_run_without_the_digit_helpers(monkeypatch):
@@ -1067,5 +1085,5 @@ def test_table_maps_match_a_lookup_of_the_packed_reads(data):
             entry = table[rational.combine_digits(reads, radices)]
             return entry if out_radices is None else rational.split_digits(entry, out_radices)
 
-        view = nc.StateView(node, horizon, messages.__getitem__, recv)
+        view = ref.FnView(node, horizon, messages.__getitem__, recv)
         assert outcome(lambda: got(view)) == outcome(want)

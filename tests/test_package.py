@@ -458,23 +458,42 @@ def _bound(fn) -> set[str]:
     return names
 
 
-def view_replaces(tree, exempt: str | None = None) -> list[tuple[int, str]]:
-    """(line, source) of every call that builds a replaced view on a rule
-    made inside a function: `x.replace(t, rule, ...)` whose `rule` is a
-    lambda or a name that an enclosing function binds, outside the
-    functions named `exempt`; and `_Replaced(...)` outside
-    `StateView.replace`."""
-    found = []
+def view_contract_breaks(tree, exempt: str | None = None) -> list[tuple[int, str]]:
+    """(line, source) of every break of the view contract:
+    - a call of `StateView(...)` or `_Replaced(...)`, or a `_Remapped(...)`
+      built outside the functions named `exempt`;
+    - a call `x.replace(t, rule, ...)` whose `rule` is a lambda or a name
+      that an enclosing function binds, as a view's replace would be called;
+    - a `StateView` that defines `__init__`, `message`, `recv` or
+      `replace`, and a subclass of it (in the same tree, at any depth) that
+      declares no `__slots__` or defines `replace`."""
+    found, views = [], {"StateView"}
+    classes = sorted((node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)),
+                     key=lambda node: node.lineno)
+    for node in classes:
+        if any(_bare_name(base) in views for base in node.bases):
+            views.add(node.name)
+    for node in classes:
+        defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        slotted = any(isinstance(item, ast.Assign) and "__slots__" in
+                      {_bare_name(target) for target in item.targets} for item in node.body)
+        if node.name == "StateView":
+            banned = defined & {"__init__", "message", "recv", "replace"}
+        elif node.name in views:
+            banned = defined & {"replace"} | (set() if slotted else {"__slots__"})
+        else:
+            continue
+        found += [(node.lineno, f"{node.name}.{name}") for name in sorted(banned)]
 
     def visit(node, scopes):
-        names = [scope.name for scope in scopes if not isinstance(scope, ast.Lambda)]
         if isinstance(node, ast.Call):
+            names = [scope.name for scope in scopes if not isinstance(scope, ast.Lambda)]
             rule = node.args[1] if len(node.args) > 1 else None
             local = isinstance(rule, ast.Lambda) or isinstance(rule, ast.Name) and any(
                 rule.id in _bound(scope) for scope in scopes if not isinstance(scope, ast.ClassDef))
-            replaces = (isinstance(node.func, ast.Attribute) and node.func.attr == "replace"
-                        and local and exempt not in names)
-            if replaces or _bare_name(node.func) == "_Replaced" and names[-2:] != ["StateView", "replace"]:
+            built = _bare_name(node.func)
+            if (built in ("StateView", "_Replaced") or built == "_Remapped" and exempt not in names
+                    or isinstance(node.func, ast.Attribute) and built == "replace" and local):
                 found.append((node.lineno, ast.unparse(node)))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
             scopes = scopes + [node]
@@ -486,17 +505,24 @@ def view_replaces(tree, exempt: str | None = None) -> list[tuple[int, str]]:
 
 
 def test_only_remapped_replaces_a_view():
-    # a transform hands remapped a recv rule built with the transform, so
-    # no map call builds a view from a fresh closure
-    found = []
+    # StateView is the bare contract: every view is a slotted subclass, no
+    # view has a replace method, and only transforms.remapped builds a
+    # remapped view, on a recv rule built with the transform
+    found, sources = [], {}
     for path in sorted((SRC / "netcode").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sources[path.name] = path.read_text(encoding="utf-8")
         exempt = "remapped" if path.name == "transforms.py" else None
-        found += [(path.name, *site) for site in view_replaces(tree, exempt)]
+        found += [(path.name, *site) for site in view_contract_breaks(ast.parse(sources[path.name]), exempt)]
     assert found == []
+    assert "class StateView:" in sources["codes.py"] and "def remapped(" in sources["transforms.py"]
+    assert netcode.StateView.__slots__ == ("node", "time")
+    assert {name for name in vars(netcode.StateView) if not name.startswith("__")} == {
+        "node", "time", "digit", "_visible"}
 
 
 REMAPPED = "def remapped(fn, time, recv_fn):\n    return lambda state: fn(state.replace(time, recv_fn))"
+REMAPPED_VIEW = "def remapped(fn, time, rule):\n    return lambda state: fn(_Remapped(state, time, rule))"
+VIEW = "class StateView:\n    __slots__ = ('node', 'time')\n"
 
 
 @pytest.mark.parametrize("source, exempt, flagged", [
@@ -504,7 +530,8 @@ REMAPPED = "def remapped(fn, time, recv_fn):\n    return lambda state: fn(state.
      "    return state.replace(horizon, recv)", None, True),
     ("view = state.replace(1, lambda host, sender, t: 0)", None, True),
     ("def relay(fn):\n    return lambda state: fn(state.replace(1, lambda host, s, t: 0))", "remapped", True),
-    (REMAPPED, "remapped", False),
+    # no view has a replace method, so remapped calls none
+    (REMAPPED, "remapped", True),
     (REMAPPED, None, True),
     ("s = name.replace('a', 'b')", None, False),
     ("def tidy(name, new):\n    return name.replace('a', 'b').replace(' ', '')", None, False),
@@ -512,12 +539,28 @@ REMAPPED = "def remapped(fn, time, recv_fn):\n    return lambda state: fn(state.
     ("code = dataclasses.replace(code, encoders=encoders)", None, False),
     ("def view(state):\n    return codes._Replaced(state, 1, rule)", None, True),
     ("class StateView:\n    def replace(self, time, recv_fn):\n"
-     "        return _Replaced(self, time, recv_fn)", None, False),
+     "        return _Replaced(self, time, recv_fn)", None, True),
     ("class Other:\n    def replace(self, time, recv_fn):\n"
      "        return _Replaced(self, time, recv_fn)", None, True),
+    (REMAPPED_VIEW, "remapped", False),
+    (REMAPPED_VIEW, None, True),
+    (REMAPPED_VIEW.replace("def remapped", "def relay"), "remapped", True),
+    ("view = transforms._Remapped(state, 1, lambda host, sender, t: 0)", "remapped", True),
+    ("def tilde_view(horizon, state):\n    return StateView(state.node, horizon, f, g)", None, True),
+    ("view = codes.StateView('a', 0, f, g)", None, True),
+    (VIEW + "    def digit(self, i, j, radices):\n        return 0", None, False),
+    (VIEW + "    def __init__(self, node, time):\n        self.node = node", None, True),
+    (VIEW + "    def message(self, i):\n        return 0", None, True),
+    (VIEW + "    def recv(self, sender, t):\n        return 0", None, True),
+    ("class _Host(StateView):\n    __slots__ = ('host',)", None, False),
+    ("class _Host(codes.StateView):\n    def message(self, i):\n        return 0", None, True),
+    ("class _Host(StateView):\n    __slots__ = ()\n"
+     "    def replace(self, time, rule):\n        return self", None, True),
+    ("class _Host(StateView):\n    __slots__ = ()\nclass _Inner(_Host):\n    pass", None, True),
+    ("class _Other:\n    def replace(self, name):\n        return name", None, False),
 ])
 def test_view_replace_guard_flags(source, exempt, flagged):
-    assert bool(view_replaces(ast.parse(source), exempt)) == flagged
+    assert bool(view_contract_breaks(ast.parse(source), exempt)) == flagged
 
 
 def test_every_module_stays_below_the_parser_token_step():
@@ -532,9 +575,11 @@ def test_every_module_stays_below_the_parser_token_step():
     copy of `codes.py` at 8,140 tokens, and the same copy padded to 8,224,
     raised `ru_maxrss` by 3,072 and 3,584 KiB, and the padded tree read
     0.47-0.66 MiB more `peak_rss_mib` on `amplify-m16` and 0.42-0.55 MiB
-    more on `cli-cold` (two 5-second runs each).  `codes.py` has 7,094
-    tokens since `Route` and `make_routing_code` moved to `routing.py`
-    and `NetworkCode` became a slotted record (8,170 before; 8,152 before
+    more on `cli-cold` (two 5-second runs each).  `codes.py` has 6,832
+    tokens since `StateView` became the bare view contract, without its
+    closure form and `replace` (7,094 before, since `Route` and
+    `make_routing_code` moved to `routing.py` and `NetworkCode` became a
+    slotted record; 8,170 before that; 8,152 before
     the trace match's `agreed` slots and `sized` counts, 8,135 before
     `StateView.replace` took a recv rule, 8,148 before its records became
     NamedTuples); it had 7,762 before the Engine's recording view and

@@ -10,6 +10,7 @@ import netcode as nc
 from netcode import codes
 from netcode.codes import Engine
 from netcode.errors import NotConnected
+from netcode.transforms import remapped
 from netcode.rational import (
     alphabet_size,
     ceil_root,
@@ -150,7 +151,7 @@ def test_perturbed_side_encoder_matches_the_per_tuple_trace_match(case, slot, va
 def reads_of(view, aug, k, n_rounds, replaced=True) -> list:
     """What `view` answers, value or exception, to every message, digit and
     recv read of a node of `aug` (and a few past them), in one order; then,
-    with `replaced`, what its StateView.replace answers."""
+    with `replaced`, what remapped's view of it answers."""
     def answer(read, *args):
         try:
             return read(*args)
@@ -162,7 +163,7 @@ def reads_of(view, aug, k, n_rounds, replaced=True) -> list:
             for radices in ((2,), (1, 2), (2, 2)) for j in range(len(radices))]
     out += [answer(view.recv, sender, t) for sender in aug.vertices for t in range(n_rounds + 2)]
     if replaced:
-        out += reads_of(view.replace(n_rounds, lambda host, sender, t: (sender, t)),
+        out += reads_of(remapped(lambda view: view, n_rounds, lambda host, sender, t: (sender, t))(view),
                         aug, k, n_rounds, False)
     return out
 
@@ -173,7 +174,7 @@ def test_side_views_read_as_the_closure_views(case, values, unset_slots):
     # the slotted replaying view over the slotted renaming view must answer
     # every read, and raise every error in the same order with the same
     # message, as the closure-built views did around the same recording
-    # view, and make the same recorded reads, also through replace(); with
+    # view, and make the same recorded reads, also through remapped's view; with
     # `unset_slots` the joint symbols are unset, so a read raises the
     # walk's _Unset.  The closure view reads the production replay in its
     # own layout, and splits local from replayed slots by its own rule
@@ -409,6 +410,21 @@ def test_integer_roots_bracket_their_argument(x, k):
     if x >= 1:
         c = ceil_root(x, k)
         assert (c - 1) ** k < x <= c**k
+
+
+@settings(max_examples=80)
+@given(st.one_of(
+    st.tuples(st.integers(65, 6000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+              st.integers(1, 80)),
+    st.tuples(st.integers(2, 1 << 200), st.integers(1, 40), st.integers(-1, 1)).map(
+        lambda case: (case[0] ** case[1] + case[2], case[1])),
+))
+def test_integer_roots_of_long_integers_bracket_their_argument(case):
+    # past 64 bits Newton is seeded from the root of x's leading half: on
+    # long values, and next to exact powers
+    x, k = case
+    r = floor_root(x, k)
+    assert r ** k <= x < (r + 1) ** k
 
 
 @given(st.integers(0, 24), st.integers(1, 4))

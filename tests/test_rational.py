@@ -2,18 +2,21 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from netcode.errors import BitBudgetExceeded, MalformedDocument
+from netcode.errors import BitBudgetExceeded, EnumerationTooLarge, MalformedDocument
 from netcode.rational import (
     MAX_BITS,
+    MAX_ROUNDS,
     alphabet_size,
     ceil_frac,
     ceil_mul,
     ceil_root,
+    check_count,
     checked_pow,
     combine_digits,
     floor_pow2,
@@ -130,6 +133,24 @@ def test_floor_pow2_builds_no_power_of_a_huge_numerator():
     assert floor_pow2(Fraction(3, 2)) == 2
     with pytest.raises(BitBudgetExceeded, match="has a numerator past"):
         floor_pow2(Fraction(MAX_BITS + 1, 3))
+
+
+def test_floor_pow2_finds_a_long_root_in_few_newton_steps():
+    # the 1000th root of 2^1000001: seeded from the bit length alone, Newton
+    # started near twice the root, shrank it by 999/1000 a step and took
+    # 35.9 s; seeded from the root of the leading half it takes a few steps
+    start = time.perf_counter()
+    r = floor_pow2(Fraction(1000001, 1000))
+    assert time.perf_counter() - start < 1
+    assert r.bit_length() == 1001 and r ** 1000 <= 1 << 1000001 < (r + 1) ** 1000
+
+
+def test_check_count_names_a_count_past_its_bound():
+    check_count(MAX_ROUNDS, MAX_ROUNDS, "round count")
+    for count, name in [(MAX_ROUNDS + 1, "65537"), (10 ** 12, "1000000000000"), (1 << 100, "2^100")]:
+        with pytest.raises(EnumerationTooLarge) as refused:
+            check_count(count, MAX_ROUNDS, "round count")
+        assert str(refused.value) == f"round count {name} exceeds the limit 65536"
 
 
 def test_checked_pow_refuses_a_power_past_the_bit_budget():

@@ -732,7 +732,7 @@ def test_trace_match_equals_the_per_tuple_reference(monkeypatch, case, change):
 @pytest.mark.parametrize("case", [diagonal_pair, clamp_pair, cross_traffic], ids=lambda f: f.__name__)
 def test_reblocked_code_decomposes_as_the_code(case):
     # the side code runs the code's encoders, replayed ones too, on its
-    # slotted views, and reblock's encoders read StateView.replace of those;
+    # slotted views, and reblock's encoders read remapped's view of those;
     # reblock at m=1 keeps every trace, so each side must decompose as on
     # the code itself, in bridge_decompose and in the report
     aug, code = case()
@@ -913,7 +913,7 @@ def test_path_report_full_chain_unit_lambda():
 
 def test_path_report_on_a_reblocked_code():
     # the path case interleaves the code, so a reblocked code's encoders
-    # read StateView.replace of session views; reblock at m=1 keeps every
+    # read remapped's view of session views; reblock at m=1 keeps every
     # trace, so both checks must measure what they measure on the code
     inst = cycle4()
     aug = nc.add_edge(inst, "a", "c", Fraction(1))

@@ -23,6 +23,7 @@ from netcode.rational import combine_digits, split_digits
 from netcode import transforms
 from netcode.transforms import InterleaveTag, _side_by_side, _Staggered
 
+from reference_exec import FnView
 from conftest import (
     clamp_code,
     identity_suite,
@@ -61,7 +62,7 @@ def test_identity_transforms_preserve_traces_and_outputs():
     nc.interleave,
 ], ids=["parallel_repeat", "interleave"])
 def test_reblocked_code_packs_as_the_code(pack):
-    # reblock's encoders read StateView.replace of the view they get, here
+    # reblock's encoders read remapped's view of the view they get, here
     # a packing's session view; reblock at m=1 keeps every trace, so the
     # packed reblocked code must send, decode and check as the packed code
     cap2 = single_edge_cap2()
@@ -153,7 +154,7 @@ def test_interleave_error_at_most_n_times_base():
 
 # -------------------------------------------------------------- session views
 
-class CountingHost(nc.StateView):
+class CountingHost(FnView):
     """A host view that counts its message, digit and recv calls."""
 
     def __init__(self, node, time, messages, symbols):
@@ -162,11 +163,11 @@ class CountingHost(nc.StateView):
 
     def message(self, i):
         self.reads["message", i] += 1
-        return self._message_fn(i)
+        return self.message_fn(i)
 
     def digit(self, i, j, radices):
         self.reads["digit", i] += 1
-        return split_digits(self._message_fn(i), radices)[j]
+        return split_digits(self.message_fn(i), radices)[j]
 
     def recv(self, sender, t):
         self.reads["recv", sender, t] += 1
@@ -427,7 +428,7 @@ def test_amplify_wire_format(family, size, n, rate_target, perms):
     for w in range(amp.message_sizes[0]):
         codeword = nc.outer_encode(spec, split_digits(w, (size,) * spec.k))
         expected = tuple(
-            base_enc(nc.StateView("a", 0, lambda i, x=perms[j][codeword[j]]: x, None))
+            base_enc(FnView("a", 0, lambda i, x=perms[j][codeword[j]]: x, None))
             for j in range(m)
         )
         trace = nc.execute(amp, inst, (w,))
@@ -501,7 +502,7 @@ def test_pipeline_path_delivery_schedule(ell):
 
 
 def test_pipelined_code_runs_on_session_views():
-    # pipeline_path's encoders read StateView.replace of the view they get,
+    # pipeline_path's encoders read remapped's view of the view they get,
     # here a session view of parallel_repeat: each session of the packed
     # pipelined code decodes as the pipelined code does on its digits
     inst = chord_relay()
