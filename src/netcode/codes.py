@@ -478,8 +478,11 @@ class Engine:
         memo, state = self._memos[key], self._blank[:]
         inbound = self._inbound[memo[1]]
         positions = [*messages, *(inbound[sender] + t - 1 for sender, t in received)]
+        # a radix-1 position holds 0 in every entry, so only the others are set
+        wide = [(pos, radix) for pos, radix in zip(positions, radices) if radix > 1]
+        positions = [pos for pos, _ in wide]
         table = []
-        for values in itertools.product(*map(range, radices)):
+        for values in itertools.product(*(range(radix) for _, radix in wide)):
             for pos, value in zip(positions, values):
                 state[pos] = value
             table.append(self._call(memo, self._lay_out(state)))
@@ -507,7 +510,7 @@ class Engine:
             if not sink[1] and _covered(sink[0][4].get(None), unset, reach):
                 continue
             pulls = [pos for digits in sink[1] for pos, _ in digits if pos in self._slots]
-            budget = self._walk(sink, unset[:], pulls, reach, budget)
+            budget = self._walk(sink, unset, pulls, reach, budget)
             if budget < 0:
                 return False
         return True
@@ -545,38 +548,47 @@ class Engine:
         """The map calls left of `budget` once `sink` (memo, digits each
         output must equal) runs clean, after the slots it waits on (`pulls`,
         innermost last), on every completion of `state` in the message
-        positions it reads; -1 on a fault or past the budget."""
-        while (budget := budget - 1) >= 0:
-            try:
-                out = self._call(self._slots[pulls[-1]] if pulls else sink[0], state)
-                if pulls:
-                    state[pulls.pop()] = out
-                    continue
-                for at, digits in enumerate(sink[1]):
-                    value = 0
-                    for pos, radix in digits:
-                        if state[pos] < 0:
-                            raise _Unset(pos)
-                        value = value * radix + state[pos]
-                    if out[at] != value:
+        positions it reads; -1 on a fault or past the budget.  Every frame
+        of a pass shares `state`: the positions a frame sets, its pulled
+        slots and its branch, are unset again when it returns."""
+        trail = []
+        try:
+            while (budget := budget - 1) >= 0:
+                try:
+                    out = self._call(self._slots[pulls[-1]] if pulls else sink[0], state)
+                    if pulls:
+                        state[pulls[-1]] = out
+                        trail.append(pulls.pop())
+                        continue
+                    for at, digits in enumerate(sink[1]):
+                        value = 0
+                        for pos, radix in digits:
+                            if state[pos] < 0:
+                                raise _Unset(pos)
+                            value = value * radix + state[pos]
+                        if out[at] != value:
+                            return -1
+                    return budget
+                except _Unset as need:
+                    pos = need.args[0]
+                    if not reach[pos]:
+                        pulls.append(pos)
+                        continue
+                    if reach[pos] > budget:  # each value costs a call
                         return -1
-                return budget
-            except _Unset as need:
-                pos = need.args[0]
-                if not reach[pos]:
-                    pulls.append(pos)
-                    continue
-                if reach[pos] > budget:  # each value costs a call
+                    trail.append(pos)
+                    for value in range(reach[pos]):
+                        state[pos] = value
+                        budget = self._walk(sink, state, pulls[:], reach, budget)
+                        if budget < 0:
+                            break
+                    return budget
+                except Exception:  # a map raised: the joint loop reports it
                     return -1
-                for value in range(reach[pos]):
-                    state[pos] = value
-                    budget = self._walk(sink, state[:], pulls[:], reach, budget)
-                    if budget < 0:
-                        break
-                return budget
-            except Exception:  # a map raised: the joint loop reports it
-                return -1
-        return budget
+            return budget
+        finally:
+            for pos in trail:
+                state[pos] = -1
 
     def _call(self, memo: tuple, state: list[int]):
         """The map's output on `state`, from its trie when the reads match.

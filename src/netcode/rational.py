@@ -80,18 +80,20 @@ def _over_budget(e: int, over: bool) -> BitBudgetExceeded:
 def floor_pow2(exponent: Fraction) -> int:
     """floor(2 ** exponent) for exponent >= 0.  It builds 2^numerator, so an
     exponent of 1 or more whose numerator is past MAX_BITS raises
-    BitBudgetExceeded, as does every exponent past MAX_BITS."""
-    if exponent < 0:
+    BitBudgetExceeded, as does every exponent past MAX_BITS.  It compares
+    integers only, the numerator against multiples of the denominator."""
+    num, den = exponent.numerator, exponent.denominator
+    if num < 0:
         raise ValueError("exponent must be non-negative")
-    if exponent < 1:
+    if num < den:
         return 1
-    if exponent > MAX_BITS:
-        whole, part = divmod(exponent, 1)
+    if num > MAX_BITS * den:
+        whole, part = divmod(num, den)
         raise _over_budget(whole, part != 0)
-    if exponent.numerator > MAX_BITS:
-        raise BitBudgetExceeded(f"size 2^({sized(exponent.numerator)}/{sized(exponent.denominator)}) "
+    if num > MAX_BITS:
+        raise BitBudgetExceeded(f"size 2^({sized(num)}/{sized(den)}) "
                                 "has a numerator past the 2^20-bit budget")
-    return floor_root(2 ** exponent.numerator, exponent.denominator)
+    return floor_root(1 << num, den)
 
 
 def checked_pow(base: int, exp: int) -> int:

@@ -27,7 +27,6 @@ Two regimes:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -406,76 +405,77 @@ def host_path_code(
     originals = set(host_inst.vertices)
 
     # host slot (host edge, host direction) -> its parts (star sender, star
-    # edge, star direction); (star sender, star node) -> (its host slot,
-    # position among the parts); star edge -> host edge
+    # edge, star direction); star slot (edge, direction) -> (host edge, host
+    # direction, position among the parts); part_of: the same by (star
+    # sender, star node)
     parts: dict[tuple[int, str], list[tuple[str, int, str]]] = {}
-    part_of: dict[tuple[str, str], tuple[tuple[int, str], int]] = {}
-    host_edge: dict[int, int] = {}
+    place: dict[tuple[int, str], tuple[int, str, int]] = {}
+    part_of: dict[tuple[str, str], tuple[int, str, int]] = {}
     fresh_last = sorted(
         enumerate(star_inst.edges), key=lambda item: not {item[1].a, item[1].b} <= originals
     )
     for s_idx, se in fresh_last:
         for sender, node, s_dir in ((se.a, se.b, FWD), (se.b, se.a, BWD)):
             h_idx, h_dir = host_inst.slot(to_host.get(sender, sender), to_host.get(node, node))
-            host_edge[s_idx] = h_idx
             layout = parts.setdefault((h_idx, h_dir), [])
-            part_of[(sender, node)] = ((h_idx, h_dir), len(layout))
+            place[(s_idx, s_dir)] = part_of[(sender, node)] = (h_idx, h_dir, len(layout))
             layout.append((sender, s_idx, s_dir))
 
-    @functools.cache
-    def radices(slot: tuple[int, str], t: int) -> tuple[int, ...]:
-        """The star alphabet sizes folded onto a host slot at round t."""
-        return tuple([piped.splits.size(s_idx, t, s_dir) for _, s_idx, s_dir in parts[slot]])
+    # host slot key (host edge, round, host direction) -> the star alphabet
+    # sizes folded onto it (`ones` of its host slot when none is above 1),
+    # and -> the star encoders (None for a part without one)
+    ones = {slot: [1] * len(layout) for slot, layout in parts.items()}
+    radices: dict[tuple[int, int, str], list[int]] = {}
+    folds: dict[tuple[int, int, str], list] = {}
+    for (s_idx, t), sizes in piped.splits.items():
+        for s_dir, size in zip(DIRECTIONS, sizes):
+            if size != 1:
+                h_idx, h_dir, pos = place[(s_idx, s_dir)]
+                radices.setdefault((h_idx, t, h_dir), ones[(h_idx, h_dir)][:])[pos] = size
+    for (s_idx, t, s_dir), enc in piped.encoders.items():
+        h_idx, h_dir, pos = place[(s_idx, s_dir)]
+        folds.setdefault((h_idx, t, h_dir), [None] * len(parts[(h_idx, h_dir)]))[pos] = enc
 
     def star_recv(star_node: str):
         """star_node's star symbols, read from the host execution."""
 
         def recv(state, star_sender, t):
-            slot, pos = part_of[(star_sender, star_node)]
+            h_idx, h_dir, pos = part_of[(star_sender, star_node)]
             symbol = state.recv(to_host.get(star_sender, star_sender), t)
-            return split_digits(symbol, radices(slot, t))[pos]
+            return split_digits(symbol, radices.get((h_idx, t, h_dir)) or ones[(h_idx, h_dir)])[pos]
 
         return recv
 
-    def fold(slot: tuple[int, str], t: int):
+    recvs = {x: star_recv(x) for x in star_inst.vertices}
+
+    def fold(h_idx: int, t: int, h_dir: str, encs: list):
         """Host encoder of round t: every part's star encoder, combined; a
         part outside its star slot's alphabet raises SymbolOutOfRange."""
-        layout = parts[slot]
-        encs = [piped.encoders.get((s_idx, t, s_dir)) for _, s_idx, s_dir in layout]
-        if not any(encs):
-            return None
-        sizes = radices(slot, t)
-        calls = [enc and remapped(enc, t - 1, star_recv(sender))
-                 for enc, (sender, _, _) in zip(encs, layout)]
-        edges = [(star_inst.edges[s_idx], s_dir) for _, s_idx, s_dir in layout]
-        names = [f"encoder on {e.a!r}-{e.b!r} t={t} {s_dir}" for e, s_dir in edges]
+        layout = parts[(h_idx, h_dir)]
+        calls = [enc and remapped(enc, t - 1, recvs[sender]) for enc, (sender, _, _) in zip(encs, layout)]
+        sizes = radices.get((h_idx, t, h_dir)) or ones[(h_idx, h_dir)]
+
+        def name(pos: int) -> str:
+            _, s_idx, s_dir = layout[pos]
+            e = star_inst.edges[s_idx]
+            return f"encoder on {e.a!r}-{e.b!r} t={t} {s_dir}"
 
         def encoder(state):
-            return pack([call(state) if call else 0 for call in calls], sizes, names.__getitem__)
+            return pack([call(state) if call else 0 for call in calls], sizes, name)
 
         return encoder
 
-    # Only host rounds that some folded star slot uses carry anything.
-    live = {(host_edge[s_idx], t) for s_idx, t, _ in piped.encoders}
-    live.update((host_edge[s_idx], t) for (s_idx, t), _ in piped.splits.items())
-    encoders = {}
-    split_table: dict[tuple[int, int], tuple[int, int]] = {}
-    for h_idx, t in sorted(live):
-        shape = tuple(math.prod(radices((h_idx, direction), t)) for direction in DIRECTIONS)
-        if shape != (1, 1):
-            split_table[(h_idx, t)] = shape
-        for direction in DIRECTIONS:
-            encoder = fold((h_idx, direction), t)
-            if encoder is not None:
-                encoders[(h_idx, t, direction)] = encoder
+    split_table: dict[tuple[int, int], list[int]] = {}
+    for (h_idx, t, h_dir), sizes in radices.items():
+        split_table.setdefault((h_idx, t), [1, 1])[DIRECTIONS.index(h_dir)] = math.prod(sizes)
 
     return NetworkCode(
         inner_n=piped.inner_n,
         outer_n=piped.outer_n,
         message_sizes=piped.message_sizes,
         splits=AlphabetSplit(split_table),
-        encoders=encoders,
-        decoders={j: remapped(dec, piped.outer_n, star_recv(host_inst.terminals[j]))
+        encoders={key: fold(*key, encs) for key, encs in folds.items()},
+        decoders={j: remapped(dec, piped.outer_n, recvs[host_inst.terminals[j]])
                   for j, dec in piped.decoders.items()},
     )
 

@@ -568,20 +568,21 @@ def pipeline_path(
         )
 
     # constant split per sub-block on the removed edge (the property the
-    # schedule below relies on)
-    for i in range(1, nb + 1):
-        shapes = {tilde.splits.shape(e_idx, (i - 1) * nb + j) for j in range(1, nb + 1)}
-        if len(shapes) != 1:
+    # schedule below relies on): its split keys fill a sub-block or miss it
+    blocks: dict[int, list] = {}
+    for (idx, tt), shape in tilde.splits.items():
+        if idx == e_idx and 1 <= tt <= nb * nb:
+            blocks.setdefault((tt - 1) // nb + 1, []).append(shape)
+    for i, shapes in sorted(blocks.items()):
+        if len(shapes) != nb or len(set(shapes)) != 1:
             raise NotInterleaved(f"splits vary inside sub-block {i} on {u!r}-{v!r}")
 
     width = nb + ell
     out_n = nb * width
 
-    def tilde_time(i: int, j: int) -> int:
-        return (i - 1) * nb + j
-
-    def pipe_time(i: int, j: int) -> int:
-        return (i - 1) * width + j
+    def pipe_round(tt: int) -> int:
+        """Tilde round tt, offset j of sub-block i, at offset j of the widened one."""
+        return tt + (tt - 1) // nb * ell
 
     # Path hop k (0-based) is path_inst edge m-1+k, stored path[k] ->
     # path[k+1].  travel: a hop direction -> the path nodes in that travel
@@ -594,11 +595,10 @@ def pipeline_path(
 
     def tilde_recv(state, sender, tt):
         """The tilde execution's round-tt symbol, read from the pipelined one."""
-        t_out = pipe_time((tt - 1) // nb + 1, (tt - 1) % nb + 1)
         relay_from = last_hop.get((state.node, sender))
         if relay_from is not None:
-            return state.recv(relay_from, t_out + ell - 2)
-        return state.recv(sender, t_out)
+            return state.recv(relay_from, pipe_round(tt) + ell - 2)
+        return state.recv(sender, pipe_round(tt))
 
     def relay(sender: str):
         """Pass on the symbol `sender` committed one round earlier."""
@@ -607,53 +607,46 @@ def pipeline_path(
     def idle(state):
         return 0
 
-    split_table: dict[tuple[int, int], tuple[int, int]] = {}
-    encoders = {}
-
     # path_inst edge p < m-1 is tilde edge p, or p+1 past the removed edge,
-    # stored the same way round
+    # stored the same way round; tilde keys outside the code are ignored
     m = len(inst.edges)
-    for p_idx in range(m - 1):
-        t_idx = p_idx + (p_idx >= e_idx)
-        for i in range(1, nb + 1):
-            for j in range(1, nb + 1):
-                tt = tilde_time(i, j)
-                shape = tilde.splits.shape(t_idx, tt)
-                if shape != (1, 1):
-                    split_table[(p_idx, pipe_time(i, j))] = shape
-                for direction in (FWD, BWD):
-                    base_enc = tilde.encoders.get((t_idx, tt, direction))
-                    if base_enc is not None:
-                        encoders[(p_idx, pipe_time(i, j), direction)] = remapped(base_enc, tt - 1, tilde_recv)
+
+    def moved(idx: int, tt: int) -> Optional[tuple[int, int]]:
+        if idx != e_idx and 0 <= idx < m and 1 <= tt <= nb * nb:
+            return idx - (idx > e_idx), pipe_round(tt)
+
+    split_table = {at: shape for key, shape in tilde.splits.items() if (at := moved(*key))}
+    encoders = {(*at, direction): remapped(base_enc, tt - 1, tilde_recv)
+                for (idx, tt, direction), base_enc in tilde.encoders.items()
+                if direction in (FWD, BWD) and (at := moved(idx, tt))}
 
     # The removed edge's symbols in direction trip_dir[d] cross path hop k
     # in direction d as hop h of their trip, and the j-th symbol of
     # sub-block i crosses it at offset j+h-1: the first hop runs the tilde
-    # encoder, later hops relay what arrived one round earlier.
-    for k in range(ell - 1):
-        p_idx = m - 1 + k
-        for i in range(1, nb + 1):
-            size = {d: tilde.splits.size(e_idx, tilde_time(i, 1), trip_dir[d]) for d in travel}
-            shape = (size[FWD], size[BWD])
-            if shape != (1, 1):
-                for o in range(1, width + 1):
-                    split_table[(p_idx, pipe_time(i, o))] = shape
-            for direction, nodes in travel.items():
-                if size[direction] == 1:
-                    continue
-                hop = k + 1 if direction == FWD else ell - 1 - k
-                for o in range(1, width + 1):
-                    j = o - hop + 1
-                    if not 1 <= j <= nb:
-                        enc = idle
-                    elif hop > 1:
-                        enc = relay(nodes[hop - 2])
-                    else:
-                        base_enc = tilde.encoders.get((e_idx, tilde_time(i, j), trip_dir[direction]))
-                        if base_enc is None:
-                            continue
-                        enc = remapped(base_enc, tilde_time(i, j) - 1, tilde_recv)
-                    encoders[(p_idx, pipe_time(i, o), direction)] = enc
+    # encoder, later hops relay what arrived one round earlier.  A sub-block
+    # with no split key carries nothing.
+    for k, i in itertools.product(range(ell - 1), sorted(blocks)):
+        p_idx, start = m - 1 + k, (i - 1) * width
+        size = {d: tilde.splits.size(e_idx, (i - 1) * nb + 1, trip_dir[d]) for d in travel}
+        for o in range(1, width + 1):
+            split_table[(p_idx, start + o)] = (size[FWD], size[BWD])
+        for direction, nodes in travel.items():
+            if size[direction] == 1:
+                continue
+            hop = k + 1 if direction == FWD else ell - 1 - k
+            for o in range(1, width + 1):
+                j = o - hop + 1
+                tt = (i - 1) * nb + j
+                if not 1 <= j <= nb:
+                    enc = idle
+                elif hop > 1:
+                    enc = relay(nodes[hop - 2])
+                else:
+                    base_enc = tilde.encoders.get((e_idx, tt, trip_dir[direction]))
+                    if base_enc is None:
+                        continue
+                    enc = remapped(base_enc, tt - 1, tilde_recv)
+                encoders[(p_idx, start + o, direction)] = enc
 
     return NetworkCode(
         inner_n=tilde.inner_n,

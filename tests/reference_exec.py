@@ -32,10 +32,17 @@ code (netcode.removal), and `match_view` the view that the earlier
 side encoder (side message q read as joint message messages[q]); they
 are unchanged except for the second one's name and signature
 (tests/test_properties.py).
+`pipeline_path` and `host_path_code` are the earlier builders of
+netcode.transforms and netcode.removal, which scanned every tilde round
+of every edge and derived each host slot's radices per round through a
+cache; `floor_pow2` is the earlier netcode.rational one, which compared
+Fractions (tests/test_transforms.py, tests/test_rational.py).  They are
+unchanged except for imports.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -56,17 +63,24 @@ from netcode.codes import (
     demands_met,
     edge_alphabets,
     message_size_for_rate,
+    pack,
 )
 from netcode.errors import (
+    BadPath,
+    BadPathInstance,
     BadRate,
     BadRoute,
+    BitBudgetExceeded,
     CapacityOverflow,
     EdgeMissing,
     EnumerationTooLarge,
+    InteriorNodeCollision,
     MalformedDocument,
     NotABridge,
+    NotInterleaved,
     SymbolOutOfRange,
     TableTooLarge,
+    sized,
 )
 from netcode.graphs import (
     BWD,
@@ -75,10 +89,11 @@ from netcode.graphs import (
     connected_components,
     drop_edge,
     incoming_slots,
+    replace_edge_with_path,
     slot_tail,
 )
 import netcode.removal as removal
-from netcode.rational import alphabet_size, combine_digits, split_digits
+from netcode.rational import MAX_BITS, _over_budget, alphabet_size, combine_digits, floor_root, split_digits
 from netcode.region import RegionLimits, _Budget, _rgs_exact
 from netcode.removal import (
     BridgeDecomposition,
@@ -88,6 +103,7 @@ from netcode.removal import (
 )
 from netcode.routing import Route
 from netcode.serialize import DEFAULT_TABLE_LIMIT, _domain
+from netcode.transforms import InterleaveTag, remapped
 
 
 class FnView(StateView):
@@ -1011,3 +1027,261 @@ def match_view(view: StateView, messages: Sequence[int]) -> StateView:
     """The side view a match sink gave a side encoder: `view` with side
     message q read as message messages[q]."""
     return FnView(view.node, view.time, lambda q: view.message(messages[q]), view.recv)
+
+
+def pipeline_path(
+    tilde: NetworkCode,
+    inst: NetworkInstance,
+    u: str,
+    v: str,
+    path_inst: NetworkInstance,
+    ell: int,
+) -> NetworkCode:
+    """Re-route edge {u, v} of an interleaved code over an ell-node path.
+
+    path_inst must be replace_edge_with_path(inst, u, v, path, fresh=True)
+    for path = (u, *fresh, v), fresh being the vertices path_inst lists
+    after inst's; anything else raises BadPathInstance.
+
+    Sub-blocks widen from N to N+ell steps.  Within sub-block i, the j-th
+    symbol the removed edge carries from u leaves u at offset j and reaches
+    v after ell-1 hops at offset j+ell-2; symbols from v mirror this.  A
+    symbol produced in sub-block i is therefore delivered inside sub-block
+    i, and the interleave property guarantees nobody needs it before
+    sub-block i+1.  Non-path edges replay their sub-block schedule in the
+    first N offsets and idle afterwards.
+    """
+    tag = tilde.structure
+    if not isinstance(tag, InterleaveTag):
+        raise NotInterleaved("pipeline_path needs interleave output")
+    nb = tag.base_outer
+    if tilde.outer_n != nb * nb:
+        raise NotInterleaved("outer blocklength is not base_outer squared")
+
+    found = inst.edge_between(u, v)
+    if found is None:
+        raise EdgeMissing(f"no edge {u!r}-{v!r}")
+    e_idx = found[0]
+
+    if ell < 2:
+        raise BadPathInstance("path needs at least two nodes")
+    path = (u, *path_inst.vertices[len(inst.vertices):], v)
+    if len(path) != ell:
+        raise BadPathInstance(f"path has {len(path)} nodes, expected ell={ell}")
+    try:
+        laid_out = replace_edge_with_path(inst, u, v, path, fresh=True)
+    except (BadPath, InteriorNodeCollision) as exc:
+        raise BadPathInstance(str(exc)) from exc
+    if laid_out != path_inst:
+        raise BadPathInstance(
+            f"path instance is not edge {u!r}-{v!r} replaced by the fresh path {list(path)}"
+        )
+
+    # constant split per sub-block on the removed edge (the property the
+    # schedule below relies on)
+    for i in range(1, nb + 1):
+        shapes = {tilde.splits.shape(e_idx, (i - 1) * nb + j) for j in range(1, nb + 1)}
+        if len(shapes) != 1:
+            raise NotInterleaved(f"splits vary inside sub-block {i} on {u!r}-{v!r}")
+
+    width = nb + ell
+    out_n = nb * width
+
+    def tilde_time(i: int, j: int) -> int:
+        return (i - 1) * nb + j
+
+    def pipe_time(i: int, j: int) -> int:
+        return (i - 1) * width + j
+
+    # Path hop k (0-based) is path_inst edge m-1+k, stored path[k] ->
+    # path[k+1].  travel: a hop direction -> the path nodes in that travel
+    # order; trip_dir: a hop direction -> the removed edge's direction that
+    # makes the same trip.
+    travel = {FWD: path, BWD: path[::-1]}
+    trip_dir = {d: inst.slot(nodes[0], nodes[-1])[1] for d, nodes in travel.items()}
+    # (receiving end, original sender) -> the last path hop's sender
+    last_hop = {(nodes[-1], nodes[0]): nodes[-2] for nodes in travel.values()}
+
+    def tilde_recv(state, sender, tt):
+        """The tilde execution's round-tt symbol, read from the pipelined one."""
+        t_out = pipe_time((tt - 1) // nb + 1, (tt - 1) % nb + 1)
+        relay_from = last_hop.get((state.node, sender))
+        if relay_from is not None:
+            return state.recv(relay_from, t_out + ell - 2)
+        return state.recv(sender, t_out)
+
+    def relay(sender: str):
+        """Pass on the symbol `sender` committed one round earlier."""
+        return lambda state: state.recv(sender, state.time)
+
+    def idle(state):
+        return 0
+
+    split_table: dict[tuple[int, int], tuple[int, int]] = {}
+    encoders = {}
+
+    # path_inst edge p < m-1 is tilde edge p, or p+1 past the removed edge,
+    # stored the same way round
+    m = len(inst.edges)
+    for p_idx in range(m - 1):
+        t_idx = p_idx + (p_idx >= e_idx)
+        for i in range(1, nb + 1):
+            for j in range(1, nb + 1):
+                tt = tilde_time(i, j)
+                shape = tilde.splits.shape(t_idx, tt)
+                if shape != (1, 1):
+                    split_table[(p_idx, pipe_time(i, j))] = shape
+                for direction in (FWD, BWD):
+                    base_enc = tilde.encoders.get((t_idx, tt, direction))
+                    if base_enc is not None:
+                        encoders[(p_idx, pipe_time(i, j), direction)] = remapped(base_enc, tt - 1, tilde_recv)
+
+    # The removed edge's symbols in direction trip_dir[d] cross path hop k
+    # in direction d as hop h of their trip, and the j-th symbol of
+    # sub-block i crosses it at offset j+h-1: the first hop runs the tilde
+    # encoder, later hops relay what arrived one round earlier.
+    for k in range(ell - 1):
+        p_idx = m - 1 + k
+        for i in range(1, nb + 1):
+            size = {d: tilde.splits.size(e_idx, tilde_time(i, 1), trip_dir[d]) for d in travel}
+            shape = (size[FWD], size[BWD])
+            if shape != (1, 1):
+                for o in range(1, width + 1):
+                    split_table[(p_idx, pipe_time(i, o))] = shape
+            for direction, nodes in travel.items():
+                if size[direction] == 1:
+                    continue
+                hop = k + 1 if direction == FWD else ell - 1 - k
+                for o in range(1, width + 1):
+                    j = o - hop + 1
+                    if not 1 <= j <= nb:
+                        enc = idle
+                    elif hop > 1:
+                        enc = relay(nodes[hop - 2])
+                    else:
+                        base_enc = tilde.encoders.get((e_idx, tilde_time(i, j), trip_dir[direction]))
+                        if base_enc is None:
+                            continue
+                        enc = remapped(base_enc, tilde_time(i, j) - 1, tilde_recv)
+                    encoders[(p_idx, pipe_time(i, o), direction)] = enc
+
+    return NetworkCode(
+        inner_n=tilde.inner_n,
+        outer_n=out_n,
+        message_sizes=tilde.message_sizes,
+        splits=AlphabetSplit(split_table),
+        encoders=encoders,
+        decoders={j: remapped(dec, nb * nb, tilde_recv) for j, dec in tilde.decoders.items()},
+    )
+
+
+def host_path_code(
+    piped: NetworkCode,
+    star_inst: NetworkInstance,
+    host_inst: NetworkInstance,
+    star_path: Sequence[str],
+    host_path: Sequence[str],
+) -> NetworkCode:
+    """Merge a fresh relay path back onto the real path it shadows.
+
+    star_inst contains both the original edges and a fresh path
+    star_path; host_inst is the same graph with the fresh path folded
+    onto host_path (capacities added).  Each host edge carries the star
+    edges folded onto it, the original edge before its relay edge, as one
+    mixed-radix value, the first star edge most significant.
+    """
+    if len(star_path) != len(host_path) or star_path[0] != host_path[0] or star_path[-1] != host_path[-1]:
+        raise BadPath("path length/endpoint mismatch")
+    to_host = dict(zip(star_path, host_path))
+    originals = set(host_inst.vertices)
+
+    # host slot (host edge, host direction) -> its parts (star sender, star
+    # edge, star direction); (star sender, star node) -> (its host slot,
+    # position among the parts); star edge -> host edge
+    parts: dict[tuple[int, str], list[tuple[str, int, str]]] = {}
+    part_of: dict[tuple[str, str], tuple[tuple[int, str], int]] = {}
+    host_edge: dict[int, int] = {}
+    fresh_last = sorted(
+        enumerate(star_inst.edges), key=lambda item: not {item[1].a, item[1].b} <= originals
+    )
+    for s_idx, se in fresh_last:
+        for sender, node, s_dir in ((se.a, se.b, FWD), (se.b, se.a, BWD)):
+            h_idx, h_dir = host_inst.slot(to_host.get(sender, sender), to_host.get(node, node))
+            host_edge[s_idx] = h_idx
+            layout = parts.setdefault((h_idx, h_dir), [])
+            part_of[(sender, node)] = ((h_idx, h_dir), len(layout))
+            layout.append((sender, s_idx, s_dir))
+
+    @functools.cache
+    def radices(slot: tuple[int, str], t: int) -> tuple[int, ...]:
+        """The star alphabet sizes folded onto a host slot at round t."""
+        return tuple([piped.splits.size(s_idx, t, s_dir) for _, s_idx, s_dir in parts[slot]])
+
+    def star_recv(star_node: str):
+        """star_node's star symbols, read from the host execution."""
+
+        def recv(state, star_sender, t):
+            slot, pos = part_of[(star_sender, star_node)]
+            symbol = state.recv(to_host.get(star_sender, star_sender), t)
+            return split_digits(symbol, radices(slot, t))[pos]
+
+        return recv
+
+    def fold(slot: tuple[int, str], t: int):
+        """Host encoder of round t: every part's star encoder, combined; a
+        part outside its star slot's alphabet raises SymbolOutOfRange."""
+        layout = parts[slot]
+        encs = [piped.encoders.get((s_idx, t, s_dir)) for _, s_idx, s_dir in layout]
+        if not any(encs):
+            return None
+        sizes = radices(slot, t)
+        calls = [enc and remapped(enc, t - 1, star_recv(sender))
+                 for enc, (sender, _, _) in zip(encs, layout)]
+        edges = [(star_inst.edges[s_idx], s_dir) for _, s_idx, s_dir in layout]
+        names = [f"encoder on {e.a!r}-{e.b!r} t={t} {s_dir}" for e, s_dir in edges]
+
+        def encoder(state):
+            return pack([call(state) if call else 0 for call in calls], sizes, names.__getitem__)
+
+        return encoder
+
+    # Only host rounds that some folded star slot uses carry anything.
+    live = {(host_edge[s_idx], t) for s_idx, t, _ in piped.encoders}
+    live.update((host_edge[s_idx], t) for (s_idx, t), _ in piped.splits.items())
+    encoders = {}
+    split_table: dict[tuple[int, int], tuple[int, int]] = {}
+    for h_idx, t in sorted(live):
+        shape = tuple(math.prod(radices((h_idx, direction), t)) for direction in DIRECTIONS)
+        if shape != (1, 1):
+            split_table[(h_idx, t)] = shape
+        for direction in DIRECTIONS:
+            encoder = fold((h_idx, direction), t)
+            if encoder is not None:
+                encoders[(h_idx, t, direction)] = encoder
+
+    return NetworkCode(
+        inner_n=piped.inner_n,
+        outer_n=piped.outer_n,
+        message_sizes=piped.message_sizes,
+        splits=AlphabetSplit(split_table),
+        encoders=encoders,
+        decoders={j: remapped(dec, piped.outer_n, star_recv(host_inst.terminals[j]))
+                  for j, dec in piped.decoders.items()},
+    )
+
+
+def floor_pow2(exponent: Fraction) -> int:
+    """floor(2 ** exponent) for exponent >= 0.  It builds 2^numerator, so an
+    exponent of 1 or more whose numerator is past MAX_BITS raises
+    BitBudgetExceeded, as does every exponent past MAX_BITS."""
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    if exponent < 1:
+        return 1
+    if exponent > MAX_BITS:
+        whole, part = divmod(exponent, 1)
+        raise _over_budget(whole, part != 0)
+    if exponent.numerator > MAX_BITS:
+        raise BitBudgetExceeded(f"size 2^({sized(exponent.numerator)}/{sized(exponent.denominator)}) "
+                                "has a numerator past the 2^20-bit budget")
+    return floor_root(2 ** exponent.numerator, exponent.denominator)

@@ -12,6 +12,7 @@ import copy
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -318,10 +319,10 @@ EVERY_OP_CHAIN = {"steps": [
 ]}
 
 
-def _malformed_variants(doc, every_item=False):
+def _malformed_variants(doc, every_item=False, values=BAD_VALUES):
     """(path, value, copy of doc with the field at path set to value)."""
     for path in list(_field_paths(doc, every_item=every_item)):
-        for value in BAD_VALUES:
+        for value in values:
             case = copy.deepcopy(doc)
             target = case
             for key in path[:-1]:
@@ -330,21 +331,22 @@ def _malformed_variants(doc, every_item=False):
             yield path, value, case
 
 
-def _malformed_runs(tmp_path):
-    """(path, value, argv) for every malformed variant; each argv is valid
-    only until the next one is drawn, since they share file names."""
+def _malformed_runs(tmp_path, values=BAD_VALUES):
+    """(path, value, argv) for every malformed variant, each field set to
+    each of `values`; each argv is valid only until the next one is drawn,
+    since they share file names."""
     derived = nc.serialize.derived_doc(
         RELAY_ROUTING, line3(), [{"op": "interleave"}, {"op": "scale_code", "alpha": "2"}])
     for inst, doc, every_item in (
         (*clamp_table_doc(), False), (line3(), RELAY_ROUTING, False), (line3(), derived, True),
     ):
         ipath = jfile(tmp_path, "inst.json", inst.to_doc())
-        for path, value, case in _malformed_variants(doc, every_item):
+        for path, value, case in _malformed_variants(doc, every_item, values):
             yield path, value, ["check", ipath, jfile(tmp_path, "code.json", case)]
     ipath = jfile(tmp_path, "inst.json", line3().to_doc())
     cpath = jfile(tmp_path, "code.json", RELAY_ROUTING)
     out = str(tmp_path / "result.json")
-    for path, value, case in _malformed_variants(EVERY_OP_CHAIN, every_item=True):
+    for path, value, case in _malformed_variants(EVERY_OP_CHAIN, True, values):
         hpath = jfile(tmp_path, "chain.json", case)
         yield path, value, ["transform", ipath, cpath, hpath, "--out", out]
 
@@ -1013,6 +1015,35 @@ def test_drawn_sizes_exit_with_a_named_code_in_time(cases):
     bad = [(argv, code, err) for argv, code, _, err in json.loads(run.stdout)
            if code not in (0, 2, 4, 5) or "Traceback" in err]
     assert bad == []
+
+
+# Huge integers for every field of the malformed-field sweep; the last has
+# 5,000 digits, past CPython's 4,300-digit limit on reading one.
+HUGE_VALUES = [10 ** 12, -10 ** 12, 2 ** 64 + 1, 10 ** 4999]
+HUGE_RUN_S = 2
+
+
+def test_every_malformed_field_survives_huge_integers(tmp_path):
+    # the sweep's fields set to each of HUGE_VALUES, every run in one child
+    # under cli_child's 2 GiB cap: each exits 0, 2, 4 or 5, with no
+    # traceback, within HUGE_RUN_S.  Each run's documents are copied to a
+    # directory of its own, as the sweep rewrites one set of files
+    argvs, limit = [], sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # jfile writes the 5,000-digit value
+    try:
+        for i, (_, _, argv) in enumerate(_malformed_runs(tmp_path, HUGE_VALUES)):
+            run_dir = tmp_path / f"run{i}"
+            run_dir.mkdir()
+            argvs.append([shutil.copy(arg, run_dir) if os.path.isfile(arg) else arg for arg in argv])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    run = cli_child([str(HUGE_RUN_S)], tmp_path, 120, ("-c", DRAWN_RUNNER), input=json.dumps(argvs),
+                    text=True)
+    assert run.returncode == 0, run.stderr
+    runs = json.loads(run.stdout)
+    assert len(runs) == len(argvs) > 400
+    assert [(argv, code, err) for argv, code, _, err in runs
+            if code not in (0, 2, 4, 5) or "Traceback" in err] == []
 
 
 def test_sized_names_a_long_count_by_its_size():

@@ -900,6 +900,61 @@ def test_slot_raising_on_one_message_value_is_reported():
 
 # ------------------------------------------------------ engine construction
 
+def raising_at_two():
+    """(single_edge, code): the round-2 a->b encoder raises on message 2,
+    as in test_slot_raising_on_one_message_value_is_reported."""
+    inst = single_edge()
+
+    def raising(view):
+        if view.message(0) == 2:
+            raise ValueError("encoder fails on 2")
+        return view.message(0)
+
+    return inst, nc.NetworkCode(
+        inner_n=2, outer_n=2, message_sizes=(4,),
+        splits=nc.AlphabetSplit({(0, 1): (4, 1), (0, 2): (4, 1)}),
+        encoders={(0, 1, nc.FWD): lambda view: view.message(0), (0, 2, nc.FWD): raising},
+        decoders={0: lambda view: (view.recv("a", 1),)},
+    )
+
+
+@pytest.mark.parametrize("case, budget, settles", [
+    ("settling", 10 ** 9, True), ("misdecoding", 10 ** 9, False), ("raising", 10 ** 9, False),
+    ("out of budget", 40, False),
+])
+def test_every_walk_frame_of_a_pass_shares_one_state(monkeypatch, case, budget, settles):
+    # the frames backtrack in place: each unsets what it set when it
+    # returns, whether its sink settled, misdecoded, met a raising map or
+    # ran out of budget, so every sink starts from the unset layout and the
+    # pass ends on it
+    _, inst, code = CHAINS[3][-1]
+    if case == "misdecoding":
+        code = with_wrong_session(code, 0, 1)
+    elif case == "raising":
+        inst, code = raising_at_two()
+    frames, tops, depth = [], [], [0]
+    walk = Engine._walk
+
+    def recorded(self, sink, state, *args):
+        frames.append(state)
+        if not depth[0]:
+            tops.append(state[:])
+        depth[0] += 1
+        try:
+            return walk(self, sink, state, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Engine, "_walk", recorded)
+    engine = Engine(code, inst)
+    assert engine._sliced_pass(4 ** 3, budget) == settles
+    assert len(frames) > len(tops) > 0  # some frame branched
+    assert all(state is frames[0] for state in frames)
+    unset = tops[0]
+    assert all(unset[pos] == -1 for pos in engine._slots)
+    assert tops == [unset] * len(tops) and frames[0] == unset
+
+
 def test_first_missing_encoder_in_round_order_is_named():
     # b-c lacks its round-1 encoder and a-b its round-2 one: the round
     # comes before the edge, so b-c is named

@@ -444,6 +444,57 @@ def test_rate_guard_flags(source, flagged):
     assert bool(calls_to(ast.parse(source), "message_size_for_rate")) == flagged
 
 
+WALKERS = {"_walk", "_sliced_pass"}
+STATE_LISTS = {"state", "unset", "_blank"}
+
+
+def walk_state_copies(tree) -> list[tuple[int, str]]:
+    """(line, source) of every copy of a whole state list (`state[:]`,
+    `unset[:]`, `list(state)`, `state.copy()`) inside `_walk` or
+    `_sliced_pass`: a walk branch or sink that copies the state pays for
+    every round, not for the positions it sets."""
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in WALKERS):
+            continue
+        for node in ast.walk(fn):
+            copied = None
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+                whole = node.slice.lower is node.slice.upper is node.slice.step is None
+                copied = node.value if whole else None
+            elif isinstance(node, ast.Call) and _bare_name(node.func) == "list" and len(node.args) == 1:
+                copied = node.args[0]
+            elif isinstance(node, ast.Call) and _bare_name(node.func) == "copy" and not node.args:
+                copied = node.func.value if isinstance(node.func, ast.Attribute) else None
+            if copied is not None and _bare_name(copied) in STATE_LISTS:
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_the_walk_copies_no_whole_state():
+    # every frame of a sliced pass backtracks over one state list
+    tree = ast.parse((SRC / "netcode" / "codes.py").read_text(encoding="utf-8"))
+    assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} >= WALKERS
+    assert walk_state_copies(tree) == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def _walk(self, state):\n    return self._walk(state[:])", True),
+    ("def _sliced_pass(self, total):\n    budget = self._walk(unset[:])", True),
+    ("def _sliced_pass(self, total):\n    state = self._blank[:]", True),
+    ("def _walk(self, state):\n    return list(state)", True),
+    ("def _walk(self, state):\n    return state.copy()", True),
+    ("class Engine:\n    def _walk(self, state):\n        def inner():\n            return state[:]", True),
+    ("def _walk(self, state, pulls):\n    return self._walk(state, pulls[:])", False),
+    ("def _walk(self, state):\n    return state[1:] + state[pos:pos + 1]", False),
+    ("def _walk(self, state):\n    return list(state, 2) or state.copy(1)", False),
+    ("def run(self, messages):\n    state = self._blank[:]", False),
+    ("def _table(self, key):\n    state = self._blank[:]", False),
+])
+def test_walk_copy_guard_flags(source, flagged):
+    assert bool(walk_state_copies(ast.parse(source))) == flagged
+
+
 def _bound(fn) -> set[str]:
     """The names a function or lambda binds: its parameters, and every name
     it, or a function inside it, assigns or defines."""

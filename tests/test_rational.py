@@ -7,7 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_exec as ref
 from netcode.errors import BitBudgetExceeded, EnumerationTooLarge, MalformedDocument
 from netcode.rational import (
     MAX_BITS,
@@ -143,6 +145,42 @@ def test_floor_pow2_finds_a_long_root_in_few_newton_steps():
     r = floor_pow2(Fraction(1000001, 1000))
     assert time.perf_counter() - start < 1
     assert r.bit_length() == 1001 and r ** 1000 <= 1 << 1000001 < (r + 1) ** 1000
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+HUGE = 10 ** 30
+EXPONENTS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-HUGE, -1).map(Fraction),
+    # below 1, over small and huge denominators
+    st.integers(1, HUGE).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q))),
+    # whole numbers, as Fractions and as ints, up to past the budget
+    st.integers(0, MAX_BITS + 2).flatmap(lambda w: st.sampled_from([w, Fraction(w)])),
+    # MAX_BITS - 1, MAX_BITS and MAX_BITS + 1, nudged by 1/d, and a
+    # numerator of MAX_BITS + 1 (17 * 61681) over a small denominator
+    st.builds(lambda w, r, d: Fraction(w * d + r, d), st.sampled_from([MAX_BITS - 1, MAX_BITS, MAX_BITS + 1]),
+              st.integers(-1, 1), st.sampled_from([1, 2, 3, 7, HUGE])),
+    st.builds(Fraction, st.just(MAX_BITS + 1), st.integers(2, 16)),
+    # roots of up to 4,096-bit powers over small denominators
+    st.builds(Fraction, st.integers(0, 4096), st.integers(1, 16)),
+    # past 1 over huge denominators: a numerator past the budget
+    st.builds(Fraction, st.integers(HUGE, HUGE ** 2), st.integers(HUGE // 10, HUGE)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPONENTS)
+def test_floor_pow2_agrees_with_its_fraction_comparing_form(exponent):
+    # the integer comparisons give the value, or the exception type and
+    # message, that the comparisons of Fractions gave
+    assert outcome(floor_pow2, exponent) == outcome(ref.floor_pow2, exponent)
 
 
 def test_check_count_names_a_count_past_its_bound():

@@ -92,6 +92,45 @@ def test_table_limit():
     assert DEFAULT_TABLE_LIMIT == 1 << 16
 
 
+class _CountedState(list):
+    """A state list that counts the single positions written to it and its copies."""
+
+    def __init__(self, values, writes):
+        super().__init__(values)
+        self.writes = writes
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        return _CountedState(got, self.writes) if isinstance(index, slice) else got
+
+    def __setitem__(self, index, value):
+        if not isinstance(index, slice):
+            self.writes[0] += 1
+        super().__setitem__(index, value)
+
+
+def test_a_long_table_domain_costs_its_entries_not_its_rounds(monkeypatch):
+    # the decoder of a one-hop code over 2^10 rounds reads one symbol of
+    # 2^10 values and 2^10 - 1 of size 1: its table has 2^10 entries, and
+    # tabulating it, like the sender's encoder, writes one position per
+    # entry, not one per round
+    inst = make(inst_doc("ab", [("a", "b", "40")], ["a"], ["b"], [[1]]))
+    size = 1 << 10
+    code = nc.parallel_repeat(
+        nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 1, size, [size]), inst, 1)
+    writes, table = [0], nc.codes.Engine._table
+
+    def counted(engine, *args):
+        engine._blank = _CountedState(engine._blank, writes)
+        return table(engine, *args)
+
+    monkeypatch.setattr(nc.codes.Engine, "_table", counted)
+    doc = nc.code_to_doc(code, inst)
+    tables = [item["table"] for item in doc["encoders"] + doc["decoders"]]
+    assert tables == [list(range(size))] * 2
+    assert writes[0] == 2 * size
+
+
 def test_table_doc_validation():
     inst = single_edge()
     base = nc.code_to_doc(unit_code(inst, "ab", (1,)), inst)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import netcode as nc
 from netcode.errors import (
     AlphabetInclusionFails,
     AlphabetTooSmallForRS,
+    BadPath,
     BadPathInstance,
     DistanceTooSmall,
     EdgeMissing,
@@ -20,16 +23,19 @@ from netcode.errors import (
     SymbolOutOfRange,
 )
 from netcode.rational import combine_digits, split_digits
-from netcode import transforms
+from netcode import removal, transforms
 from netcode.transforms import InterleaveTag, _side_by_side, _Staggered
 
+import reference_exec as ref
 from reference_exec import FnView
 from conftest import (
     clamp_code,
+    cycle4,
     identity_suite,
     inst_doc,
     line3,
     make,
+    path_chain,
     single_edge,
     single_edge_cap2,
     unit_code,
@@ -453,13 +459,13 @@ def chord_relay():
         ["a", "c"], ["c", "a"], [[1, 0], [0, 1]]))
 
 
-def chord_code(inst):
+def chord_code(inst, outer_n=3):
     routes = [
         nc.Route(0, 0, ("a", "c"), (1,)),
         nc.Route(0, 0, ("a", "b", "c"), (1, 2)),
-        nc.Route(1, 1, ("c", "a"), (3,)),
+        nc.Route(1, 1, ("c", "a"), (min(outer_n, 3),)),
     ]
-    return nc.make_routing_code(inst, routes, 1, 3, [2, 2])
+    return nc.make_routing_code(inst, routes, 1, outer_n, [2, 2])
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
@@ -577,6 +583,156 @@ def test_pipeline_path_validates_path_instance():
     ):
         with pytest.raises(BadPathInstance):
             nc.pipeline_path(tilde, inst, "a", "c", variant, 3)
+
+
+# ------------------------------------------------------------ builder parity
+#
+# pipeline_path builds from tilde's encoder and split keys, and
+# host_path_code from piped's, where the earlier builders
+# (reference_exec) scanned every round: both must build the same code.
+
+BUILDERS = {"pipeline_path": transforms.pipeline_path, "host_path_code": removal.host_path_code}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The arguments of every pipeline_path and host_path_code call, by
+    builder name, as edge_removal_report and path_chain make them."""
+    calls = []
+    for module, name in ((transforms, "pipeline_path"), (removal, "pipeline_path"),
+                         (removal, "host_path_code")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append((name, args))
+                            or BUILDERS[name](*args))
+    return calls
+
+
+def parity_tuples(code, seed):
+    """Every message tuple of `code` up to 64 of them; else its first and
+    last tuple and 14 seeded draws."""
+    if math.prod(code.message_sizes) <= 64:
+        return list(itertools.product(*map(range, code.message_sizes)))
+    rng = random.Random(seed)
+    return [tuple(0 for _ in code.message_sizes), tuple(s - 1 for s in code.message_sizes),
+            *(tuple(rng.randrange(s) for s in code.message_sizes) for _ in range(14))]
+
+
+def assert_same_code(got, want, inst, seed=0):
+    """Equal fields, encoder keys and splits, and on every tuple of
+    parity_tuples equal reference traces and decoded outputs."""
+    assert (got.inner_n, got.outer_n, got.message_sizes, got.structure) == \
+        (want.inner_n, want.outer_n, want.message_sizes, want.structure)
+    assert set(got.encoders) == set(want.encoders)
+    assert set(got.decoders) == set(want.decoders)
+    assert got.splits == want.splits
+    for msgs in parity_tuples(want, seed):
+        trace = ref.execute(want, inst, msgs)
+        assert ref.execute(got, inst, msgs) == trace
+        assert ref.decode_outputs(got, inst, trace) == ref.decode_outputs(want, inst, trace)
+
+
+def assert_builders_agree(calls):
+    """Each recorded build rerun by the new and the earlier builder."""
+    assert calls
+    for name, args in calls:
+        new, old = BUILDERS[name], getattr(ref, name)
+        target = args[4] if name == "pipeline_path" else args[2]
+        assert_same_code(new(*args), old(*args), target)
+
+
+# message 0 also goes a-b-c, so host a-b carries its own symbol and the
+# relayed a-c symbol in one round
+SHARED = (nc.Route(0, 0, ("a", "b", "c"), (1, 2)),)
+
+
+@pytest.mark.parametrize("variant", [{}, {"off_path": True}, {"extra": SHARED}],
+                         ids=["chain", "off_path", "shared"])
+@pytest.mark.parametrize("n_rounds", range(2, 9))
+def test_path_builders_match_the_round_scanning_builders(builds, n_rounds, variant):
+    path_chain(n_rounds, **variant)
+    assert [name for name, _ in builds] == ["pipeline_path", "host_path_code"]
+    assert_builders_agree(builds)
+
+
+def test_path_builders_match_on_the_acceptance_path_cases(builds):
+    # criterion 2's chord codes, and criterion 3's reports at lambda 1 and 1/2
+    inst = chord_relay()
+    for nb, ell in itertools.product((2, 3), (2, 3, 5)):
+        path = ["a", *(f"p{r}" for r in range(1, ell - 1)), "c"]
+        path_inst = nc.replace_edge_with_path(inst, "a", "c", path, fresh=True)
+        nc.pipeline_path(nc.interleave(chord_code(inst, nb), inst), inst, "a", "c", path_inst, ell)
+    square = cycle4()
+    for lam, inner_n, rate in ((Fraction(1), 1, Fraction(1, 2)), (Fraction(1, 2), 2, Fraction(1, 4))):
+        aug = nc.add_edge(square, "a", "c", lam)
+        code = nc.make_routing_code(
+            aug, [nc.Route(0, 0, ("a", "c"), (1,)), nc.Route(1, 1, ("c", "a"), (2,))], inner_n, 2, [2, 2])
+        assert nc.edge_removal_report(square, "a", "c", lam, code=code, rates=[rate] * 2).verification.passed
+    assert Counter(name for name, _ in builds) == {"pipeline_path": 8, "host_path_code": 2}
+    assert_builders_agree(builds)
+
+
+def test_pipeline_path_ignores_tilde_keys_outside_its_code_as_before():
+    # keys past the last edge or outside rounds 1..N^2 are dropped, and a
+    # sub-block whose removed-edge shape differs from the others' is kept
+    inst = chord_relay()
+    tilde = nc.interleave(chord_code(inst), inst)
+    path_inst = nc.replace_edge_with_path(inst, "a", "c", ["a", "p1", "c"], fresh=True)
+    chord, enc = inst.edge_between("a", "c")[0], tilde.encoders[(0, 1, nc.FWD)]
+    splits = {**dict(tilde.splits.items()), (0, 0): (2, 1), (0, 10): (2, 1), (5, 1): (2, 1),
+              **{(chord, t): (1, 2) for t in (7, 8, 9)}}
+    encoders = {**tilde.encoders, (0, 0, nc.FWD): enc, (0, 10, nc.FWD): enc, (5, 1, nc.FWD): enc,
+                (0, 1, "sideways"): enc, **{(chord, t, nc.BWD): enc for t in (7, 8, 9)}}
+    doctored = tilde._replace(splits=nc.AlphabetSplit(splits), encoders=encoders)
+    args = (doctored, inst, "a", "c", path_inst, 3)
+    got, want = nc.pipeline_path(*args), ref.pipeline_path(*args)
+    assert set(got.encoders) == set(want.encoders) and got.splits == want.splits
+
+
+def outcome(build, *args):
+    """The type and message of what `build(*args)` raised, else None."""
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_path_builders_refuse_the_same_inputs():
+    inst = chord_relay()
+    code = chord_code(inst)
+    tilde = nc.interleave(code, inst)
+    path_inst = nc.replace_edge_with_path(inst, "a", "c", ["a", "p1", "c"], fresh=True)
+    chord = inst.edge_between("a", "c")[0]
+    shapes = dict(tilde.splits.items())
+    doctored = code._replace(structure=InterleaveTag(base_outer=2))
+    bad_tildes = [
+        code, doctored,
+        tilde._replace(splits=nc.AlphabetSplit({**shapes, (chord, 2): (1, 1)})),
+        tilde._replace(splits=nc.AlphabetSplit({**shapes, (chord, 5): (2, 2)})),
+        tilde._replace(splits=nc.AlphabetSplit({**shapes, (chord, 8): (1, 2)})),
+        tilde._replace(splits=nc.AlphabetSplit({**shapes, **{(chord, t): (1, 2) for t in (1, 2, 3)}})),
+    ]
+    wrong = nc.validate_instance({**path_inst.to_doc(), "edges": [
+        *nc.drop_edge(inst, "a", "c").to_doc()["edges"],
+        {"a": "a", "b": "p1", "cap": "2"}, {"a": "p1", "b": "c", "cap": "2"}]})
+    hop = path_inst.edges[-2]
+    variants = [wrong, path_inst._replace(edges=path_inst.edges[::-1]),
+                path_inst._replace(edges=path_inst.edges[:-2] + (hop._replace(a="p1", b="a"),)
+                                   + path_inst.edges[-1:]),
+                path_inst._replace(vertices=path_inst.vertices[::-1])]
+    cases = [(bad, inst, "a", "c", path_inst, 3) for bad in bad_tildes]
+    cases += [(tilde, inst, "a", "c", path_inst, ell) for ell in (1, 2, 5)]
+    cases += [(tilde, inst, "a", "z", path_inst, 3), (tilde, inst, "c", "a", path_inst, 3)]
+    cases += [(tilde, inst, "a", "c", variant, 3) for variant in variants]
+    seen = [outcome(nc.pipeline_path, *case) for case in cases]
+    assert seen == [outcome(ref.pipeline_path, *case) for case in cases]
+    assert {kind for kind, _ in filter(None, seen)} == {NotInterleaved, BadPathInstance, EdgeMissing}
+    # host_path_code refuses a star path that does not shadow the host path
+    (_, star, piped), (_, host, _) = path_chain(2)[2:4]
+    for star_path, host_path in ((["a", "relay2", "c"], ["a", "c"]), (["a", "relay2", "c"], ["c", "b", "a"]),
+                                 (["a", "relay2", "d"], ["a", "b", "c"])):
+        args = (piped, star, host, star_path, host_path)
+        assert outcome(nc.host_path_code, *args) == outcome(ref.host_path_code, *args) == \
+            (BadPath, "path length/endpoint mismatch")
 
 
 # ----------------------------------------------------------------- scale_code
