@@ -50,8 +50,12 @@ SlotKey = tuple[int, int, str]  # (edge index, round, direction)
 
 
 def edge_alphabets(inst: NetworkInstance, n: int) -> tuple[int, ...]:
-    """floor(2**(cap*n)) for every edge, in edge order."""
-    return tuple(alphabet_size(e.cap, n) for e in inst.edges)
+    """floor(2**(cap*n)) for every edge, in edge order; kept on `inst` by n,
+    each distinct capacity computed once."""
+    if n not in inst._alphabets:
+        sizes = {cap: alphabet_size(cap, n) for cap in {e.cap for e in inst.edges}}
+        inst._alphabets[n] = tuple(sizes[e.cap] for e in inst.edges)
+    return inst._alphabets[n]
 
 
 class AlphabetSplit:
@@ -209,20 +213,23 @@ class _Unset(Exception):
 
 
 class _Recording(StateView):
-    """The guarded view one map run reads an Engine state through: each read
-    it answers is recorded in `reads`, and an unset one raises _Unset.
+    """The guarded view of one memo's map runs (Engine._memo): a run points
+    `state` and `reads` at its own; each read it answers is recorded in
+    `reads`, and an unset one raises _Unset, the run's first kept in `unset`.
     `digits` lays messages out as Engine._digits does; those are read by digit."""
 
-    __slots__ = ("state", "reads", "own", "inbound", "digits")
+    __slots__ = ("state", "reads", "own", "inbound", "digits", "unset")
 
     def __init__(self, node, time, state, reads, own, inbound, digits):
         self.node, self.time, self.state, self.reads = node, time, state, reads
-        self.own, self.inbound, self.digits = own, inbound, digits
+        self.own, self.inbound, self.digits, self.unset = own, inbound, digits, None
 
     def _read(self, pos: int) -> int:
         value = self.state[pos]
         self.reads.append((pos, value))
         if value < 0:
+            if self.unset is None:
+                self.unset = pos
             raise _Unset(pos)
         return value
 
@@ -241,10 +248,12 @@ class _Recording(StateView):
         return self._read(laid[0] + j)
 
     def recv(self, sender: str, t: int) -> int:
-        self._visible(sender, t)
-        if sender not in self.inbound:
+        if not 1 <= t <= self.time:
+            raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
+        at = self.inbound.get(sender)
+        if at is None:
             raise LookupError(f"no edge {sender!r}-{self.node!r}")
-        return self._read(self.inbound[sender] + t - 1)
+        return self._read(at + t - 1)
 
 
 class _Renamed(StateView):
@@ -349,10 +358,11 @@ class Engine:
 
     Every encoder and decoder is memoized in a trie keyed on the ordered
     values it read (see the module docstring for the contract this needs).
-    A call replays the recorded reads against the state; on a miss it runs
-    the real map on one `_Recording` view, so the guard checks every read a
-    map makes, and a replayed read is one the guard passed at the same
-    horizon.  A read that raises is not recorded: it raises in every state.
+    A call replays the recorded reads against the state; on a miss it
+    re-points the memo's one `_Recording` view at the state and runs the
+    real map on it, so the guard checks every read a map makes, and a
+    replayed read is one the guard passed at the same horizon.  A read
+    that raises is not recorded: it raises in every state.
     A leaf is a checked output, as a raising run is never stored, so a slot
     whose trie covers every tuple a walk would try needs no walk.  The tries
     hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the cap a miss
@@ -373,8 +383,9 @@ class Engine:
         for idx, e in enumerate(inst.edges):
             self._inbound[e.b][e.a] = k + 2 * idx * n_out
             self._inbound[e.a][e.b] = k + (2 * idx + 1) * n_out
-        # state position -> memo; a memo is (map, node, horizon, check of fresh
-        # outputs, {None: trie root}), also kept by slot key or terminal index
+        # split message -> (state position of its first digit, radices)
+        self._digits: dict[int, tuple[int, tuple[int, ...]]] = {}
+        # state position -> memo (see _memo), also kept by slot key or terminal index
         self._slots: dict[int, tuple] = {}
         self._memos: dict[SlotKey | int, tuple] = {}
         # the live slots, those with an encoder or a split size other than 1,
@@ -391,8 +402,8 @@ class Engine:
                     f"missing encoder for edge {e.a!r}-{e.b!r} t={t} {direction}"
                 )
             check = _symbol_check(e, t, direction, code.splits.size(idx, t, direction))
-            self._slots[k + (2 * idx + d) * n_out + t - 1] = self._memos[(idx, t, direction)] = (
-                enc, slot_tail(inst, idx, direction), t - 1, check, {})
+            self._slots[k + (2 * idx + d) * n_out + t - 1] = self._memos[(idx, t, direction)] = \
+                self._memo(enc, slot_tail(inst, idx, direction), t - 1, check)
         # the box lays each message out as a Joined decoder packs it, in full
         # where the given box covers it whole, else where the given digits
         # fit that split
@@ -403,13 +414,11 @@ class Engine:
             if dec is None:
                 dec = _missing_decoder(j, node) if demanded else lambda view: ()
             check = _output_check(j, demanded, code.message_sizes)
-            self._decoders[j] = self._memos[j] = (dec, node, n_out, check, {})
+            self._decoders[j] = self._memos[j] = self._memo(dec, node, n_out, check)
             if isinstance(dec, Joined) and len(dec.radices) == len(demanded):
                 for i, radices in zip(demanded, dec.radices):
                     if math.prod(radices) == code.message_sizes[i]:
                         split.setdefault(i, radices)
-        # split message -> (state position of its first digit, radices)
-        self._digits: dict[int, tuple[int, tuple[int, ...]]] = {}
         self.box, self._spelled = (), []
         for i, size in enumerate(code.message_sizes):
             given = box[i] if box and _size(box[i]) < size else ((size, size),)
@@ -428,11 +437,17 @@ class Engine:
             dec, targets = memo[0], [self._spelled[i] for i in inst.demanded_at(j)]
             laid_out = [tuple(radix for _, radix in t) for t in targets]
             if isinstance(dec, Joined) and laid_out == list(dec.radices):
-                self._sinks += [((dec.part(s), memo[1], n_out, tuple, {}), [(t[s],) for t in targets])
-                                for s in range(dec.count)]
+                self._sinks += [((dec.part(s), memo[1], n_out, tuple, {}, memo[5]),
+                                 [(t[s],) for t in targets]) for s in range(dec.count)]
             else:
                 self._sinks.append((memo, targets))
         self._sinks += [(memo, ()) for memo in self._slots.values()]
+
+    def _memo(self, fn: Callable, node: str, time: int, check: Callable) -> tuple:
+        """(map, node, horizon, check of fresh outputs, {None: trie root}, the
+        one `_Recording` view of node at that horizon that its runs read)."""
+        return fn, node, time, check, {}, _Recording(node, time, None, None, self._own[node],
+                                                    self._inbound[node], self._digits)
 
     def _lay_out(self, state: list[int]) -> list[int]:
         """`state` with each laid-out message also written by digit."""
@@ -527,11 +542,11 @@ class Engine:
         past the map calls the tuples make, the tuples run and are compared."""
         k, ks, width = len(self.inst.sources), len(part.inst.sources), 2 * self.code.outer_n
         sinks = []
-        for pos, (fn, node, time, check, _) in part._slots.items():
+        for pos, (fn, node, time, check, *_) in part._slots.items():
             if fn in agreed:
                 continue
             p, at = divmod(pos - ks, width)  # one digit to match: its radix is never used
-            sinks.append(((functools.partial(_matched, fn, check, messages), node, time, tuple, {}),
+            sinks.append((self._memo(functools.partial(_matched, fn, check, messages), node, time, tuple),
                           [((k + edges[p] * width + at, 1),)]))
         total, maps = math.prod(_size(self.box[i]) for i in messages), len(self._slots) + len(part._slots)
 
@@ -596,7 +611,7 @@ class Engine:
         A trie node is a leaf (the output) or a branch, a list [position
         the map reads next, {value read: subtree}]; outputs are ints or
         tuples, never lists or None."""
-        fn, node, time, check, top = memo
+        fn, _, _, check, top, view = memo
         branch, found = None, top.get(None)
         while type(found) is list:
             branch, found = found, found[1].get(state[found[0]])
@@ -604,16 +619,15 @@ class Engine:
             return found
         if branch is not None and state[branch[0]] < 0:  # -1 is never a key
             raise _Unset(branch[0])
-        reads: list[tuple[int, int]] = []
+        view.state, view.unset = state, None
+        reads = view.reads = []
         try:
-            out = check(fn(_Recording(node, time, state, reads, self._own[node],
-                                      self._inbound[node], self._digits)))
+            out = check(fn(view))
         except Exception:
-            if all(value >= 0 for _, value in reads):
+            if view.unset is None:
                 raise
-        for pos, value in reads:  # a map that swallowed _Unset ran on an unset value
-            if value < 0:
-                raise _Unset(pos)
+        if view.unset is not None:  # also where the map swallowed _Unset
+            raise _Unset(view.unset)
         if self.nodes + len(reads) < TRIE_NODE_CAP:
             nxt, key = top, None
             for pos, value in reads:

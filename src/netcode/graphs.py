@@ -84,7 +84,7 @@ class NetworkInstance(_Record):
     """Immutable network instance (graph, sources, terminals, demand)."""
 
     _fields = ("vertices", "edges", "sources", "terminals", "demand")
-    __slots__ = _fields + ("_pair_index", "_demanded")  # the fields, then two derived tables
+    __slots__ = _fields + ("_pair_index", "_demanded", "_alphabets")  # the fields, then derived tables
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...], sources: tuple[str, ...],
                  terminals: tuple[str, ...], demand: tuple[tuple[int, ...], ...]):
@@ -95,7 +95,7 @@ class NetworkInstance(_Record):
         demanded = tuple(tuple(i for i in range(len(sources)) if demand[i][j])
                          for j in range(len(terminals)))
         for name, value in zip(self.__slots__, (vertices, edges, sources, terminals, demand,
-                                                pairs, demanded)):
+                                                pairs, demanded, {})):
             object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------- lookups

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import EnumerationTooLarge, MalformedDocument, sized
 from .graphs import BWD, FWD, NetworkInstance, _Record, incoming_slots, slot_tail
-from .rational import alphabet_size
+from .rational import MAX_ROUNDS, alphabet_size, check_count
 
 
 class RegionLimits(_Record):
@@ -104,8 +104,8 @@ def _search_codes(
     ]
     # Edges are staged round by round; checks[step] lists (terminal, its
     # demanded values per tuple, how many symbol sequences its incoming
-    # slots from `step` on can carry) for the terminals whose view the
-    # slot before `step` may have refined.
+    # slots from `step` on can carry, capped at count + 1) for the
+    # terminals whose view the slot before `step` may have refined.
     slots = [(t, pos) for t in range(1, outer_n + 1) for pos in range(len(inst.edges))]
     checks: list[list] = [[] for _ in range(len(slots) + 1)]
     for j, node in enumerate(inst.terminals):
@@ -113,22 +113,20 @@ def _search_codes(
             continue
         into = {e for e, _, _ in incoming[node]}
         wanted = [tuple(msgs[i] for i in inst.demanded_at(j)) for msgs in tuples]
-        for step in range(len(slots) + 1):
-            if step == 0 or slots[step - 1][1] in into:
-                room = math.prod(alphabets[e] for _, e in slots[step:] if e in into)
+        room = 1
+        for step in reversed(range(1, len(slots) + 1)):
+            if slots[step - 1][1] in into:
                 checks[step].append((node, wanted, room))
+                room = min(count + 1, room * alphabets[slots[step - 1][1]])
+        checks[0].append((node, wanted, room))
 
     # hist holds per-tuple symbols for every committed slot of size > 1
     hist: dict[tuple[int, int, str], tuple[int, ...]] = {}
+    heard = {v: {(e, d) for e, d, _ in incoming[v]} for v in inst.vertices}
 
     def views(node: str, horizon: int) -> list:
         """Per tuple: the node's own messages, then what it received."""
-        keys = [
-            (e, t, d)
-            for (e, d, _) in incoming[node]
-            for t in range(1, horizon + 1)
-            if (e, t, d) in hist
-        ]
+        keys = [key for key in hist if key[1] <= horizon and (key[0], key[2]) in heard[node]]
         return list(zip(own[node], *(hist[k] for k in keys)))
 
     def slot_functions(edge_idx: int, direction: str, size: int, t: int):
@@ -154,31 +152,38 @@ def _search_codes(
                 return False
         return True
 
-    def fill(step: int) -> bool:
-        if not receivable(step):
-            return False
-        if step == len(slots):
-            return True
+    def choices(step: int):
+        """What slot `step` can commit, in search order: its (key, symbols)
+        of size > 1 per split and pair of slot functions."""
         t, pos = slots[step]
         for f, b in split_options[pos]:
             for fsyms in slot_functions(pos, FWD, f, t):
                 for bsyms in slot_functions(pos, BWD, b, t):
-                    staged = [
-                        (key, syms)
-                        for key, syms in (((pos, t, FWD), fsyms), ((pos, t, BWD), bsyms))
-                        if syms is not None
-                    ]
-                    hist.update(staged)
-                    ok = fill(step + 1)
-                    for key, _ in staged:
-                        del hist[key]
-                    if ok:
-                        return True
-        return False
+                    yield [(key, syms) for key, syms in (((pos, t, FWD), fsyms), ((pos, t, BWD), bsyms))
+                           if syms is not None]
 
     if count == 1:
         return True
-    return fill(0)
+    # depth-first over the slots: per committed slot, its choices and what
+    # it staged in hist
+    stack, ok = [], receivable(0)
+    while True:
+        if ok:
+            if len(stack) == len(slots):
+                return True
+            stack.append([choices(len(stack)), ()])
+        while stack:
+            top = stack[-1]
+            for key, _ in top[1]:
+                del hist[key]
+            top[1] = next(top[0], None)
+            if top[1] is not None:
+                hist.update(top[1])
+                break
+            stack.pop()
+        else:
+            return False
+        ok = receivable(len(stack))
 
 
 def _cut_prune(
@@ -233,7 +238,9 @@ def rate_region_micro(
     enumerated.  EnumerationTooLarge names the limit that stopped the
     search; the cap stops it when a feasible size tuple sits at the cap in
     a coordinate whose doubling still passes the cut count, or when no cut
-    bounds a source and there is no cap.
+    bounds a source and there is no cap.  An outer_n past MAX_ROUNDS raises
+    it before anything is laid out, whatever limits.max_outer allows; the
+    slot search is a loop, so no N within it exhausts the recursion limit.
     """
     limits = limits or RegionLimits()
     if len(inst.edges) > limits.max_edges:
@@ -256,6 +263,7 @@ def rate_region_micro(
     if len(inst.vertices) > 16:
         raise EnumerationTooLarge("more than 16 vertices")
 
+    check_count(outer_n, MAX_ROUNDS, "round count")
     budget = _Budget(limits.max_ops)
     cuts = _cut_prune(inst, alphabets, outer_n)
     k = len(inst.sources)
@@ -279,7 +287,8 @@ def rate_region_micro(
 
     # Ascending lexicographic order extends the componentwise order, so
     # every tuple below `sizes` has been decided before it.
-    for sizes in itertools.product(*([1 << b for b in range(top.bit_length())] for top in tops)):
+    for exponents in itertools.product(*(range(top.bit_length()) for top in tops)):
+        sizes = tuple(1 << b for b in exponents)
         budget.spend()
         if any(all(s >= g for s, g in zip(sizes, known)) for known in infeasible):
             infeasible.append(sizes)

@@ -201,39 +201,52 @@ def _decompose_side(
     )
 
 
+REPLAY_ROUNDS = 32  # the rounds one replay recurses through at most (see _Replaying)
+
+
 class _Replaying(StateView):
     """The original code's view at `node` over the side execution seen by
     `state`, a side view of `node` or, in a replay, of the anchor.  `replay`
-    is what `_simulated_side_code` fixed for the side; sim[r-1] holds the
-    replayed symbols of round r, one list for the views of one replay."""
+    is what `_simulated_side_code` fixed for the side.  A replayed slot is
+    computed when a read asks for it, by its encoder on a view of its
+    sender, and kept in `sim` by slot key (0 where it has no encoder): one
+    dict for the views of one tree, so a map call replays only the slots
+    its reads reach.  So that a replay recurses through at most
+    REPLAY_ROUNDS rounds, the slots that many rounds or more before the one
+    asked for are replayed first, in round order; sim[None] counts them."""
 
     __slots__ = ("replay", "state", "sim")
 
-    def __init__(self, replay: tuple, node: str, time: int, state, sim: Optional[list] = None):
+    def __init__(self, replay: tuple, node: str, time: int, state, sim: Optional[dict] = None):
         self.replay, self.node, self.time = replay, node, time
         self.state, self.sim = state, sim
 
     def message(self, i: int) -> int:
-        _, _, own, side_pos, fixing, _ = self.replay
+        _, _, own, side_pos, fixing, _, _ = self.replay
         if i not in own[self.node]:
             raise KeyError(f"node {self.node!r} holds no message {i}")
         return self.state.message(side_pos[i]) if i in side_pos else fixing[i]
 
     def recv(self, sender: str, t: int) -> int:
         self._visible(sender, t)
-        inst, local, _, _, _, replayed = self.replay
+        inst, local, _, _, _, replayed, order = self.replay
         if (sender, self.node) in local:
             return self.state.recv(sender, t)
         oi, direction = inst.slot(sender, self.node)
-        sim = self.sim
+        key, sim = (oi, t, direction), self.sim
         if sim is None:
-            sim = self.sim = []
-        while len(sim) < t:
-            r = len(sim) + 1
-            sim.append({})
-            for key, enc, tail in replayed.get(r, ()):
-                sim[r - 1][key] = enc(_Replaying(self.replay, tail, r - 1, self.state, sim))
-        return sim[t - 1].get((oi, direction), 0)
+            sim = self.sim = {None: 0}
+        value = sim.get(key)
+        if value is None:
+            done, stop = sim[None], t - REPLAY_ROUNDS
+            while done < len(order) and order[done][0] <= stop:
+                r, early, enc, tail = order[done]
+                if early not in sim:
+                    sim[early] = enc(_Replaying(self.replay, tail, r - 1, self.state, sim))
+                sim[None] = done = done + 1
+            enc = replayed.get(key)
+            value = sim[key] = enc(_Replaying(self.replay, sender, t - 1, self.state, sim)) if enc else 0
+        return value
 
 
 class _SideMap:
@@ -252,20 +265,19 @@ class _SideMap:
 def _side_replay(inst: NetworkInstance, code: NetworkCode, side: set[str], e_idx: int,
                  s_idx: tuple[int, ...], fixing: dict[int, int]) -> tuple:
     """The `replay` of one side's `_Replaying` views: (inst, local, own,
-    side_pos, fixing, replayed).  `local` holds the (sender, receiver) of
-    every slot the side execution carries, those off the removed edge sent
-    from the side.  Every other slot is replayed: replayed[r] lists those
-    of round r with an encoder, as ((edge, direction), map, sender)."""
+    side_pos, fixing, replayed, order).  `local` holds the (sender, receiver)
+    of every slot the side execution carries, those off the removed edge
+    sent from the side.  Every other slot is replayed: `replayed` maps the
+    slot key (edge, round, direction) of each one with an encoder to that
+    map, and `order` lists them by round as (round, key, map, sender)."""
     ends = {(oi, d): pair for oi, e in enumerate(inst.edges)
             for d, pair in ((FWD, (e.a, e.b)), (BWD, (e.b, e.a)))}
     local = {pair for (oi, _), pair in ends.items() if oi != e_idx and pair[0] in side}
-    replayed: dict[int, list] = {}
-    for (oi, t, direction), enc in code.encoders.items():
-        pair = ends.get((oi, direction))
-        if pair is not None and pair not in local:
-            replayed.setdefault(t, []).append(((oi, direction), enc, pair[0]))
+    order = sorted(((t, (oi, t, d), enc, ends[oi, d][0]) for (oi, t, d), enc in code.encoders.items()
+                    if t > 0 and (oi, d) in ends and ends[oi, d] not in local), key=lambda item: item[0])
+    replayed = {key: enc for _, key, enc, _ in order}
     own = {x: set(inst.sources_at(x)) for x in inst.vertices}
-    return inst, local, own, {i: pos for pos, i in enumerate(s_idx)}, fixing, replayed
+    return inst, local, own, {i: pos for pos, i in enumerate(s_idx)}, fixing, replayed, order
 
 
 def _simulated_side_code(
@@ -288,8 +300,8 @@ def _simulated_side_code(
     whose sender is on the far side, plus both directions of the removed
     edge: with every far message fixed, the anchor (the edge's end in the
     side), which alone receives on them, can recompute them from its own
-    inputs.  A view simulates the replayed slots once, round by round, up
-    to the latest round it is asked for.
+    inputs.  A map call's views replay a slot only when a read asks for it,
+    and each one once (see `_Replaying`).
     """
     replay = _side_replay(inst, code, side, e_idx, s_idx, fixing)
 

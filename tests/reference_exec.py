@@ -27,10 +27,14 @@ netcode.routing, whose maps worked out on every call each hop's sender,
 round, slot radices and position in the slot (`carried_value`); it is
 unchanged except for imports (tests/test_engine.py).
 `_replaying_view` is the earlier closure-built view of the bridge's side
-code (netcode.removal), and `match_view` the view that the earlier
-`Engine._matches` sink built around the engine's recording view for a
-side encoder (side message q read as joint message messages[q]); they
-are unchanged except for the second one's name and signature
+code (netcode.removal), which replayed every far-side slot round by
+round up to the latest round asked for, and `match_view` the view that
+the earlier `Engine._matches` sink built around the engine's recording
+view for a side encoder (side message q read as joint message
+messages[q]); they are unchanged except for the second one's name and
+signature.  `_on_demand_view` is the same closure view replaying only
+the slots a read asks for, each once per view tree, as
+netcode.removal's `_Replaying` does below its REPLAY_ROUNDS
 (tests/test_properties.py).
 `pipeline_path` and `host_path_code` are the earlier builders of
 netcode.transforms and netcode.removal, which scanned every tilde round
@@ -1019,6 +1023,32 @@ def _replaying_view(replay: tuple, node: str, horizon: int, state, sim=None) -> 
             for key, enc, tail in replayed.get(r, ()):
                 sim[r - 1][key] = enc(_replaying_view(replay, tail, r - 1, state, sim))
         return sim[t - 1].get((oi, direction), 0)
+
+    return FnView(node, horizon, message, recv)
+
+
+def _on_demand_view(replay: tuple, node: str, horizon: int, state, sim=None) -> StateView:
+    """`_replaying_view` with `replay`'s last entry mapping each replayed
+    slot key (edge, round, direction) with an encoder to that encoder: a
+    read computes its slot only when it is not yet in `sim`, the symbols
+    one view tree has computed by slot key (0 where no encoder sends)."""
+    inst, e_idx, side, own, side_pos, fixing, replayed = replay
+    sim = {} if sim is None else sim
+
+    def message(i):
+        if i not in own[node]:
+            raise KeyError(f"node {node!r} holds no message {i}")
+        return state.message(side_pos[i]) if i in side_pos else fixing[i]
+
+    def recv(sender, t):
+        oi, direction = inst.slot(sender, node)
+        if oi != e_idx and sender in side:
+            return state.recv(sender, t)
+        if (oi, t, direction) not in sim:
+            enc = replayed.get((oi, t, direction))
+            sim[(oi, t, direction)] = 0 if enc is None else enc(
+                _on_demand_view(replay, sender, t - 1, state, sim))
+        return sim[(oi, t, direction)]
 
     return FnView(node, horizon, message, recv)
 

@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -890,6 +891,27 @@ def test_huge_integers_exit_with_a_named_error(tmp_path, case):
     assert (run.returncode, doc["error"]) == (code, error)
     assert doc["message"].startswith(message)
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("rounds, seconds, message", [
+    (10 ** 7, 1, "round count 10000000 exceeds the limit 65536"),
+    (10 ** 5, 1, "round count 100000 exceeds the limit 65536"),
+    (1100, 10, "region search used all of max_ops=1000"),
+    (65536, 10, "region search used all of max_ops=1000")])
+def test_region_refuses_or_searches_any_round_count(tmp_path, rounds, seconds, message):
+    # with max_outer raised to N, region once laid out per-round structures
+    # that max_ops never reached: at N = 10^7 a size ladder of N integers of
+    # up to N bits ended in MemoryError under cli_child's cap, N = 10^5 ran
+    # past 15 s, and at N = 1,100 the slot-by-slot search overflowed the
+    # recursion limit.  Past MAX_ROUNDS it is refused; within, max_ops stops it
+    argv = ["region", jfile(tmp_path, "inst.json", single_edge().to_doc()), "--n", "1",
+            "--N", str(rounds), "--limits", f"max_outer={rounds},max_ops=1000"]
+    start = time.perf_counter()
+    run = cli_child(argv, tmp_path)
+    assert time.perf_counter() - start < seconds
+    assert b"Traceback" not in run.stderr
+    assert (run.returncode, json.loads(run.stdout)) == (
+        5, {"error": "EnumerationTooLarge", "message": message})
 
 
 @pytest.mark.parametrize("cap", ["1/1000000000000", "999999999999/1000000000000"])

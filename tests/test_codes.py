@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netcode as nc
-from netcode import codes
+from netcode import codes, rational
 from netcode.graphs import slot_tail
 from netcode.errors import (
     BadRate,
@@ -21,7 +21,9 @@ from netcode.transforms import remapped
 from reference_exec import FnView, interval_valid
 from conftest import (
     clamp_code,
+    inst_doc,
     line3,
+    make,
     pair_at_one_node,
     single_edge,
     single_edge_cap2,
@@ -39,6 +41,32 @@ def test_edge_alphabets_and_slots():
     assert nc.incoming_slots(inst, "a") == ((0, nc.BWD, "b"),)
     assert slot_tail(inst, 0, nc.FWD) == "a"
     assert slot_tail(inst, 0, nc.BWD) == "b"
+
+
+def test_edge_alphabets_are_computed_once_per_capacity_and_n(monkeypatch):
+    # an instance keeps its alphabets by n, each distinct capacity computed
+    # once, so building a routing code and checking it twice compute
+    # floor(2^(cap*n)) once per (cap, n); an equal instance built afresh
+    # computes its own
+    exponents, real = [], rational.floor_pow2
+
+    def counted(exponent):
+        exponents.append(exponent)
+        return real(exponent)
+
+    monkeypatch.setattr(rational, "floor_pow2", counted)
+
+    def triangle():
+        return make(inst_doc("abc", [("a", "b", "1"), ("b", "c", "1"), ("a", "c", "2")],
+                             ["a"], ["c"], [[1]]))
+
+    inst = triangle()
+    code = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b", "c"), (1, 2))], 2, 2, [4])
+    assert nc.check_feasibility(code, inst).passed and nc.check_feasibility(code, inst).passed
+    assert sorted(exponents) == [2, 4]
+    assert nc.edge_alphabets(inst, 2) == (4, 4, 16)
+    assert nc.check_feasibility(code, triangle()).passed
+    assert sorted(exponents) == [2, 2, 4, 4]
 
 
 def test_alphabet_split_basics():

@@ -8,6 +8,7 @@ reference's (tests/reference_exec.py).
 
 import gc
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -1142,3 +1143,67 @@ def test_table_maps_match_a_lookup_of_the_packed_reads(data):
 
         view = ref.FnView(node, horizon, messages.__getitem__, recv)
         assert outcome(lambda: got(view)) == outcome(want)
+
+
+# ------------------------------------------------ one recording view per memo
+
+def counted_views(monkeypatch):
+    """The node of every `_Recording` view built from now on, in order."""
+    built = []
+
+    class Counted(codes._Recording):
+        __slots__ = ()
+
+        def __init__(self, node, *args):
+            built.append(node)
+            super().__init__(node, *args)
+
+    monkeypatch.setattr(codes, "_Recording", Counted)
+    return built
+
+
+@pytest.mark.parametrize("case", [relay_code, lambda: CHAINS[3][-1][1:], lambda: amplified_clamp(16)],
+                         ids=["relay", "chain3", "amplified16"])
+def test_an_engine_builds_one_recording_view_per_memo(monkeypatch, case):
+    # every run of a map that misses its trie re-points its memo's view, so
+    # an engine builds one view per memo, with the memo (a Joined
+    # decoder's session sinks share its view), however many calls it makes
+    inst, code = case()
+    built, calls = counted_views(monkeypatch), count_calls(monkeypatch)
+    engine = Engine(code, inst)
+    memos = list(engine._memos.values())
+    assert len(built) == len(memos) == len({id(memo[5]) for memo in memos})
+    assert {id(sink[0][5]) for sink in engine._sinks} == {id(memo[5]) for memo in memos}
+    engine._sliced_pass(math.prod(map(codes._size, engine.box)))
+    for tup in itertools.islice(itertools.product(*map(codes._values, engine.box)), 16):
+        engine.decode(engine.run(tup))
+    assert len(built) == len(memos) and calls[0] > 2 * len(memos)
+
+
+def test_a_map_that_swallows_unset_raises_unset_at_its_first_unset_read():
+    # the memo's view keeps the first unset position a run reads, so a map
+    # that catches _Unset and answers anyway raises it for that position;
+    # the next run starts clean, and is stored
+    inst = make(inst_doc("ab", [("a", "b", "1")], ["a", "a"], ["b"], [[1], [0]]))
+
+    def swallowing(view):
+        for i in (1, 0):
+            try:
+                view.message(i)
+            except codes._Unset:
+                pass
+        return 0
+
+    code = nc.NetworkCode(
+        inner_n=1, outer_n=1, message_sizes=(2, 2), splits=nc.AlphabetSplit({(0, 1): (2, 1)}),
+        encoders={(0, 1, nc.FWD): swallowing}, decoders={0: lambda view: (view.recv("a", 1),)})
+    engine = Engine(code, inst)
+    memo, state = engine._memos[(0, 1, nc.FWD)], engine._blank[:]
+    for unset, first in (((0, 1), 1), ((0,), 0), ((1,), 1)):
+        state[:2] = [-1 if i in unset else 0 for i in range(2)]
+        with pytest.raises(codes._Unset) as raised:
+            engine._call(memo, state)
+        assert raised.value.args == (first,) and memo[4] == {}
+    state[:2] = [1, 0]
+    assert engine._call(memo, state) == 0 and memo[5].unset is None
+    assert memo[4] == {None: [1, {0: [0, {1: 0}]}]}

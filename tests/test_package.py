@@ -495,6 +495,42 @@ def test_walk_copy_guard_flags(source, flagged):
     assert bool(walk_state_copies(ast.parse(source))) == flagged
 
 
+PER_CALL = {"_call", "_walk"}
+
+
+def per_call_views(tree) -> list[tuple[int, str]]:
+    """(line, source) of every `_Recording(...)` built inside `_call` or
+    `_walk`: a view built per map call costs an allocation and seven
+    fields per call, where one view per memo, re-pointed at each call's
+    state, costs one per memo."""
+    return [site for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in PER_CALL
+            for site in calls_to(fn, "_Recording")]
+
+
+def test_a_map_call_builds_no_view():
+    # each memo carries the one recording view its map runs read
+    tree = ast.parse((SRC / "netcode" / "codes.py").read_text(encoding="utf-8"))
+    assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} >= PER_CALL
+    assert calls_to(tree, "_Recording") != []
+    assert per_call_views(tree) == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def _call(self, memo, state):\n    reads = []\n"
+     "    out = check(fn(_Recording(node, time, state, reads, self._own[node],\n"
+     "                              self._inbound[node], self._digits)))", True),
+    ("def _walk(self, sink, state):\n    view = codes._Recording(node, 0, state, [], {}, {}, {})", True),
+    ("class Engine:\n    def _call(self, memo, state):\n        def run():\n"
+     "            return _Recording(*memo)", True),
+    ("def _memo(self, fn, node, time):\n    return fn, _Recording(node, time, None, None, {}, {}, {})",
+     False),
+    ("def _call(self, memo, state):\n    view = memo[5]\n    view.state = state", False),
+    ("def _walk(self, sink):\n    return _Recordings(sink)", False),
+])
+def test_per_call_view_guard_flags(source, flagged):
+    assert bool(per_call_views(ast.parse(source))) == flagged
+
+
 def _bound(fn) -> set[str]:
     """The names a function or lambda binds: its parameters, and every name
     it, or a function inside it, assigns or defines."""

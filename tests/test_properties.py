@@ -173,11 +173,15 @@ def reads_of(view, aug, k, n_rounds, replaced=True) -> list:
 def test_side_views_read_as_the_closure_views(case, values, unset_slots):
     # the slotted replaying view over the slotted renaming view must answer
     # every read, and raise every error in the same order with the same
-    # message, as the closure-built views did around the same recording
-    # view, and make the same recorded reads, also through remapped's view; with
-    # `unset_slots` the joint symbols are unset, so a read raises the
-    # walk's _Unset.  The closure view reads the production replay in its
-    # own layout, and splits local from replayed slots by its own rule
+    # message, as the on-demand closure-built views do around the same
+    # recording view, and make the same recorded reads, also through
+    # remapped's view; with `unset_slots` the joint symbols are unset, so a
+    # read raises the walk's _Unset.  The closure views read the production
+    # replay in their own layouts, and split local from replayed slots by
+    # their own rule.  The eager closure view, which replays every far slot
+    # up to the round asked for, must give the same answers wherever the
+    # joint symbols are set: it runs encoders outside the asked slot's cone,
+    # so it reads more, and where a read is unset it may raise first
     inst, u, v, lam, code, _ = case
     aug = nc.add_edge(inst, u, v, lam)
     engine, k, e_idx = Engine(code, aug), len(aug.sources), aug.edge_between(u, v)[0]
@@ -188,8 +192,12 @@ def test_side_views_read_as_the_closure_views(case, values, unset_slots):
     for side in (set(u_side), set(aug.vertices) - set(u_side)):
         owned, foreign, _ = nc.removal._side_messages(aug, side)
         replay = nc.removal._side_replay(aug, code, side, e_idx, owned, {i: msgs[i] for i in foreign})
-        _, _, own, side_pos, fixing, replayed = replay
+        _, _, own, side_pos, fixing, replayed, _ = replay
         closure_replay = (aug, e_idx, side, own, side_pos, fixing, replayed)
+        by_round = {}
+        for (oi, t, direction), enc in replayed.items():
+            by_round.setdefault(t, []).append(((oi, direction), enc, nc.graphs.slot_tail(aug, oi, direction)))
+        eager_replay = closure_replay[:-1] + (by_round,)
         for node in sorted(side):
             for horizon in range(code.outer_n + 1):
                 def recording(reads):
@@ -197,12 +205,17 @@ def test_side_views_read_as_the_closure_views(case, values, unset_slots):
                                             engine._inbound[node], engine._digits)
 
                 old_reads, new_reads = [], []
-                old = ref._replaying_view(closure_replay, node, horizon,
+                old = ref._on_demand_view(closure_replay, node, horizon,
                                           ref.match_view(recording(old_reads), owned))
                 new = nc.removal._Replaying(replay, node, horizon,
                                             codes._Renamed(recording(new_reads), owned))
-                assert reads_of(new, aug, k, code.outer_n) == reads_of(old, aug, k, code.outer_n)
+                answers = reads_of(new, aug, k, code.outer_n)
+                assert answers == reads_of(old, aug, k, code.outer_n)
                 assert new_reads == old_reads
+                if not unset_slots:
+                    eager = ref._replaying_view(eager_replay, node, horizon,
+                                                ref.match_view(recording([]), owned))
+                    assert answers == reads_of(eager, aug, k, code.outer_n)
 
 
 @given(removal_cases(bridge=True))
@@ -235,14 +248,14 @@ def test_trace_match_skips_only_side_encoders_that_send_the_joint_symbol(case):
     for (engine, part, edges, messages, fixed, agreed), sinks in zip(matched, walked):
         anchor = e.a if e.a in part.inst.vertices else e.b
         slots = part._slots.items()
-        assert sinks == sorted((node, time) for _, node, time, _, _ in part._slots.values()
+        assert sinks == sorted((node, time) for _, node, time, *_ in part._slots.values()
                                if node == anchor)
         skipped = [(pos, memo) for pos, memo in slots if memo[0] in agreed]
         assert [memo[1] != anchor for _, memo in slots] == [memo[0] in agreed for _, memo in slots]
         for free in itertools.product(*(codes._values(engine.box[i]) for i in messages)):
             given = {**fixed, **dict(zip(messages, free))}
             state, mine = engine.run([given[i] for i in range(k)]), part.run(free)
-            for pos, (fn, node, time, _, _) in skipped:
+            for pos, (fn, node, time, *_) in skipped:
                 p, at = divmod(pos - len(messages), width)
                 joint = state[k + edges[p] * width + at]
                 view = codes._Recording(node, time, state, [], engine._own[node],

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -829,6 +830,119 @@ def test_bridge_report_leaves_no_cyclic_garbage():
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+# ------------------------------------------------------ on-demand far replay
+
+def bridge_n12_code(n_rounds=12):
+    """(two triangles joined by the probe c-d, its augmented instance, the
+    routing code of the bridge benchmark workload): a->b at round N, d->g
+    at round 1, c->d->f at (N-1, N), and g->d->c->a at (t, t+1, t+2) for
+    every t = 1..N-2; n=8."""
+    inst = make(inst_doc(
+        "abcdfg",
+        [("a", "b", "1"), ("b", "c", "1"), ("a", "c", "1"),
+         ("d", "f", "1"), ("f", "g", "1"), ("d", "g", "1")],
+        ["a", "d", "c", "g"], ["b", "g", "f", "a"],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    aug = nc.add_edge(inst, "c", "d", Fraction(1))
+    routes = [nc.Route(0, 0, ("a", "b"), (n_rounds,)), nc.Route(1, 1, ("d", "g"), (1,)),
+              nc.Route(2, 2, ("c", "d", "f"), (n_rounds - 1, n_rounds))]
+    routes += [nc.Route(3, 3, ("g", "d", "c", "a"), (t, t + 1, t + 2)) for t in range(1, n_rounds - 1)]
+    return inst, aug, nc.make_routing_code(aug, routes, 8, n_rounds, [256, 2, 2, 2])
+
+
+def counted(monkeypatch, module, name):
+    """The arguments of every `module.name` view built from now on."""
+    built, cls = [], getattr(module, name)
+
+    class Counted(cls):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(module, name, Counted)
+    return built
+
+
+def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
+    # each anchor map call replays the far slots its reads reach, each once:
+    # on the u side c reads d->c at t+1, which reads g->d at t; on the v
+    # side d reads c->d at 11 alone.  No other far encoder runs in a replay
+    # (c->a at 3..12, a->b at 12 and d->f at 12 and d->g at 1 are far for
+    # one side each, outside its cone), and a report builds 34 replaying
+    # views and 77 recording views for 793 map calls
+    inst, aug, code = bridge_n12_code()
+    ran, real = {}, nc.removal._side_replay
+
+    def spied(inst, code, side, *rest):
+        def spy(key, enc):
+            def encoder(view):
+                ran.setdefault(min(side), []).append(key)
+                return enc(view)
+            return encoder
+
+        return real(inst, code._replace(encoders={key: spy(key, enc) for key, enc in
+                                                  code.encoders.items()}), side, *rest)
+
+    monkeypatch.setattr(nc.removal, "_side_replay", spied)
+    replaying = counted(monkeypatch, nc.removal, "_Replaying")
+    recording = counted(monkeypatch, nc.codes, "_Recording")
+    calls, call = [0], Engine._call
+
+    def counted_call(self, memo, state):
+        calls[0] += 1
+        return call(self, memo, state)
+
+    monkeypatch.setattr(Engine, "_call", counted_call)
+    rep = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code)
+    assert rep.verification.passed
+
+    def keys(sender, receiver, rounds):
+        idx, direction = aug.slot(sender, receiver)
+        return {(idx, t, direction) for t in rounds}
+
+    assert {side: set(ran_keys) for side, ran_keys in ran.items()} == {
+        "a": keys("d", "c", range(2, 12)) | keys("g", "d", range(1, 11)), "d": keys("c", "d", (11,))}
+    assert (len(replaying), len(recording), calls[0]) == (34, 77, 793)
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_replay_chain_longer_than_the_recursion_limit(monkeypatch):
+    # message 0 ping-pongs g-d on the far side for more rounds than the
+    # recursion limit allows frames, then crosses d->c->a; c, the u side's
+    # anchor, relays it at the last round, so its replay reaches back to
+    # round 1.  Slots REPLAY_ROUNDS or more rounds back are replayed first,
+    # in round order, so the report needs no deeper stack; without that
+    # bound the replay recurses once per round
+    limit = stack_depth() + 300
+    hops = limit + 21 - limit % 2  # odd: the ping-pong ends at d
+    inst = make(inst_doc("acdg", [("a", "c", "1"), ("d", "g", "1")], ["g", "c"], ["a"], [[1], [1]]))
+    aug = nc.add_edge(inst, "c", "d", Fraction(1))
+    nodes = tuple("gd"[h % 2] for h in range(hops + 1)) + ("c", "a")
+    code = nc.make_routing_code(aug, [nc.Route(0, 0, nodes, tuple(range(1, hops + 3))),
+                                      nc.Route(1, 0, ("c", "a"), (1,))], 1, hops + 2, [2, 2])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        assert hops > sys.getrecursionlimit()
+        rep = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code)
+        monkeypatch.setattr(nc.removal, "REPLAY_ROUNDS", hops)
+        with pytest.raises(RecursionError):
+            nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code)
+    finally:
+        sys.setrecursionlimit(old)
+    ver = rep.verification
+    assert ver.passed and ver.decomposition.u_side.code is not None
+    assert ver.decomposition.u_side.trace_match and ver.decomposition.v_side.trace_match
 
 
 def cycle4_against_path():
