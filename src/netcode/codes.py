@@ -274,8 +274,7 @@ class _Renamed(StateView):
 
 
 def _matched(fn, check, names, view) -> tuple:
-    """A part's map `fn` run on `view` renamed by `names`: its checked
-    output, as the one output of a sink."""
+    """A part's map `fn` on `view` renamed by `names`, checked: a sink's one output."""
     return (check(fn(_Renamed(view, names))),)
 
 
@@ -530,31 +529,32 @@ class Engine:
                 return False
         return True
 
-    def _matches(self, part: "Engine", edges: Sequence[int], messages: Sequence[int],
+    def _matches(self, code: NetworkCode, edges: Sequence[int], messages: Sequence[int],
                  fixed: Mapping[int, int], agreed: Container) -> bool:
-        """Whether `part` (of this outer_n; its edge p and message q are this
-        code's edges[p] and messages[q]) sends what this code does on every
-        tuple of its messages in the box, the others at `fixed`.  A walk
-        sink per slot of `part` whose map is not in `agreed` (known to agree)
-        runs its encoder on this execution against this code's symbol there:
-        each map call reads the recording view through one `_Renamed`, which
-        reads message q as messages[q].  On a raising map, a mismatch, or
-        past the map calls the tuples make, the tuples run and are compared."""
-        k, ks, width = len(self.inst.sources), len(part.inst.sources), 2 * self.code.outer_n
-        sinks = []
-        for pos, (fn, node, time, check, *_) in part._slots.items():
-            if fn in agreed:
-                continue
-            p, at = divmod(pos - ks, width)  # one digit to match: its radix is never used
-            sinks.append((self._memo(functools.partial(_matched, fn, check, messages), node, time, tuple),
-                          [((k + edges[p] * width + at, 1),)]))
-        total, maps = math.prod(_size(self.box[i]) for i in messages), len(self._slots) + len(part._slots)
+        """Whether `code` (its edge p and message q are this code's edges[p]
+        and messages[q]; its live slots are this code's on those edges) sends
+        what this code does on every tuple of its messages in the box, the
+        others at `fixed`.  A walk sink per such slot, in round order, whose
+        map in `code` is not in `agreed` (known to agree) runs that map, with
+        this slot's check, on this execution (through one `_Renamed`) against
+        this code's symbol.  On a raising map, a mismatch, or past the map
+        calls the tuples make, each tuple runs once; all sinks run on it, then compare."""
+        k, n_out, maps = len(self.inst.sources), self.code.outer_n, len(self._slots)
+        sinks, walked, total = [], [], math.prod(_size(self.box[i]) for i in messages)
+        for pos, (_, node, time, check, *_) in self._slots.items():
+            oi, at = divmod(pos - k, 2 * n_out)
+            if oi in edges:
+                maps += 1
+                fn = code.encoders[(edges.index(oi), time + 1, DIRECTIONS[at // n_out])]
+                if fn not in agreed:
+                    walked.append(pos)
+                    sinks.append((self._memo(functools.partial(_matched, fn, check, messages), node, time,
+                                             tuple), [((pos, 1),)]))  # one digit: its radix is unused
 
         def agree(free):
             given = {**fixed, **dict(zip(messages, free))}
-            full, mine = self.run([given[i] for i in range(k)]), part.run(free)
-            return all(full[k + oi * width:][:width] == mine[ks + p * width:][:width]
-                       for p, oi in enumerate(edges))
+            state = self.run([given[i] for i in range(k)])
+            return [self._call(memo, state) for memo, _ in sinks] == [(state[pos],) for pos in walked]
 
         return (self._sliced_pass(total, total * maps, sinks, fixed)
                 or all(map(agree, itertools.product(*(_values(self.box[i]) for i in messages)))))

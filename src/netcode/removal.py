@@ -16,7 +16,7 @@ Two regimes:
   check runs, and takes fixings, conditional errors and the trace match
   over the box it covers, the rates' spaces when rates are given, so the
   joint tuples follow the check's one limit rule.  Each side's trace
-  match is a walk on the check's engine.
+  match is walked, and if need be compared, on the check's engine alone.
 - path: u and v stay connected.  The probe's traffic is pipelined over
   the widest u-v path (bottleneck gamma) and the whole instance is scaled
   by alpha = gamma/(gamma+lam) to make room, costing each rate at most
@@ -163,8 +163,8 @@ def _decompose_side(
     """The side's fixing, the first foreign combination of the engine's box
     in ascending order with the fewest failing tuples (`fails`), its
     conditional error over the box's free tuples, and its simulated code,
-    trace matched as in bridge_decompose; more than `limit` free tuples
-    raise EnumerationTooLarge."""
+    trace matched on `engine` alone, as in bridge_decompose; more than
+    `limit` free tuples raise EnumerationTooLarge."""
     inst, code, box = engine.inst, engine.code, engine.box
     best = min(
         itertools.product(*(_values(box[i]) for i in foreign)),
@@ -189,7 +189,7 @@ def _decompose_side(
         # Side traces must equal the original ones; off the anchor they do.
         anchor = next(x for x in (inst.edges[e_idx].a, inst.edges[e_idx].b) if x in side)
         agreed = {f for f in side_code.encoders.values() if type(f) is _SideMap and f.node != anchor}
-        match = engine._matches(Engine(side_code, side_inst), orig_of_side, s_idx, fixing, agreed)
+        match = engine._matches(side_code, orig_of_side, s_idx, fixing, agreed)
     return SideDecomposition(
         vertices=tuple(sorted(side)),
         source_indices=s_idx,
@@ -352,17 +352,17 @@ def bridge_decompose(
     limit rule: past `limit` of them the walk may make `limit` map calls,
     and EnumerationTooLarge is raised only if it does not settle the code.
 
-    The trace match walks the check's engine over the box the check covers,
-    the foreign messages at the fixing: each side encoder, run on the joint
-    execution, must send the joint symbol of its slot.  A round-t encoder
-    reads only earlier rounds, so by induction this holds exactly when
-    every free tuple's side trace equals the original one, edge for edge.
-    Only the anchor's slots are walked: any other `_SideMap` is the
-    original map on a view that reads as the joint one, and the check ran
-    every map clean over the box, so it sends the joint symbol (a side map
-    not built so is walked).  On a raising map, a mismatch or past the map
-    calls the free tuples of the box make, they run and are compared, so
-    more than `limit` of them raise EnumerationTooLarge.
+    The trace match walks the check's engine, the report's only one, over
+    the box the check covers, the foreign messages at the fixing: each side
+    encoder, run on the joint execution, must send the joint symbol of its
+    slot.  A round-t encoder reads only earlier rounds, so by induction this
+    holds exactly when every free tuple's side trace equals the original
+    one, edge for edge.  Only the anchor's slots are walked: any other
+    `_SideMap` is the original map on joint reads, which the check ran clean
+    over the box, so it sends the joint symbol, even where a diverged side
+    run would raise (a side map not built so is walked).  On a raising map,
+    a mismatch or past the free tuples' map calls, each runs once on that
+    engine, its walked maps compared; over `limit` raise EnumerationTooLarge.
     """
     minus = drop_edge(inst_with_e, u, v)
     comp_u = next(b for b in connected_components(minus) if u in b)

@@ -531,6 +531,27 @@ def test_per_call_view_guard_flags(source, flagged):
     assert bool(per_call_views(ast.parse(source))) == flagged
 
 
+def test_removal_builds_no_engine():
+    # a bridge report runs on its check's engine alone: each side's trace
+    # match is walked, and if need be compared, there, so removal builds
+    # no engine of its own (a type hint names one without building it)
+    tree = ast.parse((SRC / "netcode" / "removal.py").read_text(encoding="utf-8"))
+    assert calls_to(tree, "_matches") != []
+    assert calls_to(tree, "Engine") == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("match = engine._matches(Engine(side_code, side_inst), edges, s, fixing, agreed)", True),
+    ("part = codes.Engine(code, inst, box)", True),
+    ("def side(engine: Engine, code: NetworkCode) -> Engine:\n    return engine", False),
+    ("engine: Engine = report_engine", False),
+    ("match = engine._matches(side_code, edges, s, fixing, agreed)", False),
+    ("engines = Engines(code, inst)", False),
+])
+def test_engine_guard_flags(source, flagged):
+    assert bool(calls_to(ast.parse(source), "Engine")) == flagged
+
+
 def _bound(fn) -> set[str]:
     """The names a function or lambda binds: its parameters, and every name
     it, or a function inside it, assigns or defines."""

@@ -224,16 +224,17 @@ def test_trace_match_skips_only_side_encoders_that_send_the_joint_symbol(case):
     # each side's match walks exactly the side slots of its anchor, the
     # bridge's end in the side; every other side encoder, on every free
     # tuple of the box, sends the joint symbol both on the joint execution,
-    # read through the view the walk would give it, and in the side run
+    # read through the view the walk would give it, and in the side run of
+    # an engine built here on the side code, which must be a valid code
     inst, u, v, lam, code, _ = case
     aug = nc.add_edge(inst, u, v, lam)
     e = aug.edges[aug.edge_between(u, v)[0]]
     matched, walked = [], []
     matches, sliced = Engine._matches, Engine._sliced_pass
 
-    def spied_match(self, part, edges, messages, fixed, agreed):
-        matched.append((self, part, edges, messages, fixed, agreed))
-        return matches(self, part, edges, messages, fixed, agreed)
+    def spied_match(self, side_code, edges, messages, fixed, agreed):
+        matched.append((self, side_code, edges, messages, fixed, agreed))
+        return matches(self, side_code, edges, messages, fixed, agreed)
 
     def spied_pass(self, total, budget=None, sinks=None, fixed=None):
         if sinks is not None:
@@ -242,10 +243,12 @@ def test_trace_match_skips_only_side_encoders_that_send_the_joint_symbol(case):
 
     with mock.patch.object(Engine, "_matches", spied_match), \
             mock.patch.object(Engine, "_sliced_pass", spied_pass):
-        nc.bridge_decompose(aug, u, v, code)
+        decomp = nc.bridge_decompose(aug, u, v, code)
     assert len(matched) == len(walked)
     k, width = len(aug.sources), 2 * code.outer_n
-    for (engine, part, edges, messages, fixed, agreed), sinks in zip(matched, walked):
+    for (engine, side_code, edges, messages, fixed, agreed), sinks in zip(matched, walked):
+        side = next(side for side in decomp if side.code is side_code)
+        part = Engine(side.code, side.instance)
         anchor = e.a if e.a in part.inst.vertices else e.b
         slots = part._slots.items()
         assert sinks == sorted((node, time) for _, node, time, *_ in part._slots.values()

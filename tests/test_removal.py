@@ -604,7 +604,8 @@ def long_ping_pong_pair():
 def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case, walked):
     # the sliced walk proves these codes correct, so only the trace match
     # runs tuples: none for a side whose match walk settles, and exactly
-    # its free tuples, on both engines, for one whose walk falls back
+    # its free tuples, once each on the check's engine, for one whose walk
+    # falls back
     aug, code = case()
     assert Engine(code, aug)._sliced_pass(math.prod(code.message_sizes))
     calls, walks = engine_runs(monkeypatch, code), engine_walks(monkeypatch)
@@ -612,7 +613,7 @@ def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case, walked):
     joint = [msgs for on_code, msgs in calls if on_code]
     assert walks == ([True], walked)
     assert joint == trace_match_runs(decomp, len(aug.sources), walks[1])
-    assert len(calls) == 2 * len(joint)
+    assert len(calls) == len(joint)
     assert decomp.u_side.trace_match and decomp.v_side.trace_match
 
 
@@ -730,6 +731,40 @@ def test_trace_match_equals_the_per_tuple_reference(monkeypatch, case, change):
         assert want[0][3] is False
 
 
+def test_off_anchor_maps_run_only_on_the_joint_execution(monkeypatch):
+    # b, the u side's anchor, sends 1 to a at round 1 in its side code,
+    # where the code sends 0; a's round-2 encoder raises on a 1, which the
+    # joint execution never sends it.  The match compares the anchor's map
+    # on the joint run alone, so it reports the divergence and raises
+    # nothing, where running the diverged side code raises
+    aug = nc.add_edge(bridged_pair(), "b", "c", Fraction(1))
+    e_ab, e_cd = aug.edge_between("a", "b")[0], aug.edge_between("c", "d")[0]
+
+    def a_sends(s):
+        if s.recv("b", 1):
+            raise ValueError("b sends 0 at round 1")
+        return s.message(0)
+
+    code = nc.NetworkCode(
+        inner_n=1, outer_n=2, message_sizes=(2, 2),
+        splits=nc.AlphabetSplit({(e_ab, 1): (1, 2), (e_ab, 2): (2, 1), (e_cd, 1): (2, 1)}),
+        encoders={(e_ab, 1, nc.BWD): lambda s: 0, (e_ab, 2, nc.FWD): a_sends,
+                  (e_cd, 1, nc.FWD): lambda s: s.message(1)},
+        decoders={0: lambda s: (s.recv("a", 2),), 1: lambda s: (s.recv("c", 1),)})
+
+    def anchor_sends_one(side, enc):
+        if enc.node == "b":
+            return lambda s: 1
+
+    monkeypatch.setattr(nc.removal, "_simulated_side_code", side_encoders_patched(anchor_sends_one))
+    with pytest.raises(ValueError, match="b sends 0"):
+        ref.per_tuple_bridge_decompose(aug, "b", "c", code)
+    ver = nc.edge_removal_report(bridged_pair(), "b", "c", Fraction(1), code=code).verification
+    assert ver.base_report.passed
+    assert [ver.decomposition.u_side.trace_match, ver.decomposition.v_side.trace_match] == [False, True]
+    assert not ver.passed
+
+
 @pytest.mark.parametrize("case", [diagonal_pair, clamp_pair, cross_traffic], ids=lambda f: f.__name__)
 def test_reblocked_code_decomposes_as_the_code(case):
     # the side code runs the code's encoders, replayed ones too, on its
@@ -776,8 +811,9 @@ def rated_sides(aug, code, u_side, spaces):
 @pytest.mark.parametrize("case", [routed_pair, foreign_demand_code])
 def test_bridge_report_shares_one_engine_and_one_walk(monkeypatch, case):
     # the base check's engine, walk and joint loop serve the decomposition,
-    # with or without rates: each joint tuple runs at most once, and with
-    # rates the fixings and errors are taken over the spaces the check covers
+    # with or without rates: no side builds an engine of its own, each
+    # joint tuple runs at most once, and with rates the fixings and errors
+    # are taken over the spaces the check covers
     aug, code = case()
     # joint runs without and with rates: the walk settles routed_pair's
     # whole space and its four rated tuples, while foreign_demand_code's
@@ -794,8 +830,8 @@ def test_bridge_report_shares_one_engine_and_one_walk(monkeypatch, case):
     monkeypatch.setattr(Engine, "__init__", counted)
     walks, calls = engine_walks(monkeypatch), engine_runs(monkeypatch, code)
     rep = nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code, epsilon=Fraction(1))
-    assert built.count(True) == 1 and len(walks[0]) == 1
-    assert len(walks[1]) == built.count(False) == 2
+    assert built == [True] and len(walks[0]) == 1
+    assert len(walks[1]) == 2
     assert sum(on_code for on_code, _ in calls) == runs[0]
 
     rates = [Fraction(1, code.outer_n)] * len(aug.sources)
@@ -804,7 +840,7 @@ def test_bridge_report_shares_one_engine_and_one_walk(monkeypatch, case):
     calls.clear()
     rated = nc.edge_removal_report(inst, "b", "c", Fraction(1), code=code, rates=rates,
                                    epsilon=Fraction(1))
-    assert built.count(True) == 1 and len(walks[0]) == 1
+    assert built == [True] and len(walks[0]) == 1
     assert sum(on_code for on_code, _ in calls) == runs[1]
     ver = rated.verification
     assert ver.base_report == nc.check_feasibility(code, aug, rates=rates, epsilon=Fraction(1))
@@ -873,7 +909,8 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
     # side d reads c->d at 11 alone.  No other far encoder runs in a replay
     # (c->a at 3..12, a->b at 12 and d->f at 12 and d->g at 1 are far for
     # one side each, outside its cone), and a report builds 34 replaying
-    # views and 77 recording views for 793 map calls
+    # views and 50 recording views, all on the check's engine, for 793 map
+    # calls
     inst, aug, code = bridge_n12_code()
     ran, real = {}, nc.removal._side_replay
 
@@ -906,7 +943,7 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
 
     assert {side: set(ran_keys) for side, ran_keys in ran.items()} == {
         "a": keys("d", "c", range(2, 12)) | keys("g", "d", range(1, 11)), "d": keys("c", "d", (11,))}
-    assert (len(replaying), len(recording), calls[0]) == (34, 77, 793)
+    assert (len(replaying), len(recording), calls[0]) == (34, 50, 793)
 
 
 def stack_depth():
