@@ -250,10 +250,10 @@ class _Recording(StateView):
     def recv(self, sender: str, t: int) -> int:
         if not 1 <= t <= self.time:
             raise LookupError(f"symbol from {sender!r} at t={t} not visible at time {self.time}")
-        at = self.inbound.get(sender)
-        if at is None:
+        row = self.inbound.get(sender)
+        if row is None:
             raise LookupError(f"no edge {sender!r}-{self.node!r}")
-        return self._read(at + t - 1)
+        return self._read(row[t - 1])
 
 
 class _Renamed(StateView):
@@ -316,21 +316,55 @@ def _output_check(j: int, demanded: Sequence[int], sizes: Sequence[int]) -> Call
     return check
 
 
-def _covered(node, state: list[int], reach: Sequence[int]) -> bool:
+def _covered(node, state: list[int], reach: Sequence[int], slots: Mapping[int, tuple]) -> bool:
     """Whether trie `node` holds an output for every completion of `state`:
     each value in range(reach) at an unset walked position, the set value
-    elsewhere; a branch on an unset slot position is not covered."""
-    while type(node) is list:
-        pos, kids = node
-        if state[pos] < 0 < reach[pos]:
-            covered = True
-            for value in range(reach[pos]):
-                state[pos] = value
-                covered = covered and _covered(kids.get(value), state, reach)
+    elsewhere, and at an unset slot position (a key of `slots`) the output
+    its own trie holds on the same completion, which is exact: that leaf is
+    the checked output of a clean run that read the same values, so the
+    contract makes it the symbol a run writes there.  A loop walks the tries: a
+    branch on an unset slot waits (`waiting`, innermost first) while that
+    slot's trie is walked, whose leaf is then set at the slot; a branch on
+    an unset walked position is a choice, retried with each value after
+    undoing what was set since.  A trie with no leaf for some completion
+    makes it False.  Each position it sets is unset again when it returns."""
+    trail, choices, waiting = [], [], None
+    try:
+        while True:
+            while type(node) is list:
+                pos, kids = node
+                value = state[pos]
+                if value < 0:
+                    if not reach[pos]:
+                        waiting, node = (node, waiting), slots[pos][4].get(None)
+                        continue
+                    choices.append((pos, kids, waiting, len(trail)))
+                    trail.append(pos)
+                    value = state[pos] = 0
+                node = kids.get(value)
+            if node is None:
+                return False
+            if waiting is not None:  # a slot's output: the branch that waits on it goes on
+                branch, waiting = waiting
+                state[branch[0]] = node
+                trail.append(branch[0])
+                node = branch
+                continue
+            while choices:  # this completion is covered: try the next one
+                pos, kids, waiting, mark = choices[-1]
+                while len(trail) > mark + 1:
+                    state[trail.pop()] = -1
+                value = state[pos] + 1
+                if value < reach[pos]:
+                    state[pos] = value
+                    node = kids.get(value)
+                    break
+                choices.pop()
+            else:
+                return True
+    finally:
+        for pos in trail:
             state[pos] = -1
-            return covered
-        node = kids.get(state[pos])
-    return node is not None
 
 
 def _missing_decoder(j: int, node: str) -> Callable:
@@ -348,12 +382,16 @@ class Engine:
     slots (an encoder or a split size other than 1); one without an encoder
     raises there.  `box`, the space a check covers, gives each message
     (values, radix) digits, most significant first, the digit ranging over
-    range(values).  A run is one flat state list: the messages, then for
-    each edge its forward and its backward symbols by round, then one
-    position per digit of each message the box splits (read whole as all
-    its digits, and by `StateView.digit` as one).  Round-t symbols are
-    written as they are produced, which equals the two-phase commit because
-    the causality guard keeps every round-t encoder from reading them.
+    range(values).  A run is one flat state list over the positions a run
+    writes: the messages, then one position per live slot in round order,
+    then one per digit of each message the box splits (read whole as all
+    its digits, and by `StateView.digit` as one), then one cell that holds
+    0.  Each edge has a row of positions per direction (`_inbound`), by
+    round: a live round's slot, else -1, the zero cell, so a read is one index
+    whatever the round count, and `trace` expands a state to full rows.
+    Round-t symbols are written as they are produced, which equals the
+    two-phase commit because the causality guard keeps every round-t
+    encoder from reading them.
 
     Every encoder and decoder is memoized in a trie keyed on the ordered
     values it read (see the module docstring for the contract this needs).
@@ -363,7 +401,8 @@ class Engine:
     replayed read is one the guard passed at the same horizon.  A read
     that raises is not recorded: it raises in every state.
     A leaf is a checked output, as a raising run is never stored, so a slot
-    whose trie covers every tuple a walk would try needs no walk.  The tries
+    whose trie covers every tuple a walk would try, reading each slot it
+    reads from that slot's trie (`_covered`), needs no walk.  The tries
     hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the cap a miss
     runs uncached and nothing more is stored.  `_table` runs one map over a
     tabulation domain, and `_walk` over partial states.
@@ -375,34 +414,39 @@ class Engine:
             raise MalformedDocument("code message_sizes do not match instance sources")
         code.splits.validate(inst, code.inner_n, n_out)
         self.code, self.inst, self.nodes = code, inst, 0
-        self._blank = [0] * (k + 2 * len(inst.edges) * n_out)
         self._own = {x: set(inst.sources_at(x)) for x in inst.vertices}
-        # node -> sender -> state position of the sender's round-1 symbol
-        self._inbound: dict[str, dict[str, int]] = {x: {} for x in inst.vertices}
+        # node -> sender -> state position of the sender's symbol, by round:
+        # a live round's slot, else -1, the last position, which holds 0
+        self._inbound: dict[str, dict[str, list[int]]] = {x: {} for x in inst.vertices}
+        rows = [[-1] * n_out for _ in range(2 * len(inst.edges))]
         for idx, e in enumerate(inst.edges):
-            self._inbound[e.b][e.a] = k + 2 * idx * n_out
-            self._inbound[e.a][e.b] = k + (2 * idx + 1) * n_out
+            self._inbound[e.b][e.a], self._inbound[e.a][e.b] = rows[2 * idx:2 * idx + 2]
         # split message -> (state position of its first digit, radices)
         self._digits: dict[int, tuple[int, tuple[int, ...]]] = {}
-        # state position -> memo (see _memo), also kept by slot key or terminal index
+        # state position -> memo (see _memo), also kept by slot key or
+        # terminal index; a live slot's position -> its slot key
         self._slots: dict[int, tuple] = {}
         self._memos: dict[SlotKey | int, tuple] = {}
+        self._keys: dict[int, SlotKey] = {}
         # the live slots, those with an encoder or a split size other than 1,
         # in round order: (round, edge, direction index)
-        live = {(t, idx, d) for (idx, t), sizes in code.splits.items()
+        live = {(t, idx, d) for (idx, t), sizes in code.splits._table.items()
                 for d, size in enumerate(sizes) if size != 1}
         live.update((t, idx, DIRECTIONS.index(direction)) for idx, t, direction in code.encoders
                     if direction in DIRECTIONS and 0 <= idx < len(inst.edges) and 1 <= t <= n_out)
-        for t, idx, d in sorted(live):
+        for pos, (t, idx, d) in enumerate(sorted(live), k):
             e, direction = inst.edges[idx], DIRECTIONS[d]
-            enc = code.encoders.get((idx, t, direction))
+            key = self._keys[pos] = (idx, t, direction)
+            enc = code.encoders.get(key)
             if enc is None:
                 raise MalformedDocument(
                     f"missing encoder for edge {e.a!r}-{e.b!r} t={t} {direction}"
                 )
-            check = _symbol_check(e, t, direction, code.splits.size(idx, t, direction))
-            self._slots[k + (2 * idx + d) * n_out + t - 1] = self._memos[(idx, t, direction)] = \
+            check = _symbol_check(e, t, direction, code.splits.shape(idx, t)[d])
+            rows[2 * idx + d][t - 1] = pos
+            self._slots[pos] = self._memos[key] = \
                 self._memo(enc, slot_tail(inst, idx, direction), t - 1, check)
+        self._blank = [0] * (k + len(live))
         # the box lays each message out as a Joined decoder packs it, in full
         # where the given box covers it whole, else where the given digits
         # fit that split
@@ -429,6 +473,7 @@ class Engine:
                 self._digits[i] = (at, radices)
                 self._blank += [0] * len(digits)
             self._spelled.append(tuple(enumerate(radices, at)))
+        self._blank.append(0)  # the zero cell every non-live round reads as -1
         # the walk's sinks, decoders first: (memo, per output the (position,
         # radix) digits it must spell), one per session of a laid-out Joined
         self._sinks = []
@@ -454,8 +499,9 @@ class Engine:
             state[at:at + len(radices)] = split_digits(state[i], radices)
         return state
 
-    def run(self, messages: Sequence[int]) -> list[int]:
-        """The flat state of one execution on the message tuple."""
+    def _fresh(self, messages: Sequence[int]) -> list[int]:
+        """A blank state holding the message tuple, each message checked
+        against its space."""
         k = len(self.inst.sources)
         if len(messages) != k:
             raise SymbolOutOfRange(f"expected {k} messages, got {len(messages)}")
@@ -464,6 +510,11 @@ class Engine:
                 raise SymbolOutOfRange(f"message {i} value {m} outside [0, {size})")
         state = self._blank[:]
         state[:k] = messages
+        return state
+
+    def run(self, messages: Sequence[int]) -> list[int]:
+        """The flat state of one execution on the message tuple."""
+        state = self._fresh(messages)
         if self._digits:
             self._lay_out(state)
         for pos, memo in self._slots.items():
@@ -476,11 +527,11 @@ class Engine:
 
     def trace(self, state: list[int]) -> ExecutionTrace:
         """The ExecutionTrace of a state that `run` returned."""
-        k, n_out = len(self.inst.sources), self.code.outer_n
-        end = k + 2 * len(self.inst.edges) * n_out
-        rows = [tuple(state[p:p + n_out]) for p in range(k, end, n_out)]
+        edges, inbound, read = self.inst.edges, self._inbound, state.__getitem__
         return ExecutionTrace(
-            self.inst, tuple(state[:k]), tuple(rows[0::2]), tuple(rows[1::2])
+            self.inst, tuple(state[:len(self.inst.sources)]),
+            tuple(tuple(map(read, inbound[e.b][e.a])) for e in edges),
+            tuple(tuple(map(read, inbound[e.a][e.b])) for e in edges),
         )
 
     def _table(self, key: SlotKey | int, messages: Sequence[int],
@@ -491,7 +542,7 @@ class Engine:
         slowest.  Each output is checked as in a run."""
         memo, state = self._memos[key], self._blank[:]
         inbound = self._inbound[memo[1]]
-        positions = [*messages, *(inbound[sender] + t - 1 for sender, t in received)]
+        positions = [*messages, *(inbound[sender][t - 1] for sender, t in received)]
         # a radix-1 position holds 0 in every entry, so only the others are set
         wide = [(pos, radix) for pos, radix in zip(positions, radices) if radix > 1]
         positions = [pos for pos, _ in wide]
@@ -521,7 +572,7 @@ class Engine:
         unset = [-1 if reach[p] or p in self._slots else value
                  for p, value in enumerate(self._lay_out(state))]
         for sink in self._sinks if sinks is None else sinks:
-            if not sink[1] and _covered(sink[0][4].get(None), unset, reach):
+            if not sink[1] and _covered(sink[0][4].get(None), unset, reach, self._slots):
                 continue
             pulls = [pos for digits in sink[1] for pos, _ in digits if pos in self._slots]
             budget = self._walk(sink, unset, pulls, reach, budget)
@@ -539,14 +590,14 @@ class Engine:
         this slot's check, on this execution (through one `_Renamed`) against
         this code's symbol.  On a raising map, a mismatch, or past the map
         calls the tuples make, each tuple runs once; all sinks run on it, then compare."""
-        k, n_out, maps = len(self.inst.sources), self.code.outer_n, len(self._slots)
+        k, maps = len(self.inst.sources), len(self._slots)
         sinks, walked, total = [], [], math.prod(_size(self.box[i]) for i in messages)
-        for pos, (_, node, time, check, *_) in self._slots.items():
-            oi, at = divmod(pos - k, 2 * n_out)
-            if oi in edges:
+        for pos, (idx, t, direction) in self._keys.items():
+            if idx in edges:
                 maps += 1
-                fn = code.encoders[(edges.index(oi), time + 1, DIRECTIONS[at // n_out])]
+                fn = code.encoders[(edges.index(idx), t, direction)]
                 if fn not in agreed:
+                    _, node, time, check, *_ = self._slots[pos]
                     walked.append(pos)
                     sinks.append((self._memo(functools.partial(_matched, fn, check, messages), node, time,
                                              tuple), [((pos, 1),)]))  # one digit: its radix is unused
@@ -650,10 +701,26 @@ def execute(code: NetworkCode, inst: NetworkInstance, messages: Sequence[int]) -
 def decode_outputs(
     code: NetworkCode, inst: NetworkInstance, trace: ExecutionTrace
 ) -> dict[int, tuple[int, ...]]:
-    """Decoded message tuples per terminal index, in demanded-source order."""
-    engine = Engine(code, inst)
-    head = [*trace.messages, *(s for fwd, bwd in zip(trace.fwd, trace.bwd) for s in fwd + bwd)]
-    return engine.decode(engine._lay_out(head + engine._blank[len(head):]))
+    """Decoded message tuples per terminal index, in demanded-source order.
+    `trace` must be one of `code` on `inst` in shape (MalformedDocument) and
+    in every message and committed symbol (SymbolOutOfRange)."""
+    engine, k, n_out, edges = Engine(code, inst), len(inst.sources), code.outer_n, inst.edges
+    rows = (trace.fwd, trace.bwd)
+    if len(trace.messages) != k or any(len(r) != len(edges) or any(len(row) != n_out for row in r)
+                                       for r in rows):
+        raise MalformedDocument(f"trace does not fit the code: expected {k} messages and, "
+                                f"each way, {len(edges)} edge rows of {n_out} rounds")
+    state = engine._fresh(trace.messages)
+    for (idx, e), (direction, r) in itertools.product(enumerate(edges), zip(DIRECTIONS, rows)):
+        for t, symbol in enumerate(r[idx], 1):
+            if not isinstance(symbol, int) or not 0 <= symbol < code.splits.size(idx, t, direction):
+                raise SymbolOutOfRange(
+                    f"trace symbol on {e.a!r}-{e.b!r} t={t} {direction} is {symbol!r}, "
+                    f"alphabet size {code.splits.size(idx, t, direction)}"
+                )
+    for pos, key in engine._keys.items():
+        state[pos] = trace.symbol(*key)
+    return engine.decode(engine._lay_out(state))
 
 
 def demands_met(inst: NetworkInstance, messages: Sequence[int], decoded) -> bool:

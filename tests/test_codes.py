@@ -234,6 +234,38 @@ def test_decoder_output_validation():
         nc.decode_outputs(missing, inst, trace)
 
 
+def relay_trace(**changes):
+    """The trace of the 2-round relay a->b->c on message 1, with `changes`."""
+    return nc.execute(unit_code(line3(), "abc", (1, 2), outer_n=2), line3(), [1])._replace(**changes)
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"fwd": ((1,), (0,)), "bwd": ((0,), (0,))}, MalformedDocument, "trace does not fit the code"),
+    ({"messages": (1, 0)}, MalformedDocument, "trace does not fit the code"),
+    ({"fwd": ((1, 0),), "bwd": ((0, 0),)}, MalformedDocument, "trace does not fit the code"),
+    ({"bwd": ((0, 0), (0, 0, 0))}, MalformedDocument, "trace does not fit the code"),
+    ({"messages": (2,)}, SymbolOutOfRange, r"message 0 value 2 outside \[0, 2\)"),
+    ({"messages": (-1,)}, SymbolOutOfRange, r"message 0 value -1 outside \[0, 2\)"),
+    ({"fwd": ((1, 0), (0, 2))}, SymbolOutOfRange,
+     "trace symbol on 'b'-'c' t=2 fwd is 2, alphabet size 2"),
+    ({"fwd": ((1, 1), (0, 1))}, SymbolOutOfRange,  # a->b carries nothing at round 2
+     "trace symbol on 'a'-'b' t=2 fwd is 1, alphabet size 1"),
+    ({"bwd": ((0, 0), (-1, 0))}, SymbolOutOfRange,
+     "trace symbol on 'b'-'c' t=1 bwd is -1, alphabet size 1"),
+    ({"fwd": ((1, 0), (0, 0.5))}, SymbolOutOfRange,
+     r"trace symbol on 'b'-'c' t=2 fwd is 0\.5, alphabet size 2"),
+], ids=["one_round", "two_messages", "one_edge_row", "three_rounds", "message_past_size",
+        "negative_message", "symbol_past_split", "symbol_on_a_size_one_slot", "negative_symbol",
+        "fractional_symbol"])
+def test_decode_outputs_refuses_a_trace_that_does_not_fit_the_code(changes, error, message):
+    # the relay code, given a trace of the wrong shape or with a value outside
+    # its size, raises a named error rather than decoding what it can read
+    code = unit_code(line3(), "abc", (1, 2), outer_n=2)
+    assert nc.decode_outputs(code, line3(), relay_trace()) == {0: (1,)}
+    with pytest.raises(error, match=message):
+        nc.decode_outputs(code, line3(), relay_trace(**changes))
+
+
 def test_routing_code_shares_slots_mixed_radix():
     inst = pair_at_one_node()
     code = nc.make_routing_code(

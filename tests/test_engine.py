@@ -424,9 +424,9 @@ def count_calls(monkeypatch):
 # map calls of the walk on the final chain code: one sink per session of
 # each terminal, then one per slot, each branching over the one digit it
 # reads; a slot whose trie the earlier sinks filled for every value it
-# reads settles with none (the joint loop would run 4**N tuples of
-# 4*N + 14 maps)
-CHAIN_WALK_CALLS = {2: 72, 3: 102, 4: 132, 5: 162, 6: 192}
+# reads, through the tries of the slots it reads, settles with none (the
+# joint loop would run 4**N tuples of 4*N + 14 maps)
+CHAIN_WALK_CALLS = {2: 48, 3: 66, 4: 84, 5: 102, 6: 120}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -441,25 +441,25 @@ def test_sliced_pass_settles_the_path_chain(monkeypatch, n):
 
 def test_limit_counts_the_walk_map_calls_past_the_tuple_limit(monkeypatch):
     # at N=11 the final chain code has 4**11 tuples, over the default
-    # limit of 2**20, and the walk settles it in 342 map calls: a limit of
-    # 342 certifies the code, one less raises.  At 10 of each message's 11
+    # limit of 2**20, and the walk settles it in 210 map calls: a limit of
+    # 210 certifies the code, one less raises.  At 10 of each message's 11
     # bits the box is 0 in the top session digit and full in the other
     # ten, laid out over the decoders' split, so the walk still branches
-    # per session digit, in 332 calls (as one 1024-value digit per message
-    # it would exhaust 342)
+    # per session digit, in 204 calls (as one 1024-value digit per message
+    # it would exhaust 210)
     _, inst, code = path_chain(11)[-1]
     runs, calls = count_runs(monkeypatch), count_calls(monkeypatch)
     report = nc.check_feasibility(code, inst)
     assert (report.trials, report.failures, report.passed, report.certified) == \
         (4 ** 11, 0, True, True)
-    assert nc.check_feasibility(code, inst, limit=342) == report
+    assert nc.check_feasibility(code, inst, limit=210) == report
     with pytest.raises(EnumerationTooLarge):
-        nc.check_feasibility(code, inst, limit=341)
+        nc.check_feasibility(code, inst, limit=209)
     assert Engine(code, inst, [((2 ** 10, 2 ** 11),)] * 2).box == (((1, 2),) + ((2, 2),) * 10,) * 2
     calls[0] = 0
     rated = nc.check_feasibility(code, inst, rates=[Fraction(10, code.inner_n * code.outer_n)] * 2,
-                                 limit=342)
-    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 332)
+                                 limit=210)
+    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 204)
     assert runs == []
 
 
@@ -847,13 +847,32 @@ def test_covered_slot_sink_makes_no_map_call(monkeypatch):
     assert engine._sliced_pass(4, 10 ** 6, [engine._sinks[1]]) and calls[0] == 5
 
 
-def test_slot_whose_trie_branches_on_a_slot_is_walked(monkeypatch):
+def test_slot_whose_trie_branches_on_a_slot_settles_from_that_slots_trie(monkeypatch):
     # the b->c encoder reads the a->b symbol, a slot position the walk has
-    # not set, so its full trie does not settle its sink: it pulls a->b
-    # (a trie hit each) and runs on each of the four values
+    # not set; the a->b trie holds that symbol for each of message 0's four
+    # values, and the b->c trie an output for each symbol, so its sink
+    # settles without a call
     inst, code = relay_code()
     walked = sink_calls(monkeypatch, Engine(code, inst))
-    assert walked[2] == ("b", True, 10)
+    assert walked[2] == ("b", True, 0)
+
+
+def test_slot_read_through_a_trie_without_a_leaf_is_walked(monkeypatch):
+    # the a->b encoder raises on message value 2, so its trie holds no leaf
+    # for 2 and the b->c sink, which reads the a->b symbol, is walked: it
+    # meets the raising encoder and does not settle
+    inst, code = relay_code()
+    key = (0, 1, nc.FWD)
+    enc = code.encoders[key]
+
+    def raising(view):
+        if view.message(0) == 2:
+            raise ValueError("relay fails on 2")
+        return enc(view)
+
+    engine = Engine(code._replace(encoders={**code.encoders, key: raising}), inst)
+    assert sink_calls(monkeypatch, engine) == [("c", False, 10), ("a", False, 4), ("b", False, 7)]
+    assert 2 not in engine._memos[key][4][None][1]
 
 
 def test_truncated_tries_are_walked(monkeypatch):
@@ -998,6 +1017,49 @@ def test_encoder_of_a_size_one_slot_is_run_and_checked():
         nc.execute(code, inst, [0])
     assert outcome(lambda: nc.check_feasibility(code, inst)) == \
         outcome(lambda: ref.check_feasibility(code, inst))
+
+
+# ------------------------------------------------------------- state layout
+
+def one_hop_code(size, outer_n):
+    """(inst, code): `size` messages routed a->b at round 1 of `outer_n`,
+    over one edge of capacity 40."""
+    inst = make(inst_doc("ab", [("a", "b", "40")], ["a"], ["b"], [[1]]))
+    return inst, nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 1, outer_n, [size])
+
+
+def test_the_state_holds_messages_live_slots_digits_and_a_zero_cell():
+    # the final N=6 chain engine: its 2 messages, its 36 live slots in
+    # round order, 6 digits per message and one last cell that holds 0,
+    # which every other round of each edge reads as position -1, not a
+    # position per edge, direction and round
+    _, inst, code = path_chain(6)[-1]
+    engine = Engine(code, inst)
+    digits = sum(len(radices) for _, radices in engine._digits.values())
+    assert (len(inst.sources), len(engine._slots), digits) == (2, 36, 12)
+    assert len(engine._blank) == 2 + 36 + 12 + 1 == 51 and engine._blank[-1] == 0
+    assert list(engine._slots) == list(range(2, 38))
+    rows = [row for inbound in engine._inbound.values() for row in inbound.values()]
+    assert sorted(pos for row in rows for pos in row if pos != -1) == list(engine._slots)
+
+
+def test_a_one_hop_state_does_not_grow_with_the_rounds():
+    # one message, one live slot and the zero cell at N = 2 and at N = 2^12
+    assert [len(Engine(code, inst)._blank) for inst, code in
+            (one_hop_code(4, 2), one_hop_code(4, 2 ** 12))] == [3, 3]
+
+
+def test_every_joint_run_copies_the_live_state(monkeypatch):
+    # the one-hop check at 2^14 messages over 2^12 rounds falls into the
+    # joint loop (its walk budget is two calls short, ROADMAP item 15), and
+    # each of its 2^14 runs copies a state of 3 positions, whatever N is
+    inst, code = one_hop_code(2 ** 14, 2 ** 12)
+    lengths, run = [], Engine.run
+    monkeypatch.setattr(Engine, "run", lambda self, messages: lengths.append(len(self._blank))
+                        or run(self, messages))
+    report = nc.check_feasibility(code, inst)
+    assert (report.trials, report.failures, report.certified) == (2 ** 14, 0, True)
+    assert lengths == [3] * 2 ** 14
 
 
 # --------------------------------------------------------- routing oracle

@@ -245,7 +245,7 @@ def test_trace_match_skips_only_side_encoders_that_send_the_joint_symbol(case):
             mock.patch.object(Engine, "_sliced_pass", spied_pass):
         decomp = nc.bridge_decompose(aug, u, v, code)
     assert len(matched) == len(walked)
-    k, width = len(aug.sources), 2 * code.outer_n
+    k = len(aug.sources)
     for (engine, side_code, edges, messages, fixed, agreed), sinks in zip(matched, walked):
         side = next(side for side in decomp if side.code is side_code)
         part = Engine(side.code, side.instance)
@@ -258,9 +258,10 @@ def test_trace_match_skips_only_side_encoders_that_send_the_joint_symbol(case):
         for free in itertools.product(*(codes._values(engine.box[i]) for i in messages)):
             given = {**fixed, **dict(zip(messages, free))}
             state, mine = engine.run([given[i] for i in range(k)]), part.run(free)
+            trace = engine.trace(state)
             for pos, (fn, node, time, *_) in skipped:
-                p, at = divmod(pos - len(messages), width)
-                joint = state[k + edges[p] * width + at]
+                p, t, direction = part._keys[pos]
+                joint = trace.symbol(edges[p], t, direction)
                 view = codes._Recording(node, time, state, [], engine._own[node],
                                         engine._inbound[node], engine._digits)
                 assert fn(codes._Renamed(view, messages)) == joint

@@ -909,7 +909,7 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
     # side d reads c->d at 11 alone.  No other far encoder runs in a replay
     # (c->a at 3..12, a->b at 12 and d->f at 12 and d->g at 1 are far for
     # one side each, outside its cone), and a report builds 34 replaying
-    # views and 50 recording views, all on the check's engine, for 793 map
+    # views and 50 recording views, all on the check's engine, for 772 map
     # calls
     inst, aug, code = bridge_n12_code()
     ran, real = {}, nc.removal._side_replay
@@ -943,7 +943,7 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
 
     assert {side: set(ran_keys) for side, ran_keys in ran.items()} == {
         "a": keys("d", "c", range(2, 12)) | keys("g", "d", range(1, 11)), "d": keys("c", "d", (11,))}
-    assert (len(replaying), len(recording), calls[0]) == (34, 50, 793)
+    assert (len(replaying), len(recording), calls[0]) == (34, 50, 772)
 
 
 def stack_depth():
