@@ -307,7 +307,7 @@ def _output_check(j: int, demanded: Sequence[int], sizes: Sequence[int]) -> Call
                 f"decoder {j} returned {len(got)} values, expected {len(demanded)}"
             )
         for i, value in zip(demanded, got):
-            if not 0 <= value < sizes[i]:
+            if not isinstance(value, int) or not 0 <= value < sizes[i]:
                 raise SymbolOutOfRange(
                     f"decoder {j} output {value!r} outside message space {i}"
                 )
@@ -405,7 +405,8 @@ class Engine:
     reads from that slot's trie (`_covered`), needs no walk.  The tries
     hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the cap a miss
     runs uncached and nothing more is stored.  `_table` runs one map over a
-    tabulation domain, and `_walk` over partial states.
+    tabulation domain, and `_walk` over partial states: a trie seeded by one
+    clean run (`_sliced_pass`) names the walk's unset read without a map run.
     """
 
     def __init__(self, code: NetworkCode, inst: NetworkInstance, box: Optional[tuple] = None):
@@ -506,8 +507,8 @@ class Engine:
         if len(messages) != k:
             raise SymbolOutOfRange(f"expected {k} messages, got {len(messages)}")
         for i, (m, size) in enumerate(zip(messages, self.code.message_sizes)):
-            if not 0 <= m < size:
-                raise SymbolOutOfRange(f"message {i} value {m} outside [0, {size})")
+            if not isinstance(m, int) or not 0 <= m < size:
+                raise SymbolOutOfRange(f"message {i} value {m!r} outside [0, {size})")
         state = self._blank[:]
         state[:k] = messages
         return state
@@ -561,16 +562,26 @@ class Engine:
         sink its trie covers, `_covered`, settles uncalled); False once the
         walk has made `budget` map calls, by default as many as `total`
         tuples make (one per map).  Each message is walked by the digits of
-        its box; one in `fixed` (index -> value) holds its value."""
+        its box; one in `fixed` (index -> value) holds its value.  The code's
+        own sinks are seeded first, outside the budget: every slot in round
+        order, then each decoder sink, is called once on the box's first
+        tuple; a map that raises there makes the pass False."""
         budget = total * len(self._memos) if budget is None else budget
         fixed, k = fixed or {}, len(self.box)
-        state = [fixed.get(i, 0) for i in range(k)] + self._blank[k:]
+        state = self._lay_out([fixed.get(i, 0) for i in range(k)] + self._blank[k:])
         reach = [0] * len(state)  # values tried per position; 0: fixed, a slot or unused
         for i, (spelled, digits) in enumerate(zip(self._spelled, self.box)):
             for (pos, _), (count, _) in zip(spelled, digits):
                 reach[pos] = 0 if i in fixed else count
-        unset = [-1 if reach[p] or p in self._slots else value
-                 for p, value in enumerate(self._lay_out(state))]
+        if sinks is None:  # seed every trie with the box's first completion
+            try:
+                for pos, memo in self._slots.items():
+                    state[pos] = self._call(memo, state)
+                for memo, _ in self._sinks[:len(self._sinks) - len(self._slots)]:
+                    self._call(memo, state)
+            except Exception:  # a map raised: the joint loop reports it
+                return False
+        unset = [-1 if reach[p] or p in self._slots else value for p, value in enumerate(state)]
         for sink in self._sinks if sinks is None else sinks:
             if not sink[1] and _covered(sink[0][4].get(None), unset, reach, self._slots):
                 continue
@@ -632,7 +643,7 @@ class Engine:
                             if state[pos] < 0:
                                 raise _Unset(pos)
                             value = value * radix + state[pos]
-                        if out[at] != value:
+                        if out[at] != value or not isinstance(out[at], int):  # an equal float fails too
                             return -1
                     return budget
                 except _Unset as need:
@@ -831,15 +842,16 @@ def check_feasibility(
     Exhaustive mode covers the whole product message space (error is exact;
     this is the only mode that certifies zero error).  Sampled mode draws
     `trials` seeded uniform tuples and reports a Clopper-Pearson interval
-    alongside the point estimate.  Either mode first walks each decoder
+    alongside the point estimate.  Either mode first runs every map once on
+    the all-zero message tuple, seeding its cache, then walks each decoder
     (each session of a Joined one), then each slot not yet run on every
     value it reads, over only the messages, or session digits, it reads; if
     none raises or misdecodes, no tuple fails, and none is run or drawn.
     Otherwise, or once the walk makes as many map calls as the check's
     tuples would (one per map per tuple or draw), the tuples run: every one
     in exhaustive mode, `trials` seeded draws in sampled mode.  Past `limit`
-    tuples the exhaustive walk may make `limit` map calls, and
-    EnumerationTooLarge is raised only if it does not settle the code.
+    tuples, after that seed, the exhaustive walk may make `limit` map calls,
+    and EnumerationTooLarge is raised only if it does not settle the code.
 
     When `rates` is given, source i is checked over its first
     floor(2**(R_i*N*n)) messages, a box of one digit that the Engine lays

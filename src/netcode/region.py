@@ -130,8 +130,9 @@ def _search_codes(
         return list(zip(own[node], *(hist[k] for k in keys)))
 
     def slot_functions(edge_idx: int, direction: str, size: int, t: int):
-        """Candidate per-tuple symbol vectors for one slot."""
+        """Candidate per-tuple symbol vectors for one slot, each charged."""
         if size == 1:
+            budget.spend()
             yield None
             return
         tail = slot_tail(inst, edge_idx, direction)
@@ -235,10 +236,11 @@ def rate_region_micro(
     count are rejected without search, and a branch stops at a slot
     after which some terminal could no longer receive enough to decode.
     limits.max_ops counts every size tuple tried and every slot function
-    enumerated.  EnumerationTooLarge names the limit that stopped the
-    search; the cap stops it when a feasible size tuple sits at the cap in
-    a coordinate whose doubling still passes the cut count, or when no cut
-    bounds a source and there is no cap.  An outer_n past MAX_ROUNDS raises
+    enumerated, a size-1 direction's one included.  EnumerationTooLarge
+    names the limit that stopped the search; the cap stops it when a
+    feasible size tuple sits at the cap in a coordinate whose doubling
+    still passes the cut count, or when no cut bounds a source and there
+    is no cap.  An outer_n past MAX_ROUNDS raises
     it before anything is laid out, whatever limits.max_outer allows; the
     slot search is a loop, so no N within it exhausts the recursion limit.
     """

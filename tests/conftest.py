@@ -1,9 +1,10 @@
-"""Shared micro instances and independent oracles for the test suite."""
+"""Shared micro instances, independent oracles and spies for the test suite."""
 
 import itertools
 from fractions import Fraction
 
 import netcode as nc
+from netcode import codes
 
 
 def make(doc):
@@ -250,3 +251,23 @@ def widest_path_oracle(inst, u, v):
         if best is None or key < best[0]:
             best = (key, bn, path)
     return None if best is None else (best[1], best[2])
+
+
+# --------------------------------------------------------------------- spies
+
+def unset_runs(monkeypatch):
+    """The first unset position of every map run that reads one, from now
+    on: a run that ends in `_Unset` was spent only to find that position."""
+    runs, read = [], codes._Recording._read
+
+    def spied(self, pos):
+        first = self.unset is None
+        try:
+            return read(self, pos)
+        except codes._Unset:
+            if first:
+                runs.append(pos)
+            raise
+
+    monkeypatch.setattr(codes._Recording, "_read", spied)
+    return runs

@@ -234,6 +234,29 @@ def test_decoder_output_validation():
         nc.decode_outputs(missing, inst, trace)
 
 
+
+@pytest.mark.parametrize("cast", [float, bool])
+def test_a_decoder_output_is_refused_unless_it_is_an_int(cast):
+    # on the relay a->b->c a decoder that returns the received symbol as a
+    # float equals the demanded message, but is refused as an encoder's
+    # float output is, also as one session of a Joined decoder, whose walk
+    # would otherwise settle a sampled check; a bool is the int 0 or 1, and
+    # passes
+    inst, relay = line3(), unit_code(line3(), "abc", (1, 2), outer_n=2)
+    code = relay._replace(decoders={0: lambda view: (cast(view.recv("b", 2)),)})
+    trace, joined = nc.execute(code, inst, [1]), nc.parallel_repeat(code, inst, 2)
+    if cast is bool:
+        assert nc.check_feasibility(code, inst).failures == 0
+        assert nc.decode_outputs(code, inst, trace) == {0: (True,)}
+        assert nc.check_feasibility(joined, inst, mode="sampled", trials=100).failures == 0
+        return
+    with pytest.raises(SymbolOutOfRange, match=r"^decoder 0 output 0\.0 outside message space 0$"):
+        nc.check_feasibility(code, inst)
+    with pytest.raises(SymbolOutOfRange, match=r"^decoder 0 output 1\.0 outside message space 0$"):
+        nc.decode_outputs(code, inst, trace)
+    with pytest.raises(SymbolOutOfRange, match=r"^decoder 0 output \d\.0 outside message space 0$"):
+        nc.check_feasibility(joined, inst, mode="sampled", trials=100)
+
 def relay_trace(**changes):
     """The trace of the 2-round relay a->b->c on message 1, with `changes`."""
     return nc.execute(unit_code(line3(), "abc", (1, 2), outer_n=2), line3(), [1])._replace(**changes)
@@ -246,6 +269,7 @@ def relay_trace(**changes):
     ({"bwd": ((0, 0), (0, 0, 0))}, MalformedDocument, "trace does not fit the code"),
     ({"messages": (2,)}, SymbolOutOfRange, r"message 0 value 2 outside \[0, 2\)"),
     ({"messages": (-1,)}, SymbolOutOfRange, r"message 0 value -1 outside \[0, 2\)"),
+    ({"messages": (0.5,)}, SymbolOutOfRange, r"message 0 value 0\.5 outside \[0, 2\)"),
     ({"fwd": ((1, 0), (0, 2))}, SymbolOutOfRange,
      "trace symbol on 'b'-'c' t=2 fwd is 2, alphabet size 2"),
     ({"fwd": ((1, 1), (0, 1))}, SymbolOutOfRange,  # a->b carries nothing at round 2
@@ -255,8 +279,8 @@ def relay_trace(**changes):
     ({"fwd": ((1, 0), (0, 0.5))}, SymbolOutOfRange,
      r"trace symbol on 'b'-'c' t=2 fwd is 0\.5, alphabet size 2"),
 ], ids=["one_round", "two_messages", "one_edge_row", "three_rounds", "message_past_size",
-        "negative_message", "symbol_past_split", "symbol_on_a_size_one_slot", "negative_symbol",
-        "fractional_symbol"])
+        "negative_message", "fractional_message", "symbol_past_split", "symbol_on_a_size_one_slot",
+        "negative_symbol", "fractional_symbol"])
 def test_decode_outputs_refuses_a_trace_that_does_not_fit_the_code(changes, error, message):
     # the relay code, given a trace of the wrong shape or with a value outside
     # its size, raises a named error rather than decoding what it can read

@@ -41,6 +41,7 @@ from conftest import (
     single_edge,
     star3,
     two_way,
+    unset_runs,
 )
 
 
@@ -421,12 +422,13 @@ def count_calls(monkeypatch):
     return calls
 
 
-# map calls of the walk on the final chain code: one sink per session of
-# each terminal, then one per slot, each branching over the one digit it
-# reads; a slot whose trie the earlier sinks filled for every value it
-# reads, through the tries of the slots it reads, settles with none (the
-# joint loop would run 4**N tuples of 4*N + 14 maps)
-CHAIN_WALK_CALLS = {2: 48, 3: 66, 4: 84, 5: 102, 6: 120}
+# map calls of the check on the final chain code: the seed runs every slot
+# and each session of each terminal once on the box's first tuple, then the
+# walk takes one sink per session, then one per slot, each branching over
+# the one digit it reads; a slot whose trie the earlier sinks filled for
+# every value it reads, through the tries of the slots it reads, settles
+# with none (the joint loop would run 4**N tuples of 4*N + 14 maps)
+CHAIN_WALK_CALLS = {2: 60, 3: 84, 4: 108, 5: 132, 6: 156}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -439,27 +441,45 @@ def test_sliced_pass_settles_the_path_chain(monkeypatch, n):
     assert calls[0] == CHAIN_WALK_CALLS[n]
 
 
+@pytest.mark.parametrize("case", [*(f"chain{n}" for n in range(2, 7)), "amplified16"])
+def test_no_map_run_ends_in_an_unset_read(monkeypatch, case):
+    # the seed leaves one clean path in every trie, so the walk finds each
+    # unset position by a trie descent, not by a map run.  The sampled walk
+    # settles both codes; the exhaustive one settles the chain, and on the
+    # clamp code spends its 8 calls (4 tuples of 2 maps) and falls back to
+    # running the tuples
+    if case == "amplified16":
+        inst, code = amplified_clamp(16)
+    else:
+        _, inst, code = path_chain(int(case[5:]))[-1]
+    runs, unset = count_runs(monkeypatch), unset_runs(monkeypatch)
+    assert nc.check_feasibility(code, inst, mode="sampled", trials=200).failures == 0
+    assert runs == []
+    assert nc.check_feasibility(code, inst).failures == 0
+    assert unset == []
+
+
 def test_limit_counts_the_walk_map_calls_past_the_tuple_limit(monkeypatch):
     # at N=11 the final chain code has 4**11 tuples, over the default
-    # limit of 2**20, and the walk settles it in 210 map calls: a limit of
-    # 210 certifies the code, one less raises.  At 10 of each message's 11
-    # bits the box is 0 in the top session digit and full in the other
-    # ten, laid out over the decoders' split, so the walk still branches
-    # per session digit, in 204 calls (as one 1024-value digit per message
-    # it would exhaust 210)
+    # limit of 2**20, and after the seed's 78 map calls the walk settles it
+    # in 198: a limit of 198 certifies the code, one less raises.  At 10 of
+    # each message's 11 bits the box is 0 in the top session digit and full
+    # in the other ten, laid out over the decoders' split, so the walk
+    # still branches per session digit, in 192 calls, 270 with the seed's
+    # (as one 1024-value digit per message it would exhaust 198)
     _, inst, code = path_chain(11)[-1]
     runs, calls = count_runs(monkeypatch), count_calls(monkeypatch)
     report = nc.check_feasibility(code, inst)
     assert (report.trials, report.failures, report.passed, report.certified) == \
         (4 ** 11, 0, True, True)
-    assert nc.check_feasibility(code, inst, limit=210) == report
+    assert nc.check_feasibility(code, inst, limit=198) == report
     with pytest.raises(EnumerationTooLarge):
-        nc.check_feasibility(code, inst, limit=209)
+        nc.check_feasibility(code, inst, limit=197)
     assert Engine(code, inst, [((2 ** 10, 2 ** 11),)] * 2).box == (((1, 2),) + ((2, 2),) * 10,) * 2
     calls[0] = 0
     rated = nc.check_feasibility(code, inst, rates=[Fraction(10, code.inner_n * code.outer_n)] * 2,
-                                 limit=210)
-    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 204)
+                                 limit=198)
+    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 270)
     assert runs == []
 
 
@@ -672,7 +692,8 @@ def test_sampled_check_raises_only_where_a_seed_draws_the_raising_message():
 @pytest.mark.parametrize("wrong_at", [None, 3])
 def test_sampled_walk_stays_within_trials_times_maps(monkeypatch, wrong_at):
     # the correct full-cone code needs 24 walk calls over its 3 maps: 7
-    # trials (21 calls) fall back to drawing them, 8 settle it
+    # trials (21 calls) fall back to drawing them, 8 settle it; the seed's
+    # one call per map is outside that budget
     inst, code = full_cone_code(wrong_at)
     calls, walked = count_calls(monkeypatch), []
     sliced = Engine._sliced_pass
@@ -688,7 +709,7 @@ def test_sampled_walk_stays_within_trials_times_maps(monkeypatch, wrong_at):
         runs = count_runs(monkeypatch)
         got, want = sampled(code, inst, trials, 7)
         assert got == want
-        assert walked[-1] <= trials * 3
+        assert walked[-1] <= (trials + 1) * 3
         assert len(runs) == (0 if wrong_at is None and trials == 8 else trials)
 
 
@@ -877,13 +898,13 @@ def test_slot_read_through_a_trie_without_a_leaf_is_walked(monkeypatch):
 
 def test_truncated_tries_are_walked(monkeypatch):
     # with room for 4 trie nodes no slot's trie covers its box, so every
-    # slot sink walks (84 calls, as many as without the rule) and the
-    # reports stay the reference's
+    # slot sink walks (106 calls, 24 of them the seed's) and the reports
+    # stay the reference's
     monkeypatch.setattr(codes, "TRIE_NODE_CAP", 4)
     _, inst, code = CHAINS[2][-1]
     calls = count_calls(monkeypatch)
     assert nc.check_feasibility(code, inst) == ref.check_feasibility(code, inst)
-    assert calls[0] == 84
+    assert calls[0] == 106
     for inst, code in (relay_code(), full_cone_code(), full_cone_code(3)):
         assert nc.check_feasibility(code, inst) == ref.check_feasibility(code, inst)
         for trials in (1, 5):
@@ -1132,8 +1153,8 @@ def test_routing_maps_match_the_per_call_builder(data):
 
 def test_a_walk_gives_up_at_once_on_a_branch_wider_than_its_budget(monkeypatch):
     # a message of 10^12 values on a one-edge routing code: each value costs
-    # the walk a map call, so it gives up before it tries one; it once made
-    # 2^20 map calls (3 s) before the same refusal
+    # the walk a map call, so it gives up before it tries one beyond the
+    # seed's; it once made 2^20 map calls (3 s) before the same refusal
     calls = []
     call = Engine._call
     monkeypatch.setattr(Engine, "_call", lambda self, memo, state: calls.append(1) or call(self, memo, state))
@@ -1141,7 +1162,9 @@ def test_a_walk_gives_up_at_once_on_a_branch_wider_than_its_budget(monkeypatch):
     code = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 1, 1, [10 ** 12])
     with pytest.raises(EnumerationTooLarge, match=r"^1000000000000 message tuples exceed limit 1048576$"):
         nc.check_feasibility(code, inst)
-    assert len(calls) == 2  # the decoder, then the encoder it pulls, each reads an unset value
+    # the seed runs the encoder, then the decoder, on message 0; the walk's
+    # decoder, then the encoder it pulls, each finds an unset value in its trie
+    assert len(calls) == 4
     code = code._replace(message_sizes=(3,))
     assert nc.check_feasibility(code, inst, limit=3).passed
     with pytest.raises(EnumerationTooLarge, match="3 message tuples exceed limit 2"):

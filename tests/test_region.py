@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,18 @@ def test_region_limit_guards():
     with pytest.raises(EnumerationTooLarge):
         nc.rate_region_micro(line3(), 1, 2, nc.RegionLimits(max_ops=10))
 
+
+
+def test_region_budget_charges_the_descent_over_empty_slots(monkeypatch):
+    # every slot of size (1, 1) is charged for its two trivial functions, so
+    # max_ops=100 stops the search within 50 steps of its 3,000 slots; each
+    # step rebuilds the terminal's views (one Counter)
+    steps = []
+    monkeypatch.setattr(region, "Counter", lambda groups: steps.append(1) or Counter(groups))
+    limits = nc.RegionLimits(max_outer=3000, max_ops=100)
+    with pytest.raises(EnumerationTooLarge, match="^region search used all of max_ops=100$"):
+        nc.rate_region_micro(single_edge(), 1, 3000, limits)
+    assert len(steps) <= 50
 
 def test_region_budget_bounds_the_size_sweep():
     # five sources on one edge: 11**5 size tuples up to 1024, one op allowed

@@ -23,7 +23,7 @@ from netcode.rational import combine_digits, log2_at_least
 import reference_exec as ref
 from conftest import (
     bridged_pair, cycle4, fractional_alpha, inst_doc, make, path_chain, three_as_zero_chord_code,
-    two_triangles)
+    two_triangles, unset_runs)
 
 
 def clamped_pair_code(aug):
@@ -276,7 +276,7 @@ def test_bridge_report_walks_past_the_tuple_limit():
 def test_bridge_trace_match_builds_no_closure_view(monkeypatch):
     # each side encoder of the match reads the joint recording view through
     # slotted views alone, so no StateView is built while Engine._matches
-    # runs; the report makes 101 map calls, 33 of them in the match, which
+    # runs; the report makes 105 map calls, 33 of them in the match, which
     # walks only d's slot d->g (a->b is away from c, its side's anchor)
     inst, _, code = diagonal_triangles("ad", "bg")
     counts, inside = {"calls": 0, "match calls": 0, "match views": 0}, []
@@ -304,7 +304,7 @@ def test_bridge_trace_match_builds_no_closure_view(monkeypatch):
     ver = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code).verification
     assert ver.passed
     assert [side.trace_match for side in (ver.decomposition.u_side, ver.decomposition.v_side)] == [True, True]
-    assert counts == {"calls": 101, "match calls": 33, "match views": 0}
+    assert counts == {"calls": 105, "match calls": 33, "match views": 0}
 
 
 def test_bridge_trace_match_counts_its_free_tuples_against_the_limit():
@@ -909,7 +909,7 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
     # side d reads c->d at 11 alone.  No other far encoder runs in a replay
     # (c->a at 3..12, a->b at 12 and d->f at 12 and d->g at 1 are far for
     # one side each, outside its cone), and a report builds 34 replaying
-    # views and 50 recording views, all on the check's engine, for 772 map
+    # views and 50 recording views, all on the check's engine, for 810 map
     # calls
     inst, aug, code = bridge_n12_code()
     ran, real = {}, nc.removal._side_replay
@@ -943,8 +943,19 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
 
     assert {side: set(ran_keys) for side, ran_keys in ran.items()} == {
         "a": keys("d", "c", range(2, 12)) | keys("g", "d", range(1, 11)), "d": keys("c", "d", (11,))}
-    assert (len(replaying), len(recording), calls[0]) == (34, 50, 772)
+    assert (len(replaying), len(recording), calls[0]) == (34, 50, 810)
 
+
+
+def test_no_map_run_of_the_bridge_check_or_report_ends_in_an_unset_read(monkeypatch):
+    # the check's seed leaves one clean path in every trie, so its walk
+    # finds each unset position by a trie descent, and the trace matches'
+    # side sinks read only positions the pass sets
+    inst, aug, code = bridge_n12_code()
+    unset = unset_runs(monkeypatch)
+    assert nc.check_feasibility(code, aug).certified
+    assert nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code).verification.passed
+    assert unset == []
 
 def stack_depth():
     frame, depth = sys._getframe(), 0
