@@ -201,52 +201,60 @@ def _decompose_side(
     )
 
 
-REPLAY_ROUNDS = 32  # the rounds one replay recurses through at most (see _Replaying)
+REPLAY_DEPTH = 32  # the replaying views one replay nests at most (see _Replaying)
+
+
+class _Deeper(BaseException):
+    """A read REPLAY_DEPTH views deep of a slot (args[0]) not yet replayed;
+    not an Exception, so that no map's `except Exception` hides it."""
 
 
 class _Replaying(StateView):
     """The original code's view at `node` over the side execution seen by
     `state`, a side view of `node` or, in a replay, of the anchor.  `replay`
-    is what `_simulated_side_code` fixed for the side.  A replayed slot is
-    computed when a read asks for it, by its encoder on a view of its
-    sender, and kept in `sim` by slot key (0 where it has no encoder): one
-    dict for the views of one tree, so a map call replays only the slots
-    its reads reach.  So that a replay recurses through at most
-    REPLAY_ROUNDS rounds, the slots that many rounds or more before the one
-    asked for are replayed first, in round order; sim[None] counts them."""
+    is what `_simulated_side_code` fixed for the side.  A read of a replayed
+    slot runs its encoder on a view of its sender one level deeper, kept in
+    `sim` by slot key (0 where it has no encoder) for all the views of one
+    map call: the call computes each slot of its reads' cone once, no other.
+    A read REPLAY_DEPTH views deep raises _Deeper; the top view (depth 0)
+    replays the pending slots from a list, deepest first, and retries."""
 
-    __slots__ = ("replay", "state", "sim")
+    __slots__ = ("replay", "state", "sim", "depth")
 
-    def __init__(self, replay: tuple, node: str, time: int, state, sim: Optional[dict] = None):
+    def __init__(self, replay: tuple, node: str, time: int, state, sim=None, depth: int = 0):
         self.replay, self.node, self.time = replay, node, time
-        self.state, self.sim = state, sim
+        self.state, self.sim, self.depth = state, {} if sim is None else sim, depth
 
     def message(self, i: int) -> int:
-        _, _, own, side_pos, fixing, _, _ = self.replay
+        _, _, own, side_pos, fixing, _ = self.replay
         if i not in own[self.node]:
             raise KeyError(f"node {self.node!r} holds no message {i}")
         return self.state.message(side_pos[i]) if i in side_pos else fixing[i]
 
     def recv(self, sender: str, t: int) -> int:
         self._visible(sender, t)
-        inst, local, _, _, _, replayed, order = self.replay
+        inst, local, _, _, _, replayed = self.replay
         if (sender, self.node) in local:
             return self.state.recv(sender, t)
         oi, direction = inst.slot(sender, self.node)
         key, sim = (oi, t, direction), self.sim
-        if sim is None:
-            sim = self.sim = {None: 0}
-        value = sim.get(key)
-        if value is None:
-            done, stop = sim[None], t - REPLAY_ROUNDS
-            while done < len(order) and order[done][0] <= stop:
-                r, early, enc, tail = order[done]
-                if early not in sim:
-                    sim[early] = enc(_Replaying(self.replay, tail, r - 1, self.state, sim))
-                sim[None] = done = done + 1
-            enc = replayed.get(key)
-            value = sim[key] = enc(_Replaying(self.replay, sender, t - 1, self.state, sim)) if enc else 0
-        return value
+        if key not in sim:
+            if self.depth == REPLAY_DEPTH:
+                raise _Deeper(key)
+            pending = [key]
+            while pending:
+                oi, r, direction = slot = pending[-1]
+                enc = replayed.get(slot)
+                try:
+                    sim[slot] = enc(_Replaying(self.replay, slot_tail(inst, oi, direction), r - 1,
+                                               self.state, sim, self.depth + 1)) if enc else 0
+                except _Deeper as deeper:
+                    if self.depth:
+                        raise
+                    pending.append(deeper.args[0])
+                else:
+                    pending.pop()
+        return sim[key]
 
 
 class _SideMap:
@@ -265,19 +273,16 @@ class _SideMap:
 def _side_replay(inst: NetworkInstance, code: NetworkCode, side: set[str], e_idx: int,
                  s_idx: tuple[int, ...], fixing: dict[int, int]) -> tuple:
     """The `replay` of one side's `_Replaying` views: (inst, local, own,
-    side_pos, fixing, replayed, order).  `local` holds the (sender, receiver)
-    of every slot the side execution carries, those off the removed edge
-    sent from the side.  Every other slot is replayed: `replayed` maps the
-    slot key (edge, round, direction) of each one with an encoder to that
-    map, and `order` lists them by round as (round, key, map, sender)."""
-    ends = {(oi, d): pair for oi, e in enumerate(inst.edges)
-            for d, pair in ((FWD, (e.a, e.b)), (BWD, (e.b, e.a)))}
-    local = {pair for (oi, _), pair in ends.items() if oi != e_idx and pair[0] in side}
-    order = sorted(((t, (oi, t, d), enc, ends[oi, d][0]) for (oi, t, d), enc in code.encoders.items()
-                    if t > 0 and (oi, d) in ends and ends[oi, d] not in local), key=lambda item: item[0])
-    replayed = {key: enc for _, key, enc, _ in order}
+    side_pos, fixing, replayed).  `local` holds the (sender, receiver) of
+    every slot the side execution carries, those off the removed edge sent
+    from the side.  Every other slot is replayed: `replayed` maps the slot
+    key (edge, round, direction) of each one with an encoder to that map."""
+    local = {pair for oi, e in enumerate(inst.edges) if oi != e_idx
+             for pair in ((e.a, e.b), (e.b, e.a)) if pair[0] in side}
+    replayed = {key: enc for key, enc in code.encoders.items()
+                if key[0] == e_idx or slot_tail(inst, key[0], key[2]) not in side}
     own = {x: set(inst.sources_at(x)) for x in inst.vertices}
-    return inst, local, own, {i: pos for pos, i in enumerate(s_idx)}, fixing, replayed, order
+    return inst, local, own, {i: pos for pos, i in enumerate(s_idx)}, fixing, replayed
 
 
 def _simulated_side_code(

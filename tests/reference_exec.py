@@ -34,8 +34,7 @@ view for a side encoder (side message q read as joint message
 messages[q]); they are unchanged except for the second one's name and
 signature.  `_on_demand_view` is the same closure view replaying only
 the slots a read asks for, each once per view tree, as
-netcode.removal's `_Replaying` does below its REPLAY_ROUNDS
-(tests/test_properties.py).
+netcode.removal's `_Replaying` does (tests/test_properties.py).
 `pipeline_path` and `host_path_code` are the earlier builders of
 netcode.transforms and netcode.removal, which scanned every tilde round
 of every edge and derived each host slot's radices per round through a

@@ -192,7 +192,7 @@ def test_side_views_read_as_the_closure_views(case, values, unset_slots):
     for side in (set(u_side), set(aug.vertices) - set(u_side)):
         owned, foreign, _ = nc.removal._side_messages(aug, side)
         replay = nc.removal._side_replay(aug, code, side, e_idx, owned, {i: msgs[i] for i in foreign})
-        _, _, own, side_pos, fixing, replayed, _ = replay
+        _, _, own, side_pos, fixing, replayed = replay
         closure_replay = (aug, e_idx, side, own, side_pos, fixing, replayed)
         by_round = {}
         for (oi, t, direction), enc in replayed.items():

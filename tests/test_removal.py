@@ -903,15 +903,9 @@ def counted(monkeypatch, module, name):
     return built
 
 
-def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
-    # each anchor map call replays the far slots its reads reach, each once:
-    # on the u side c reads d->c at t+1, which reads g->d at t; on the v
-    # side d reads c->d at 11 alone.  No other far encoder runs in a replay
-    # (c->a at 3..12, a->b at 12 and d->f at 12 and d->g at 1 are far for
-    # one side each, outside its cone), and a report builds 34 replaying
-    # views and 50 recording views, all on the check's engine, for 810 map
-    # calls
-    inst, aug, code = bridge_n12_code()
+def replayed_runs(monkeypatch):
+    """The slot key of every replayed far-side encoder run from now on, in
+    a list per side, keyed by the side's first vertex."""
     ran, real = {}, nc.removal._side_replay
 
     def spied(inst, code, side, *rest):
@@ -925,6 +919,19 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
                                                   code.encoders.items()}), side, *rest)
 
     monkeypatch.setattr(nc.removal, "_side_replay", spied)
+    return ran
+
+
+def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
+    # each anchor map call replays the far slots its reads reach, each once:
+    # on the u side c reads d->c at t+1, which reads g->d at t; on the v
+    # side d reads c->d at 11 alone.  No other far encoder runs in a replay
+    # (c->a at 3..12, a->b at 12 and d->f at 12 and d->g at 1 are far for
+    # one side each, outside its cone), and a report builds 34 replaying
+    # views and 50 recording views, all on the check's engine, for 810 map
+    # calls
+    inst, aug, code = bridge_n12_code()
+    ran = replayed_runs(monkeypatch)
     replaying = counted(monkeypatch, nc.removal, "_Replaying")
     recording = counted(monkeypatch, nc.codes, "_Recording")
     calls, call = [0], Engine._call
@@ -945,6 +952,71 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
         "a": keys("d", "c", range(2, 12)) | keys("g", "d", range(1, 11)), "d": keys("c", "d", (11,))}
     assert (len(replaying), len(recording), calls[0]) == (34, 50, 810)
 
+
+def slot_keys(aug, sender, receiver, rounds):
+    idx, direction = aug.slot(sender, receiver)
+    return [(idx, t, direction) for t in rounds]
+
+
+@pytest.mark.parametrize("n_rounds", [96, 192])
+def test_stretched_bridge_report_replays_only_the_cone_of_its_reads(monkeypatch, n_rounds):
+    # bridge-n12's routes stretched to N rounds: however late the round,
+    # c's map at t+2 replays d->c at t+1, which replays g->d at t, and d's
+    # at N replays c->d at N-1; nothing else is replayed, and each cone
+    # slot runs once in the whole report: 2N-4 runs on the u side, 1 on the
+    # v side
+    inst, aug, code = bridge_n12_code(n_rounds)
+    ran = replayed_runs(monkeypatch)
+    assert nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code).verification.passed
+    cone = slot_keys(aug, "d", "c", range(2, n_rounds)) + slot_keys(aug, "g", "d", range(1, n_rounds - 1))
+    assert sorted(ran["a"]) == sorted(cone) and len(cone) == 2 * n_rounds - 4
+    assert ran["d"] == slot_keys(aug, "c", "d", [n_rounds - 1])
+    assert len(ran) == 2
+
+
+def n12_routes():
+    _, aug, code = bridge_n12_code()
+    return aug, code
+
+
+def echo_relay(hops=6):
+    """(augmented instance, code): c's message goes to d over the probe
+    c-d, ping-pongs d-g over `hops` rounds (even: it ends at d), and comes
+    back d->c->a.  Every far symbol carries the message, which is free on
+    c's side, so a replay that loses a deeper slot shows in its trace."""
+    inst = make(inst_doc("acdg", [("a", "c", "1"), ("d", "g", "1")], ["c"], ["a"], [[1]]))
+    aug = nc.add_edge(inst, "c", "d", Fraction(1))
+    nodes = ("c",) + tuple("dg"[h % 2] for h in range(hops + 1)) + ("c", "a")
+    return aug, nc.make_routing_code(aug, [nc.Route(0, 0, nodes, tuple(range(1, hops + 4)))], 1, hops + 3, [2])
+
+
+def side_runs(aug, u, v, code):
+    """Each side's fixing, conditional error and trace match, with the
+    execution of its side code on every free tuple."""
+    return [(side.fixing, side.conditional_error, side.trace_match, None if side.code is None else [
+        nc.execute(side.code, side.instance, free)
+        for free in itertools.product(*map(range, side.code.message_sizes))])
+        for side in nc.bridge_decompose(aug, u, v, code)]
+
+
+@pytest.mark.parametrize("case, restarts", [
+    pytest.param(case, restarts, id=case.__name__) for case, restarts in (
+        (cross_traffic, (True, False)), (cross_traffic_n2, (True, False)),
+        (foreign_demand_code, (False, False)), (n12_routes, (True, False)),
+        (echo_relay, (True, True)))])
+def test_a_replay_stopped_at_its_depth_bound_gives_the_same_sides(monkeypatch, case, restarts):
+    # with REPLAY_DEPTH at 1 or 2, a deeper read raises _Deeper and the map
+    # call's top view replays the pending slots from its list, deepest
+    # first, then retries (`restarts`: whether that happens at 1 and at 2);
+    # every side must come out as with the bound at 32, which none reaches
+    aug, code = case()
+    u, v = ("b", "c") if case in (cross_traffic, cross_traffic_n2, foreign_demand_code) else ("c", "d")
+    want = side_runs(aug, u, v, code)
+    for depth, restarted in zip((1, 2), restarts):
+        monkeypatch.setattr(nc.removal, "REPLAY_DEPTH", depth)
+        deeper = counted(monkeypatch, nc.removal, "_Deeper")
+        assert side_runs(aug, u, v, code) == want
+        assert bool(deeper) == restarted
 
 
 def test_no_map_run_of_the_bridge_check_or_report_ends_in_an_unset_read(monkeypatch):
@@ -968,9 +1040,10 @@ def test_replay_chain_longer_than_the_recursion_limit(monkeypatch):
     # message 0 ping-pongs g-d on the far side for more rounds than the
     # recursion limit allows frames, then crosses d->c->a; c, the u side's
     # anchor, relays it at the last round, so its replay reaches back to
-    # round 1.  Slots REPLAY_ROUNDS or more rounds back are replayed first,
-    # in round order, so the report needs no deeper stack; without that
-    # bound the replay recurses once per round
+    # round 1.  A read REPLAY_DEPTH views deep stops the replay, and the
+    # call's top view replays the pending slots from a list, so the report
+    # needs no deeper stack; without that bound the replay nests once per
+    # round
     limit = stack_depth() + 300
     hops = limit + 21 - limit % 2  # odd: the ping-pong ends at d
     inst = make(inst_doc("acdg", [("a", "c", "1"), ("d", "g", "1")], ["g", "c"], ["a"], [[1], [1]]))
@@ -983,7 +1056,7 @@ def test_replay_chain_longer_than_the_recursion_limit(monkeypatch):
     try:
         assert hops > sys.getrecursionlimit()
         rep = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code)
-        monkeypatch.setattr(nc.removal, "REPLAY_ROUNDS", hops)
+        monkeypatch.setattr(nc.removal, "REPLAY_DEPTH", hops)
         with pytest.raises(RecursionError):
             nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code)
     finally:
