@@ -316,57 +316,6 @@ def _output_check(j: int, demanded: Sequence[int], sizes: Sequence[int]) -> Call
     return check
 
 
-def _covered(node, state: list[int], reach: Sequence[int], slots: Mapping[int, tuple]) -> bool:
-    """Whether trie `node` holds an output for every completion of `state`:
-    each value in range(reach) at an unset walked position, the set value
-    elsewhere, and at an unset slot position (a key of `slots`) the output
-    its own trie holds on the same completion, which is exact: that leaf is
-    the checked output of a clean run that read the same values, so the
-    contract makes it the symbol a run writes there.  A loop walks the tries: a
-    branch on an unset slot waits (`waiting`, innermost first) while that
-    slot's trie is walked, whose leaf is then set at the slot; a branch on
-    an unset walked position is a choice, retried with each value after
-    undoing what was set since.  A trie with no leaf for some completion
-    makes it False.  Each position it sets is unset again when it returns."""
-    trail, choices, waiting = [], [], None
-    try:
-        while True:
-            while type(node) is list:
-                pos, kids = node
-                value = state[pos]
-                if value < 0:
-                    if not reach[pos]:
-                        waiting, node = (node, waiting), slots[pos][4].get(None)
-                        continue
-                    choices.append((pos, kids, waiting, len(trail)))
-                    trail.append(pos)
-                    value = state[pos] = 0
-                node = kids.get(value)
-            if node is None:
-                return False
-            if waiting is not None:  # a slot's output: the branch that waits on it goes on
-                branch, waiting = waiting
-                state[branch[0]] = node
-                trail.append(branch[0])
-                node = branch
-                continue
-            while choices:  # this completion is covered: try the next one
-                pos, kids, waiting, mark = choices[-1]
-                while len(trail) > mark + 1:
-                    state[trail.pop()] = -1
-                value = state[pos] + 1
-                if value < reach[pos]:
-                    state[pos] = value
-                    node = kids.get(value)
-                    break
-                choices.pop()
-            else:
-                return True
-    finally:
-        for pos in trail:
-            state[pos] = -1
-
-
 def _missing_decoder(j: int, node: str) -> Callable:
     """The map that stands in for the absent decoder of terminal j."""
     def decoder(view):
@@ -395,18 +344,19 @@ class Engine:
 
     Every encoder and decoder is memoized in a trie keyed on the ordered
     values it read (see the module docstring for the contract this needs).
-    A call replays the recorded reads against the state; on a miss it
-    re-points the memo's one `_Recording` view at the state and runs the
-    real map on it, so the guard checks every read a map makes, and a
-    replayed read is one the guard passed at the same horizon.  A read
-    that raises is not recorded: it raises in every state.
-    A leaf is a checked output, as a raising run is never stored, so a slot
-    whose trie covers every tuple a walk would try, reading each slot it
-    reads from that slot's trie (`_covered`), needs no walk.  The tries
-    hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the cap a miss
-    runs uncached and nothing more is stored.  `_table` runs one map over a
-    tabulation domain, and `_walk` over partial states: a trie seeded by one
-    clean run (`_sliced_pass`) names the walk's unset read without a map run.
+    A call (`_call`) descends the trie along the state; on a miss a map run
+    (`_run`) re-points the memo's one `_Recording` view at the state and
+    runs the real map on it, so the guard checks every read a map makes,
+    and a replayed read is one the guard passed at the same horizon.  A
+    read that raises is not recorded: it raises in every state.  A leaf is
+    a checked output, as a raising run is never stored, so a walk (`_walk`)
+    that reaches a leaf needs no run: a sink whose trie, read through the
+    tries of the slots it reads, covers its box settles with none.  The
+    tries hold at most TRIE_NODE_CAP nodes in all (`nodes`); past the cap a
+    miss runs uncached and nothing more is stored.  `_table` runs one map
+    over a tabulation domain, and `_walk` each sink over partial states: a
+    trie seeded by one clean run (`_sliced_pass`) names the walk's unset
+    read without a map run.
     """
 
     def __init__(self, code: NetworkCode, inst: NetworkInstance, box: Optional[tuple] = None):
@@ -557,16 +507,15 @@ class Engine:
     def _sliced_pass(self, total: int, budget: Optional[int] = None, sinks: Optional[list] = None,
                      fixed: Optional[Mapping[int, int]] = None) -> bool:
         """Whether every tuple of the box runs clean and meets every demand,
-        decided per sink (`sinks`, by default the code's own; a target that
-        is a slot is pulled first, so a sink runs once per branch; a slot
-        sink its trie covers, `_covered`, settles uncalled); False once the
-        walk has made `budget` map calls, by default as many as `total`
-        tuples make (one per map).  Each message is walked by the digits of
-        its box; one in `fixed` (index -> value) holds its value.  The code's
-        own sinks are seeded first, outside the budget: every slot in round
-        order, then each decoder sink, is called once on the box's first
-        tuple; a map that raises there makes the pass False."""
-        budget = total * len(self._memos) if budget is None else budget
+        decided per sink (`sinks`, by default the code's own) by `_walk`;
+        False once the walk has made `budget` map runs, by default as many
+        as `total` tuples make (one per map), or moved `budget` times from
+        one completion to the next.  Each message is walked by the
+        digits of its box; one in `fixed` (index -> value) holds its value.
+        The code's own sinks are seeded first, outside the budget: every
+        slot in round order, then each decoder sink, is called once on the
+        box's first tuple; a map that raises there makes the pass False."""
+        budget = steps = total * len(self._memos) if budget is None else budget
         fixed, k = fixed or {}, len(self.box)
         state = self._lay_out([fixed.get(i, 0) for i in range(k)] + self._blank[k:])
         reach = [0] * len(state)  # values tried per position; 0: fixed, a slot or unused
@@ -583,10 +532,7 @@ class Engine:
                 return False
         unset = [-1 if reach[p] or p in self._slots else value for p, value in enumerate(state)]
         for sink in self._sinks if sinks is None else sinks:
-            if not sink[1] and _covered(sink[0][4].get(None), unset, reach, self._slots):
-                continue
-            pulls = [pos for digits in sink[1] for pos, _ in digits if pos in self._slots]
-            budget = self._walk(sink, unset, pulls, reach, budget)
+            budget, steps = self._walk(sink, unset, reach, budget, steps)
             if budget < 0:
                 return False
         return True
@@ -600,7 +546,7 @@ class Engine:
         map in `code` is not in `agreed` (known to agree) runs that map, with
         this slot's check, on this execution (through one `_Renamed`) against
         this code's symbol.  On a raising map, a mismatch, or past the map
-        calls the tuples make, each tuple runs once; all sinks run on it, then compare."""
+        runs the tuples make, each tuple runs once; all sinks run on it, then compare."""
         k, maps = len(self.inst.sources), len(self._slots)
         sinks, walked, total = [], [], math.prod(_size(self.box[i]) for i in messages)
         for pos, (idx, t, direction) in self._keys.items():
@@ -621,48 +567,87 @@ class Engine:
         return (self._sliced_pass(total, total * maps, sinks, fixed)
                 or all(map(agree, itertools.product(*(_values(self.box[i]) for i in messages)))))
 
-    def _walk(self, sink: tuple, state: list, pulls: list, reach: Sequence, budget: int) -> int:
-        """The map calls left of `budget` once `sink` (memo, digits each
-        output must equal) runs clean, after the slots it waits on (`pulls`,
-        innermost last), on every completion of `state` in the message
-        positions it reads; -1 on a fault or past the budget.  Every frame
-        of a pass shares `state`: the positions a frame sets, its pulled
-        slots and its branch, are unset again when it returns."""
-        trail = []
+    def _walk(self, sink: tuple, state: list, reach: Sequence[int], budget: int,
+              steps: int) -> tuple[int, int]:
+        """The map runs left of `budget`, and the moves left of `steps`, once
+        `sink` (memo, digits each output must equal) runs clean on every
+        completion of `state` in the message positions it reads; a budget of
+        -1 on a fault, or past either.  One loop descends the tries: a read
+        of an unset slot (`reach` 0) waits (`waiting`, innermost first) while
+        that slot's trie is walked, whose leaf is then set at the slot; a
+        read of an unset walked position is a choice, retried with each
+        value after undoing what was set since, and each retry is a move, so
+        a walk through filled tries is bounded too.  Only a missing leaf
+        runs its map (`_run`), and each run is charged; a run's first unset
+        read is a branch with no leaves yet, and a choice whose values
+        missing from its branch outnumber the runs left gives up at once.
+        A target digit that is a slot is waited on first; one the sink did
+        not read fails if it has two values, as the output cannot follow it.
+        Each position the walk sets is unset again when it returns."""
+        memo, targets = sink
+        trail, choices, waiting, node = [], [], None, memo[4].get(None)
+        for digits in targets:
+            for pos, _ in digits:
+                if pos in self._slots:
+                    waiting, memo = (pos, memo, node, waiting), self._slots[pos]
+                    node = memo[4].get(None)
         try:
-            while (budget := budget - 1) >= 0:
-                try:
-                    out = self._call(self._slots[pulls[-1]] if pulls else sink[0], state)
-                    if pulls:
-                        state[pulls[-1]] = out
-                        trail.append(pulls.pop())
+            while True:
+                while type(node) is list:
+                    pos, kids = node
+                    value = state[pos]
+                    if value < 0:
+                        if not reach[pos]:
+                            waiting, memo = (pos, memo, node, waiting), self._slots[pos]
+                            node = memo[4].get(None)
+                            continue
+                        if reach[pos] - len(kids) > budget:  # each missing value costs a run
+                            return -1, steps
+                        choices.append((pos, kids, memo, waiting, len(trail)))
+                        trail.append(pos)
+                        value = state[pos] = 0
+                    node = kids.get(value)
+                if node is None:  # a missing leaf
+                    if (budget := budget - 1) < 0:
+                        return -1, steps
+                    try:
+                        node = self._run(memo, state)
+                    except _Unset as need:
+                        node = [need.args[0], {}]
                         continue
-                    for at, digits in enumerate(sink[1]):
-                        value = 0
-                        for pos, radix in digits:
-                            if state[pos] < 0:
-                                raise _Unset(pos)
-                            value = value * radix + state[pos]
-                        if out[at] != value or not isinstance(out[at], int):  # an equal float fails too
-                            return -1
-                    return budget
-                except _Unset as need:
-                    pos = need.args[0]
-                    if not reach[pos]:
-                        pulls.append(pos)
-                        continue
-                    if reach[pos] > budget:  # each value costs a call
-                        return -1
+                    except Exception:  # a map raised: the joint loop reports it
+                        return -1, steps
+                if waiting is not None:  # a slot's output: the map that waits on it goes on
+                    pos, memo, branch, waiting = waiting
+                    state[pos] = node
                     trail.append(pos)
-                    for value in range(reach[pos]):
+                    node = branch
+                    continue
+                for at, digits in enumerate(targets):
+                    value = 0
+                    for pos, radix in digits:
+                        digit = state[pos]
+                        if digit < 0:
+                            if reach[pos] > 1:
+                                return -1, steps
+                            digit = 0
+                        value = value * radix + digit
+                    if node[at] != value or not isinstance(node[at], int):  # an equal float fails too
+                        return -1, steps
+                while choices:  # this completion runs clean: try the next one
+                    pos, kids, memo, waiting, mark = choices[-1]
+                    while len(trail) > mark + 1:
+                        state[trail.pop()] = -1
+                    value = state[pos] + 1
+                    if value < reach[pos]:
+                        if (steps := steps - 1) < 0:
+                            return -1, steps
                         state[pos] = value
-                        budget = self._walk(sink, state, pulls[:], reach, budget)
-                        if budget < 0:
-                            break
-                    return budget
-                except Exception:  # a map raised: the joint loop reports it
-                    return -1
-            return budget
+                        node = kids.get(value)
+                        break
+                    choices.pop()
+                else:
+                    return budget, steps
         finally:
             for pos in trail:
                 state[pos] = -1
@@ -673,14 +658,15 @@ class Engine:
         A trie node is a leaf (the output) or a branch, a list [position
         the map reads next, {value read: subtree}]; outputs are ints or
         tuples, never lists or None."""
-        fn, _, _, check, top, view = memo
-        branch, found = None, top.get(None)
+        found = memo[4].get(None)
         while type(found) is list:
-            branch, found = found, found[1].get(state[found[0]])
-        if found is not None:
-            return found
-        if branch is not None and state[branch[0]] < 0:  # -1 is never a key
-            raise _Unset(branch[0])
+            found = found[1].get(state[found[0]])
+        return self._run(memo, state) if found is None else found
+
+    def _run(self, memo: tuple, state: list[int]):
+        """The map's checked output on `state`, run on the memo's view and
+        stored in its trie; _Unset at the first unset position it reads."""
+        fn, _, _, check, top, view = memo
         view.state, view.unset = state, None
         reads = view.reads = []
         try:
@@ -844,14 +830,16 @@ def check_feasibility(
     `trials` seeded uniform tuples and reports a Clopper-Pearson interval
     alongside the point estimate.  Either mode first runs every map once on
     the all-zero message tuple, seeding its cache, then walks each decoder
-    (each session of a Joined one), then each slot not yet run on every
-    value it reads, over only the messages, or session digits, it reads; if
-    none raises or misdecodes, no tuple fails, and none is run or drawn.
-    Otherwise, or once the walk makes as many map calls as the check's
-    tuples would (one per map per tuple or draw), the tuples run: every one
-    in exhaustive mode, `trials` seeded draws in sampled mode.  Past `limit`
-    tuples, after that seed, the exhaustive walk may make `limit` map calls,
-    and EnumerationTooLarge is raised only if it does not settle the code.
+    (each session of a Joined one), then each slot, over only the messages,
+    or session digits, it reads, running a map only where its cache holds
+    no output; if none raises or misdecodes, no tuple fails, and none is
+    run or drawn.  Otherwise, or once the walk makes as many map runs as
+    the check's tuples would (one per map per tuple or draw), or moves as
+    many times from one completion of a walk to the next, the tuples run:
+    every one in exhaustive mode, `trials` seeded draws in sampled mode.
+    Past `limit` tuples, after that seed, the exhaustive walk may make
+    `limit` map runs and `limit` moves, and EnumerationTooLarge is raised
+    only if it does not settle the code.
 
     When `rates` is given, source i is checked over its first
     floor(2**(R_i*N*n)) messages, a box of one digit that the Engine lays

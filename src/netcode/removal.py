@@ -354,8 +354,9 @@ def bridge_decompose(
     tuples that miss one of the side's demands, keyed by the side's foreign
     values.  A check whose sliced walk settles the code runs no tuple, and
     no side misses a demand.  The joint tuples follow check_feasibility's
-    limit rule: past `limit` of them the walk may make `limit` map calls,
-    and EnumerationTooLarge is raised only if it does not settle the code.
+    limit rule: past `limit` of them the walk may make `limit` map runs and
+    `limit` moves between completions, and EnumerationTooLarge is raised
+    only if it does not settle the code.
 
     The trace match walks the check's engine, the report's only one, over
     the box the check covers, the foreign messages at the fixing: each side
@@ -366,8 +367,9 @@ def bridge_decompose(
     `_SideMap` is the original map on joint reads, which the check ran clean
     over the box, so it sends the joint symbol, even where a diverged side
     run would raise (a side map not built so is walked).  On a raising map,
-    a mismatch or past the free tuples' map calls, each runs once on that
-    engine, its walked maps compared; over `limit` raise EnumerationTooLarge.
+    a mismatch or past the free tuples' map runs or moves, each runs once
+    on that engine, its walked maps compared; over `limit` raise
+    EnumerationTooLarge.
     """
     minus = drop_edge(inst_with_e, u, v)
     comp_u = next(b for b in connected_components(minus) if u in b)

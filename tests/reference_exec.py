@@ -644,7 +644,7 @@ def per_tuple_bridge_decompose(
     the side's demands, keyed by the side's foreign values.  The pass is
     skipped when the engine's sliced walk (see check_feasibility) proves
     that no tuple misses a demand.  As in check_feasibility, past `limit`
-    tuples the walk may make `limit` map calls, and EnumerationTooLarge is
+    tuples the walk may make `limit` map runs, and EnumerationTooLarge is
     raised only if it does not settle the code.
     """
     minus = drop_edge(inst_with_e, u, v)

@@ -410,25 +410,27 @@ def test_sliced_reports_match_reference(data):
 
 
 def count_calls(monkeypatch):
-    """Count Engine._call calls: map calls, from the trie or not."""
+    """Count map runs (Engine._run calls), which a walk budget caps: a
+    trie descent that finds its leaf is not counted."""
     calls = [0]
-    call = Engine._call
+    run = Engine._run
 
     def counted(self, memo, state):
         calls[0] += 1
-        return call(self, memo, state)
+        return run(self, memo, state)
 
-    monkeypatch.setattr(Engine, "_call", counted)
+    monkeypatch.setattr(Engine, "_run", counted)
     return calls
 
 
-# map calls of the check on the final chain code: the seed runs every slot
-# and each session of each terminal once on the box's first tuple, then the
-# walk takes one sink per session, then one per slot, each branching over
-# the one digit it reads; a slot whose trie the earlier sinks filled for
-# every value it reads, through the tries of the slots it reads, settles
-# with none (the joint loop would run 4**N tuples of 4*N + 14 maps)
-CHAIN_WALK_CALLS = {2: 60, 3: 84, 4: 108, 5: 132, 6: 156}
+# map runs of the check on the final chain code: the seed runs each of the
+# 4*N + 12 live slots and each of the 2*N sessions of the terminals once on
+# the box's first tuple; then the walk takes one sink per session, whose
+# one binary digit's other value runs the two slots that carry it and the
+# session (3 runs), then one per slot, whose trie the earlier sinks filled
+# for every value it reads, through the tries of the slots it reads, so it
+# settles with none (the joint loop would run 4**N tuples of 4*N + 14 maps)
+CHAIN_WALK_CALLS = {2: 36, 3: 48, 4: 60, 5: 72, 6: 84}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -444,10 +446,10 @@ def test_sliced_pass_settles_the_path_chain(monkeypatch, n):
 @pytest.mark.parametrize("case", [*(f"chain{n}" for n in range(2, 7)), "amplified16"])
 def test_no_map_run_ends_in_an_unset_read(monkeypatch, case):
     # the seed leaves one clean path in every trie, so the walk finds each
-    # unset position by a trie descent, not by a map run.  The sampled walk
-    # settles both codes; the exhaustive one settles the chain, and on the
-    # clamp code spends its 8 calls (4 tuples of 2 maps) and falls back to
-    # running the tuples
+    # unset position by a trie descent, not by a map run.  Both walks
+    # settle both codes; on the clamp code the exhaustive one makes 8 map
+    # runs, the seed's 2 and then 6 within its budget of 8 (4 tuples of 2
+    # maps), and runs no tuple
     if case == "amplified16":
         inst, code = amplified_clamp(16)
     else:
@@ -456,30 +458,31 @@ def test_no_map_run_ends_in_an_unset_read(monkeypatch, case):
     assert nc.check_feasibility(code, inst, mode="sampled", trials=200).failures == 0
     assert runs == []
     assert nc.check_feasibility(code, inst).failures == 0
-    assert unset == []
+    assert runs == [] and unset == []
 
 
 def test_limit_counts_the_walk_map_calls_past_the_tuple_limit(monkeypatch):
     # at N=11 the final chain code has 4**11 tuples, over the default
-    # limit of 2**20, and after the seed's 78 map calls the walk settles it
-    # in 198: a limit of 198 certifies the code, one less raises.  At 10 of
-    # each message's 11 bits the box is 0 in the top session digit and full
-    # in the other ten, laid out over the decoders' split, so the walk
-    # still branches per session digit, in 192 calls, 270 with the seed's
-    # (as one 1024-value digit per message it would exhaust 198)
+    # limit of 2**20, and after the seed's 78 map runs the walk settles it
+    # in 66 (3 per session): a limit of 66 certifies the code, one less
+    # raises.  At 10 of each message's 11 bits the box is 0 in the top
+    # session digit and full in the other ten, laid out over the decoders'
+    # split, so the walk still branches per session digit, in 60 runs, 138
+    # with the seed's (a choice over one 1024-value digit per message would
+    # miss 1,023 values, more than 66 runs, and give up at once)
     _, inst, code = path_chain(11)[-1]
     runs, calls = count_runs(monkeypatch), count_calls(monkeypatch)
     report = nc.check_feasibility(code, inst)
     assert (report.trials, report.failures, report.passed, report.certified) == \
         (4 ** 11, 0, True, True)
-    assert nc.check_feasibility(code, inst, limit=198) == report
+    assert nc.check_feasibility(code, inst, limit=66) == report
     with pytest.raises(EnumerationTooLarge):
-        nc.check_feasibility(code, inst, limit=197)
+        nc.check_feasibility(code, inst, limit=65)
     assert Engine(code, inst, [((2 ** 10, 2 ** 11),)] * 2).box == (((1, 2),) + ((2, 2),) * 10,) * 2
     calls[0] = 0
     rated = nc.check_feasibility(code, inst, rates=[Fraction(10, code.inner_n * code.outer_n)] * 2,
-                                 limit=198)
-    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 270)
+                                 limit=66)
+    assert (rated.trials, rated.failures, rated.certified, calls[0]) == (4 ** 10, 0, True, 138)
     assert runs == []
 
 
@@ -523,22 +526,30 @@ def test_factored_walk_settles_and_matches_reference_at_rates(case):
 def test_walk_past_a_rated_space_only_falls_back(monkeypatch):
     # two sessions of a three-value message: the rated space of 4 messages
     # is no digit box over the two ternary session digits, so it stays one
-    # digit, messages 0..3, and the walk never meets the fault
-    # at message 5; reading the message whole, it spends its budget of 8
-    # map calls (4 tuples of 2 maps) and falls back to the 4 tuples
+    # digit, messages 0..3, and neither the walk nor the joint loop meets
+    # the fault at message 5.  Reading the message whole, the walk settles
+    # the code in 6 map runs past the seed's 2, within its budget of 8 (4
+    # tuples of 2 maps), and runs no tuple.  Only the wrong-session variant
+    # falls back: with the top session read as 0 it misdecodes message 3,
+    # and the joint loop runs the 4 tuples alone
     inst = single_edge()
     base = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 2, 1, [3])
     code = nc.parallel_repeat(base, inst, 2)
     enc = code.encoders[(0, 1, nc.FWD)]
     code = code._replace(encoders={(0, 1, nc.FWD): lambda view: 9 if view.message(0) == 5 else enc(view)})
     rates = [Fraction(1, 2)]
-    runs = count_runs(monkeypatch)
-    report = nc.check_feasibility(code, inst, rates=rates)
-    assert report == ref.check_feasibility(code, inst, rates=rates)
-    assert (report.trials, report.failures) == (4, 0)
-    assert runs == [(0,), (1,), (2,), (3,)]
-    with pytest.raises(SymbolOutOfRange):
-        nc.check_feasibility(code, inst)
+    for wrong, failures, tuples_run in ((False, 0, []), (True, 1, [(0,), (1,), (2,), (3,)])):
+        if wrong:
+            code = with_wrong_session(code, 0, 0)
+        runs = count_runs(monkeypatch)
+        report = nc.check_feasibility(code, inst, rates=rates)
+        assert report == ref.check_feasibility(code, inst, rates=rates)
+        assert (report.trials, report.failures) == (4, failures)
+        assert runs == tuples_run
+        assert Engine(code, inst, [((4, 9),)])._sliced_pass(4, 6) != wrong
+        assert not Engine(code, inst, [((4, 9),)])._sliced_pass(4, 5)
+        with pytest.raises(SymbolOutOfRange):
+            nc.check_feasibility(code, inst)
 
 
 def with_wrong_session(code, j, s):
@@ -618,15 +629,24 @@ def full_cone_code(wrong_at=None):
 
 
 def test_full_cone_code_falls_back_within_its_budget(monkeypatch):
-    # decoder 0's walk spends the 12 map calls the four tuples make (three
-    # maps each), so the joint loop runs
-    for wrong_at in (None, 3):
+    # past the seed's 3 map runs, the walk of the correct code makes 10:
+    # decoder 0's sink runs the encoder on the three tuples the seed left
+    # out, plus once where it meets message 1 unset, and itself on the
+    # three new symbols; decoder 1's sink runs itself on those three; the
+    # slot sink's trie then covers its box.  That is within the 12 runs the
+    # four tuples make (three maps each), so no tuple runs, and a budget of
+    # 9 falls back.  Decoding symbol 3 wrong, the walk misdecodes and the
+    # joint loop runs
+    for wrong_at, tuples_run in ((None, 0), (3, 4)):
         inst, code = full_cone_code(wrong_at)
         want = ref.check_feasibility(code, inst)
         runs = count_runs(monkeypatch)
         assert nc.check_feasibility(code, inst) == want
-        assert len(runs) == 4
+        assert len(runs) == tuples_run
         assert want.failures == (wrong_at is not None)
+    inst, code = full_cone_code()
+    assert Engine(code, inst)._sliced_pass(4, 10)
+    assert not Engine(code, inst)._sliced_pass(4, 9)
 
 
 # A sampled check walks first too, with a budget of `trials` times the
@@ -691,9 +711,9 @@ def test_sampled_check_raises_only_where_a_seed_draws_the_raising_message():
 
 @pytest.mark.parametrize("wrong_at", [None, 3])
 def test_sampled_walk_stays_within_trials_times_maps(monkeypatch, wrong_at):
-    # the correct full-cone code needs 24 walk calls over its 3 maps: 7
-    # trials (21 calls) fall back to drawing them, 8 settle it; the seed's
-    # one call per map is outside that budget
+    # the correct full-cone code needs 10 walk runs over its 3 maps: 3
+    # trials (9 runs) fall back to drawing them, 4 settle it; the seed's
+    # one run per map is outside that budget
     inst, code = full_cone_code(wrong_at)
     calls, walked = count_calls(monkeypatch), []
     sliced = Engine._sliced_pass
@@ -705,12 +725,12 @@ def test_sampled_walk_stays_within_trials_times_maps(monkeypatch, wrong_at):
         return settled
 
     monkeypatch.setattr(Engine, "_sliced_pass", recorded)
-    for trials in (7, 8):
+    for trials in (3, 4):
         runs = count_runs(monkeypatch)
         got, want = sampled(code, inst, trials, 7)
         assert got == want
         assert walked[-1] <= (trials + 1) * 3
-        assert len(runs) == (0 if wrong_at is None and trials == 8 else trials)
+        assert len(runs) == (0 if wrong_at is None and trials == 4 else trials)
 
 
 def test_one_failing_terminal_report_matches_reference():
@@ -729,8 +749,9 @@ def test_one_failing_terminal_report_matches_reference():
 
 
 def test_decoder_that_reads_nothing_fails_where_its_guess_is_wrong():
-    # the decoder reads nothing, so only its comparison with the demanded
-    # message branches the walk; the joint loop then finds the failures
+    # the decoder reads nothing, so its output cannot follow the demanded
+    # message and the walk falls back at once; the joint loop then finds
+    # the failures
     inst = single_edge()
     code = nc.NetworkCode(
         inner_n=2, outer_n=1, message_sizes=(4,),
@@ -844,7 +865,7 @@ def relay_code():
 
 def sink_calls(monkeypatch, engine):
     """Per sink of `engine`, in walk order: (its node, whether its walk
-    settles, the map calls it makes), each sink walked on its own after
+    settles, the map runs it makes), each sink walked on its own after
     the ones before it."""
     calls, walked = count_calls(monkeypatch), []
     for sink in engine._sinks:
@@ -855,17 +876,68 @@ def sink_calls(monkeypatch, engine):
 
 
 def test_covered_slot_sink_makes_no_map_call(monkeypatch):
-    # the decoder at c pulls both slots over message 0's four values, so
-    # the a->b encoder's trie, which reads message 0 alone, covers its
-    # sink's box: that sink settles without a call
+    # the decoder at c waits on both slots over message 0's four values,
+    # so the a->b encoder's trie, which reads message 0 alone, covers its
+    # sink's box: that sink settles without a run
     inst, code = relay_code()
     walked = sink_calls(monkeypatch, Engine(code, inst))
     assert walked[:2] == [("c", True, 15), ("a", True, 0)]
-    # on its own, with an empty trie, the same sink walks: one call that
+    # on its own, with an empty trie, the same sink walks: one run that
     # meets the unset message, then one per value
     engine = Engine(code, inst)
     calls = count_calls(monkeypatch)
     assert engine._sliced_pass(4, 10 ** 6, [engine._sinks[1]]) and calls[0] == 5
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["decoder", "a->b", "b->c"])
+def test_a_sink_whose_trie_covers_its_box_settles_with_no_run(monkeypatch, index):
+    # once the code's own pass has filled them, the decoder's trie and each
+    # slot's, read through the tries of the slots it reads, hold an output
+    # for every message value; a descent runs no map, so the sink settles
+    # again with no run.  Its budget still caps its moves from one
+    # completion to the next: 3 between message 0's four values settle,
+    # 2 fall back
+    inst, code = relay_code()
+    engine = Engine(code, inst)
+    assert engine._sliced_pass(4)
+    calls = count_calls(monkeypatch)
+    assert engine._sliced_pass(4, 3, [engine._sinks[index]]) and calls[0] == 0
+    assert not engine._sliced_pass(4, 2, [engine._sinks[index]]) and calls[0] == 0
+
+
+def two_bit_code(bits):
+    """(inst, code): messages 0 and 1, of 2**bits values each, go a->b
+    whole at rounds 1 and 2 to the decoders, and their low bits at rounds
+    3 and 4; at round 5 b sends both bits back, so that slot's trie holds
+    4 leaves while its box holds every (message 0, message 1) pair."""
+    inst = make(inst_doc("ab", [("a", "b", "40")], ["a", "a"], ["b", "b"], [[1, 0], [0, 1]]))
+    size = 2 ** bits
+    splits = nc.AlphabetSplit({(0, 1): (size, 1), (0, 2): (size, 1), (0, 3): (2, 1),
+                               (0, 4): (2, 1), (0, 5): (1, 4)})
+    return inst, nc.NetworkCode(
+        inner_n=1, outer_n=5, message_sizes=(size, size), splits=splits,
+        encoders={(0, 1, nc.FWD): lambda view: view.message(0),
+                  (0, 2, nc.FWD): lambda view: view.message(1),
+                  (0, 3, nc.FWD): lambda view: view.message(0) % 2,
+                  (0, 4, nc.FWD): lambda view: view.message(1) % 2,
+                  (0, 5, nc.BWD): lambda view: view.recv("a", 3) + 2 * view.recv("a", 4)},
+        decoders={0: lambda view: (view.recv("a", 1),), 1: lambda view: (view.recv("a", 2),)})
+
+
+def test_a_capped_walk_stops_after_limit_completions():
+    # the round-5 sink runs a few maps but walks all 4^6 message pairs
+    # through its 4-leaf trie and the two bit slots' tries: past `limit`
+    # tuples a walk moves between at most `limit` completions, so the check
+    # raises after about `limit` of them instead of walking the product.
+    # At 2^11 values per message the default limit of 2^20 stops it the
+    # same way, at a quarter of the 4^11 pairs
+    inst, code = two_bit_code(6)
+    assert nc.check_feasibility(code, inst, limit=4 ** 6).certified
+    with pytest.raises(EnumerationTooLarge):
+        nc.check_feasibility(code, inst, limit=1000)
+    inst, code = two_bit_code(11)
+    with pytest.raises(EnumerationTooLarge):
+        nc.check_feasibility(code, inst)
 
 
 def test_slot_whose_trie_branches_on_a_slot_settles_from_that_slots_trie(monkeypatch):
@@ -880,8 +952,9 @@ def test_slot_whose_trie_branches_on_a_slot_settles_from_that_slots_trie(monkeyp
 
 def test_slot_read_through_a_trie_without_a_leaf_is_walked(monkeypatch):
     # the a->b encoder raises on message value 2, so its trie holds no leaf
-    # for 2 and the b->c sink, which reads the a->b symbol, is walked: it
-    # meets the raising encoder and does not settle
+    # for 2: the a->b sink runs it there (one run) and the b->c sink, whose
+    # trie reads the a->b symbol, waits on that trie and runs it there too;
+    # both meet the raising encoder and do not settle
     inst, code = relay_code()
     key = (0, 1, nc.FWD)
     enc = code.encoders[key]
@@ -892,19 +965,19 @@ def test_slot_read_through_a_trie_without_a_leaf_is_walked(monkeypatch):
         return enc(view)
 
     engine = Engine(code._replace(encoders={**code.encoders, key: raising}), inst)
-    assert sink_calls(monkeypatch, engine) == [("c", False, 10), ("a", False, 4), ("b", False, 7)]
+    assert sink_calls(monkeypatch, engine) == [("c", False, 10), ("a", False, 1), ("b", False, 1)]
     assert 2 not in engine._memos[key][4][None][1]
 
 
 def test_truncated_tries_are_walked(monkeypatch):
     # with room for 4 trie nodes no slot's trie covers its box, so every
-    # slot sink walks (106 calls, 24 of them the seed's) and the reports
-    # stay the reference's
+    # slot sink runs its map (100 runs, 24 of them the seed's) and the
+    # reports stay the reference's
     monkeypatch.setattr(codes, "TRIE_NODE_CAP", 4)
     _, inst, code = CHAINS[2][-1]
     calls = count_calls(monkeypatch)
     assert nc.check_feasibility(code, inst) == ref.check_feasibility(code, inst)
-    assert calls[0] == 106
+    assert calls[0] == 100
     for inst, code in (relay_code(), full_cone_code(), full_cone_code(3)):
         assert nc.check_feasibility(code, inst) == ref.check_feasibility(code, inst)
         for trials in (1, 5):
@@ -964,36 +1037,44 @@ def raising_at_two():
     ("out of budget", 40, False),
 ])
 def test_every_walk_frame_of_a_pass_shares_one_state(monkeypatch, case, budget, settles):
-    # the frames backtrack in place: each unsets what it set when it
-    # returns, whether its sink settled, misdecoded, met a raising map or
-    # ran out of budget, so every sink starts from the unset layout and the
-    # pass ends on it
+    # one loop walks each sink, backtracking in place over the pass's one
+    # state list: whether the sink settled, misdecoded, met a raising map or
+    # ran out of budget, the walk unsets every position it set before it
+    # returns, so every sink starts from the unset layout and the pass ends
+    # on it.  Out of budget: the one-hop code over 32 messages needs 62
+    # runs past the seed's
     _, inst, code = CHAINS[3][-1]
     if case == "misdecoding":
         code = with_wrong_session(code, 0, 1)
     elif case == "raising":
         inst, code = raising_at_two()
-    frames, tops, depth = [], [], [0]
-    walk = Engine._walk
+    elif case == "out of budget":
+        inst, code = one_hop_code(32, 2)
+    states, entered, left, branched = [], [], [], []
+    walk, run = Engine._walk, Engine._run
 
     def recorded(self, sink, state, *args):
-        frames.append(state)
-        if not depth[0]:
-            tops.append(state[:])
-        depth[0] += 1
+        states.append(state)
+        entered.append(state[:])
         try:
             return walk(self, sink, state, *args)
         finally:
-            depth[0] -= 1
+            left.append(state[:])
+
+    def spied(self, memo, state):
+        if len(entered) > len(left):  # a run inside a walk
+            branched.append(state != entered[-1])
+        return run(self, memo, state)
 
     monkeypatch.setattr(Engine, "_walk", recorded)
+    monkeypatch.setattr(Engine, "_run", spied)
     engine = Engine(code, inst)
     assert engine._sliced_pass(4 ** 3, budget) == settles
-    assert len(frames) > len(tops) > 0  # some frame branched
-    assert all(state is frames[0] for state in frames)
-    unset = tops[0]
+    assert any(branched)  # some walk set positions before a run
+    assert all(state is states[0] for state in states)
+    unset = entered[0]
     assert all(unset[pos] == -1 for pos in engine._slots)
-    assert tops == [unset] * len(tops) and frames[0] == unset
+    assert entered == left == [unset] * len(entered) and states[0] == unset
 
 
 def test_first_missing_encoder_in_round_order_is_named():
@@ -1071,16 +1152,32 @@ def test_a_one_hop_state_does_not_grow_with_the_rounds():
 
 
 def test_every_joint_run_copies_the_live_state(monkeypatch):
-    # the one-hop check at 2^14 messages over 2^12 rounds falls into the
-    # joint loop (its walk budget is two calls short, ROADMAP item 15), and
-    # each of its 2^14 runs copies a state of 3 positions, whatever N is
+    # the one-hop check at 2^14 messages over 2^12 rounds, its decoder wrong
+    # on message 5, falls into the joint loop, and each of its 2^14 runs
+    # copies a state of 3 positions, whatever N is
     inst, code = one_hop_code(2 ** 14, 2 ** 12)
+    dec = code.decoders[0]
+    code = code._replace(decoders={0: lambda view: (6,) if dec(view) == (5,) else dec(view)})
     lengths, run = [], Engine.run
     monkeypatch.setattr(Engine, "run", lambda self, messages: lengths.append(len(self._blank))
                         or run(self, messages))
     report = nc.check_feasibility(code, inst)
-    assert (report.trials, report.failures, report.certified) == (2 ** 14, 0, True)
+    assert (report.trials, report.failures, report.failing, report.certified) == (2 ** 14, 1, ((5,),), True)
     assert lengths == [3] * 2 ** 14
+
+
+@pytest.mark.parametrize("size, map_runs", [(2 ** 14, 2 ** 15), (2 ** 16, 2 ** 17 + 1)])
+def test_one_hop_walk_runs_each_map_once_per_message_value(monkeypatch, size, map_runs):
+    # the decoder's sink waits on the encoder's trie, so each message value
+    # runs the encoder and then the decoder once, the seed's value 0
+    # included: 2 runs per value, the budget of `size` tuples of 2 maps, and
+    # no tuple runs.  At 2^16 the tries pass TRIE_NODE_CAP before the last
+    # value, so the encoder's own sink runs it once more, within the budget
+    inst, code = one_hop_code(size, 2 ** 12)
+    runs, calls = count_runs(monkeypatch), count_calls(monkeypatch)
+    report = nc.check_feasibility(code, inst)
+    assert (report.trials, report.failures, report.certified) == (size, 0, True)
+    assert runs == [] and calls[0] == map_runs
 
 
 # --------------------------------------------------------- routing oracle
@@ -1152,19 +1249,19 @@ def test_routing_maps_match_the_per_call_builder(data):
 
 
 def test_a_walk_gives_up_at_once_on_a_branch_wider_than_its_budget(monkeypatch):
-    # a message of 10^12 values on a one-edge routing code: each value costs
-    # the walk a map call, so it gives up before it tries one beyond the
-    # seed's; it once made 2^20 map calls (3 s) before the same refusal
-    calls = []
-    call = Engine._call
-    monkeypatch.setattr(Engine, "_call", lambda self, memo, state: calls.append(1) or call(self, memo, state))
+    # a message of 10^12 values on a one-edge routing code: each value the
+    # encoder's trie lacks costs the walk a map run, so it gives up before
+    # it tries one beyond the seed's; it once made 2^20 map calls (3 s)
+    # before the same refusal
+    calls = count_calls(monkeypatch)
     inst = make(inst_doc("ab", [("a", "b", "40")], ["a"], ["b"], [[1]]))
     code = nc.make_routing_code(inst, [nc.Route(0, 0, ("a", "b"), (1,))], 1, 1, [10 ** 12])
     with pytest.raises(EnumerationTooLarge, match=r"^1000000000000 message tuples exceed limit 1048576$"):
         nc.check_feasibility(code, inst)
     # the seed runs the encoder, then the decoder, on message 0; the walk's
-    # decoder, then the encoder it pulls, each finds an unset value in its trie
-    assert len(calls) == 4
+    # decoder sink waits on the encoder's trie, whose branch on the message
+    # lacks 10^12 - 1 values, more than the 2^20 runs of the budget
+    assert calls[0] == 2
     code = code._replace(message_sizes=(3,))
     assert nc.check_feasibility(code, inst, limit=3).passed
     with pytest.raises(EnumerationTooLarge, match="3 message tuples exceed limit 2"):

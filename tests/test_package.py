@@ -495,12 +495,12 @@ def test_walk_copy_guard_flags(source, flagged):
     assert bool(walk_state_copies(ast.parse(source))) == flagged
 
 
-PER_CALL = {"_call", "_walk"}
+PER_CALL = {"_call", "_run", "_walk"}
 
 
 def per_call_views(tree) -> list[tuple[int, str]]:
-    """(line, source) of every `_Recording(...)` built inside `_call` or
-    `_walk`: a view built per map call costs an allocation and seven
+    """(line, source) of every `_Recording(...)` built inside `_call`,
+    `_run` or `_walk`: a view built per map call costs an allocation and seven
     fields per call, where one view per memo, re-pointed at each call's
     state, costs one per memo."""
     return [site for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in PER_CALL

@@ -261,31 +261,32 @@ def diagonal_triangles(sources, terminals):
 
 
 def test_bridge_report_walks_past_the_tuple_limit():
-    # 256 joint tuples over limit 255: the walk settles the code in 68 map
-    # calls, as in check_feasibility, and each side's trace match runs 16
-    # free tuples; a limit of 67 leaves the walk short
+    # 256 joint tuples over limit 255: the walk settles the code in 60 map
+    # runs, as in check_feasibility, and each side's trace match runs 16
+    # free tuples; a limit of 59 leaves the walk short
     inst, aug, code = diagonal_triangles("ad", "bg")
     assert nc.check_feasibility(code, aug, limit=255).certified
     rep = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code, limit=255)
     assert rep.verification.passed
-    assert nc.bridge_decompose(aug, "c", "d", code, limit=68).u_side.trace_match
-    with pytest.raises(EnumerationTooLarge, match="256 message tuples exceed limit 67"):
-        nc.bridge_decompose(aug, "c", "d", code, limit=67)
+    assert nc.check_feasibility(code, aug, limit=60).certified
+    assert nc.bridge_decompose(aug, "c", "d", code, limit=60).u_side.trace_match
+    with pytest.raises(EnumerationTooLarge, match="256 message tuples exceed limit 59"):
+        nc.bridge_decompose(aug, "c", "d", code, limit=59)
 
 
 def test_bridge_trace_match_builds_no_closure_view(monkeypatch):
     # each side encoder of the match reads the joint recording view through
     # slotted views alone, so no StateView is built while Engine._matches
-    # runs; the report makes 105 map calls, 33 of them in the match, which
+    # runs; the report makes 80 map runs, 16 of them in the match, which
     # walks only d's slot d->g (a->b is away from c, its side's anchor)
     inst, _, code = diagonal_triangles("ad", "bg")
-    counts, inside = {"calls": 0, "match calls": 0, "match views": 0}, []
-    call, init, matches = Engine._call, nc.StateView.__init__, Engine._matches
+    counts, inside = {"runs": 0, "match runs": 0, "match views": 0}, []
+    run, init, matches = Engine._run, nc.StateView.__init__, Engine._matches
 
-    def counted_call(self, memo, state):
-        counts["calls"] += 1
-        counts["match calls"] += bool(inside)
-        return call(self, memo, state)
+    def counted_run(self, memo, state):
+        counts["runs"] += 1
+        counts["match runs"] += bool(inside)
+        return run(self, memo, state)
 
     def counted_init(self, *args, **kwargs):
         counts["match views"] += bool(inside)
@@ -298,13 +299,13 @@ def test_bridge_trace_match_builds_no_closure_view(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(Engine, "_call", counted_call)
+    monkeypatch.setattr(Engine, "_run", counted_run)
     monkeypatch.setattr(nc.StateView, "__init__", counted_init)
     monkeypatch.setattr(Engine, "_matches", marked)
     ver = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code).verification
     assert ver.passed
     assert [side.trace_match for side in (ver.decomposition.u_side, ver.decomposition.v_side)] == [True, True]
-    assert counts == {"calls": 105, "match calls": 33, "match views": 0}
+    assert counts == {"runs": 80, "match runs": 16, "match views": 0}
 
 
 def test_bridge_trace_match_counts_its_free_tuples_against_the_limit():
@@ -580,7 +581,7 @@ def trace_match_runs(decomp, k, settled):
 
 def ping_pong_pair(hops=5, n=1, sizes=(4, 4)):
     """(augmented bridged_pair, code): message 0 bounces a-b-a-b-a-b over
-    five rounds (`hops`, odd), so each match sink pulls the whole chain
+    five rounds (`hops`, odd), so each match sink waits on the whole chain
     before it; c sends message 1 to d at round 1."""
     aug = nc.add_edge(bridged_pair(), "b", "c", Fraction(1))
     return aug, nc.make_routing_code(
@@ -590,22 +591,28 @@ def ping_pong_pair(hops=5, n=1, sizes=(4, 4)):
 
 
 def long_ping_pong_pair():
-    """ping_pong_pair over seven rounds at n=2, with 16 values of message 1:
-    the sinks of b, the u side's anchor, at rounds 2, 4 and 6 alone spend
-    that side's match budget, while the base walk, whose budget grows
-    with message 1's values, still settles the code."""
+    """ping_pong_pair over seven rounds at n=2, with 16 values of message 1.
+    Its match walks settle; with room for only 4 trie nodes, the sinks of
+    b, the u side's anchor, at rounds 2, 4 and 6 run their maps, and the
+    slots they wait on, at each unset read they meet, and alone spend that
+    side's match budget, while the base walk, whose budget grows with
+    message 1's values, still settles the code."""
     return ping_pong_pair(7, 2, (4, 16))
 
 
-@pytest.mark.parametrize("case, walked", [
-    pytest.param(case, walked, id=case.__name__) for case, walked in (
-        (routed_pair, [True, True]), (cross_traffic_n2, [True]), (ping_pong_pair, [True, True]),
-        (long_ping_pong_pair, [False, True]))])
-def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case, walked):
+@pytest.mark.parametrize("case, cap, walked", [
+    pytest.param(case, cap, walked, id=case.__name__ + ("_truncated" if cap else ""))
+    for case, cap, walked in (
+        (routed_pair, None, [True, True]), (cross_traffic_n2, None, [True]),
+        (ping_pong_pair, None, [True, True]), (long_ping_pong_pair, None, [True, True]),
+        (long_ping_pong_pair, 4, [False, True]))])
+def test_settled_bridge_code_runs_no_joint_tuple(monkeypatch, case, cap, walked):
     # the sliced walk proves these codes correct, so only the trace match
     # runs tuples: none for a side whose match walk settles, and exactly
     # its free tuples, once each on the check's engine, for one whose walk
-    # falls back
+    # falls back (the long ping-pong's u side, its tries cut at `cap` nodes)
+    if cap:
+        monkeypatch.setattr(nc.codes, "TRIE_NODE_CAP", cap)
     aug, code = case()
     assert Engine(code, aug)._sliced_pass(math.prod(code.message_sizes))
     calls, walks = engine_runs(monkeypatch, code), engine_walks(monkeypatch)
@@ -928,19 +935,19 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
     # side d reads c->d at 11 alone.  No other far encoder runs in a replay
     # (c->a at 3..12, a->b at 12 and d->f at 12 and d->g at 1 are far for
     # one side each, outside its cone), and a report builds 34 replaying
-    # views and 50 recording views, all on the check's engine, for 810 map
-    # calls
+    # views and 50 recording views, all on the check's engine, for 597 map
+    # runs
     inst, aug, code = bridge_n12_code()
     ran = replayed_runs(monkeypatch)
     replaying = counted(monkeypatch, nc.removal, "_Replaying")
     recording = counted(monkeypatch, nc.codes, "_Recording")
-    calls, call = [0], Engine._call
+    calls, run = [0], Engine._run
 
-    def counted_call(self, memo, state):
+    def counted_run(self, memo, state):
         calls[0] += 1
-        return call(self, memo, state)
+        return run(self, memo, state)
 
-    monkeypatch.setattr(Engine, "_call", counted_call)
+    monkeypatch.setattr(Engine, "_run", counted_run)
     rep = nc.edge_removal_report(inst, "c", "d", Fraction(1), code=code)
     assert rep.verification.passed
 
@@ -950,7 +957,7 @@ def test_bridge_report_replays_only_the_slots_its_anchors_read(monkeypatch):
 
     assert {side: set(ran_keys) for side, ran_keys in ran.items()} == {
         "a": keys("d", "c", range(2, 12)) | keys("g", "d", range(1, 11)), "d": keys("c", "d", (11,))}
-    assert (len(replaying), len(recording), calls[0]) == (34, 50, 810)
+    assert (len(replaying), len(recording), calls[0]) == (34, 50, 597)
 
 
 def slot_keys(aug, sender, receiver, rounds):
